@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional, Union
 
 from . import mutants
-from .errors import PurityViolation
+from .errors import ImmutableWrite, PurityViolation
+from .heap import FrozenDict
 from .labels import World
 from .programs import TraceLog
 from .values import (
@@ -262,14 +263,21 @@ class ConstView:
 
 
 def _run_check(env, fn, *args):
-    """Invoke a contract check under the read-only monitor."""
-    before = env.world
-    out = fn(*args)
-    after = env.world
+    """Invoke a contract check under the read-only monitor.
+
+    Worlds never change in place, so the check was pure exactly when the
+    current world is still the one it started on and it attempted no
+    in-place write, even one whose error it caught itself.
+    """
+    before, refused = env.world, FrozenDict.refused
+    try:
+        out = fn(*args)
+    except ImmutableWrite:
+        out = None  # counted in FrozenDict.refused and reported below
     trace = getattr(env, "trace", None)
     if trace is not None:
         trace.contract_checks += 1
-    if before != after:
+    if env.world is not before or FrozenDict.refused != refused:
         if trace is not None:
             trace.purity_failures += 1
         raise PurityViolation("a contract check modified the world")

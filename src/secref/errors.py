@@ -24,6 +24,11 @@ class MonitorAlarm(SecrefError):
 # heap level
 
 
+class ImmutableWrite(TypeError):
+    """An in-place write to a heap or label snapshot.  A contract check that
+    attempts one is reported as a PurityViolation."""
+
+
 class Uncontained(RunFailure):
     code = "Uncontained"
 

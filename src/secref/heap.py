@@ -1,18 +1,61 @@
 """Monotonic heap: typed cells with per-cell preorders, never deallocated.
 
 Heaps are immutable snapshots; every mutation returns a new heap sharing the
-unchanged cells.  Addresses start at 1.  Address 0 is reserved as the label
-map's identity marker and is never allocated.
+unchanged cells.  The cell map is a `FrozenDict`, so an in-place write raises
+instead of silently changing a snapshot other code still holds.  Addresses
+start at 1.  Address 0 is reserved as the label map's identity marker and is
+never allocated.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import PreorderViolation, TypeMismatch, Uncontained
+from .errors import ImmutableWrite, PreorderViolation, TypeMismatch, Uncontained
 from .values import Addr, TypeTag, Value, VInl, VInt, VLLNil, VPair, conforms
 
 LABEL_MAP_MARKER: Addr = 0
+
+
+class FrozenDict(dict):
+    """A dict that refuses every in-place change after construction.
+
+    Subclassing dict keeps reads at dict speed and keeps `dict(...)` and
+    `with_entry` on the C fast copy path.  Every refused write is counted in
+    `FrozenDict.refused`, so a monitor can tell that one was attempted even
+    when the caller swallowed the error.
+    """
+
+    __slots__ = ()
+    refused = 0
+
+    def __new__(cls, *args, **kwargs):
+        d = dict.__new__(cls)
+        dict.__init__(d, *args, **kwargs)
+        return d
+
+    def __init__(self, *args, **kwargs):
+        pass  # filled by __new__; calling __init__ again must not refill it
+
+    def _refuse(self, *args, **kwargs):
+        FrozenDict.refused += 1
+        raise ImmutableWrite("snapshot maps are immutable; build a new one instead")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+
+_new_dict = dict.__new__
+_fill = dict.update
+_set = dict.__setitem__
+
+
+def with_entry(d: dict, key, value) -> FrozenDict:
+    """A FrozenDict copy of d with key bound to value."""
+    out = _new_dict(FrozenDict)
+    _fill(out, d)
+    _set(out, key, value)
+    return out
 
 AddrSet = frozenset
 
@@ -77,16 +120,21 @@ class HeapCell:
 
 @dataclass(frozen=True)
 class Heap:
-    cells: dict  # Addr -> HeapCell; treated as immutable
+    cells: FrozenDict  # Addr -> HeapCell
     next_addr: Addr
+
+    def __post_init__(self):
+        if type(self.cells) is not FrozenDict:
+            object.__setattr__(self, "cells", FrozenDict(self.cells))
 
     def contains(self, addr: Addr) -> bool:
         return addr in self.cells
 
     def cell(self, addr: Addr) -> HeapCell:
-        if addr not in self.cells:
+        cell = self.cells.get(addr)
+        if cell is None:
             raise Uncontained(addr)
-        return self.cells[addr]
+        return cell
 
     def addresses(self):
         return self.cells.keys()
@@ -99,15 +147,14 @@ class Heap:
         )
 
 
-EMPTY_HEAP = Heap(cells={}, next_addr=1)
+EMPTY_HEAP = Heap(cells=FrozenDict(), next_addr=1)
 
 
 def alloc(h: Heap, tag: TypeTag, rel: Preorder, init: Value) -> tuple[Addr, Heap]:
     if not conforms(init, tag):
         raise TypeMismatch(f"initial value {init!r} does not conform to {tag}")
     addr = h.next_addr
-    cells = dict(h.cells)
-    cells[addr] = HeapCell(addr=addr, tag=tag, preorder=rel, value=init)
+    cells = with_entry(h.cells, addr, HeapCell(addr=addr, tag=tag, preorder=rel, value=init))
     return addr, Heap(cells=cells, next_addr=addr + 1)
 
 
@@ -121,8 +168,7 @@ def write(h: Heap, r: Addr, v: Value) -> Heap:
         raise TypeMismatch(f"value {v!r} does not conform to {cell.tag} at {r}")
     if not cell.preorder.holds(cell.value, v):
         raise PreorderViolation(r, cell.preorder.name, cell.value, v)
-    cells = dict(h.cells)
-    cells[r] = HeapCell(addr=r, tag=cell.tag, preorder=cell.preorder, value=v)
+    cells = with_entry(h.cells, r, HeapCell(addr=r, tag=cell.tag, preorder=cell.preorder, value=v))
     return Heap(cells=cells, next_addr=h.next_addr)
 
 

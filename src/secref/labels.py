@@ -3,7 +3,8 @@
 A world pairs a heap with a total label assignment (absent entries read as
 Private).  The global invariant ties the two together: shareable cells may
 only reach shareable cells, and nothing past the allocation frontier carries
-a label other than Private.
+a label other than Private.  Both maps are `FrozenDict`s, so a world never
+changes once built.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from .errors import (
     TypeMismatch,
     Uncontained,
 )
-from .heap import LABEL_MAP_MARKER, Heap, Preorder
+from .heap import LABEL_MAP_MARKER, FrozenDict, Heap, Preorder, with_entry
 from .values import Addr, TypeTag, Value, ref_entries
 
 
@@ -39,7 +40,11 @@ def label_leq(l0: Label, l1: Label) -> bool:
 @dataclass(frozen=True)
 class World:
     heap: Heap
-    labels: dict  # Addr -> Label; absent means Private; treated as immutable
+    labels: FrozenDict  # Addr -> Label; absent means Private
+
+    def __post_init__(self):
+        if type(self.labels) is not FrozenDict:
+            object.__setattr__(self, "labels", FrozenDict(self.labels))
 
     def label_of(self, addr: Addr) -> Label:
         return self.labels.get(addr, Label.PRIVATE)
@@ -62,8 +67,11 @@ class HeapRelation:
         return bool(self.relation(w0, w1))
 
 
+NO_LABELS = FrozenDict()
+
+
 def initial_world() -> World:
-    return World(heap=hp.EMPTY_HEAP, labels={})
+    return World(heap=hp.EMPTY_HEAP, labels=NO_LABELS)
 
 
 def is_private(w: World, r: Addr) -> bool:
@@ -95,6 +103,19 @@ def _private_embedded(w: World, tag: TypeTag, v: Value) -> frozenset[Addr]:
     )
 
 
+def _cell_ok(w: World, addr: Addr, cell) -> bool:
+    """Conjuncts (a) and (b) of lr_inv for one cell."""
+    cells = w.heap.cells
+    shareable = is_shareable(w, addr)
+    for sub, expected in ref_entries(cell.tag, cell.value):
+        target = cells.get(sub)
+        if target is None or target.tag != expected:
+            return False
+        if shareable and not is_shareable(w, sub):
+            return False
+    return True
+
+
 def lr_inv(w: World) -> bool:
     """The global invariant, checked over the finite parts of the world.
 
@@ -105,17 +126,31 @@ def lr_inv(w: World) -> bool:
     """
     h = w.heap
     for addr, cell in h.cells.items():
-        for sub, expected in ref_entries(cell.tag, cell.value):
-            if not h.contains(sub) or h.cell(sub).tag != expected:
-                return False
-            if is_shareable(w, addr) and not is_shareable(w, sub):
-                return False
+        if not _cell_ok(w, addr, cell):
+            return False
     for addr, label in w.labels.items():
         if addr >= h.next_addr and label is not Label.PRIVATE:
             return False
-    if not is_private(w, LABEL_MAP_MARKER):
+    return is_private(w, LABEL_MAP_MARKER)
+
+
+def lr_inv_at(w: World, r: Addr) -> bool:
+    """lr_inv on w, given that it held before a step that changed only the
+    cell and label of address r.
+
+    lr_inv is a conjunction over cells.  Cells are never deallocated, keep
+    their type tag, and labels only move outward from Private, so a change
+    at r cannot break another cell's conjuncts: a cell embedding r, or a
+    shareable cell reaching r, already needed r contained, correctly typed
+    and shareable.
+    What is left to check is (a) and (b) for r's cell, (c) for r, and (d).
+    """
+    cell = w.heap.cells.get(r)
+    if cell is not None and not _cell_ok(w, r, cell):
         return False
-    return True
+    if r >= w.heap.next_addr and not is_private(w, r):
+        return False
+    return is_private(w, LABEL_MAP_MARKER)
 
 
 def lr_alloc(w: World, tag: TypeTag, rel: Preorder, init: Value) -> tuple[Addr, World]:
@@ -155,9 +190,7 @@ def label_shareable(w: World, r: Addr) -> World:
         leaked = _private_embedded(w, cell.tag, cell.value)
         if leaked:
             raise ShareLeak(r, cell.value, leaked)
-    labels = dict(w.labels)
-    labels[r] = Label.SHAREABLE
-    return World(heap=w.heap, labels=labels)
+    return World(heap=w.heap, labels=with_entry(w.labels, r, Label.SHAREABLE))
 
 
 def label_encapsulated(w: World, r: Addr) -> World:
@@ -166,9 +199,7 @@ def label_encapsulated(w: World, r: Addr) -> World:
     w.heap.cell(r)
     if not is_private(w, r):
         raise AlreadyLabeled(f"{r} is already {w.label_of(r).value}")
-    labels = dict(w.labels)
-    labels[r] = Label.ENCAPSULATED
-    return World(heap=w.heap, labels=labels)
+    return World(heap=w.heap, labels=with_entry(w.labels, r, Label.ENCAPSULATED))
 
 
 # ---------------------------------------------------------------------------
@@ -176,10 +207,13 @@ def label_encapsulated(w: World, r: Addr) -> World:
 
 
 def modif_only_shareable_and_encaps(w0: World, w1: World) -> bool:
+    # a label other than Private is Shareable or Encapsulated
+    labels0, cells1 = w0.labels, w1.heap.cells
     for addr, cell in w0.heap.cells.items():
-        if is_shareable(w0, addr) or is_encapsulated(w0, addr):
+        if labels0.get(addr, Label.PRIVATE) is not Label.PRIVATE:
             continue
-        if not w1.heap.contains(addr) or w1.heap.cell(addr).value != cell.value:
+        new = cells1.get(addr)
+        if new is None or new.value != cell.value:
             return False
     return True
 
@@ -194,7 +228,9 @@ def modif_shareable_and(w0: World, w1: World, s) -> bool:
 
 
 def same_labels(w0: World, w1: World) -> bool:
-    return all(w0.label_of(a) is w1.label_of(a) for a in w0.heap.addresses())
+    labels0, labels1 = w0.labels, w1.labels
+    private = Label.PRIVATE
+    return all(labels0.get(a, private) is labels1.get(a, private) for a in w0.heap.cells)
 
 
 def labels_monotone(w0: World, w1: World) -> bool:

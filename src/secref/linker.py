@@ -131,9 +131,9 @@ class CtxOps:
     def alloc(self, tag: TypeTag, init: Value) -> VRef:
         st = self._state
         st._tick()
-        addr, w = ctx_alloc(st.world, tag, init)
-        st.world = w
-        st._after_step()
+        w0 = st.world
+        addr, st.world = ctx_alloc(w0, tag, init)
+        st._after_step(w0, addr)
         return VRef(addr, tag)
 
     def read(self, ref: Value) -> Value:
@@ -142,7 +142,7 @@ class CtxOps:
         if not isinstance(ref, VRef):
             raise BoundaryViolation(f"context read of a non-reference: {ref}")
         v = ctx_read(st.world, ref.addr)
-        st._after_step()
+        st._after_step(st.world)
         return v
 
     def write(self, ref: Value, v: Value) -> Value:
@@ -150,8 +150,9 @@ class CtxOps:
         st._tick()
         if not isinstance(ref, VRef):
             raise BoundaryViolation(f"context write to a non-reference: {ref}")
-        st.world = ctx_write(st.world, ref.addr, v)
-        st._after_step()
+        w0 = st.world
+        st.world = ctx_write(w0, ref.addr, v)
+        st._after_step(w0, ref.addr)
         return None
 
 

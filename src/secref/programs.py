@@ -3,7 +3,10 @@
 A program is a tree whose nodes are operation calls and whose continuations
 are host functions.  The interpreter threads a world through the tree; in
 paranoid mode it re-asserts the global invariant and every witnessed
-predicate after each step.
+predicate after each step.  The invariant is re-checked only at the address
+a step touched, with one full scan whenever a step starts from a world the
+monitor did not validate itself (the first step of a run, or a world
+installed from outside).
 
 Continuations run in program order, so host code inside them may also call
 boundary-wrapped functions directly; those route their effects through the
@@ -24,7 +27,7 @@ from .errors import (
     StabilityViolation,
     WitnessFalse,
 )
-from .heap import Heap, Preorder
+from .heap import Heap, Preorder, with_entry
 from .labels import World
 from .values import Addr, TypeTag, Value
 
@@ -214,11 +217,61 @@ class RunConfig:
         return self.check_level == "paranoid"
 
 
+class WorldJournal:
+    """The world after each paranoid step, kept as one delta per step and
+    replayed on iteration.
+
+    An entry is None for a step that changed nothing; (addr, cell, label,
+    next_addr) for a step that changed only addr, giving its cell and label
+    and the allocation frontier afterwards; or the whole world after a step
+    that started from a world the journal did not record.  `[w0] + journal`
+    is the list of replayed worlds after w0.
+    """
+
+    def __init__(self):
+        self._entries: list = []
+        self._last: Optional[World] = None
+
+    def record(self, before: World, after: World, touched: Optional[Addr]) -> None:
+        if before is not self._last:
+            entry = after
+        elif after is before:
+            entry = None
+        elif touched is not None:
+            entry = (touched, after.heap.cells.get(touched), after.labels.get(touched),
+                     after.heap.next_addr)
+        else:
+            entry = after
+        self._entries.append(entry)
+        self._last = after
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __iter__(self):
+        w = None
+        for entry in self._entries:
+            if isinstance(entry, World):
+                w = entry
+            elif entry is not None:
+                addr, cell, label, next_addr = entry
+                heap, labels = w.heap, w.labels
+                if heap.cells.get(addr) is not cell or heap.next_addr != next_addr:
+                    heap = Heap(cells=with_entry(heap.cells, addr, cell), next_addr=next_addr)
+                if labels.get(addr) is not label:
+                    labels = with_entry(labels, addr, label)
+                w = World(heap=heap, labels=labels)
+            yield w
+
+    def __radd__(self, other: list) -> list:
+        return other + list(self)
+
+
 @dataclass
 class TraceLog:
     """Per-run observations consumed by the property campaigns."""
 
-    worlds: list = field(default_factory=list)  # world after each step (paranoid)
+    worlds: WorldJournal = field(default_factory=WorldJournal)  # paranoid steps
     context_spans: list = field(default_factory=list)  # (name, w_before, w_after)
     contract_checks: int = 0
     purity_failures: int = 0
@@ -240,6 +293,7 @@ class RunState:
         self.config = config or RunConfig()
         self.fuel = self.config.fuel
         self.trace = trace if trace is not None else TraceLog()
+        self._validated: Optional[World] = None  # last world lr_inv passed on
 
     # -- single-step operations; every one burns fuel and re-checks monitors
 
@@ -249,35 +303,43 @@ class RunState:
         self.fuel -= 1
         self.trace.steps += 1
 
-    def _after_step(self) -> None:
-        if self.config.paranoid:
-            if not lb.lr_inv(self.world):
-                raise InvariantViolation(
-                    f"lr_inv broken after step {self.trace.steps}"
+    def _after_step(self, before: World, touched: Optional[Addr] = None) -> None:
+        """Paranoid monitors for a step from `before` to the current world
+        that changed at most the cell and label of `touched`."""
+        if not self.config.paranoid:
+            return
+        w = self.world
+        if before is not self._validated:
+            ok = lb.lr_inv(w)
+        else:
+            ok = touched is None or lb.lr_inv_at(w, touched)
+        if not ok:
+            raise InvariantViolation(f"lr_inv broken after step {self.trace.steps}")
+        self._validated = w
+        for pred in self.witnesses.values():
+            if not pred.holds(w):
+                raise StabilityViolation(
+                    f"witnessed predicate {pred.name} no longer holds"
                 )
-            for pred in self.witnesses.values():
-                if not pred.holds(self.world):
-                    raise StabilityViolation(
-                        f"witnessed predicate {pred.name} no longer holds"
-                    )
-            self.trace.worlds.append(self.world)
+        self.trace.worlds.record(before, w, touched)
 
     def op_read(self, addr: Addr) -> Value:
         self._tick()
         v = lb.lr_read(self.world, addr)
-        self._after_step()
+        self._after_step(self.world)
         return v
 
     def op_write(self, addr: Addr, v: Value) -> None:
         self._tick()
-        self.world = lb.lr_write(self.world, addr, v)
-        self._after_step()
+        w0 = self.world
+        self.world = lb.lr_write(w0, addr, v)
+        self._after_step(w0, addr)
 
     def op_alloc(self, tag: TypeTag, rel: Preorder, init: Value) -> Addr:
         self._tick()
-        addr, w1 = lb.lr_alloc(self.world, tag, rel, init)
-        self.world = w1
-        self._after_step()
+        w0 = self.world
+        addr, self.world = lb.lr_alloc(w0, tag, rel, init)
+        self._after_step(w0, addr)
         return addr
 
     def op_witness(self, pred: StablePredicate) -> None:
@@ -285,7 +347,7 @@ class RunState:
         if not pred.holds(self.world):
             raise WitnessFalse(f"cannot witness {pred.name}: false on current heap")
         self.witnesses[pred.name] = pred
-        self._after_step()
+        self._after_step(self.world)
 
     def op_recall(self, pred: StablePredicate) -> None:
         self._tick()
@@ -295,17 +357,19 @@ class RunState:
             raise StabilityViolation(
                 f"recalled {pred.name} does not hold: stability claim was wrong"
             )
-        self._after_step()
+        self._after_step(self.world)
 
     def op_label_shareable(self, addr: Addr) -> None:
         self._tick()
-        self.world = lb.label_shareable(self.world, addr)
-        self._after_step()
+        w0 = self.world
+        self.world = lb.label_shareable(w0, addr)
+        self._after_step(w0, addr)
 
     def op_label_encapsulated(self, addr: Addr) -> None:
         self._tick()
-        self.world = lb.label_encapsulated(self.world, addr)
-        self._after_step()
+        w0 = self.world
+        self.world = lb.label_encapsulated(w0, addr)
+        self._after_step(w0, addr)
 
     # -- tree interpretation; re-entrant, shares fuel with direct op calls
 
@@ -348,7 +412,7 @@ def run(
     Every predicate in w0 must hold on h0.  Returns the result, the final
     heap, and the final witnessed set.
     """
-    world = World(heap=h0, labels={})
+    world = World(heap=h0, labels=lb.NO_LABELS)
     witnesses = dict(w0 or {})
     for pred in witnesses.values():
         if not pred.holds(world):

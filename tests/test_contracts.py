@@ -28,8 +28,8 @@ from secref.contracts import (
     value_fits_spec,
 )
 from secref.errors import PurityViolation
-from secref.heap import TRIVIAL
-from secref.labels import initial_world
+from secref.heap import TRIVIAL, HeapCell
+from secref.labels import Label, initial_world, is_private
 from secref.programs import Return, RunState, alloc_op, bind, do, read_op, write_op
 from secref.sampling import sample_value
 from secref.values import (
@@ -235,6 +235,37 @@ def test_purity_monitor_fires_on_a_mutating_check():
     wrapped = export(spec, lambda v: Return(v), hocs_of(spec), state)
     with pytest.raises(PurityViolation):
         wrapped(VInt(1))
+
+
+@pytest.mark.parametrize("swallow", [False, True])
+def test_purity_monitor_fires_on_an_in_place_rewrite(swallow):
+    """A check that rewrites a private cell in place and labels it Shareable
+    in place.  Snapshots refuse both writes, and the check ends as a
+    PurityViolation even when it swallows the refusals."""
+    state = RunState()
+    secret = state.op_alloc(INT, TRIVIAL, VInt(42))
+    before = state.world
+
+    def rewrite(v, w):
+        for attempt in (
+            lambda: w.heap.cells.__setitem__(secret, HeapCell(secret, INT, TRIVIAL, VInt(0))),
+            lambda: w.labels.__setitem__(secret, Label.SHAREABLE),
+        ):
+            try:
+                attempt()
+            except TypeError:
+                if not swallow:
+                    raise
+        return None
+
+    spec = ArrowS(INT_S, INT_S, pre=ExecPre(rewrite))
+    wrapped = export(spec, lambda v: Return(v), hocs_of(spec), state)
+    with pytest.raises(PurityViolation):
+        wrapped(VInt(1))
+    assert state.trace.purity_failures == 1
+    assert state.world is before
+    assert state.world.heap.cell(secret).value == VInt(42)
+    assert is_private(state.world, secret)
 
 
 def test_shape_matching():

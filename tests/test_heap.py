@@ -3,9 +3,11 @@ import random
 import pytest
 
 from secref import heap as hp
-from secref.errors import PreorderViolation, TypeMismatch, Uncontained
+from secref.errors import ImmutableWrite, PreorderViolation, TypeMismatch, Uncontained
 from secref.heap import (
     EMPTY_HEAP,
+    FrozenDict,
+    Heap,
     INT_LEQ,
     NONE_THEN_FIXED,
     PREORDERS,
@@ -183,3 +185,34 @@ def test_law_suite_flags_a_broken_preorder():
     rng = random.Random(5)
     violations = preorder_laws(broken, rng)
     assert violations
+
+
+def test_heap_cells_refuse_in_place_writes():
+    a, h = alloc(EMPTY_HEAP, INT, TRIVIAL, VInt(1))
+    _, h2 = alloc(h, INT, TRIVIAL, VInt(2))
+    cell = h.cell(a)
+    writes = (
+        lambda c: c.__setitem__(a, cell),
+        lambda c: c.__delitem__(a),
+        lambda c: c.update({a: cell}),
+        lambda c: c.setdefault(9, cell),
+        lambda c: c.pop(a),
+        lambda c: c.popitem(),
+        lambda c: c.clear(),
+        lambda c: c.__ior__({a: cell}),
+    )
+    for attempt in writes:
+        with pytest.raises(ImmutableWrite):
+            attempt(h.cells)
+    h.cells.__init__({5: cell})  # re-running the constructor is a no-op
+    assert dict(h.cells) == {a: cell} and h.next_addr == 2
+    assert type(h2.cells) is FrozenDict and len(h2.cells) == 2
+
+
+def test_heap_built_from_a_plain_dict_is_frozen_and_equal():
+    a, h = alloc(EMPTY_HEAP, INT, TRIVIAL, VInt(1))
+    plain = dict(h.cells)
+    rebuilt = Heap(cells=plain, next_addr=h.next_addr)
+    assert type(rebuilt.cells) is FrozenDict and rebuilt == h
+    plain[a] = None  # the caller's dict stays its own
+    assert rebuilt.cell(a).value == VInt(1)

@@ -6,6 +6,7 @@ from secref import labels as lb
 from secref.errors import (
     AlreadyLabeled,
     DanglingInit,
+    ImmutableWrite,
     MonotonicRefShare,
     ShareLeak,
     TypeMismatch,
@@ -26,6 +27,7 @@ from secref.labels import (
     labels_monotone,
     lr_alloc,
     lr_inv,
+    lr_inv_at,
     lr_read,
     lr_write,
     modif_only_shareable_and_encaps,
@@ -74,18 +76,21 @@ def test_lr_inv_rejects_shareable_pointing_to_private():
     # force the bad labeling directly; label_shareable would refuse it
     bad = World(heap=w.heap, labels={q: Label.SHAREABLE})
     assert not lr_inv(bad)
+    assert not lr_inv_at(bad, q)
 
 
 def test_lr_inv_rejects_labels_past_frontier():
     w = initial_world()
     bad = World(heap=w.heap, labels={5: Label.SHAREABLE})
     assert not lr_inv(bad)
+    assert not lr_inv_at(bad, 5)
 
 
 def test_lr_inv_rejects_relabeled_marker():
     w = initial_world()
     bad = World(heap=w.heap, labels={LABEL_MAP_MARKER: Label.SHAREABLE})
     assert not lr_inv(bad)
+    assert not lr_inv_at(bad, LABEL_MAP_MARKER)
 
 
 def test_lr_alloc_private_and_label_preserving():
@@ -223,3 +228,18 @@ def test_labels_monotone():
     w2 = label_encapsulated(w, a)
     assert labels_monotone(w, w2)
     assert not labels_monotone(w2, w)
+
+
+def test_world_labels_refuse_in_place_writes():
+    a, b, w = _two_cell_world()
+    w2 = label_shareable(w, a)
+    with pytest.raises(ImmutableWrite):
+        w2.labels[b] = Label.SHAREABLE
+    with pytest.raises(ImmutableWrite):
+        del w2.labels[a]
+    plain = {a: Label.ENCAPSULATED}
+    w3 = World(heap=w.heap, labels=plain)
+    plain[b] = Label.SHAREABLE
+    assert is_encapsulated(w3, a) and is_private(w3, b)
+    with pytest.raises(ImmutableWrite):
+        w3.labels.update({b: Label.SHAREABLE})

@@ -1,0 +1,168 @@
+"""The incremental paranoid step monitor and the world journal.
+
+The per-step invariant check looks only at the address a step touched; the
+full-heap `lr_inv` stays as its oracle and as the base check of each run.
+`trace.worlds` is a journal of deltas that replays the per-step worlds.
+"""
+import pytest
+
+from secref import labels as lb
+from secref import values
+from secref.campaigns import _collect_transitions
+from secref.errors import InvariantViolation
+from secref.heap import TRIVIAL, Heap, HeapCell, with_entry
+from secref.labels import Label, World, lr_inv, lr_inv_at
+from secref.programs import RunConfig, RunState, alloc_op, do, read_op, run
+from secref.scenarios import (
+    run_scenario,
+    run_scheduler,
+    scenario_prng,
+    scheduler_checks,
+    yielding_task,
+)
+from secref.values import INT, Ref, VInt, VRef
+
+PARANOID = RunConfig(check_level="paranoid")
+
+
+def _touched(w0: World, w1: World) -> set:
+    cells0, cells1 = w0.heap.cells, w1.heap.cells
+    labels0, labels1 = w0.labels, w1.labels
+    return {a for a in cells0.keys() | cells1.keys() if cells0.get(a) is not cells1.get(a)} | {
+        a for a in labels0.keys() | labels1.keys() if labels0.get(a) is not labels1.get(a)
+    }
+
+
+def _corruptions(w: World, r: int):
+    """Worlds that differ from w only at r and break lr_inv there."""
+    h = w.heap
+    dangling = HeapCell(r, Ref(INT), TRIVIAL, VRef(h.next_addr, INT))
+    yield World(Heap(with_entry(h.cells, r, dangling), h.next_addr), w.labels)
+    cell = h.cells[r]
+    if not lb.is_shareable(w, r) and any(
+        not lb.is_shareable(w, a) for a, _ in values.ref_entries(cell.tag, cell.value)
+    ):
+        yield World(h, with_entry(w.labels, r, Label.SHAREABLE))
+
+
+def test_delta_check_agrees_with_full_scan_on_the_campaign_corpus():
+    transitions = _collect_transitions(seed=2026)
+    assert len(transitions) > 200
+    corrupted = 0
+    for w0, w1 in transitions:
+        assert lr_inv(w0)
+        touched = _touched(w0, w1)
+        assert len(touched) <= 1, touched
+        for r in touched:
+            assert lr_inv_at(w1, r) == lr_inv(w1)
+            for bad in _corruptions(w1, r):
+                corrupted += 1
+                assert not lr_inv(bad)
+                assert not lr_inv_at(bad, r)
+    assert corrupted > 150
+
+
+def test_paranoid_run_from_a_heap_with_a_dangling_ref_fails_its_first_step():
+    h0 = Heap(cells={1: HeapCell(1, Ref(INT), TRIVIAL, VRef(7, INT))}, next_addr=2)
+
+    def gen():
+        yield alloc_op(INT, TRIVIAL, VInt(0))
+        return 0
+
+    with pytest.raises(InvariantViolation, match="after step 1"):
+        run(do(gen), h0, {}, PARANOID)
+    # a read changes nothing, but the first step still scans the whole heap
+    with pytest.raises(InvariantViolation, match="after step 1"):
+        run(read_op(1), h0, {}, PARANOID)
+    # fast mode never looks
+    assert run(read_op(1), h0, {}, RunConfig())[0] == VRef(7, INT)
+
+
+def test_a_world_installed_from_outside_is_scanned_in_full():
+    state = RunState(config=PARANOID)
+    p = state.op_alloc(INT, TRIVIAL, VInt(0))
+    q = state.op_alloc(Ref(INT), TRIVIAL, VRef(p, INT))
+    state.world = World(state.world.heap, {q: Label.SHAREABLE})
+    with pytest.raises(InvariantViolation):
+        state.op_read(p)
+
+
+@pytest.fixture
+def eager_worlds(monkeypatch):
+    """The world after every paranoid step, recorded eagerly."""
+    seen = []
+    real = RunState._after_step
+
+    def after_step(self, *args):
+        real(self, *args)
+        if self.config.paranoid:
+            seen.append(self.world)
+
+    monkeypatch.setattr(RunState, "_after_step", after_step)
+    return seen
+
+
+def test_journal_replays_a_scheduler_run(eager_worlds):
+    tasks = [yielding_task(4, write_value=7), yielding_task(2), yielding_task(3, write_value=1)]
+    run_ = run_scheduler(tasks, cfg=PARANOID)
+    journal = run_.state.trace.worlds
+    assert len(journal) == run_.state.trace.steps == len(eager_worlds)
+    assert list(journal) == eager_worlds
+    checks = scheduler_checks(run_, len(tasks))
+    assert "history_prefix_monotone" in checks
+    run_.state.trace.worlds = eager_worlds
+    assert scheduler_checks(run_, len(tasks)) == checks
+
+
+def test_journal_replays_a_prng_run(eager_worlds):
+    scenario = scenario_prng(seed=99)
+    result = run_scenario(scenario, "three_calls", PARANOID)
+    journal = result.state.trace.worlds
+    assert len(journal) == result.state.trace.steps == len(eager_worlds)
+    assert list(journal) == eager_worlds
+    assert [lb.initial_world()] + journal == [lb.initial_world()] + eager_worlds
+    assert "counter_counts_callback_calls" in result.checks
+    result.state.trace.worlds = eager_worlds
+    assert scenario.check(result) == result.checks
+
+
+def _monitor_ref_entries_per_write(cells: int, monkeypatch) -> int:
+    """values.ref_entries calls the paranoid step monitor makes for one
+    write step on a heap of `cells` cells."""
+    fast = RunState()
+    p = fast.op_alloc(INT, TRIVIAL, VInt(0))
+    for _ in range(cells - 1):
+        fast.op_alloc(Ref(INT), TRIVIAL, VRef(p, INT))
+    state = RunState(world=fast.world, config=PARANOID)
+    state.op_write(cells, VRef(p, INT))  # the run's base scan
+
+    calls = [0]
+    monitoring = [False]
+    ref_entries = values.ref_entries
+
+    def counted(*args):
+        calls[0] += monitoring[0]
+        return ref_entries(*args)
+
+    real = RunState._after_step
+
+    def after_step(self, *args):
+        monitoring[0] = True
+        try:
+            real(self, *args)
+        finally:
+            monitoring[0] = False
+
+    with monkeypatch.context() as patch:
+        patch.setattr(values, "ref_entries", counted)
+        patch.setattr(lb, "ref_entries", counted)
+        patch.setattr(RunState, "_after_step", after_step)
+        state.op_write(cells, VRef(p, INT))
+    assert len(state.world.heap.cells) == cells
+    return calls[0]
+
+
+def test_paranoid_monitor_work_per_write_does_not_grow_with_the_heap(monkeypatch):
+    small = _monitor_ref_entries_per_write(250, monkeypatch)
+    large = _monitor_ref_entries_per_write(4000, monkeypatch)
+    assert small == large > 0
