@@ -140,9 +140,10 @@ def shrink_generated_context(target_name: str, ctx_seed: int, still_fails,
     return smallest
 
 
-def recheck_universal_failure(scenario: Scenario, ctx, expr=None) -> bool:
+def recheck_universal_failure(scenario: Scenario, ctx, expr=None,
+                              fuel: int = FUZZ_FUEL) -> bool:
     try:
-        run_scenario(scenario, ctx, RunConfig(check_level="paranoid", fuel=FUZZ_FUEL))
+        run_scenario(scenario, ctx, RunConfig(check_level="paranoid", fuel=fuel))
         return False
     except MonitorAlarm:
         return True
@@ -175,7 +176,7 @@ def _label_share_probe() -> Optional[str]:
     return "labeling a ref-to-private was not refused"
 
 
-def campaign_universal(seed: int = 0, trials: int = 1000) -> Report:
+def campaign_universal(seed: int = 0, trials: int = 1000, fuel: int = FUZZ_FUEL) -> Report:
     """Run generated contexts (plus every shipped adversary) in paranoid
     mode, asserting the universal property around each context execution and
     the global invariant after every interpreter step."""
@@ -183,7 +184,7 @@ def campaign_universal(seed: int = 0, trials: int = 1000) -> Report:
     report = Report(title=f"universal+invariant+purity (seed={seed}, trials={trials})")
     rng = random.Random(seed)
     targets = _fuzz_targets()
-    cfg = RunConfig(check_level="paranoid", fuel=FUZZ_FUEL)
+    cfg = RunConfig(check_level="paranoid", fuel=fuel)
 
     spans = steps = checks_run = purity_failures = 0
     aborted = 0
@@ -263,7 +264,8 @@ def campaign_universal(seed: int = 0, trials: int = 1000) -> Report:
 # criteria 5 and 6: syntactic inversion and soundness
 
 
-def campaign_inversion(seed: int = 0, trials: int = 500, paranoid: bool = False) -> Report:
+def campaign_inversion(seed: int = 0, trials: int = 500, paranoid: bool = False,
+                       fuel: int = FUZZ_FUEL) -> Report:
     """Differentially compare compile-then-link against back-translate-then-
     link on randomized (program, context) pairs, asserting the declared
     post-condition on every completed run.
@@ -276,7 +278,7 @@ def campaign_inversion(seed: int = 0, trials: int = 500, paranoid: bool = False)
     report = Report(title=f"inversion+soundness (seed={seed}, trials={trials})")
     rng = random.Random(seed)
     targets = _fuzz_targets()
-    cfg = RunConfig(check_level="paranoid" if paranoid else "fast", fuel=FUZZ_FUEL)
+    cfg = RunConfig(check_level="paranoid" if paranoid else "fast", fuel=fuel)
 
     mismatches = []
     psi_failures = []
@@ -345,7 +347,7 @@ def campaign_inversion(seed: int = 0, trials: int = 500, paranoid: bool = False)
 # criterion 7: dual direction (context has initial control)
 
 
-def campaign_dual(seed: int = 0, trials: int = 200) -> Report:
+def campaign_dual(seed: int = 0, trials: int = 200, fuel: int = FUZZ_FUEL) -> Report:
     """Hand an exported program value to generated context-main functions
     and assert the final world only differs at shareable or encapsulated
     cells."""
@@ -386,7 +388,7 @@ def campaign_dual(seed: int = 0, trials: int = 200) -> Report:
         expr = gen_random_context(main_spec, seed=ctx_seed, size=30)
         ctx = elaborate(expr, main_spec, name=f"dualgen{ctx_seed}")
         dual = make_dual(rng.randint(0, 2**31))
-        state = RunState(config=RunConfig(check_level="paranoid", fuel=FUZZ_FUEL))
+        state = RunState(config=RunConfig(check_level="paranoid", fuel=fuel))
         w0 = state.world
         try:
             rec = beh(link_dual(dual, ctx), state=state)

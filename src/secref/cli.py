@@ -12,6 +12,7 @@ default seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -120,13 +121,12 @@ def cmd_check(args) -> int:
 
 def cmd_fuzz(args) -> int:
     global_cfg = {"seed": args.seed, "trials": args.trials, "fuel": args.fuel}
-    campaigns.FUZZ_FUEL = args.fuel
     reports = [
-        campaigns.campaign_universal(seed=args.seed, trials=args.trials),
+        campaigns.campaign_universal(seed=args.seed, trials=args.trials, fuel=args.fuel),
         campaigns.campaign_inversion(
-            seed=args.seed, trials=args.trials, paranoid=args.paranoid
+            seed=args.seed, trials=args.trials, paranoid=args.paranoid, fuel=args.fuel
         ),
-        campaigns.campaign_dual(seed=args.seed, trials=max(1, args.trials // 2)),
+        campaigns.campaign_dual(seed=args.seed, trials=max(1, args.trials // 2), fuel=args.fuel),
     ]
 
     universal = reports[0]
@@ -134,7 +134,7 @@ def cmd_fuzz(args) -> int:
         expr = campaigns.shrink_generated_context(
             universal.stats["failing_target"],
             universal.stats["failing_seed"],
-            campaigns.recheck_universal_failure,
+            functools.partial(campaigns.recheck_universal_failure, fuel=args.fuel),
         )
         if expr is not None:
             repro = Path(args.repro)

@@ -20,7 +20,6 @@ from . import mutants
 from .errors import ImmutableWrite, PurityViolation
 from .heap import FrozenDict
 from .labels import World
-from .programs import TraceLog
 from .values import (
     LList,
     TypeTag,
@@ -251,15 +250,7 @@ def arrow_export_uses_either(spec: ArrowS) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# world views and the check-purity monitor
-
-
-class ConstView:
-    """A frozen world for wrapping first-order data outside any run."""
-
-    def __init__(self, world: World):
-        self.world = world
-        self.trace = TraceLog()
+# the check-purity monitor
 
 
 def _run_check(env, fn, *args):
@@ -274,12 +265,9 @@ def _run_check(env, fn, *args):
         out = fn(*args)
     except ImmutableWrite:
         out = None  # counted in FrozenDict.refused and reported below
-    trace = getattr(env, "trace", None)
-    if trace is not None:
-        trace.contract_checks += 1
+    env.trace.contract_checks += 1
     if env.world is not before or FrozenDict.refused != refused:
-        if trace is not None:
-            trace.purity_failures += 1
+        env.trace.purity_failures += 1
         raise PurityViolation("a contract check modified the world")
     return out
 
@@ -426,31 +414,3 @@ def _import_arrow(spec: ArrowS, f, hocs: ArrowC, env):
 
     return wrapped
 
-
-# ---------------------------------------------------------------------------
-# wrapper hygiene
-
-
-def spec_addr_slots(spec: InterfaceSpec, v: Any) -> list:
-    """Addresses at the spec's data positions, in traversal order."""
-    if isinstance(spec, (RefS, LListS)):
-        return [v.addr] if isinstance(v, VRef) else []
-    if isinstance(spec, RefinedS):
-        return spec_addr_slots(spec.base, v)
-    if isinstance(spec, PairS) and isinstance(v, VPair):
-        return spec_addr_slots(spec.first, v.first) + spec_addr_slots(spec.second, v.second)
-    if isinstance(spec, SumS):
-        if isinstance(v, VInl):
-            return spec_addr_slots(spec.left, v.payload)
-        if isinstance(v, VInr):
-            return spec_addr_slots(spec.right, v.payload)
-    return []
-
-
-def preserves_refs_check(spec: InterfaceSpec, v_in: Any, v_out: Any) -> bool:
-    """Wrapping introduces no new addresses at corresponding positions.
-
-    Arrow positions hold vacuously here; their per-call behavior is covered
-    by trace-based tests.
-    """
-    return spec_addr_slots(spec, v_in) == spec_addr_slots(spec, v_out)

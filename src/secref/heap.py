@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import ImmutableWrite, PreorderViolation, TypeMismatch, Uncontained
-from .values import Addr, TypeTag, Value, VInl, VInt, VLLNil, VPair, conforms
+from .values import Addr, TypeTag, Value, VInl, VInt, VLLNil, VPair, conforms, is_storable
 
 LABEL_MAP_MARKER: Addr = 0
 
@@ -56,8 +56,6 @@ def with_entry(d: dict, key, value) -> FrozenDict:
     _fill(out, d)
     _set(out, key, value)
     return out
-
-AddrSet = frozenset
 
 
 @dataclass(frozen=True)
@@ -151,6 +149,8 @@ EMPTY_HEAP = Heap(cells=FrozenDict(), next_addr=1)
 
 
 def alloc(h: Heap, tag: TypeTag, rel: Preorder, init: Value) -> tuple[Addr, Heap]:
+    if not is_storable(tag):
+        raise TypeMismatch(f"{tag} is not a storable type")
     if not conforms(init, tag):
         raise TypeMismatch(f"initial value {init!r} does not conform to {tag}")
     addr = h.next_addr
@@ -181,20 +181,3 @@ def heap_leq(h0: Heap, h1: Heap) -> bool:
             return False
     return True
 
-
-def modifies(s, h0: Heap, h1: Heap) -> bool:
-    """Cells of h0 outside the footprint s are unchanged in h1."""
-    for addr, cell in h0.cells.items():
-        if addr in s:
-            continue
-        if not h1.contains(addr) or h1.cell(addr).value != cell.value:
-            return False
-    return True
-
-
-def equal_dom(h0: Heap, h1: Heap) -> bool:
-    return h0.cells.keys() == h1.cells.keys()
-
-
-def fresh(r: Addr, h0: Heap, h1: Heap) -> bool:
-    return not h0.contains(r) and h1.contains(r)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable
 
 from . import heap as hp
 from .errors import (
@@ -56,15 +55,6 @@ class World:
             return False
         keys = self.labels.keys() | other.labels.keys()
         return all(self.label_of(k) is other.label_of(k) for k in keys)
-
-
-@dataclass(frozen=True)
-class HeapRelation:
-    name: str
-    relation: Callable[[World, World], bool]
-
-    def holds(self, w0: World, w1: World) -> bool:
-        return bool(self.relation(w0, w1))
 
 
 NO_LABELS = FrozenDict()
@@ -237,8 +227,3 @@ def labels_monotone(w0: World, w1: World) -> bool:
     keys = w0.labels.keys() | w1.labels.keys()
     return all(label_leq(w0.label_of(a), w1.label_of(a)) for a in keys)
 
-
-HREL_C = HeapRelation(
-    "modif_only_shareable_and_encaps_and_same_labels",
-    lambda w0, w1: modif_only_shareable_and_encaps(w0, w1) and same_labels(w0, w1),
-)

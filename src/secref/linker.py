@@ -1,10 +1,19 @@
 """Compile, link, back-translate, and the behavior function.
 
+The discipline is an instance of the paper's three predicates: the global
+invariant `labels.lr_inv`, the sharing predicate `labels.is_shareable`, and
+the relation every context execution must respect,
+`modif_only_shareable_and_encaps` conjoined with `same_labels`.
+
 Untrusted context code gets exactly three capabilities: allocate a fresh
 shareable cell, read a shareable cell, write a shareable cell.  Around
 every context execution a monitor snapshots the world and asserts the
 universal property: only shareable and encapsulated cells changed, and no
 existing cell changed label.
+
+Compilation and back-translation share one instantiate-monitor-import
+step: the context is built against the live world and monitored by
+`_instantiate`, then imported at the interface.
 """
 from __future__ import annotations
 
@@ -16,7 +25,6 @@ from . import mutants
 from .contracts import (
     ArrowS,
     ContractTree,
-    Inl,
     Inr,
     InterfaceSpec,
     PairS,
@@ -27,8 +35,6 @@ from .contracts import (
 from .errors import BoundaryViolation, RunFailure, UniversalViolation
 from .heap import TRIVIAL
 from .labels import (
-    HREL_C,
-    HeapRelation,
     World,
     initial_world,  # the canonical start state, re-exported from here
     is_shareable,
@@ -40,20 +46,6 @@ from .labels import (
 )
 from .programs import Program, Return, RunConfig, RunState
 from .values import Addr, TypeTag, Value, VInl, VInr, VPair, VRef, ref_entries
-
-
-@dataclass(frozen=True)
-class ThreePredicates:
-    inv: Callable[[World], bool]
-    phi: Callable[[Addr, World], bool]
-    hrel: HeapRelation
-
-
-THREEP_C = ThreePredicates(
-    inv=lb.lr_inv,
-    phi=lambda addr, w: is_shareable(w, addr),
-    hrel=HREL_C,
-)
 
 
 @dataclass(frozen=True)
@@ -213,14 +205,13 @@ def _instantiate(context: TargetContext, iface: SourceInterface, state: RunState
 
 
 def compile_program(program: SourceProgram, iface: SourceInterface):
-    """Wrap a checked program so it accepts a raw context value.
+    """Wrap a checked program so it accepts an instantiated context value.
 
     Pure wrapping: nothing touches the heap until the result runs.
     """
 
-    def compiled(raw_ctx_value: Any, state: RunState) -> Program:
-        guarded = monitor_context_value(iface.spec, raw_ctx_value, state, "ctx")
-        imported = import_value(iface.spec, guarded, iface.hocs, state)
+    def compiled(ctx_value: Any, state: RunState) -> Program:
+        imported = import_value(iface.spec, ctx_value, iface.hocs, state)
         if isinstance(imported, Inr):
             return Return(imported)
         return program.body(imported.value)
@@ -246,11 +237,7 @@ def link_target(compiled, context: TargetContext) -> WholeProgram:
     iface = compiled.interface
 
     def run_in(state: RunState):
-        ops = CtxOps(state)
-        w0 = state.world
-        raw = context.builder(ops)
-        _close_span(state, f"build:{context.name}", w0)
-        return state.interpret(compiled(raw, state))
+        return state.interpret(compiled(_instantiate(context, iface, state), state))
 
     return WholeProgram(name=f"{compiled.source.name}[{context.name}]", run_in=run_in)
 
@@ -265,15 +252,6 @@ def link_source(program: SourceProgram, ctx_factory) -> WholeProgram:
         return state.interpret(program.body(ctxv.value))
 
     return WholeProgram(name=f"{program.name}[{ctx_name}]", run_in=run_in)
-
-
-def const_context(value: Any):
-    """Lift an already-checked context value into a linkable factory."""
-
-    def materialize(state: RunState):
-        return Inl(value)
-
-    return materialize
 
 
 # ---------------------------------------------------------------------------

@@ -145,10 +145,6 @@ Program = Union[
 # under the fuel meter instead of forcing an infinite tree up front.
 
 
-def ret(v: Any = None) -> Program:
-    return Return(v)
-
-
 def read_op(addr: Addr) -> Program:
     return Read(addr, Return)
 

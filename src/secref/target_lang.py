@@ -14,6 +14,9 @@ Concrete syntax is s-expressions, one top-level expression per `.sref` file:
     t ::= unit | int | bool | (pair t t) | (sum t t)
         | (ref t) | (llist t) | (-> t t)
 
+Types are `values.TypeTag`s.  Only storable ones may sit under `ref` or
+`llist` or be allocated; `->` is the one non-storable form.
+
 The language has no witness/recall and no way to observe labels; its only
 effects are the three operations handed to it at link time, so every
 allocation it makes is shareable.  Recursion is a fix form that burns
@@ -30,6 +33,10 @@ from .contracts import ArrowS, BaseS, InterfaceSpec, LListS, PairS, RefS, Refine
 from .errors import GenerationExhausted, InterfaceMismatch, SrefParseError, TargetTypeError
 from .linker import CtxOps, TargetContext
 from .values import (
+    BOOL,
+    INT,
+    UNIT,
+    Arrow,
     Bool,
     Int,
     LList,
@@ -48,148 +55,34 @@ from .values import (
     VLLNil,
     VPair,
     VRef,
+    is_storable,
 )
 
 # ---------------------------------------------------------------------------
-# types
+# types: the `values` tags, arrows included, so a checked term's types are
+# the cell tags its allocations use
 
 
-@dataclass(frozen=True)
-class TUnit:
-    def __str__(self):
-        return "unit"
-
-
-@dataclass(frozen=True)
-class TInt:
-    def __str__(self):
-        return "int"
-
-
-@dataclass(frozen=True)
-class TBool:
-    def __str__(self):
-        return "bool"
-
-
-@dataclass(frozen=True)
-class TPair:
-    first: "SrcType"
-    second: "SrcType"
-
-    def __str__(self):
-        return f"(pair {self.first} {self.second})"
-
-
-@dataclass(frozen=True)
-class TSum:
-    left: "SrcType"
-    right: "SrcType"
-
-    def __str__(self):
-        return f"(sum {self.left} {self.right})"
-
-
-@dataclass(frozen=True)
-class TRef:
-    target: "SrcType"
-
-    def __str__(self):
-        return f"(ref {self.target})"
-
-
-@dataclass(frozen=True)
-class TLList:
-    elem: "SrcType"
-
-    def __str__(self):
-        return f"(llist {self.elem})"
-
-
-@dataclass(frozen=True)
-class TArrow:
-    arg: "SrcType"
-    res: "SrcType"
-
-    def __str__(self):
-        return f"(-> {self.arg} {self.res})"
-
-
-SrcType = Union[TUnit, TInt, TBool, TPair, TSum, TRef, TLList, TArrow]
-
-T_UNIT = TUnit()
-T_INT = TInt()
-T_BOOL = TBool()
-
-
-def is_full_ground(t: SrcType) -> bool:
-    if isinstance(t, (TUnit, TInt, TBool)):
-        return True
-    if isinstance(t, (TPair,)):
-        return is_full_ground(t.first) and is_full_ground(t.second)
-    if isinstance(t, TSum):
-        return is_full_ground(t.left) and is_full_ground(t.right)
-    if isinstance(t, TRef):
-        return is_full_ground(t.target)
-    if isinstance(t, TLList):
-        return is_full_ground(t.elem)
-    return False
-
-
-def srctype_to_tag(t: SrcType) -> TypeTag:
-    if isinstance(t, TUnit):
-        return Unit()
-    if isinstance(t, TInt):
-        return Int()
-    if isinstance(t, TBool):
-        return Bool()
-    if isinstance(t, TPair):
-        return Pair(srctype_to_tag(t.first), srctype_to_tag(t.second))
-    if isinstance(t, TSum):
-        return Sum(srctype_to_tag(t.left), srctype_to_tag(t.right))
-    if isinstance(t, TRef):
-        return Ref(srctype_to_tag(t.target))
-    if isinstance(t, TLList):
-        return LList(srctype_to_tag(t.elem))
-    raise TargetTypeError("FunctionInStore", f"{t} is not a storable type")
-
-
-def tag_to_srctype(tag: TypeTag) -> SrcType:
-    if isinstance(tag, Unit):
-        return T_UNIT
-    if isinstance(tag, Int):
-        return T_INT
-    if isinstance(tag, Bool):
-        return T_BOOL
-    if isinstance(tag, Pair):
-        return TPair(tag_to_srctype(tag.first), tag_to_srctype(tag.second))
-    if isinstance(tag, Sum):
-        return TSum(tag_to_srctype(tag.left), tag_to_srctype(tag.right))
-    if isinstance(tag, Ref):
-        return TRef(tag_to_srctype(tag.target))
-    return TLList(tag_to_srctype(tag.elem))
-
-
-def spec_to_srctype(spec: InterfaceSpec) -> SrcType:
+def spec_type(spec: InterfaceSpec) -> TypeTag:
     """The type at which untrusted code sees a boundary value."""
     if isinstance(spec, BaseS):
-        return tag_to_srctype(spec.tag)
+        return spec.tag
     if isinstance(spec, RefS):
-        return TRef(tag_to_srctype(spec.target))
+        return Ref(spec.target)
     if isinstance(spec, LListS):
-        return TRef(TLList(tag_to_srctype(spec.elem)))
+        return Ref(LList(spec.elem))
     if isinstance(spec, PairS):
-        return TPair(spec_to_srctype(spec.first), spec_to_srctype(spec.second))
+        return Pair(spec_type(spec.first), spec_type(spec.second))
     if isinstance(spec, SumS):
-        return TSum(spec_to_srctype(spec.left), spec_to_srctype(spec.right))
+        return Sum(spec_type(spec.left), spec_type(spec.right))
     if isinstance(spec, RefinedS):
-        return spec_to_srctype(spec.base)
+        return spec_type(spec.base)
     if isinstance(spec, ArrowS):
         if spec.pre is not None:
             raise InterfaceMismatch(
                 "arrows with pre-checks have no plain target type"
             )
-        return TArrow(spec_to_srctype(spec.arg), spec_to_srctype(spec.res))
+        return Arrow(spec_type(spec.arg), spec_type(spec.res))
     raise InterfaceMismatch(f"not an interface spec: {spec!r}")
 
 
@@ -205,7 +98,7 @@ class Var:
 @dataclass(frozen=True)
 class Lam:
     param: str
-    param_ty: SrcType
+    param_ty: TypeTag
     body: "Expr"
 
 
@@ -213,8 +106,8 @@ class Lam:
 class Fix:
     fname: str
     param: str
-    param_ty: SrcType
-    res_ty: SrcType
+    param_ty: TypeTag
+    res_ty: TypeTag
     body: "Expr"
 
 
@@ -278,13 +171,13 @@ class Snd:
 
 @dataclass(frozen=True)
 class InlE:
-    right_ty: SrcType
+    right_ty: TypeTag
     payload: "Expr"
 
 
 @dataclass(frozen=True)
 class InrE:
-    left_ty: SrcType
+    left_ty: TypeTag
     payload: "Expr"
 
 
@@ -315,7 +208,7 @@ class AssignE:
 
 @dataclass(frozen=True)
 class LLNilE:
-    elem_ty: SrcType
+    elem_ty: TypeTag
 
 
 @dataclass(frozen=True)
@@ -404,33 +297,33 @@ def _read_sexpr(toks: list[_Tok], pos: int):
     return (tok.text, tok), pos + 1
 
 
-def _parse_type(sx) -> SrcType:
+def _parse_type(sx) -> TypeTag:
     node, tok = sx
     if isinstance(node, str):
         if node == "unit":
-            return T_UNIT
+            return UNIT
         if node == "int":
-            return T_INT
+            return INT
         if node == "bool":
-            return T_BOOL
+            return BOOL
         raise SrefParseError(f"unknown type {node!r}", tok.line, tok.col)
     if not node:
         raise SrefParseError("empty type", tok.line, tok.col)
     head = node[0][0]
     if head == "pair" and len(node) == 3:
-        return TPair(_parse_type(node[1]), _parse_type(node[2]))
+        return Pair(_parse_type(node[1]), _parse_type(node[2]))
     if head == "sum" and len(node) == 3:
-        return TSum(_parse_type(node[1]), _parse_type(node[2]))
+        return Sum(_parse_type(node[1]), _parse_type(node[2]))
     if head == "ref" and len(node) == 2:
-        return TRef(_parse_type(node[1]))
+        return Ref(_parse_type(node[1]))
     if head == "llist" and len(node) == 2:
-        return TLList(_parse_type(node[1]))
+        return LList(_parse_type(node[1]))
     if head == "->" and len(node) == 3:
-        return TArrow(_parse_type(node[1]), _parse_type(node[2]))
+        return Arrow(_parse_type(node[1]), _parse_type(node[2]))
     raise SrefParseError(f"bad type form {head!r}", tok.line, tok.col)
 
 
-def _binder(sx, what: str) -> tuple[str, "SrcType"]:
+def _binder(sx, what: str) -> tuple[str, "TypeTag"]:
     node, tok = sx
     if not isinstance(node, list) or len(node) != 2 or not isinstance(node[0][0], str):
         raise SrefParseError(f"{what} wants (name type)", tok.line, tok.col)
@@ -565,26 +458,26 @@ def parse(text: str) -> Expr:
 # typechecker
 
 
-def _validate_annotation(t: SrcType) -> None:
-    if isinstance(t, (TRef, TLList)):
-        inner = t.target if isinstance(t, TRef) else t.elem
-        if not is_full_ground(inner):
+def _validate_annotation(t: TypeTag) -> None:
+    if isinstance(t, (Ref, LList)):
+        inner = t.target if isinstance(t, Ref) else t.elem
+        if not is_storable(inner):
             raise TargetTypeError(
                 "FunctionInStore", f"{t} stores a function type"
             )
         _validate_annotation(inner)
-    elif isinstance(t, TPair):
+    elif isinstance(t, Pair):
         _validate_annotation(t.first)
         _validate_annotation(t.second)
-    elif isinstance(t, TSum):
+    elif isinstance(t, Sum):
         _validate_annotation(t.left)
         _validate_annotation(t.right)
-    elif isinstance(t, TArrow):
+    elif isinstance(t, Arrow):
         _validate_annotation(t.arg)
         _validate_annotation(t.res)
 
 
-def typecheck(e: Expr, env: Optional[dict] = None, types: Optional[dict] = None) -> SrcType:
+def typecheck(e: Expr, env: Optional[dict] = None, types: Optional[dict] = None) -> TypeTag:
     """Infer the type of e, raising TargetTypeError with a reason on failure.
 
     When a `types` dict is supplied it is filled with id(node) -> type for
@@ -597,24 +490,24 @@ def typecheck(e: Expr, env: Optional[dict] = None, types: Optional[dict] = None)
         if t != want:
             raise TargetTypeError("Mismatch", f"{what}: expected {want}, found {t}")
 
-    def go(e, env) -> SrcType:
+    def go(e, env) -> TypeTag:
         if isinstance(e, Var):
             if e.name not in env:
                 raise TargetTypeError("UnboundVar", f"unknown name {e.name!r}")
             t = env[e.name]
         elif isinstance(e, Lam):
             _validate_annotation(e.param_ty)
-            t = TArrow(e.param_ty, go(e.body, {**env, e.param: e.param_ty}))
+            t = Arrow(e.param_ty, go(e.body, {**env, e.param: e.param_ty}))
         elif isinstance(e, Fix):
             _validate_annotation(e.param_ty)
             _validate_annotation(e.res_ty)
-            fty = TArrow(e.param_ty, e.res_ty)
+            fty = Arrow(e.param_ty, e.res_ty)
             body_t = go(e.body, {**env, e.fname: fty, e.param: e.param_ty})
             expect(body_t, e.res_ty, "fix body")
             t = fty
         elif isinstance(e, App):
             fn_t = go(e.fn, env)
-            if not isinstance(fn_t, TArrow):
+            if not isinstance(fn_t, Arrow):
                 raise TargetTypeError("NotAFunction", f"cannot apply {fn_t}")
             arg_t = go(e.arg, env)
             expect(arg_t, fn_t.arg, "application argument")
@@ -622,78 +515,78 @@ def typecheck(e: Expr, env: Optional[dict] = None, types: Optional[dict] = None)
         elif isinstance(e, Let):
             t = go(e.body, {**env, e.name: go(e.bound, env)})
         elif isinstance(e, LitUnit):
-            t = T_UNIT
+            t = UNIT
         elif isinstance(e, LitInt):
-            t = T_INT
+            t = INT
         elif isinstance(e, LitBool):
-            t = T_BOOL
+            t = BOOL
         elif isinstance(e, BinOp):
-            expect(go(e.left, env), T_INT, f"left operand of {e.op}")
-            expect(go(e.right, env), T_INT, f"right operand of {e.op}")
-            t = T_INT if e.op in ("+", "-", "*") else T_BOOL
+            expect(go(e.left, env), INT, f"left operand of {e.op}")
+            expect(go(e.right, env), INT, f"right operand of {e.op}")
+            t = INT if e.op in ("+", "-", "*") else BOOL
         elif isinstance(e, If):
-            expect(go(e.cond, env), T_BOOL, "if condition")
+            expect(go(e.cond, env), BOOL, "if condition")
             t = go(e.then, env)
             expect(go(e.other, env), t, "else branch")
         elif isinstance(e, PairE):
-            t = TPair(go(e.first, env), go(e.second, env))
+            t = Pair(go(e.first, env), go(e.second, env))
         elif isinstance(e, Fst):
             pt = go(e.pair, env)
-            if not isinstance(pt, TPair):
+            if not isinstance(pt, Pair):
                 raise TargetTypeError("NotAPair", f"fst of {pt}")
             t = pt.first
         elif isinstance(e, Snd):
             pt = go(e.pair, env)
-            if not isinstance(pt, TPair):
+            if not isinstance(pt, Pair):
                 raise TargetTypeError("NotAPair", f"snd of {pt}")
             t = pt.second
         elif isinstance(e, InlE):
             _validate_annotation(e.right_ty)
-            t = TSum(go(e.payload, env), e.right_ty)
+            t = Sum(go(e.payload, env), e.right_ty)
         elif isinstance(e, InrE):
             _validate_annotation(e.left_ty)
-            t = TSum(e.left_ty, go(e.payload, env))
+            t = Sum(e.left_ty, go(e.payload, env))
         elif isinstance(e, Case):
             st = go(e.scrut, env)
-            if not isinstance(st, TSum):
+            if not isinstance(st, Sum):
                 raise TargetTypeError("NotASum", f"case of {st}")
             t = go(e.lbranch, {**env, e.lname: st.left})
             expect(go(e.rbranch, {**env, e.rname: st.right}), t, "case branches")
         elif isinstance(e, AllocE):
             it = go(e.init, env)
-            if not is_full_ground(it):
+            if not is_storable(it):
                 raise TargetTypeError("FunctionInStore", f"cannot store {it}")
-            t = TRef(it)
+            t = Ref(it)
         elif isinstance(e, DerefE):
             rt = go(e.ref, env)
-            if not isinstance(rt, TRef):
+            if not isinstance(rt, Ref):
                 raise TargetTypeError("NotARef", f"dereference of {rt}")
             t = rt.target
         elif isinstance(e, AssignE):
             rt = go(e.ref, env)
-            if not isinstance(rt, TRef):
+            if not isinstance(rt, Ref):
                 raise TargetTypeError("NotARef", f"assignment to {rt}")
             expect(go(e.value, env), rt.target, "assignment value")
-            t = T_UNIT
+            t = UNIT
         elif isinstance(e, LLNilE):
             _validate_annotation(e.elem_ty)
-            if not is_full_ground(e.elem_ty):
+            if not is_storable(e.elem_ty):
                 raise TargetTypeError("FunctionInStore", f"cannot store {e.elem_ty}")
-            t = TLList(e.elem_ty)
+            t = LList(e.elem_ty)
         elif isinstance(e, LLConsE):
             ht = go(e.head, env)
             tt = go(e.tail, env)
-            if tt != TRef(TLList(ht)):
+            if tt != Ref(LList(ht)):
                 raise TargetTypeError(
                     "Mismatch", f"llcons tail: expected (ref (llist {ht})), found {tt}"
                 )
-            t = TLList(ht)
+            t = LList(ht)
         elif isinstance(e, CaseLL):
             st = go(e.scrut, env)
-            if not isinstance(st, TLList):
+            if not isinstance(st, LList):
                 raise TargetTypeError("NotAList", f"casell of {st}")
             t = go(e.nil_branch, env)
-            cons_env = {**env, e.hname: st.elem, e.tname: TRef(st)}
+            cons_env = {**env, e.hname: st.elem, e.tname: Ref(st)}
             expect(go(e.cons_branch, cons_env), t, "casell branches")
         else:
             raise TargetTypeError("Mismatch", f"not an expression: {e!r}")
@@ -767,8 +660,7 @@ def _eval(e: Expr, env: dict, ops: CtxOps, types: dict):
         return _eval(e.rbranch, {**env, e.rname: s.payload}, ops, types)
     if isinstance(e, AllocE):
         v = _eval(e.init, env, ops, types)
-        tag = srctype_to_tag(types[id(e.init)])
-        return ops.alloc(tag, v)
+        return ops.alloc(types[id(e.init)], v)
     if isinstance(e, DerefE):
         return ops.read(_eval(e.ref, env, ops, types))
     if isinstance(e, AssignE):
@@ -786,8 +678,7 @@ def _eval(e: Expr, env: dict, ops: CtxOps, types: dict):
         s = _eval(e.scrut, env, ops, types)
         if isinstance(s, VLLNil):
             return _eval(e.nil_branch, env, ops, types)
-        elem_ty = types[id(e.scrut)].elem
-        tail_ref = VRef(s.tail, LList(srctype_to_tag(elem_ty)))
+        tail_ref = VRef(s.tail, types[id(e.scrut)])
         cons_env = {**env, e.hname: s.head, e.tname: tail_ref}
         return _eval(e.cons_branch, cons_env, ops, types)
     raise TargetTypeError("Mismatch", f"not an expression: {e!r}")
@@ -797,7 +688,7 @@ def elaborate(e: Expr, spec: InterfaceSpec, name: str = "ctx") -> TargetContext:
     """Typecheck e against the interface and package it as a context builder."""
     types: dict = {}
     inferred = typecheck(e, {}, types)
-    wanted = spec_to_srctype(spec)
+    wanted = spec_type(spec)
     if inferred != wanted:
         raise InterfaceMismatch(f"context has type {inferred}, interface wants {wanted}")
     return TargetContext(name=name, builder=lambda ops: _eval(e, {}, ops, types))
@@ -821,32 +712,32 @@ def gen_random_context(spec: InterfaceSpec, seed: int, size: int = 40) -> Expr:
     if size <= 0:
         raise GenerationExhausted(f"size budget {size} leaves no room for a term")
     rng = random.Random(seed)
-    ty = spec_to_srctype(spec)
+    ty = spec_type(spec)
     budget = [size]
     return _gen(ty, {}, 4, rng, budget)
 
 
-def _vars_of(env: dict, ty: SrcType) -> list[str]:
+def _vars_of(env: dict, ty: TypeTag) -> list[str]:
     return sorted(name for name, t in env.items() if t == ty)
 
 
-def _canonical(ty: SrcType, env: dict, rng: random.Random) -> Expr:
+def _canonical(ty: TypeTag, env: dict, rng: random.Random) -> Expr:
     names = _vars_of(env, ty)
     if names:
         return Var(rng.choice(names))
-    if isinstance(ty, TUnit):
+    if isinstance(ty, Unit):
         return LitUnit()
-    if isinstance(ty, TInt):
+    if isinstance(ty, Int):
         return LitInt(rng.randint(-3, 9))
-    if isinstance(ty, TBool):
+    if isinstance(ty, Bool):
         return LitBool(rng.random() < 0.5)
-    if isinstance(ty, TPair):
+    if isinstance(ty, Pair):
         return PairE(_canonical(ty.first, env, rng), _canonical(ty.second, env, rng))
-    if isinstance(ty, TSum):
+    if isinstance(ty, Sum):
         return InlE(ty.right, _canonical(ty.left, env, rng))
-    if isinstance(ty, TRef):
+    if isinstance(ty, Ref):
         return AllocE(_canonical(ty.target, env, rng))
-    if isinstance(ty, TLList):
+    if isinstance(ty, LList):
         return LLNilE(ty.elem)
     return Lam("u", ty.arg, _canonical(ty.res, {}, rng))
 
@@ -855,10 +746,10 @@ def _effect_stmt(env: dict, depth: int, rng: random.Random, budget) -> Optional[
     """A typeable side-effecting expression, or None if nothing applies."""
     cands = []
     for name, t in sorted(env.items()):
-        if isinstance(t, TRef):
+        if isinstance(t, Ref):
             cands.append(("write", name, t))
             cands.append(("stash", name, t))
-        if isinstance(t, TArrow):
+        if isinstance(t, Arrow):
             cands.append(("call", name, t))
     if not cands:
         return None
@@ -874,12 +765,12 @@ def _effect_stmt(env: dict, depth: int, rng: random.Random, budget) -> Optional[
 def _walker_stmt(env: dict, rng: random.Random) -> Optional[Expr]:
     """A fix-powered chain traversal writing zeros over every element cell."""
     lists = [(n, t) for n, t in sorted(env.items())
-             if isinstance(t, TRef) and isinstance(t.target, TLList) and t.target.elem == T_INT]
+             if isinstance(t, Ref) and isinstance(t.target, LList) and t.target.elem == INT]
     if not lists:
         return None
     name, t = rng.choice(lists)
     walk = Fix(
-        "walk", "cur", t, T_UNIT,
+        "walk", "cur", t, UNIT,
         CaseLL(
             DerefE(Var("cur")),
             LitUnit(),
@@ -891,7 +782,7 @@ def _walker_stmt(env: dict, rng: random.Random) -> Optional[Expr]:
     return App(walk, Var(name))
 
 
-def _gen(ty: SrcType, env: dict, depth: int, rng: random.Random, budget) -> Expr:
+def _gen(ty: TypeTag, env: dict, depth: int, rng: random.Random, budget) -> Expr:
     budget[0] -= 1
     if budget[0] <= 0 or depth <= 0:
         return _canonical(ty, env, rng)
@@ -908,54 +799,54 @@ def _gen(ty: SrcType, env: dict, depth: int, rng: random.Random, budget) -> Expr
     if names and roll < 0.3:
         return Var(rng.choice(names))
 
-    if isinstance(ty, TInt):
+    if isinstance(ty, Int):
         choice = rng.random()
         if choice < 0.35:
             return LitInt(rng.randint(-5, 20))
         if choice < 0.55:
             return BinOp(rng.choice(["+", "-", "*"]),
-                         _gen(T_INT, env, depth - 1, rng, budget),
-                         _gen(T_INT, env, depth - 1, rng, budget))
-        refs = _vars_of(env, TRef(T_INT))
+                         _gen(INT, env, depth - 1, rng, budget),
+                         _gen(INT, env, depth - 1, rng, budget))
+        refs = _vars_of(env, Ref(INT))
         if choice < 0.75 and refs:
             return DerefE(Var(rng.choice(refs)))
-        arrows = [n for n, t in sorted(env.items()) if isinstance(t, TArrow) and t.res == T_INT]
+        arrows = [n for n, t in sorted(env.items()) if isinstance(t, Arrow) and t.res == INT]
         if arrows:
             fn = rng.choice(arrows)
             return App(Var(fn), _gen(env[fn].arg, env, depth - 1, rng, budget))
         return LitInt(rng.randint(-5, 20))
-    if isinstance(ty, TBool):
+    if isinstance(ty, Bool):
         if rng.random() < 0.5:
             return LitBool(rng.random() < 0.5)
         return BinOp(rng.choice(["=", "<", "<="]),
-                     _gen(T_INT, env, depth - 1, rng, budget),
-                     _gen(T_INT, env, depth - 1, rng, budget))
-    if isinstance(ty, TUnit):
+                     _gen(INT, env, depth - 1, rng, budget),
+                     _gen(INT, env, depth - 1, rng, budget))
+    if isinstance(ty, Unit):
         stmt = _effect_stmt(env, depth, rng, budget)
         if stmt is not None and rng.random() < 0.7:
             return Let(f"_u{budget[0]}", stmt, LitUnit())
         return LitUnit()
-    if isinstance(ty, TPair):
+    if isinstance(ty, Pair):
         return PairE(_gen(ty.first, env, depth - 1, rng, budget),
                      _gen(ty.second, env, depth - 1, rng, budget))
-    if isinstance(ty, TSum):
+    if isinstance(ty, Sum):
         if rng.random() < 0.5:
             return InlE(ty.right, _gen(ty.left, env, depth - 1, rng, budget))
         return InrE(ty.left, _gen(ty.right, env, depth - 1, rng, budget))
-    if isinstance(ty, TRef):
+    if isinstance(ty, Ref):
         names = _vars_of(env, ty)
         if names and rng.random() < 0.5:
             return Var(rng.choice(names))
         return AllocE(_gen(ty.target, env, depth - 1, rng, budget))
-    if isinstance(ty, TLList):
+    if isinstance(ty, LList):
         if rng.random() < 0.4:
             return LLNilE(ty.elem)
         return LLConsE(_gen(ty.elem, env, depth - 1, rng, budget),
-                       _gen(TRef(ty), env, depth - 1, rng, budget))
-    if isinstance(ty, TArrow):
+                       _gen(Ref(ty), env, depth - 1, rng, budget))
+    if isinstance(ty, Arrow):
         param = f"x{len(env)}"
         inner = {**env, param: ty.arg}
-        if isinstance(ty.arg, TPair):
+        if isinstance(ty.arg, Pair):
             # expose the components so generated bodies actually use them
             a, b = f"{param}a", f"{param}b"
             body_env = {**inner, a: ty.arg.first, b: ty.arg.second}
@@ -967,17 +858,3 @@ def _gen(ty: SrcType, env: dict, depth: int, rng: random.Random, budget) -> Expr
         return Lam(param, ty.arg, body)
     return _canonical(ty, env, rng)
 
-
-def count_ref_stashes(e: Expr) -> int:
-    """Allocations whose payload is itself read or copied from a reference."""
-    total = 0
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, AllocE) and isinstance(node.init, (DerefE, Var)):
-            total += 1
-        for fname in getattr(node, "__dataclass_fields__", {}):
-            sub = getattr(node, fname)
-            if hasattr(sub, "__dataclass_fields__"):
-                stack.append(sub)
-    return total

@@ -3,12 +3,16 @@
 Storable types are unit, int and bool closed under sums, pairs, references
 and linked lists.  Linked lists are the one recursive container: a list node
 is an ordinary value whose tail is the address of the next node's cell.
+
+`Arrow` is the one non-storable tag: the type of a function, which the
+target language and the boundary have but no cell may hold and no value
+conforms to.  `is_storable` tells the two kinds of tag apart.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, Optional, Union
+from typing import TYPE_CHECKING, Iterator, Optional, Union
 
 from .errors import TypeMismatch, Uncontained
 
@@ -74,11 +78,35 @@ class LList:
         return f"(llist {self.elem})"
 
 
-TypeTag = Union[Unit, Int, Bool, Sum, Pair, Ref, LList]
+@dataclass(frozen=True)
+class Arrow:
+    arg: "TypeTag"
+    res: "TypeTag"
+
+    def __str__(self):
+        return f"(-> {self.arg} {self.res})"
+
+
+TypeTag = Union[Unit, Int, Bool, Sum, Pair, Ref, LList, Arrow]
 
 UNIT = Unit()
 INT = Int()
 BOOL = Bool()
+
+
+def is_storable(t: TypeTag) -> bool:
+    """True iff no arrow occurs anywhere in t, so a cell may hold a t."""
+    if isinstance(t, (Unit, Int, Bool)):
+        return True
+    if isinstance(t, Sum):
+        return is_storable(t.left) and is_storable(t.right)
+    if isinstance(t, Pair):
+        return is_storable(t.first) and is_storable(t.second)
+    if isinstance(t, Ref):
+        return is_storable(t.target)
+    if isinstance(t, LList):
+        return is_storable(t.elem)
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -188,17 +216,13 @@ def conforms(v: Value, t: TypeTag) -> bool:
         if isinstance(v, VLLNil):
             return True
         return isinstance(v, VLLCons) and conforms(v.head, t.elem)
+    if isinstance(t, Arrow):
+        return False
     raise TypeMismatch(f"unknown type tag {t!r}")
 
 
 # ---------------------------------------------------------------------------
 # reference traversal (one level deep: stops at embedded addresses)
-
-
-@dataclass(frozen=True)
-class RefPredicate:
-    name: str
-    test: Callable[[Addr, "Heap"], bool]
 
 
 def ref_entries(t: TypeTag, v: Value) -> Iterator[tuple[Addr, TypeTag]]:
@@ -219,21 +243,6 @@ def ref_entries(t: TypeTag, v: Value) -> Iterator[tuple[Addr, TypeTag]]:
         if isinstance(v, VLLCons):
             yield from ref_entries(t.elem, v.head)
             yield (v.tail, LList(t.elem))
-
-
-def embedded_addrs(t: TypeTag, v: Value) -> frozenset[Addr]:
-    return frozenset(a for a, _ in ref_entries(t, v))
-
-
-def forall_refs(pred, t: TypeTag, v: Value, h: "Heap") -> bool:
-    """True iff every address embedded one level deep in v satisfies pred.
-
-    Accepts a RefPredicate or a bare (addr, heap) -> bool callable.
-    Base values hold vacuously; traversal never follows addresses through
-    the heap.
-    """
-    test = pred.test if isinstance(pred, RefPredicate) else pred
-    return all(test(a, h) for a, _ in ref_entries(t, v))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,65 @@
+"""Smoke test of the benchmark harness under bench/.
+
+It imports bench/workloads.py and bench/tracing.py as they are and runs a
+few trials of every workload, so a change that renames or deletes a program
+name the benchmark calls or patches fails here, not only in a benchmark run.
+Nothing under bench/ is written, not even bytecode caches.
+"""
+import itertools
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+SEED = 2026  # the benchmark's default seed
+
+
+@pytest.fixture(scope="module")
+def bench():
+    sys.path.insert(0, str(BENCH))
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        import tracing
+        import workloads
+    finally:
+        sys.dont_write_bytecode = dont_write
+        sys.path.remove(str(BENCH))
+    return workloads, tracing
+
+
+def _first(workload, n):
+    workload.prepare()
+    return list(itertools.islice(workload.inputs(SEED), n))
+
+
+def test_fuzz_trials_of_every_kind_pass_their_checks(bench):
+    workloads, _ = bench
+    fuzz = workloads.WORKLOADS["fuzz"]
+    trials = _first(fuzz, 5)
+    assert {t[0] for t in trials} == {"universal", "inversion", "dual"}
+    for trial in trials:
+        assert fuzz.run(trial).problems == [], trial
+
+
+@pytest.mark.parametrize("name", ["sort_fast", "sched_paranoid", "sched_fast_large"])
+def test_first_trial_of_each_other_workload_passes_its_checks(bench, name):
+    workloads, _ = bench
+    workload = workloads.WORKLOADS[name]
+    (trial,) = _first(workload, 1)
+    assert workload.run(trial).problems == []
+
+
+def test_tracer_installs_and_uninstalls(bench):
+    workloads, tracing = bench
+    from secref import linker
+
+    close_span = linker._close_span
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert linker._close_span is not close_span
+    finally:
+        tracer.uninstall()
+    assert linker._close_span is close_span

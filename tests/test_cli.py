@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from secref import campaigns
 from secref.cli import main
 from secref.target_lang import Expr
 
@@ -112,3 +113,13 @@ def test_shrinker_finds_a_minimal_term():
     big = shrink_generated_context("autograder", 1234, lambda s, c, e: True,
                                    sizes=(28,))
     assert nodes(expr) <= nodes(big)
+
+
+def test_fuzz_fuel_does_not_leak_into_later_campaigns(tmp_path, monkeypatch):
+    fresh, after = tmp_path / "fresh.json", tmp_path / "after.json"
+    assert run_cli(["props", "--seed", "7", "--json", str(fresh)], tmp_path, monkeypatch) == 0
+    run_cli(["fuzz", "--seed", "7", "--trials", "4", "--fuel", "5",
+             "--json", str(tmp_path / "fuzz.json")], tmp_path, monkeypatch)
+    assert campaigns.FUZZ_FUEL == 1500
+    assert run_cli(["props", "--seed", "7", "--json", str(after)], tmp_path, monkeypatch) == 0
+    assert after.read_text() == fresh.read_text()

@@ -13,15 +13,18 @@ from secref.heap import (
     PREORDERS,
     TRIVIAL,
     alloc,
-    equal_dom,
-    fresh,
     heap_leq,
-    modifies,
     read,
     write,
 )
 from secref.sampling import preorder_laws, sample_for_preorder
-from secref.values import INT, Sum, UNIT, V_UNIT, VInl, VInr, VInt
+from secref.labels import NO_LABELS, World, modif_shareable_and
+from secref.values import INT, Arrow, Ref, Sum, UNIT, V_UNIT, VInl, VInr, VInt, VRef
+
+
+def _modifies(footprint, h0, h1):
+    # no cell is labeled, so every cell outside the footprint must stay put
+    return modif_shareable_and(World(h0, NO_LABELS), World(h1, NO_LABELS), footprint)
 
 
 def test_alloc_from_empty_returns_addr_one():
@@ -41,12 +44,19 @@ def test_alloc_twice_counts_up():
 def test_alloc_modifies_nothing_preexisting():
     _, h = alloc(EMPTY_HEAP, INT, TRIVIAL, VInt(7))
     _, h2 = alloc(h, INT, TRIVIAL, VInt(8))
-    assert modifies(frozenset(), h, h2)
+    assert _modifies(frozenset(), h, h2)
 
 
 def test_alloc_type_mismatch():
     with pytest.raises(TypeMismatch):
         alloc(EMPTY_HEAP, INT, TRIVIAL, V_UNIT)
+
+
+def test_alloc_refuses_an_arrow_tag():
+    fn = Arrow(INT, INT)
+    for tag, init in ((fn, VInt(0)), (Ref(fn), VRef(1, fn)), (Sum(fn, INT), VInr(VInt(0)))):
+        with pytest.raises(TypeMismatch):
+            alloc(EMPTY_HEAP, tag, TRIVIAL, init)
 
 
 def test_read_returns_stored_value():
@@ -104,28 +114,29 @@ def test_heap_leq_counter_rollback_is_false():
 
 def test_modifies_empty_footprint_identity():
     _, h = alloc(EMPTY_HEAP, INT, TRIVIAL, VInt(1))
-    assert modifies(frozenset(), h, h)
+    assert _modifies(frozenset(), h, h)
 
 
 def test_modifies_after_write():
     addr, h = alloc(EMPTY_HEAP, INT, TRIVIAL, VInt(1))
     h2 = write(h, addr, VInt(9))
-    assert modifies(frozenset({addr}), h, h2)
-    assert not modifies(frozenset(), h, h2)
+    assert _modifies(frozenset({addr}), h, h2)
+    assert not _modifies(frozenset(), h, h2)
 
 
 def test_equal_dom_after_write():
     addr, h = alloc(EMPTY_HEAP, INT, TRIVIAL, VInt(1))
     h2 = write(h, addr, VInt(2))
-    assert equal_dom(h, h2)
+    assert h.addresses() == h2.addresses()
     _, h3 = alloc(h2, INT, TRIVIAL, VInt(0))
-    assert not equal_dom(h, h3)
+    assert h.addresses() != h3.addresses()
 
 
 def test_fresh():
     addr, h1 = alloc(EMPTY_HEAP, INT, TRIVIAL, VInt(1))
-    assert fresh(addr, EMPTY_HEAP, h1)
-    assert not fresh(addr, h1, h1)
+    assert not EMPTY_HEAP.contains(addr) and h1.contains(addr)
+    addr2, h2 = alloc(h1, INT, TRIVIAL, VInt(2))
+    assert addr2 != addr and not h1.contains(addr2) and h2.contains(addr2)
 
 
 def test_address_domain_after_n_allocations():

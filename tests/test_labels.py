@@ -14,7 +14,6 @@ from secref.errors import (
 )
 from secref.heap import INT_LEQ, LABEL_MAP_MARKER, TRIVIAL
 from secref.labels import (
-    HREL_C,
     Label,
     World,
     initial_world,
@@ -211,7 +210,11 @@ def test_encapsulated_changes_allowed_by_hrel():
     c, w = lr_alloc(initial_world(), INT, INT_LEQ, VInt(0))
     w = label_encapsulated(w, c)
     w2 = lr_write(w, c, VInt(3))
-    assert HREL_C.holds(w, w2)
+    # the relation a context execution must respect
+    assert modif_only_shareable_and_encaps(w, w2) and same_labels(w, w2)
+    p, w3 = lr_alloc(w2, INT, TRIVIAL, VInt(0))
+    w4 = lr_write(w3, p, VInt(1))
+    assert not modif_only_shareable_and_encaps(w3, w4)
 
 
 def test_same_labels_scans_initial_domain_only():

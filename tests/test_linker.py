@@ -4,7 +4,13 @@ from secref import mutants
 from secref.contracts import ArrowS, BaseS, Inr, RefS, hocs_of
 from secref.errors import BoundaryViolation, RunFailure, UniversalViolation
 from secref.heap import INT_LEQ, TRIVIAL
-from secref.labels import initial_world, is_shareable, lr_inv
+from secref.labels import (
+    initial_world,
+    is_shareable,
+    lr_inv,
+    modif_only_shareable_and_encaps,
+    same_labels,
+)
 from secref.linker import (
     BehaviorRecord,
     CtxOps,
@@ -23,6 +29,7 @@ from secref.linker import (
     render_world,
 )
 from secref.programs import Return, RunConfig, RunState, alloc_op, do, read_op, write_op
+from secref.scenarios import all_scenarios, run_scenario
 from secref.target_lang import elaborate, gen_random_context, parse
 from secref.values import INT, Ref, UNIT, V_UNIT, VInt, VRef
 
@@ -188,20 +195,51 @@ def test_universal_monitor_catches_an_unchecked_boundary_write():
 
 
 def test_concrete_three_predicate_instantiation():
-    from secref.linker import THREEP_C
+    # lr_inv, is_shareable, and modif_only_shareable_and_encaps with same_labels
+    def hrel(w0, w1):
+        return modif_only_shareable_and_encaps(w0, w1) and same_labels(w0, w1)
 
     state = RunState()
     ops = CtxOps(state)
     shared = ops.alloc(INT, VInt(1))
     private = state.op_alloc(INT, TRIVIAL, VInt(2))
     w = state.world
-    assert THREEP_C.inv(w)
-    assert THREEP_C.phi(shared.addr, w)
-    assert not THREEP_C.phi(private, w)
+    assert lr_inv(w)
+    assert is_shareable(w, shared.addr)
+    assert not is_shareable(w, private)
     w2 = state.world
     state.op_write(private, VInt(9))
-    assert not THREEP_C.hrel.holds(w2, state.world)
-    assert THREEP_C.hrel.holds(w2, w2)
+    assert not hrel(w2, state.world)
+    assert hrel(w2, w2)
+
+
+def _span_names(state):
+    return [name for name, _, _ in state.trace.context_spans]
+
+
+def test_every_shipped_context_is_instantiated_once_and_monitored_by_name():
+    for factory in all_scenarios().values():
+        scenario = factory()
+        for name, ctx in sorted(scenario.contexts.items()):
+            result = run_scenario(scenario, name, RunConfig(check_level="paranoid"))
+            names = _span_names(result.state)
+            assert names[0] == f"build:{ctx.name}", (scenario.name, name)
+            assert names[1:] and set(names[1:]) == {ctx.name}, (scenario.name, name, names)
+
+
+def test_target_and_source_links_record_the_same_spans():
+    for factory in all_scenarios().values():
+        scenario = factory()
+        iface = scenario.interface
+        for seed in range(5):
+            expr = gen_random_context(iface.spec, seed=seed, size=30)
+            ctx = elaborate(expr, iface.spec, name=f"gen{seed}")
+            t_state = RunState(config=RunConfig(fuel=2000))
+            s_state = RunState(config=RunConfig(fuel=2000))
+            beh(link_target(compile_program(scenario.program, iface), ctx), state=t_state)
+            beh(link_source(scenario.program, back_translate(ctx, iface)), state=s_state)
+            assert _span_names(t_state) == _span_names(s_state)
+            assert _span_names(t_state)[0] == f"build:gen{seed}"
 
 
 def test_render_world_is_sorted_and_stable():

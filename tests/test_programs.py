@@ -27,7 +27,6 @@ from secref.programs import (
     private_pred,
     read_op,
     recall_op,
-    ret,
     run,
     run_closed,
     shareable_pred,

@@ -11,20 +11,26 @@ from secref.target_lang import (
     DerefE,
     Lam,
     LitInt,
-    T_INT,
-    T_UNIT,
-    TArrow,
-    TLList,
-    TRef,
     Var,
-    count_ref_stashes,
     elaborate,
     gen_random_context,
     parse,
-    spec_to_srctype,
+    spec_type,
     typecheck,
 )
-from secref.values import INT, LList, Ref, UNIT, V_NIL, V_UNIT, VInt, VLLCons, VRef, llist_collect
+from secref.values import (
+    INT,
+    UNIT,
+    Arrow,
+    LList,
+    Ref,
+    V_NIL,
+    V_UNIT,
+    VInt,
+    VLLCons,
+    VRef,
+    llist_collect,
+)
 
 HOMEWORK_SORT = """
 (fix sort (ll (ref (llist int))) unit
@@ -44,7 +50,7 @@ HOMEWORK_SORT = """
 
 
 def test_parse_lambda_identity():
-    assert parse("(lam (x int) x)") == Lam("x", T_INT, Var("x"))
+    assert parse("(lam (x int) x)") == Lam("x", INT, Var("x"))
 
 
 def test_parse_deref_alloc():
@@ -68,7 +74,7 @@ def test_parse_rejects_bad_type():
 
 def test_typecheck_deref_arrow():
     e = parse("(lam (x (ref int)) (! x))")
-    assert typecheck(e) == TArrow(TRef(T_INT), T_INT)
+    assert typecheck(e) == Arrow(Ref(INT), INT)
 
 
 def test_store_a_function_parses_then_is_rejected():
@@ -85,6 +91,17 @@ def test_ref_annotation_cannot_store_functions():
     assert err.value.reason == "FunctionInStore"
 
 
+@pytest.mark.parametrize("src", [
+    "(llnil (-> int int))",
+    "(alloc (pair 1 (lam (x int) x)))",
+    "(lam (x (llist (sum int (-> int int)))) x)",
+])
+def test_storing_a_function_fails_typechecking(src):
+    with pytest.raises(TargetTypeError) as err:
+        typecheck(parse(src))
+    assert err.value.reason == "FunctionInStore"
+
+
 def test_assign_to_non_ref():
     with pytest.raises(TargetTypeError) as err:
         typecheck(parse("(:= 1 2)"))
@@ -98,12 +115,12 @@ def test_unbound_variable():
 
 
 def test_homework_typechecks():
-    assert typecheck(parse(HOMEWORK_SORT)) == TArrow(TRef(TLList(T_INT)), T_UNIT)
+    assert typecheck(parse(HOMEWORK_SORT)) == Arrow(Ref(LList(INT)), UNIT)
 
 
-def test_spec_to_srctype():
+def test_spec_type():
     spec = ArrowS(LListS(INT), BaseS(UNIT))
-    assert spec_to_srctype(spec) == TArrow(TRef(TLList(T_INT)), T_UNIT)
+    assert spec_type(spec) == Arrow(Ref(LList(INT)), UNIT)
 
 
 def test_elaborate_type_mismatch_against_interface():
@@ -173,9 +190,21 @@ def test_generated_terms_typecheck():
     for seed in range(400):
         spec = specs[seed % len(specs)]
         expr = gen_random_context(spec, seed=seed, size=35)
-        assert typecheck(expr) == spec_to_srctype(spec)
+        assert typecheck(expr) == spec_type(spec)
         n += 1
     assert n == 400
+
+
+def _count_ref_stashes(e) -> int:
+    """Allocations whose payload is itself read or copied from a reference."""
+    total = 0
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, AllocE) and isinstance(node.init, (DerefE, Var)):
+            total += 1
+        stack.extend(sub for sub in vars(node).values() if hasattr(sub, "__dataclass_fields__"))
+    return total
 
 
 def test_corpus_contains_the_stash_pattern():
@@ -184,5 +213,5 @@ def test_corpus_contains_the_stash_pattern():
     stashes = 0
     for seed in range(200):
         expr = gen_random_context(spec, seed=seed, size=45)
-        stashes += count_ref_stashes(expr)
+        stashes += _count_ref_stashes(expr)
     assert stashes > 0

@@ -8,6 +8,7 @@ from secref.sampling import sample_tag, sample_value
 from secref.values import (
     BOOL,
     INT,
+    Arrow,
     LList,
     Pair,
     Ref,
@@ -22,8 +23,7 @@ from secref.values import (
     VPair,
     VRef,
     conforms,
-    embedded_addrs,
-    forall_refs,
+    is_storable,
     llist_collect,
     llist_same_values,
     llist_sorted,
@@ -46,56 +46,62 @@ def test_conforms_rejects_wrong_shape():
     assert not conforms(VBool(True), UNIT)
 
 
+def test_no_value_conforms_to_an_arrow():
+    fn = Arrow(INT, INT)
+    for v in (VInt(1), V_UNIT, VRef(1, INT), VPair(VInt(1), VInt(2))):
+        assert not conforms(v, fn)
+    with pytest.raises(TypeMismatch):
+        list(ref_entries(fn, VInt(1)))
+
+
+def test_is_storable_is_false_for_arrows_nested_anywhere():
+    for t in (UNIT, Sum(INT, BOOL), Pair(UNIT, Ref(INT)), LList(Pair(INT, Ref(BOOL)))):
+        assert is_storable(t)
+    fn = Arrow(UNIT, INT)
+    for t in (fn, Pair(INT, fn), Pair(fn, INT), Sum(fn, INT), Sum(INT, fn), Ref(fn), LList(fn),
+              Ref(Pair(INT, LList(Sum(BOOL, fn)))), Arrow(INT, Ref(INT))):
+        assert not is_storable(t)
+
+
+def _addrs(t, v):
+    return frozenset(a for a, _ in ref_entries(t, v))
+
+
 def test_forall_refs_always_true_pred():
     v = VPair(VRef(3, INT), VRef(5, INT))
-    assert forall_refs(lambda a, h: True, Pair(Ref(INT), Ref(INT)), v, EMPTY_HEAP)
+    assert list(ref_entries(Pair(Ref(INT), Ref(INT)), v)) == [(3, INT), (5, INT)]
 
 
 def test_forall_refs_enumerates_embedded_addrs():
     v = VPair(VRef(3, INT), VRef(5, INT))
-    odd = lambda a, h: a % 2 == 1
-    assert forall_refs(odd, Pair(Ref(INT), Ref(INT)), v, EMPTY_HEAP)
+    assert all(a % 2 == 1 for a, _ in ref_entries(Pair(Ref(INT), Ref(INT)), v))
     v2 = VPair(VRef(3, INT), VRef(4, INT))
-    assert not forall_refs(odd, Pair(Ref(INT), Ref(INT)), v2, EMPTY_HEAP)
+    assert not all(a % 2 == 1 for a, _ in ref_entries(Pair(Ref(INT), Ref(INT)), v2))
 
 
 def test_forall_refs_covers_list_node_tail_and_head():
-    seen = []
-
-    def spy(a, h):
-        seen.append(a)
-        return True
-
-    assert forall_refs(spy, LList(INT), VLLCons(VInt(7), 4), EMPTY_HEAP)
-    assert seen == [4]
+    assert list(ref_entries(LList(INT), VLLCons(VInt(7), 4))) == [(4, LList(INT))]
+    node = VLLCons(VRef(2, INT), 4)
+    assert list(ref_entries(LList(Ref(INT)), node)) == [(2, INT), (4, LList(Ref(INT)))]
 
 
 def test_forall_refs_rejects_nonconforming():
     with pytest.raises(TypeMismatch):
-        forall_refs(lambda a, h: True, INT, V_UNIT, EMPTY_HEAP)
-
-
-def test_forall_refs_accepts_named_predicates():
-    from secref.values import RefPredicate
-
-    contained = RefPredicate("contained", lambda a, h: h.contains(a))
-    addr, h = alloc(EMPTY_HEAP, INT, TRIVIAL, VInt(0))
-    assert forall_refs(contained, Ref(INT), VRef(addr, INT), h)
-    assert not forall_refs(contained, Ref(INT), VRef(addr + 1, INT), h)
+        list(ref_entries(INT, V_UNIT))
 
 
 def test_embedded_addrs_base():
-    assert embedded_addrs(INT, VInt(1)) == frozenset()
+    assert _addrs(INT, VInt(1)) == frozenset()
 
 
 def test_embedded_addrs_ref():
-    assert embedded_addrs(Ref(INT), VRef(9, INT)) == frozenset({9})
+    assert _addrs(Ref(INT), VRef(9, INT)) == frozenset({9})
 
 
 def test_embedded_addrs_structural():
     v = VPair(VRef(1, INT), VLLCons(V_UNIT, 2))
     t = Pair(Ref(INT), LList(UNIT))
-    assert embedded_addrs(t, v) == frozenset({1, 2})
+    assert _addrs(t, v) == frozenset({1, 2})
 
 
 def _oracle_collect_addrs(t, v):
@@ -121,13 +127,7 @@ def test_forall_refs_agrees_with_embedded_addrs_on_samples():
     for _ in range(300):
         t = sample_tag(rng)
         v = sample_value(t, rng)
-        addrs = frozenset(_oracle_collect_addrs(t, v))
-        assert embedded_addrs(t, v) == addrs
-        for probe in list(addrs) + [17]:
-            pred = lambda a, h, p=probe: a != p
-            assert forall_refs(pred, t, v, EMPTY_HEAP) == all(
-                a != probe for a in addrs
-            )
+        assert [a for a, _ in ref_entries(t, v)] == _oracle_collect_addrs(t, v)
 
 
 def build_chain(values, preorder=TRIVIAL):
