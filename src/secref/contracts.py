@@ -18,7 +18,7 @@ from typing import Any, Callable, Optional, Union
 
 from . import mutants
 from .errors import ImmutableWrite, PurityViolation
-from .heap import FrozenDict
+from .heap import AddrMap
 from .labels import World
 from .values import (
     LList,
@@ -260,13 +260,13 @@ def _run_check(env, fn, *args):
     current world is still the one it started on and it attempted no
     in-place write, even one whose error it caught itself.
     """
-    before, refused = env.world, FrozenDict.refused
+    before, refused = env.world, AddrMap.refused
     try:
         out = fn(*args)
     except ImmutableWrite:
-        out = None  # counted in FrozenDict.refused and reported below
+        out = None  # counted in AddrMap.refused and reported below
     env.trace.contract_checks += 1
-    if env.world is not before or FrozenDict.refused != refused:
+    if env.world is not before or AddrMap.refused != refused:
         env.trace.purity_failures += 1
         raise PurityViolation("a contract check modified the world")
     return out

@@ -1,61 +1,170 @@
 """Monotonic heap: typed cells with per-cell preorders, never deallocated.
 
 Heaps are immutable snapshots; every mutation returns a new heap sharing the
-unchanged cells.  The cell map is a `FrozenDict`, so an in-place write raises
-instead of silently changing a snapshot other code still holds.  Addresses
-start at 1.  Address 0 is reserved as the label map's identity marker and is
-never allocated.
+unchanged cells.  The cell map is an `AddrMap`, a persistent chunked vector:
+a write copies one chunk of WIDTH cells and the spine of chunk pointers, not
+the heap, and an in-place write raises instead of silently changing a
+snapshot other code still holds.  `changed` lists the addresses two maps
+differ at by skipping the chunks they share, so comparing two heaps costs
+what separates them.  Addresses start at 1.  Address 0 is reserved as the
+label map's identity marker and is never allocated.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Callable
+from functools import partial
+from itertools import chain, compress, count, repeat
+from operator import is_not
+from typing import Callable, Optional
 
 from .errors import ImmutableWrite, PreorderViolation, TypeMismatch, Uncontained
 from .values import Addr, TypeTag, Value, VInl, VInt, VLLNil, VPair, conforms, is_storable
 
 LABEL_MAP_MARKER: Addr = 0
 
+# an AddrMap chunk holds WIDTH consecutive addresses
+SHIFT = 5
+WIDTH = 1 << SHIFT
+MASK = WIDTH - 1
+HOLES = (None,) * WIDTH  # an all-absent chunk
+_SLOTS = range(WIDTH)
+_bound = partial(is_not, None)
 
-class FrozenDict(dict):
-    """A dict that refuses every in-place change after construction.
 
-    Subclassing dict keeps reads at dict speed and keeps `dict(...)` and
-    `with_entry` on the C fast copy path.  Every refused write is counted in
-    `FrozenDict.refused`, so a monitor can tell that one was attempted even
+class AddrMap(Mapping):
+    """A persistent map from addresses to entries: a copy-on-write vector of
+    fixed-width chunks.
+
+    `chunks` is a tuple of WIDTH-entry tuples; address a lives at
+    `chunks[a >> SHIFT][a & MASK]`, and None marks an absent entry.
+    Addresses are dense, start at 1 and only grow, which suits a vector.
+    `set` copies one chunk and the spine of chunk pointers and shares every
+    other chunk with the map it came from (path copying, as in Driscoll,
+    Sarnak, Sleator and Tarjan, "Making Data Structures Persistent"), so
+    `changed` can skip shared chunks without looking inside them.
+
+    Every in-place mutator raises ImmutableWrite and is counted in
+    `AddrMap.refused`, so a monitor can tell that one was attempted even
     when the caller swallowed the error.
     """
 
-    __slots__ = ()
+    __slots__ = ("chunks", "_len")
     refused = 0
 
-    def __new__(cls, *args, **kwargs):
-        d = dict.__new__(cls)
-        dict.__init__(d, *args, **kwargs)
-        return d
+    def __new__(cls, entries=()):
+        """A map holding the entries of a mapping; the mapping is copied."""
+        spine: list = []
+        n = 0
+        for key, value in dict(entries).items():
+            if not isinstance(key, int) or key < 0:
+                raise TypeError(f"addresses are non-negative ints, not {key!r}")
+            hi = key >> SHIFT
+            while len(spine) <= hi:
+                spine.append([None] * WIDTH)
+            n += value is not None
+            spine[hi][key & MASK] = value
+        return _make(tuple(map(tuple, spine)), n)
 
-    def __init__(self, *args, **kwargs):
-        pass  # filled by __new__; calling __init__ again must not refill it
+    def get(self, key, default=None):
+        chunks, hi = self.chunks, key >> SHIFT
+        if 0 <= hi < len(chunks):
+            value = chunks[hi][key & MASK]
+            if value is not None:
+                return value
+        return default
+
+    def __getitem__(self, key):
+        value = self.get(key)
+        if value is None:
+            raise KeyError(key)
+        return value
+
+    def __contains__(self, key) -> bool:
+        return self.get(key) is not None
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self):
+        """The bound addresses, ascending."""
+        return compress(count(), map(is_not, chain.from_iterable(self.chunks), repeat(None)))
+
+    def items(self):
+        return zip(iter(self), filter(_bound, chain.from_iterable(self.chunks)))
+
+    def set(self, key: int, value) -> "AddrMap":
+        """A copy of this map with key bound to value (None unbinds it)."""
+        if key < 0:
+            raise TypeError(f"addresses are non-negative ints, not {key!r}")
+        hi, lo = key >> SHIFT, key & MASK
+        spine = list(self.chunks)
+        if hi >= len(spine):
+            spine.extend([HOLES] * (hi + 1 - len(spine)))
+        chunk = list(spine[hi])
+        old = chunk[lo]
+        chunk[lo] = value
+        spine[hi] = tuple(chunk)
+        return _make(tuple(spine), self._len + (value is not None) - (old is not None))
+
+    def __eq__(self, other):
+        if isinstance(other, AddrMap):
+            return self._len == other._len and all(
+                self.get(k) == other.get(k) for k in changed(self, other)
+            )
+        if isinstance(other, Mapping):
+            return dict(self.items()) == dict(other.items())
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"AddrMap({dict(self.items())!r})"
 
     def _refuse(self, *args, **kwargs):
-        FrozenDict.refused += 1
-        raise ImmutableWrite("snapshot maps are immutable; build a new one instead")
+        AddrMap.refused += 1
+        raise ImmutableWrite("snapshot maps are immutable; build a new one with set()")
 
-    __setitem__ = __delitem__ = __ior__ = _refuse
+    __setitem__ = __delitem__ = __ior__ = __setattr__ = __delattr__ = _refuse
     clear = pop = popitem = setdefault = update = _refuse
 
 
-_new_dict = dict.__new__
-_fill = dict.update
-_set = dict.__setitem__
+_new = object.__new__
+_set_chunks = AddrMap.chunks.__set__
+_set_len = AddrMap._len.__set__
 
 
-def with_entry(d: dict, key, value) -> FrozenDict:
-    """A FrozenDict copy of d with key bound to value."""
-    out = _new_dict(FrozenDict)
-    _fill(out, d)
-    _set(out, key, value)
-    return out
+def _make(chunks: tuple, n: int) -> AddrMap:
+    m = _new(AddrMap)
+    _set_chunks(m, chunks)
+    _set_len(m, n)
+    return m
+
+
+EMPTY_MAP = _make((), 0)
+
+
+def _changed_in(x: tuple, y: tuple, base: int):
+    """Addresses whose entries differ between two chunks starting at base."""
+    return map(base.__add__, compress(_SLOTS, map(is_not, x, y)))
+
+
+def changed(a: AddrMap, b: AddrMap, within: Optional[AddrMap] = None):
+    """The addresses, ascending, whose entries are not the same object in a
+    and b (an absent entry is None); with `within`, only those in the
+    address range of within's chunks.
+
+    Chunks the two maps share are skipped by identity, so between a map
+    and one derived from it by k `set`s this compares the spines (one
+    pointer per WIDTH addresses) and then at most k chunks entry by entry.
+    Maps that share nothing are compared entry by entry, in O(n).
+    """
+    ca, cb = a.chunks, b.chunks
+    if ca is cb:
+        return
+    n = max(len(ca), len(cb)) if within is None else len(within.chunks)
+    ca = ca[:n] + (HOLES,) * (n - len(ca))
+    cb = cb[:n] + (HOLES,) * (n - len(cb))
+    for hi in compress(count(), map(is_not, ca, cb)):
+        yield from _changed_in(ca[hi], cb[hi], hi << SHIFT)
 
 
 @dataclass(frozen=True)
@@ -118,21 +227,23 @@ class HeapCell:
 
 @dataclass(frozen=True)
 class Heap:
-    cells: FrozenDict  # Addr -> HeapCell
+    cells: AddrMap  # Addr -> HeapCell
     next_addr: Addr
 
     def __post_init__(self):
-        if type(self.cells) is not FrozenDict:
-            object.__setattr__(self, "cells", FrozenDict(self.cells))
+        if type(self.cells) is not AddrMap:
+            object.__setattr__(self, "cells", AddrMap(self.cells))
 
     def contains(self, addr: Addr) -> bool:
-        return addr in self.cells
+        return self.cells.get(addr) is not None
 
     def cell(self, addr: Addr) -> HeapCell:
-        cell = self.cells.get(addr)
-        if cell is None:
-            raise Uncontained(addr)
-        return cell
+        chunks, hi = self.cells.chunks, addr >> SHIFT
+        if 0 <= hi < len(chunks):
+            cell = chunks[hi][addr & MASK]
+            if cell is not None:
+                return cell
+        raise Uncontained(addr)
 
     def addresses(self):
         return self.cells.keys()
@@ -145,7 +256,7 @@ class Heap:
         )
 
 
-EMPTY_HEAP = Heap(cells=FrozenDict(), next_addr=1)
+EMPTY_HEAP = Heap(cells=EMPTY_MAP, next_addr=1)
 
 
 def alloc(h: Heap, tag: TypeTag, rel: Preorder, init: Value) -> tuple[Addr, Heap]:
@@ -154,7 +265,7 @@ def alloc(h: Heap, tag: TypeTag, rel: Preorder, init: Value) -> tuple[Addr, Heap
     if not conforms(init, tag):
         raise TypeMismatch(f"initial value {init!r} does not conform to {tag}")
     addr = h.next_addr
-    cells = with_entry(h.cells, addr, HeapCell(addr=addr, tag=tag, preorder=rel, value=init))
+    cells = h.cells.set(addr, HeapCell(addr=addr, tag=tag, preorder=rel, value=init))
     return addr, Heap(cells=cells, next_addr=addr + 1)
 
 
@@ -168,16 +279,23 @@ def write(h: Heap, r: Addr, v: Value) -> Heap:
         raise TypeMismatch(f"value {v!r} does not conform to {cell.tag} at {r}")
     if not cell.preorder.holds(cell.value, v):
         raise PreorderViolation(r, cell.preorder.name, cell.value, v)
-    cells = with_entry(h.cells, r, HeapCell(addr=r, tag=cell.tag, preorder=cell.preorder, value=v))
+    cells = h.cells.set(r, HeapCell(addr=r, tag=cell.tag, preorder=cell.preorder, value=v))
     return Heap(cells=cells, next_addr=h.next_addr)
 
 
 def heap_leq(h0: Heap, h1: Heap) -> bool:
-    """Every cell of h0 is still present in h1 and evolved along its preorder."""
-    for addr, cell in h0.cells.items():
-        if not h1.contains(addr):
-            return False
-        if not cell.preorder.holds(cell.value, h1.cell(addr).value):
+    """Every cell of h0 is still present in h1 and evolved along its preorder.
+
+    Only the cells that changed are checked: an unchanged cell evolved along
+    its preorder by reflexivity, which the law suite checks for every
+    registered preorder.
+    """
+    cells0, cells1 = h0.cells, h1.cells
+    for addr in changed(cells0, cells1, within=cells0):
+        old = cells0.get(addr)
+        if old is None:
+            continue
+        new = cells1.get(addr)
+        if new is None or not old.preorder.holds(old.value, new.value):
             return False
     return True
-

@@ -3,8 +3,12 @@
 A world pairs a heap with a total label assignment (absent entries read as
 Private).  The global invariant ties the two together: shareable cells may
 only reach shareable cells, and nothing past the allocation frontier carries
-a label other than Private.  Both maps are `FrozenDict`s, so a world never
-changes once built.
+a label other than Private.  Both maps are persistent `AddrMap`s, so a world
+never changes once built, and a labeling copies one chunk of the label map.
+
+The two-world footprint predicates diff the maps with `heap.changed`: they
+visit only the addresses whose cell or label differs between the worlds, so
+a context span's monitor costs what the span touched, not the heap size.
 """
 from __future__ import annotations
 
@@ -12,6 +16,7 @@ import enum
 from dataclasses import dataclass
 
 from . import heap as hp
+from . import mutants
 from .errors import (
     AlreadyLabeled,
     DanglingInit,
@@ -20,7 +25,7 @@ from .errors import (
     TypeMismatch,
     Uncontained,
 )
-from .heap import LABEL_MAP_MARKER, FrozenDict, Heap, Preorder, with_entry
+from .heap import EMPTY_MAP, LABEL_MAP_MARKER, MASK, SHIFT, AddrMap, Heap, Preorder, changed
 from .values import Addr, TypeTag, Value, ref_entries
 
 
@@ -39,25 +44,31 @@ def label_leq(l0: Label, l1: Label) -> bool:
 @dataclass(frozen=True)
 class World:
     heap: Heap
-    labels: FrozenDict  # Addr -> Label; absent means Private
+    labels: AddrMap  # Addr -> Label; absent means Private
 
     def __post_init__(self):
-        if type(self.labels) is not FrozenDict:
-            object.__setattr__(self, "labels", FrozenDict(self.labels))
+        if type(self.labels) is not AddrMap:
+            object.__setattr__(self, "labels", AddrMap(self.labels))
 
     def label_of(self, addr: Addr) -> Label:
-        return self.labels.get(addr, Label.PRIVATE)
+        chunks, hi = self.labels.chunks, addr >> SHIFT
+        if 0 <= hi < len(chunks):
+            label = chunks[hi][addr & MASK]
+            if label is not None:
+                return label
+        return Label.PRIVATE
 
     def __eq__(self, other):
         if not isinstance(other, World):
             return NotImplemented
         if self.heap != other.heap:
             return False
-        keys = self.labels.keys() | other.labels.keys()
-        return all(self.label_of(k) is other.label_of(k) for k in keys)
+        return all(
+            self.label_of(k) is other.label_of(k) for k in changed(self.labels, other.labels)
+        )
 
 
-NO_LABELS = FrozenDict()
+NO_LABELS = EMPTY_MAP
 
 
 def initial_world() -> World:
@@ -167,8 +178,6 @@ def lr_write(w: World, r: Addr, v: Value) -> World:
 
 
 def label_shareable(w: World, r: Addr) -> World:
-    from . import mutants
-
     cell = w.heap.cell(r)
     if not is_private(w, r):
         raise AlreadyLabeled(f"{r} is already {w.label_of(r).value}")
@@ -180,7 +189,7 @@ def label_shareable(w: World, r: Addr) -> World:
         leaked = _private_embedded(w, cell.tag, cell.value)
         if leaked:
             raise ShareLeak(r, cell.value, leaked)
-    return World(heap=w.heap, labels=with_entry(w.labels, r, Label.SHAREABLE))
+    return World(heap=w.heap, labels=w.labels.set(r, Label.SHAREABLE))
 
 
 def label_encapsulated(w: World, r: Addr) -> World:
@@ -189,41 +198,49 @@ def label_encapsulated(w: World, r: Addr) -> World:
     w.heap.cell(r)
     if not is_private(w, r):
         raise AlreadyLabeled(f"{r} is already {w.label_of(r).value}")
-    return World(heap=w.heap, labels=with_entry(w.labels, r, Label.ENCAPSULATED))
+    return World(heap=w.heap, labels=w.labels.set(r, Label.ENCAPSULATED))
 
 
 # ---------------------------------------------------------------------------
-# two-world footprint predicates (all diff scans over dom(w0.heap))
+# two-world footprint predicates, over the addresses the two worlds differ at
 
 
 def modif_only_shareable_and_encaps(w0: World, w1: World) -> bool:
-    # a label other than Private is Shareable or Encapsulated
-    labels0, cells1 = w0.labels, w1.heap.cells
-    for addr, cell in w0.heap.cells.items():
-        if labels0.get(addr, Label.PRIVATE) is not Label.PRIVATE:
+    """Every cell of w0 that is Private in w0 holds the same value in w1."""
+    cells0, cells1, labels0 = w0.heap.cells, w1.heap.cells, w0.labels
+    for addr in changed(cells0, cells1, within=cells0):
+        old = cells0.get(addr)
+        # a label other than Private is Shareable or Encapsulated
+        if old is None or labels0.get(addr, Label.PRIVATE) is not Label.PRIVATE:
             continue
         new = cells1.get(addr)
-        if new is None or new.value != cell.value:
+        if new is None or new.value != old.value:
             return False
     return True
 
 
 def modif_shareable_and(w0: World, w1: World, s) -> bool:
-    for addr, cell in w0.heap.cells.items():
-        if is_shareable(w0, addr) or addr in s:
+    """Every cell of w0 that is not Shareable in w0 and not in s holds the
+    same value in w1."""
+    cells0, cells1 = w0.heap.cells, w1.heap.cells
+    for addr in changed(cells0, cells1, within=cells0):
+        old = cells0.get(addr)
+        if old is None or is_shareable(w0, addr) or addr in s:
             continue
-        if not w1.heap.contains(addr) or w1.heap.cell(addr).value != cell.value:
+        new = cells1.get(addr)
+        if new is None or new.value != old.value:
             return False
     return True
 
 
 def same_labels(w0: World, w1: World) -> bool:
-    labels0, labels1 = w0.labels, w1.labels
-    private = Label.PRIVATE
-    return all(labels0.get(a, private) is labels1.get(a, private) for a in w0.heap.cells)
+    """Every cell of w0 carries the same label in w1."""
+    cells0 = w0.heap.cells
+    return all(
+        cells0.get(a) is None or w0.label_of(a) is w1.label_of(a)
+        for a in changed(w0.labels, w1.labels, within=cells0)
+    )
 
 
 def labels_monotone(w0: World, w1: World) -> bool:
-    keys = w0.labels.keys() | w1.labels.keys()
-    return all(label_leq(w0.label_of(a), w1.label_of(a)) for a in keys)
-
+    return all(label_leq(w0.label_of(a), w1.label_of(a)) for a in changed(w0.labels, w1.labels))

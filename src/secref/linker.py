@@ -164,6 +164,15 @@ def _close_span(state: RunState, name: str, w0: World, require_same_labels: bool
         )
 
 
+def _monitored_span(state: RunState, name: str, run: Callable[[], Any],
+                    require_same_labels: bool = True) -> Any:
+    """Run context code and assert the universal property over its span."""
+    w0 = state.world
+    out = run()
+    _close_span(state, name, w0, require_same_labels)
+    return out
+
+
 def monitor_context_value(spec: InterfaceSpec, v: Any, state: RunState, name: str) -> Any:
     """Bracket every context-arrow call (and arrows it returns) with the
     universal-property assertion."""
@@ -172,9 +181,7 @@ def monitor_context_value(spec: InterfaceSpec, v: Any, state: RunState, name: st
             return v
 
         def monitored(x, _f=v, _spec=spec):
-            w0 = state.world
-            out = _f(x)
-            _close_span(state, name, w0)
+            out = _monitored_span(state, name, lambda: _f(x))
             return monitor_context_value(_spec.res, out, state, name)
 
         return monitored
@@ -193,10 +200,7 @@ def monitor_context_value(spec: InterfaceSpec, v: Any, state: RunState, name: st
 
 def _instantiate(context: TargetContext, iface: SourceInterface, state: RunState):
     """Build the raw context value against the live world, monitored."""
-    ops = CtxOps(state)
-    w0 = state.world
-    raw = context.builder(ops)
-    _close_span(state, f"build:{context.name}", w0)
+    raw = _monitored_span(state, f"build:{context.name}", lambda: context.builder(CtxOps(state)))
     return monitor_context_value(iface.spec, raw, state, context.name)
 
 
@@ -270,12 +274,12 @@ def link_dual(dual: DualProgram, context: TargetContext) -> WholeProgram:
     def run_in(state: RunState):
         progv = dual.setup(state)
         exported = export(dual.spec, progv, dual.hocs, state)
-        ops = CtxOps(state)
-        w0 = state.world
-        main = context.builder(ops)
-        result = main(exported) if callable(main) else main
-        _close_span(state, f"dual:{context.name}", w0, require_same_labels=False)
-        return result
+
+        def enter():
+            main = context.builder(CtxOps(state))
+            return main(exported) if callable(main) else main
+
+        return _monitored_span(state, f"dual:{context.name}", enter, require_same_labels=False)
 
     return WholeProgram(name=f"{context.name}[{dual.name}]", run_in=run_in)
 

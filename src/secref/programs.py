@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Callable, Optional, Union
 
 from . import heap as hp
@@ -27,7 +28,7 @@ from .errors import (
     StabilityViolation,
     WitnessFalse,
 )
-from .heap import Heap, Preorder, with_entry
+from .heap import Heap, Preorder, changed
 from .labels import World
 from .values import Addr, TypeTag, Value
 
@@ -217,27 +218,34 @@ class WorldJournal:
     """The world after each paranoid step, kept as one delta per step and
     replayed on iteration.
 
-    An entry is None for a step that changed nothing; (addr, cell, label,
-    next_addr) for a step that changed only addr, giving its cell and label
-    and the allocation frontier afterwards; or the whole world after a step
-    that started from a world the journal did not record.  `[w0] + journal`
-    is the list of replayed worlds after w0.
+    An entry is None for a step that changed nothing, or else
+    (next_addr, addr, cell, label, addr, cell, label, ...): the allocation
+    frontier after the step, then the cell and label (None when absent) of
+    each address whose entries differ from the previous recorded world.  A
+    step from the last recorded world that touched one address records that
+    address; any other change, such as a world installed from outside
+    between two steps, records the addresses `heap.changed` finds.
+    `[w0] + journal` is the list of replayed worlds after w0.
     """
 
     def __init__(self):
         self._entries: list = []
+        self._start: Optional[World] = None
         self._last: Optional[World] = None
 
     def record(self, before: World, after: World, touched: Optional[Addr]) -> None:
-        if before is not self._last:
-            entry = after
-        elif after is before:
+        last = self._last
+        if last is None:
+            self._start = last = before
+        cells, labels = after.heap.cells, after.labels
+        if after is last:
             entry = None
-        elif touched is not None:
-            entry = (touched, after.heap.cells.get(touched), after.labels.get(touched),
-                     after.heap.next_addr)
+        elif before is last and touched is not None:
+            entry = (after.heap.next_addr, touched, cells.get(touched), labels.get(touched))
         else:
-            entry = after
+            addrs = sorted({*changed(last.heap.cells, cells), *changed(last.labels, labels)})
+            entry = (after.heap.next_addr,
+                     *chain.from_iterable((a, cells.get(a), labels.get(a)) for a in addrs))
         self._entries.append(entry)
         self._last = after
 
@@ -245,17 +253,19 @@ class WorldJournal:
         return len(self._entries)
 
     def __iter__(self):
-        w = None
+        w = self._start
         for entry in self._entries:
-            if isinstance(entry, World):
-                w = entry
-            elif entry is not None:
-                addr, cell, label, next_addr = entry
+            if entry is not None:
                 heap, labels = w.heap, w.labels
-                if heap.cells.get(addr) is not cell or heap.next_addr != next_addr:
-                    heap = Heap(cells=with_entry(heap.cells, addr, cell), next_addr=next_addr)
-                if labels.get(addr) is not label:
-                    labels = with_entry(labels, addr, label)
+                cells = heap.cells
+                for i in range(1, len(entry), 3):
+                    addr, cell, label = entry[i:i + 3]
+                    if cells.get(addr) is not cell:
+                        cells = cells.set(addr, cell)
+                    if labels.get(addr) is not label:
+                        labels = labels.set(addr, label)
+                if cells is not heap.cells or heap.next_addr != entry[0]:
+                    heap = Heap(cells=cells, next_addr=entry[0])
                 w = World(heap=heap, labels=labels)
             yield w
 

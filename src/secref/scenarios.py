@@ -578,17 +578,22 @@ class SchedulerRun:
 
 def fairness(k: int, hist: list, finished_at: dict) -> bool:
     """Between consecutive runs of a task, every task that stayed active
-    through that span got scheduled at least once."""
-    for i in range(k):
-        occurrences = [idx for idx, t in enumerate(hist) if t == i]
-        for p, q in zip(occurrences, occurrences[1:]):
-            for j in range(k):
-                if j == i:
-                    continue
-                fin = finished_at.get(j)
-                still_active = fin is None or fin >= q
-                if still_active and not any(hist[idx] == j for idx in range(p + 1, q)):
-                    return False
+    through that span got scheduled at least once.
+
+    One pass over the history: at a run q of task i whose previous run was
+    p, task j ran in between exactly when its latest run before q is after p.
+    """
+    tasks = range(k)
+    last = {}
+    for q, i in enumerate(hist):
+        p = last.get(i)
+        if p is not None and i in tasks:
+            for j in tasks:
+                if j != i and last.get(j, -1) < p:
+                    fin = finished_at.get(j)
+                    if fin is None or fin >= q:
+                        return False
+        last[i] = q
     return True
 
 

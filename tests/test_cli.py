@@ -1,10 +1,7 @@
 import json
 
-import pytest
-
 from secref import campaigns
 from secref.cli import main
-from secref.target_lang import Expr
 
 
 def run_cli(args, tmp_path, monkeypatch):

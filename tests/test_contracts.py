@@ -28,7 +28,7 @@ from secref.contracts import (
 from secref.errors import PurityViolation
 from secref.heap import TRIVIAL, HeapCell
 from secref.labels import Label, initial_world, is_private
-from secref.programs import Return, RunState, alloc_op, bind, do, read_op, write_op
+from secref.programs import Return, RunState, alloc_op, do, read_op
 from secref.sampling import sample_value
 from secref.values import (
     INT,

@@ -6,7 +6,7 @@ from secref import heap as hp
 from secref.errors import ImmutableWrite, PreorderViolation, TypeMismatch, Uncontained
 from secref.heap import (
     EMPTY_HEAP,
-    FrozenDict,
+    AddrMap,
     Heap,
     INT_LEQ,
     NONE_THEN_FIXED,
@@ -217,13 +217,13 @@ def test_heap_cells_refuse_in_place_writes():
             attempt(h.cells)
     h.cells.__init__({5: cell})  # re-running the constructor is a no-op
     assert dict(h.cells) == {a: cell} and h.next_addr == 2
-    assert type(h2.cells) is FrozenDict and len(h2.cells) == 2
+    assert type(h2.cells) is AddrMap and len(h2.cells) == 2
 
 
 def test_heap_built_from_a_plain_dict_is_frozen_and_equal():
     a, h = alloc(EMPTY_HEAP, INT, TRIVIAL, VInt(1))
     plain = dict(h.cells)
     rebuilt = Heap(cells=plain, next_addr=h.next_addr)
-    assert type(rebuilt.cells) is FrozenDict and rebuilt == h
+    assert type(rebuilt.cells) is AddrMap and rebuilt == h
     plain[a] = None  # the caller's dict stays its own
     assert rebuilt.cell(a).value == VInt(1)

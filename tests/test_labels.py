@@ -1,8 +1,5 @@
-import itertools
-
 import pytest
 
-from secref import labels as lb
 from secref.errors import (
     AlreadyLabeled,
     DanglingInit,
@@ -33,7 +30,7 @@ from secref.labels import (
     modif_shareable_and,
     same_labels,
 )
-from secref.values import INT, Ref, V_UNIT, VInt, VRef
+from secref.values import INT, Ref, VInt, VRef
 
 
 def test_label_leq_table():

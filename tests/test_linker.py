@@ -1,7 +1,7 @@
 import pytest
 
 from secref import mutants
-from secref.contracts import ArrowS, BaseS, Inr, RefS, hocs_of
+from secref.contracts import ArrowS, BaseS, Inr, hocs_of
 from secref.errors import BoundaryViolation, RunFailure, UniversalViolation
 from secref.heap import INT_LEQ, TRIVIAL
 from secref.labels import (
@@ -12,7 +12,6 @@ from secref.labels import (
     same_labels,
 )
 from secref.linker import (
-    BehaviorRecord,
     CtxOps,
     SourceInterface,
     SourceProgram,
@@ -23,15 +22,14 @@ from secref.linker import (
     beh_equal,
     compile_program,
     ctx_read,
-    ctx_write,
     link_source,
     link_target,
     render_world,
 )
-from secref.programs import Return, RunConfig, RunState, alloc_op, do, read_op, write_op
+from secref.programs import RunConfig, RunState, alloc_op, do, read_op
 from secref.scenarios import all_scenarios, run_scenario
 from secref.target_lang import elaborate, gen_random_context, parse
-from secref.values import INT, Ref, UNIT, V_UNIT, VInt, VRef
+from secref.values import INT, Ref, VInt, VRef
 
 
 def test_initial_world_is_canonical():

@@ -10,7 +10,7 @@ from secref import labels as lb
 from secref import values
 from secref.campaigns import _collect_transitions
 from secref.errors import InvariantViolation
-from secref.heap import TRIVIAL, Heap, HeapCell, with_entry
+from secref.heap import TRIVIAL, Heap, HeapCell
 from secref.labels import Label, World, lr_inv, lr_inv_at
 from secref.programs import RunConfig, RunState, alloc_op, do, read_op, run
 from secref.scenarios import (
@@ -37,12 +37,12 @@ def _corruptions(w: World, r: int):
     """Worlds that differ from w only at r and break lr_inv there."""
     h = w.heap
     dangling = HeapCell(r, Ref(INT), TRIVIAL, VRef(h.next_addr, INT))
-    yield World(Heap(with_entry(h.cells, r, dangling), h.next_addr), w.labels)
+    yield World(Heap(h.cells.set(r, dangling), h.next_addr), w.labels)
     cell = h.cells[r]
     if not lb.is_shareable(w, r) and any(
         not lb.is_shareable(w, a) for a, _ in values.ref_entries(cell.tag, cell.value)
     ):
-        yield World(h, with_entry(w.labels, r, Label.SHAREABLE))
+        yield World(h, w.labels.set(r, Label.SHAREABLE))
 
 
 def test_delta_check_agrees_with_full_scan_on_the_campaign_corpus():
@@ -124,6 +124,22 @@ def test_journal_replays_a_prng_run(eager_worlds):
     assert "counter_counts_callback_calls" in result.checks
     result.state.trace.worlds = eager_worlds
     assert scenario.check(result) == result.checks
+
+
+def test_journal_replays_worlds_installed_between_steps(eager_worlds):
+    state = RunState(config=PARANOID)
+    p = state.op_alloc(INT, TRIVIAL, VInt(0))
+    q = state.op_alloc(INT, TRIVIAL, VInt(1))
+    # a world built elsewhere, sharing no chunk: one cell rewritten, one relabeled
+    cells = {**state.world.heap.cells, q: HeapCell(q, INT, TRIVIAL, VInt(3))}
+    state.world = World(Heap(cells, state.world.heap.next_addr), {p: Label.SHAREABLE})
+    state.op_write(q, VInt(5))
+    state.op_read(p)
+    state.world = World(state.world.heap, {p: Label.SHAREABLE, q: Label.ENCAPSULATED})
+    state.op_read(q)
+    journal = state.trace.worlds
+    assert len(journal) == 5 and list(journal) == eager_worlds
+    assert [w.label_of(q) for w in journal][-1] is Label.ENCAPSULATED
 
 
 def _monitor_ref_entries_per_write(cells: int, monkeypatch) -> int:

@@ -15,22 +15,18 @@ from secref.contracts import (
     import_value,
 )
 from secref.errors import BoundaryViolation
-from secref.heap import INT_LEQ, TRIVIAL
+from secref.heap import INT_LEQ
 from secref.labels import is_shareable
 from secref.linker import (
     CtxOps,
     TargetContext,
     back_translate,
-    beh,
     beh_equal,
     BehaviorRecord,
-    compile_program,
     ctx_read,
-    link_target,
 )
 from secref.programs import RunConfig, RunState
 from secref.scenarios import (
-    GRADE_ADDR,
     run_scenario,
     scenario_autograder,
     scenario_prng,
@@ -39,13 +35,9 @@ from secref.target_lang import elaborate, gen_random_context
 from secref.values import (
     INT,
     LList,
-    UNIT,
     V_NIL,
-    VInr,
     VInt,
-    VRef,
     llist_collect,
-    llist_same_values,
     llist_sorted,
 )
 

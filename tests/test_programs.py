@@ -8,20 +8,14 @@ from secref.errors import (
     WitnessFalse,
 )
 from secref.heap import EMPTY_HEAP, INT_LEQ, TRIVIAL, alloc
-from secref.labels import initial_world, is_shareable
+from secref.labels import is_shareable
 from secref.programs import (
-    Alloc,
-    Read,
-    Recall,
     Return,
     RunConfig,
     RunState,
     StablePredicate,
-    Witness,
-    Write,
     alloc_op,
     bind,
-    contains_pred,
     do,
     label_shareable_op,
     private_pred,

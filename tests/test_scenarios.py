@@ -2,10 +2,9 @@ import random
 
 import pytest
 
-from secref.errors import OutOfFuel, ShareLeak
-from secref.labels import Label, is_encapsulated, is_private, is_shareable, lr_inv
-from secref.linker import beh, compile_program, link_target
-from secref.programs import RunConfig, RunState
+from secref.errors import ShareLeak
+from secref.labels import is_encapsulated, is_private, is_shareable
+from secref.programs import RunConfig
 from secref.scenarios import (
     COUNTER_ADDR,
     GRADE_ADDR,
@@ -13,7 +12,6 @@ from secref.scenarios import (
     NAMED_TASK_SETS,
     SCHED_COUNTER_ADDR,
     SECRET_ADDR,
-    SchedulerRun,
     collect_history,
     expected_counter,
     fairness,
@@ -27,7 +25,7 @@ from secref.scenarios import (
     scheduler_checks,
     yielding_task,
 )
-from secref.values import VInl, VInr, VInt
+from secref.values import VInr, VInt
 
 PARANOID = RunConfig(check_level="paranoid")
 
@@ -213,6 +211,39 @@ def test_fairness_counterexample():
     # task 1 starved between the two runs of task 0 while still active
     assert not fairness(2, [0, 1, 0, 0, 1], {0: 3, 1: 4})
     assert fairness(2, [0, 1, 0, 1], {0: 2, 1: 3})
+
+
+def _pairwise_fairness(k, hist, finished_at):
+    """The definition, checked pair of runs by pair of runs."""
+    for i in range(k):
+        occurrences = [idx for idx, t in enumerate(hist) if t == i]
+        for p, q in zip(occurrences, occurrences[1:]):
+            for j in range(k):
+                fin = finished_at.get(j)
+                still_active = fin is None or fin >= q
+                if j != i and still_active and j not in hist[p + 1:q]:
+                    return False
+    return True
+
+
+def test_one_pass_fairness_agrees_with_the_pairwise_definition():
+    rng = random.Random(404)
+    verdicts = []
+    for _ in range(600):
+        k = rng.randint(1, 5)
+        # mostly round-robin, with some runs swapped, dropped or out of range
+        hist = [t % k for t in range(rng.randint(0, 4 * k))]
+        for _ in range(rng.randint(0, 2)):
+            if hist:
+                a, b = rng.randrange(len(hist)), rng.randrange(len(hist))
+                hist[a], hist[b] = hist[b], hist[a]
+                if rng.random() < 0.3:
+                    hist[a] = rng.choice([hist[a] + 1, -1, k])
+        finished_at = {j: rng.randint(0, len(hist)) for j in range(k) if rng.random() < 0.4}
+        verdict = fairness(k, hist, finished_at)
+        assert verdict == _pairwise_fairness(k, hist, finished_at), (k, hist, finished_at)
+        verdicts.append(verdict)
+    assert 100 < sum(verdicts) < 500
 
 
 def test_randomized_task_sets():
