@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-from . import labels as lb
 from . import mutants
 from .contracts import (
     ArrowS,
@@ -32,11 +31,13 @@ from .contracts import (
     export,
     import_value,
 )
-from .errors import BoundaryViolation, RunFailure, UniversalViolation
+from .errors import AlreadyLabeled, BoundaryViolation, RunFailure, UniversalViolation
 from .heap import TRIVIAL
 from .labels import (
+    Label,
     World,
     initial_world,  # the canonical start state, re-exported from here
+    is_private,
     is_shareable,
     lr_alloc,
     lr_read,
@@ -84,8 +85,12 @@ def ctx_alloc(w: World, tag: TypeTag, init: Value) -> tuple[Addr, World]:
                 f"context alloc embeds non-shareable address {sub}"
             )
     addr, w1 = lr_alloc(w, tag, TRIVIAL, init)
-    w2 = lb.label_shareable(w1, addr)
-    return addr, w2
+    # labeled directly: the embedded refs were just checked shareable, which
+    # is stronger than label_shareable's ShareLeak check, and a fresh cell
+    # carries the trivial preorder
+    if not is_private(w1, addr):
+        raise AlreadyLabeled(f"fresh cell {addr} is already {w1.label_of(addr).value}")
+    return addr, World(heap=w1.heap, labels=w1.labels.set(addr, Label.SHAREABLE))
 
 
 def ctx_read(w: World, r: Addr) -> Value:

@@ -21,13 +21,22 @@ The language has no witness/recall and no way to observe labels; its only
 effects are the three operations handed to it at link time, so every
 allocation it makes is shareable.  Recursion is a fix form that burns
 interpreter fuel on each unfolding.
+
+`elaborate` typechecks a term eagerly, so errors surface at load, and
+compiles it into nested closures on the context's first build
+(Feeley and Lapalme, "Using closures for code generation", 1987); a
+context that is loaded but never run is never compiled.  Compiled code
+recurses on the Python stack, one frame per node between two `fix`
+unfoldings: the depth a tree-walking evaluator reaches, no more.
 """
 from __future__ import annotations
 
+import operator
 import random
 import re
+import weakref
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Any, Callable, NamedTuple, Optional, Union
 
 from .contracts import ArrowS, BaseS, InterfaceSpec, LListS, PairS, RefS, RefinedS, SumS
 from .errors import GenerationExhausted, InterfaceMismatch, SrefParseError, TargetTypeError
@@ -241,40 +250,26 @@ _INT_RE = re.compile(r"-?[0-9]+$")
 _BINOPS = ("+", "-", "*", "=", "<", "<=")
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     text: str
     line: int
     col: int
 
 
+# a token is a parenthesis or a run of characters that are neither
+# whitespace, parentheses nor `;`; a `;` starts a comment that runs to the
+# end of its line
+_TOKEN_RE = re.compile(r"[()]|[^\s();]+|;")
+
+
 def _tokenize(text: str) -> list[_Tok]:
     toks = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif c.isspace():
-            col += 1
-            i += 1
-        elif c == ";":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-        elif c in "()":
-            toks.append(_Tok(c, line, col))
-            col += 1
-            i += 1
-        else:
-            start = i
-            start_col = col
-            while i < len(text) and not text[i].isspace() and text[i] not in "();":
-                i += 1
-                col += 1
-            toks.append(_Tok(text[start:i], line, start_col))
+    for line, row in enumerate(text.split("\n"), 1):
+        for m in _TOKEN_RE.finditer(row):
+            tok = m.group()
+            if tok == ";":
+                break
+            toks.append(_Tok(tok, line, m.start() + 1))
     return toks
 
 
@@ -481,7 +476,7 @@ def typecheck(e: Expr, env: Optional[dict] = None, types: Optional[dict] = None)
     """Infer the type of e, raising TargetTypeError with a reason on failure.
 
     When a `types` dict is supplied it is filled with id(node) -> type for
-    every subexpression; the evaluator uses it for allocation tags.
+    every subexpression; the compiler uses it for allocation tags.
     """
     env = env or {}
     types = types if types is not None else {}
@@ -597,101 +592,175 @@ def typecheck(e: Expr, env: Optional[dict] = None, types: Optional[dict] = None)
 
 
 # ---------------------------------------------------------------------------
-# elaboration into a context builder
+# compilation to closures
+#
+# A checked term compiles once into nested closures.  Each takes the run's
+# environment, a tuple: slot 0 holds the CtxOps of the build, slot i > 0 the
+# value of the i-th enclosing binder, so a variable is an index fixed at
+# compile time.  Node dispatch and the tags of `alloc` and `casell` are
+# resolved at compile time as well; at run time a node costs one call.
+
+_BINOP_IMPL = {
+    "+": (operator.add, VInt),
+    "-": (operator.sub, VInt),
+    "*": (operator.mul, VInt),
+    "=": (operator.eq, VBool),
+    "<": (operator.lt, VBool),
+    "<=": (operator.le, VBool),
+}
+
+_Code = Callable[[tuple], Any]
 
 
-def _eval(e: Expr, env: dict, ops: CtxOps, types: dict):
-    if isinstance(e, Var):
-        return env[e.name]
-    if isinstance(e, Lam):
-        return lambda v: _eval(e.body, {**env, e.param: v}, ops, types)
-    if isinstance(e, Fix):
-        def fn(v):
-            ops.tick()
-            return _eval(e.body, {**env, e.fname: fn, e.param: v}, ops, types)
+def _bind(scope: dict, depth: int, *names: str) -> dict:
+    """`scope` extended with slots for names; a later name shadows an
+    earlier one, as in the typechecker's env."""
+    inner = dict(scope)
+    for i, name in enumerate(names):
+        inner[name] = depth + i
+    return inner
 
-        return fn
-    if isinstance(e, App):
-        f = _eval(e.fn, env, ops, types)
-        a = _eval(e.arg, env, ops, types)
-        return f(a)
-    if isinstance(e, Let):
-        return _eval(e.body, {**env, e.name: _eval(e.bound, env, ops, types)}, ops, types)
-    if isinstance(e, LitUnit):
-        return V_UNIT
-    if isinstance(e, LitInt):
-        return VInt(e.value)
-    if isinstance(e, LitBool):
-        return VBool(e.value)
-    if isinstance(e, BinOp):
-        a = _eval(e.left, env, ops, types).value
-        b = _eval(e.right, env, ops, types).value
-        if e.op == "+":
-            return VInt(a + b)
-        if e.op == "-":
-            return VInt(a - b)
-        if e.op == "*":
-            return VInt(a * b)
-        if e.op == "=":
-            return VBool(a == b)
-        if e.op == "<":
-            return VBool(a < b)
-        return VBool(a <= b)
-    if isinstance(e, If):
-        c = _eval(e.cond, env, ops, types)
-        branch = e.then if c.value else e.other
-        return _eval(branch, env, ops, types)
-    if isinstance(e, PairE):
-        return VPair(
-            _eval(e.first, env, ops, types), _eval(e.second, env, ops, types)
-        )
-    if isinstance(e, Fst):
-        return _eval(e.pair, env, ops, types).first
-    if isinstance(e, Snd):
-        return _eval(e.pair, env, ops, types).second
-    if isinstance(e, InlE):
-        return VInl(_eval(e.payload, env, ops, types))
-    if isinstance(e, InrE):
-        return VInr(_eval(e.payload, env, ops, types))
-    if isinstance(e, Case):
-        s = _eval(e.scrut, env, ops, types)
-        if isinstance(s, VInl):
-            return _eval(e.lbranch, {**env, e.lname: s.payload}, ops, types)
-        return _eval(e.rbranch, {**env, e.rname: s.payload}, ops, types)
-    if isinstance(e, AllocE):
-        v = _eval(e.init, env, ops, types)
-        return ops.alloc(types[id(e.init)], v)
-    if isinstance(e, DerefE):
-        return ops.read(_eval(e.ref, env, ops, types))
-    if isinstance(e, AssignE):
-        r = _eval(e.ref, env, ops, types)
-        v = _eval(e.value, env, ops, types)
-        ops.write(r, v)
-        return V_UNIT
-    if isinstance(e, LLNilE):
-        return V_NIL
-    if isinstance(e, LLConsE):
-        h = _eval(e.head, env, ops, types)
-        t = _eval(e.tail, env, ops, types)
-        return VLLCons(h, t.addr)
-    if isinstance(e, CaseLL):
-        s = _eval(e.scrut, env, ops, types)
-        if isinstance(s, VLLNil):
-            return _eval(e.nil_branch, env, ops, types)
-        tail_ref = VRef(s.tail, types[id(e.scrut)])
-        cons_env = {**env, e.hname: s.head, e.tname: tail_ref}
-        return _eval(e.cons_branch, cons_env, ops, types)
+
+def _const(value) -> _Code:
+    return lambda env: value
+
+
+def _compile(e: Expr, scope: dict, depth: int, types: dict) -> _Code:
+    """Closures for e, where `scope` maps each name in scope to its slot and
+    `depth` is the environment's length.  Branches are ordered by how often
+    the node kinds occur in generated terms."""
+    t = type(e)
+    if t is Var:
+        return operator.itemgetter(scope[e.name])
+    if t is Let:
+        bound = _compile(e.bound, scope, depth, types)
+        body = _compile(e.body, _bind(scope, depth, e.name), depth + 1, types)
+        return lambda env: body(env + (bound(env),))
+    if t is Lam:
+        body = _compile(e.body, _bind(scope, depth, e.param), depth + 1, types)
+        return lambda env: lambda v: body(env + (v,))
+    if t is LitUnit:
+        return _const(V_UNIT)
+    if t is App:
+        fn = _compile(e.fn, scope, depth, types)
+        arg = _compile(e.arg, scope, depth, types)
+        return lambda env: fn(env)(arg(env))
+    if t is LitInt:
+        return _const(VInt(e.value))
+    if t is AllocE:
+        tag, init = types[id(e.init)], _compile(e.init, scope, depth, types)
+        return lambda env: env[0].alloc(tag, init(env))
+    if t is AssignE:
+        ref = _compile(e.ref, scope, depth, types)
+        value = _compile(e.value, scope, depth, types)
+
+        def assign(env):
+            env[0].write(ref(env), value(env))
+            return V_UNIT
+
+        return assign
+    if t is Fst or t is Snd:
+        pair = _compile(e.pair, scope, depth, types)
+        if t is Fst:
+            return lambda env: pair(env).first
+        return lambda env: pair(env).second
+    if t is DerefE:
+        ref = _compile(e.ref, scope, depth, types)
+        return lambda env: env[0].read(ref(env))
+    if t is BinOp:
+        op, box = _BINOP_IMPL[e.op]
+        left = _compile(e.left, scope, depth, types)
+        right = _compile(e.right, scope, depth, types)
+        return lambda env: box(op(left(env).value, right(env).value))
+    if t is LLConsE:
+        head = _compile(e.head, scope, depth, types)
+        tail = _compile(e.tail, scope, depth, types)
+        return lambda env: VLLCons(head(env), tail(env).addr)
+    if t is LLNilE:
+        return _const(V_NIL)
+    if t is Fix:
+        body = _compile(e.body, _bind(scope, depth, e.fname, e.param), depth + 2, types)
+
+        def fix(env):
+            ops = env[0]
+
+            def fn(v):
+                ops.tick()
+                return body(env + (me(), v))
+
+            # a weak self-reference keeps fn out of a reference cycle, so a
+            # finished run is freed by reference counting; while fn runs, its
+            # caller holds it
+            me = weakref.ref(fn)
+            return fn
+
+        return fix
+    if t is CaseLL:
+        tag, scrut = types[id(e.scrut)], _compile(e.scrut, scope, depth, types)
+        nil = _compile(e.nil_branch, scope, depth, types)
+        cons = _compile(e.cons_branch, _bind(scope, depth, e.hname, e.tname), depth + 2, types)
+
+        def casell(env):
+            s = scrut(env)
+            if isinstance(s, VLLNil):
+                return nil(env)
+            return cons(env + (s.head, VRef(s.tail, tag)))
+
+        return casell
+    if t is If:
+        cond = _compile(e.cond, scope, depth, types)
+        then = _compile(e.then, scope, depth, types)
+        other = _compile(e.other, scope, depth, types)
+        return lambda env: then(env) if cond(env).value else other(env)
+    if t is LitBool:
+        return _const(VBool(e.value))
+    if t is PairE:
+        first = _compile(e.first, scope, depth, types)
+        second = _compile(e.second, scope, depth, types)
+        return lambda env: VPair(first(env), second(env))
+    if t is InlE or t is InrE:
+        box = VInl if t is InlE else VInr
+        payload = _compile(e.payload, scope, depth, types)
+        return lambda env: box(payload(env))
+    if t is Case:
+        scrut = _compile(e.scrut, scope, depth, types)
+        left = _compile(e.lbranch, _bind(scope, depth, e.lname), depth + 1, types)
+        right = _compile(e.rbranch, _bind(scope, depth, e.rname), depth + 1, types)
+
+        def case(env):
+            s = scrut(env)
+            return (left if isinstance(s, VInl) else right)(env + (s.payload,))
+
+        return case
     raise TargetTypeError("Mismatch", f"not an expression: {e!r}")
 
 
+def compile_term(e: Expr, types: dict) -> Callable[[CtxOps], Any]:
+    """Compile a checked term, given the node types `typecheck` recorded,
+    into a builder: a function from the build's CtxOps to the term's value."""
+    code = _compile(e, {}, 1, types)
+    return lambda ops: code((ops,))
+
+
 def elaborate(e: Expr, spec: InterfaceSpec, name: str = "ctx") -> TargetContext:
-    """Typecheck e against the interface and package it as a context builder."""
+    """Typecheck e against the interface and package it as a context builder.
+
+    The term compiles on the context's first build, so a context that is
+    loaded but never run costs only its typecheck."""
     types: dict = {}
     inferred = typecheck(e, {}, types)
     wanted = spec_type(spec)
     if inferred != wanted:
         raise InterfaceMismatch(f"context has type {inferred}, interface wants {wanted}")
-    return TargetContext(name=name, builder=lambda ops: _eval(e, {}, ops, types))
+    compiled = None
+
+    def build(ops: CtxOps):
+        nonlocal compiled
+        if compiled is None:
+            compiled = compile_term(e, types)
+        return compiled(ops)
+
+    return TargetContext(name=name, builder=build)
 
 
 def load_sref(text: str, spec: InterfaceSpec, name: str = "ctx") -> TargetContext:

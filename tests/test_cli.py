@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from secref import campaigns
 from secref.cli import main
@@ -120,3 +123,22 @@ def test_fuzz_fuel_does_not_leak_into_later_campaigns(tmp_path, monkeypatch):
     assert campaigns.FUZZ_FUEL == 1500
     assert run_cli(["props", "--seed", "7", "--json", str(after)], tmp_path, monkeypatch) == 0
     assert after.read_text() == fresh.read_text()
+
+
+# sha256 of the fixed-seed reports: the determinism contract says the same
+# seed and config give a byte-identical report, and a change that keeps
+# behaviour (a faster evaluator, a new store) must keep these digests
+PINNED_REPORTS = {
+    "fuzz": (["fuzz", "--seed", "7", "--trials", "200", "--fuel", "1500", "--paranoid"],
+             "4183cbb1b77d47d22fbc98935b61cc4e41ec3136aa966a7b843482e1a09d8a86"),
+    "props": (["props", "--seed", "7"],
+              "84a912fcd37532ec5f6bd5cc96d3c68a897430ecac131dd998ee25cbd1278d5d"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+def test_fixed_seed_report_matches_its_pinned_digest(name, tmp_path, monkeypatch):
+    args, digest = PINNED_REPORTS[name]
+    out = tmp_path / f"{name}.json"
+    assert run_cli(args + ["--json", str(out)], tmp_path, monkeypatch) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -2,11 +2,15 @@ import pytest
 
 from secref import mutants
 from secref.contracts import ArrowS, BaseS, Inr, hocs_of
-from secref.errors import BoundaryViolation, RunFailure, UniversalViolation
+from secref.errors import AlreadyLabeled, BoundaryViolation, RunFailure, UniversalViolation
 from secref.heap import INT_LEQ, TRIVIAL
 from secref.labels import (
+    Label,
+    World,
     initial_world,
     is_shareable,
+    label_shareable,
+    lr_alloc,
     lr_inv,
     modif_only_shareable_and_encaps,
     same_labels,
@@ -21,6 +25,7 @@ from secref.linker import (
     beh,
     beh_equal,
     compile_program,
+    ctx_alloc,
     ctx_read,
     link_source,
     link_target,
@@ -77,6 +82,24 @@ def test_ctx_alloc_embedding_private_ref_is_refused():
     ops = CtxOps(state)
     with pytest.raises(BoundaryViolation):
         ops.alloc(Ref(INT), VRef(private, INT))
+
+
+def test_ctx_alloc_labels_as_lr_alloc_then_label_shareable_would():
+    state = RunState()
+    inner = CtxOps(state).alloc(INT, VInt(1))
+    w = state.world
+    for tag, init in ((INT, VInt(3)), (Ref(INT), inner)):
+        addr, direct = ctx_alloc(w, tag, init)
+        fresh, w1 = lr_alloc(w, tag, TRIVIAL, init)
+        assert (addr, direct) == (fresh, label_shareable(w1, fresh))
+        assert lr_inv(direct)
+
+
+def test_ctx_alloc_refuses_a_fresh_address_that_already_carries_a_label():
+    w = initial_world()
+    broken = World(heap=w.heap, labels=w.labels.set(w.heap.next_addr, Label.ENCAPSULATED))
+    with pytest.raises(AlreadyLabeled):
+        ctx_alloc(broken, INT, VInt(0))
 
 
 # -- a miniature interface: the context is an int -> int function

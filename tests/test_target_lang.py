@@ -67,6 +67,12 @@ def test_parse_error_carries_position():
     assert err.value.line == 1
 
 
+def test_parse_error_positions_count_past_comments_and_tabs():
+    with pytest.raises(SrefParseError) as err:
+        parse("; a comment with ( and )\n\t(lam (x int) ; (trailing\n  x))")
+    assert (err.value.line, err.value.col) == (3, 5)
+
+
 def test_parse_rejects_bad_type():
     with pytest.raises(SrefParseError):
         parse("(lam (x intt) x)")
