@@ -31,6 +31,7 @@ from .programs import (
 )
 from .sampling import preorder_laws
 from .scenarios import (
+    SECRET_SNOOP,
     Scenario,
     run_scenario,
     run_scheduler,
@@ -563,6 +564,15 @@ def campaign_intro() -> Report:
         except MonitorAlarm as alarm:
             report.add(f"safe_prog[{name}]", False, str(alarm))
 
+    try:
+        result = run_scenario(scenario, SECRET_SNOOP, cfg)
+        outcome = result.record.outcome[:2]
+        report.add("forged_read_of_secret_refused",
+                   outcome == ("err", "BoundaryViolation") and result.checks["psi_secret_42"],
+                   str(outcome))
+    except MonitorAlarm as alarm:
+        report.add("forged_read_of_secret_refused", False, str(alarm))
+
     unlabeled = scenario_safe_prog(labeled=False)
     try:
         result = run_scenario(unlabeled, "adversarial")
@@ -620,7 +630,7 @@ def campaign_autograder(seed: int = 0, honest_runs: int = 50, adversary_runs: in
 
 def mutation_detected(name: str) -> bool:
     """Enable one seeded fault and re-run the acceptance check it must break."""
-    if name == "ctx_write_unchecked":
+    if name in ("ctx_read_unchecked", "ctx_write_unchecked"):
         with mutants.enabled(name):
             report = campaign_intro()
         return not report.ok

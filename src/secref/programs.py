@@ -225,7 +225,9 @@ class WorldJournal:
     step from the last recorded world that touched one address records that
     address; any other change, such as a world installed from outside
     between two steps, records the addresses `heap.changed` finds.
-    `[w0] + journal` is the list of replayed worlds after w0.
+    `[w0] + journal` is the list of replayed worlds after w0.  A check
+    that only follows a few cells reads `start` and `deltas()` instead,
+    which rebuild no world.
     """
 
     def __init__(self):
@@ -251,6 +253,17 @@ class WorldJournal:
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    @property
+    def start(self) -> Optional[World]:
+        """The world before the first recorded step."""
+        return self._start
+
+    def deltas(self):
+        """Per recorded step, the (addr, cell) pairs recorded for it, cell
+        None when absent; () for a step that changed nothing."""
+        for entry in self._entries:
+            yield () if entry is None else tuple(zip(entry[1::3], entry[2::3]))
 
     def __iter__(self):
         w = self._start

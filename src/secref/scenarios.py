@@ -26,7 +26,7 @@ from .contracts import (
     SumS,
     hocs_of,
 )
-from .errors import RunFailure
+from .errors import RunFailure, TypeMismatch, Uncontained
 from .heap import HIST_PREFIX, INT_LEQ, NIL_THEN_FIXED, NONE_THEN_FIXED, TRIVIAL
 from .labels import World, is_encapsulated, is_private
 from .linker import (
@@ -42,6 +42,7 @@ from .linker import (
 from .programs import (
     RunConfig,
     RunState,
+    WorldJournal,
     alloc_op,
     do,
     label_encapsulated_op,
@@ -54,6 +55,7 @@ from .programs import (
 from .target_lang import load_sref
 from .values import (
     INT,
+    Addr,
     LList,
     Pair,
     Ref,
@@ -73,8 +75,15 @@ from .values import (
 )
 
 
+_SREF_TEXTS: dict[str, str] = {}  # shipped context file -> its text, read on first use
+
+
 def _sref(name: str) -> str:
-    return (importlib.resources.files("secref") / "contexts" / name).read_text()
+    text = _SREF_TEXTS.get(name)
+    if text is None:
+        text = (importlib.resources.files("secref") / "contexts" / name).read_text()
+        _SREF_TEXTS[name] = text
+    return text
 
 
 @dataclass
@@ -186,6 +195,25 @@ def _forger_builder(ops: CtxOps):
         return cb
 
     return lib
+
+
+def _snoop_builder(ops: CtxOps):
+    """A host-level library that reads the secret through a forged reference
+    and lets the refusal end the run."""
+
+    def lib(rref):
+        def cb(u):
+            ops.read(VRef(SECRET_ADDR, INT))
+            return V_UNIT
+
+        return cb
+
+    return lib
+
+
+# kept out of the scenario's own contexts, which the fuzz campaigns run
+# and require to end in a result or OutOfFuel
+SECRET_SNOOP = TargetContext(name="secret_snoop", builder=_snoop_builder)
 
 
 def scenario_safe_prog(labeled: bool = True) -> Scenario:
@@ -330,6 +358,118 @@ def scenario_autograder(tests=(4, 1, 3)) -> Scenario:
 
 
 # ---------------------------------------------------------------------------
+# transition checks over a paranoid run's journal, one step's changes at a time
+
+
+def value_changes(journal: WorldJournal, addr: Addr) -> int:
+    """How often the value at addr differs from its value in the last
+    recorded world that held it; only steps that rebound addr can change
+    it, and the first recorded world is compared with nothing."""
+    cell = journal.start.heap.cells.get(addr)
+    changes = 0
+    prev = None
+    for i, delta in enumerate(journal.deltas()):
+        touched = i == 0
+        for a, c in delta:
+            if a == addr:
+                cell, touched = c, True
+        if touched and cell is not None:
+            cur = cell.value
+            if prev is not None and cur != prev:
+                changes += 1
+            prev = cur
+    return changes
+
+
+_ABSENT = object()  # the node of a position whose cell is absent
+
+
+class ChainFollower:
+    """The history stored in a chain of list cells, followed through a
+    journal one step at a time, rebuilding no world.
+
+    For every position of the chain walk it keeps the address that supplied
+    the node there (`addrs`) and the node read (`nodes`); `values` holds the
+    history, one entry per list node walked.  A step re-walks the chain only
+    from the lowest position whose address it rebound to a different node,
+    so appending at the chain's nil end costs the same however long the
+    history is.  Subclasses read the head node and walk on from the last
+    position, and fix what an absent head or a repeated address means.
+    """
+
+    def __init__(self, journal: WorldJournal, head: Addr):
+        self.head = head
+        self._journal = journal
+        self._base = journal.start.heap.cells
+        self._cells: dict = {}  # the current cell of every address a step rebound
+        self.addrs: list = []
+        self.nodes: list = []
+        self.values: list = []
+        self._pos: dict = {}  # address -> position, for the walk's repeat check
+        self._prev: Optional[list] = []  # the history last compared; None: it is values
+
+    def cell(self, addr: Addr):
+        cells = self._cells
+        return cells[addr] if addr in cells else self._base.get(addr)
+
+    @staticmethod
+    def head_node(cell):
+        return cell.value
+
+    def walk(self) -> Optional[list]:
+        """Extend the walk from its last position; the history this world
+        shows, or None for a world the check skips."""
+        raise NotImplementedError
+
+    def step(self, delta) -> bool:
+        """Apply one recorded step; False when the history it shows does
+        not extend the last one compared."""
+        cells, pos, head, nodes = self._cells, self._pos, self.head, self.nodes
+        n = low = len(nodes)
+        for addr, cell in delta:
+            cells[addr] = cell
+            if addr == head and low:
+                new, old = _ABSENT if cell is None else self.head_node(cell), nodes[0]
+                if new is not old and new != old:
+                    low = 0
+            k = pos.get(addr)
+            if k is not None and k < low:
+                new, old = _ABSENT if cell is None else cell.value, nodes[k]
+                if new is not old and new != old:
+                    low = k
+        if n and low == n:
+            return True
+        addrs, values, prev = self.addrs, self.values, self._prev
+        if prev is None:
+            old = values[low:]
+        for k in range(low, n):
+            if pos.get(addrs[k]) == k:
+                del pos[addrs[k]]
+        del addrs[low:], nodes[low:], values[low:]
+        shown = self.walk()
+        if shown is None:
+            if prev is None:
+                self._prev = values[:low] + old
+            return True
+        if prev is None and shown is values:
+            ok = values[low:low + len(old)] == old
+        else:
+            if prev is None:
+                prev = values[:low] + old
+            ok = shown[:len(prev)] == prev
+        self._prev = None if shown is values else shown
+        return ok
+
+    def monotone(self) -> bool:
+        """Every recorded world's history extends the one before it."""
+        grows = True
+        for delta in self._journal.deltas():
+            if not self.step(delta):
+                grows = False
+        return grows
+
+
+# ---------------------------------------------------------------------------
 # pseudo-number generator: an encapsulated call counter
 
 
@@ -378,20 +518,11 @@ def scenario_prng(seed: int = 2024) -> Scenario:
         checks = {
             "psi_counter_encapsulated": iface.psi(result.w0, result.record.outcome, result.w1),
         }
-        worlds = result.state.trace.worlds
-        if worlds:
+        journal = result.state.trace.worlds
+        if journal:
             # paranoid runs: the counter moved exactly once per callback call
-            changes = 0
-            prev = None
-            for w in worlds:
-                if not w.heap.contains(COUNTER_ADDR):
-                    continue
-                cur = w.heap.cell(COUNTER_ADDR).value
-                if prev is not None and cur != prev:
-                    changes += 1
-                prev = cur
             final = result.w1.heap.cell(COUNTER_ADDR).value.value
-            checks["counter_counts_callback_calls"] = changes == final
+            checks["counter_counts_callback_calls"] = value_changes(journal, COUNTER_ADDR) == final
         return checks
 
     def _prng_forger(ops: CtxOps):
@@ -459,6 +590,39 @@ def collect_history(world: World, head: int) -> list[int]:
     return [e.value for e in elems] if elems is not None else []
 
 
+class GuessHistory(ChainFollower):
+    """`collect_history` of every recorded world that holds the head: a
+    cycle reads as no history, and a dangling tail raises."""
+
+    def walk(self) -> Optional[list]:
+        addrs, nodes, pos = self.addrs, self.nodes, self._pos
+        if not addrs:
+            cell = self.cell(self.head)
+            addrs.append(self.head)
+            if cell is None:
+                nodes.append(_ABSENT)
+                return None
+            pos[self.head] = 0
+            nodes.append(cell.value)
+        node = nodes[-1]
+        while not isinstance(node, VLLNil):
+            if not isinstance(node, VLLCons):
+                raise TypeMismatch(f"cell {addrs[-1]} holds {node!r}, not a list node")
+            cur = node.tail
+            if cur in pos:
+                return []
+            cell = self.cell(cur)
+            if cell is None:
+                raise Uncontained(cur, "linked-list tail")
+            pos[cur] = len(addrs)
+            node = cell.value
+            addrs.append(cur)
+            nodes.append(node)
+        values = self.values
+        values.extend(n.head.value for n in nodes[len(values):-1])
+        return values
+
+
 def scenario_guess(lo: int = 0, hi: int = 100, pick: int = 42) -> Scenario:
     assert lo < pick < hi
 
@@ -504,20 +668,11 @@ def scenario_guess(lo: int = 0, hi: int = 100, pick: int = 42) -> Scenario:
             "found_iff_last_is_pick": result.record.outcome
             == ("ok", 1 if history and history[-1] == pick else 0),
         }
-        worlds = result.state.trace.worlds
-        if worlds:
+        journal = result.state.trace.worlds
+        if journal:
             # history only ever grows by appending (prefix order), and the
             # number of callback calls is its length minus the final append
-            prev = []
-            grows = True
-            for w in worlds:
-                if not w.heap.contains(GUESSES_ADDR):
-                    continue
-                cur = collect_history(w, GUESSES_ADDR)
-                if cur[: len(prev)] != prev:
-                    grows = False
-                prev = cur
-            checks["history_prefix_monotone"] = grows
+            checks["history_prefix_monotone"] = GuessHistory(journal, GUESSES_ADDR).monotone()
             checks["history_is_calls_plus_one"] = len(history) >= 1
         return checks
 
@@ -612,6 +767,40 @@ def collect_sched_history(world: World, counter: int = SCHED_COUNTER_ADDR) -> li
     return out
 
 
+class SchedHistory(ChainFollower):
+    """`collect_sched_history` of every recorded world: an absent counter
+    reads as no history, and a repeated tail ends the walk."""
+
+    @staticmethod
+    def head_node(cell):
+        return cell.value.first
+
+    def walk(self) -> list:
+        addrs, nodes, values, pos = self.addrs, self.nodes, self.values, self._pos
+        if not addrs:
+            cell = self.cell(self.head)
+            node = _ABSENT if cell is None else self.head_node(cell)
+            addrs.append(self.head)
+            nodes.append(node)
+            if isinstance(node, VLLCons):
+                values.append(node.head.value)
+        node = nodes[-1]
+        while isinstance(node, VLLCons):
+            tail = node.tail
+            if tail in pos:
+                break
+            cell = self.cell(tail)
+            if cell is None:
+                raise Uncontained(tail)
+            pos[tail] = len(addrs)
+            node = cell.value
+            addrs.append(tail)
+            nodes.append(node)
+            if isinstance(node, VLLCons):
+                values.append(node.head.value)
+        return values
+
+
 def _sched_append(state: RunState, task_id: int, next_task: int, inact: int, tail):
     """Append one history entry; tail is the terminal nil cell of the chain,
     or None while the history still sits empty inside the counter pair."""
@@ -697,16 +886,9 @@ def scheduler_checks(run: SchedulerRun, k: int) -> dict:
             for name, w0, w1 in run.state.trace.context_spans
         ),
     }
-    worlds = run.state.trace.worlds
-    if worlds:
-        prev = []
-        grows = True
-        for w in worlds:
-            cur = collect_sched_history(w)
-            if cur[: len(prev)] != prev:
-                grows = False
-            prev = cur
-        checks["history_prefix_monotone"] = grows
+    journal = run.state.trace.worlds
+    if journal:
+        checks["history_prefix_monotone"] = SchedHistory(journal, SCHED_COUNTER_ADDR).monotone()
     return checks
 
 

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from secref import mutants
 from secref.campaigns import (
     campaign_autograder,
     campaign_dual,
@@ -115,8 +116,8 @@ def test_criterion_10_scheduler():
 
 
 def test_criterion_11_mutation_sensitivity():
-    results = {
-        name: mutation_detected(name)
-        for name in ("ctx_write_unchecked", "label_share_unchecked", "import_no_post")
-    }
+    names = ("ctx_read_unchecked", "ctx_write_unchecked", "label_share_unchecked",
+             "import_no_post")
+    assert set(names) == mutants.KNOWN
+    results = {name: mutation_detected(name) for name in names}
     _verdict(11, f"seeded mutants detected: {sorted(results)}", all(results.values()))

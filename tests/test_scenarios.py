@@ -1,7 +1,9 @@
+import importlib.resources
 import random
 
 import pytest
 
+from secref import campaigns, mutants, target_lang
 from secref.errors import ShareLeak
 from secref.labels import is_encapsulated, is_private, is_shareable
 from secref.programs import RunConfig
@@ -12,6 +14,8 @@ from secref.scenarios import (
     NAMED_TASK_SETS,
     SCHED_COUNTER_ADDR,
     SECRET_ADDR,
+    SECRET_SNOOP,
+    all_scenarios,
     collect_history,
     expected_counter,
     fairness,
@@ -48,6 +52,35 @@ def test_safe_prog_benign():
 def test_safe_prog_forger_is_refused_but_harmless():
     result = run_scenario(scenario_safe_prog(), "forger", PARANOID)
     assert result.ok, result.checks
+
+
+def test_a_forged_read_of_the_secret_ends_the_run():
+    result = run_scenario(scenario_safe_prog(), SECRET_SNOOP, PARANOID)
+    assert result.record.outcome[:2] == ("err", "BoundaryViolation")
+    assert result.checks["psi_secret_42"] and result.checks["secret_private"]
+    # with the read's shareable check gone, the library reads the secret
+    with mutants.enabled("ctx_read_unchecked"):
+        result = run_scenario(scenario_safe_prog(), SECRET_SNOOP, PARANOID)
+        assert result.record.outcome == ("ok", 42)
+        assert not campaigns.campaign_intro().ok
+
+
+def test_shipped_contexts_are_read_once_per_process_and_parsed_per_build(monkeypatch):
+    shipped = [f for f in (importlib.resources.files("secref") / "contexts").iterdir()
+               if f.name.endswith(".sref")]
+    for factory in all_scenarios().values():
+        factory()
+
+    def refuse(*args):
+        raise AssertionError("a shipped context was read again")
+
+    parses = []
+    parse = target_lang.parse
+    monkeypatch.setattr(importlib.resources, "files", refuse)
+    monkeypatch.setattr(target_lang, "parse", lambda text: parses.append(text) or parse(text))
+    for factory in all_scenarios().values():
+        factory()
+    assert len(parses) == len(shipped) == 11
 
 
 def test_safe_prog_adversary_zeroes_shared_cells_only():
