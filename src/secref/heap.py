@@ -217,7 +217,7 @@ PREORDERS: dict[str, Preorder] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HeapCell:
     addr: Addr
     tag: TypeTag
@@ -225,7 +225,7 @@ class HeapCell:
     value: Value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Heap:
     cells: AddrMap  # Addr -> HeapCell
     next_addr: Addr
@@ -256,7 +256,33 @@ class Heap:
         )
 
 
-EMPTY_HEAP = Heap(cells=EMPTY_MAP, next_addr=1)
+# Step paths build cells and heaps through these, setting the slots directly:
+# the frozen records' __init__ goes through object.__setattr__ per field.
+_set_addr = HeapCell.addr.__set__
+_set_tag = HeapCell.tag.__set__
+_set_preorder = HeapCell.preorder.__set__
+_set_value = HeapCell.value.__set__
+_set_cells = Heap.cells.__set__
+_set_next_addr = Heap.next_addr.__set__
+
+
+def _make_cell(addr: Addr, tag: TypeTag, preorder: Preorder, value: Value) -> HeapCell:
+    c = _new(HeapCell)
+    _set_addr(c, addr)
+    _set_tag(c, tag)
+    _set_preorder(c, preorder)
+    _set_value(c, value)
+    return c
+
+
+def _make_heap(cells: AddrMap, next_addr: Addr) -> Heap:
+    h = _new(Heap)
+    _set_cells(h, cells)
+    _set_next_addr(h, next_addr)
+    return h
+
+
+EMPTY_HEAP = _make_heap(EMPTY_MAP, 1)
 
 
 def alloc(h: Heap, tag: TypeTag, rel: Preorder, init: Value) -> tuple[Addr, Heap]:
@@ -265,8 +291,7 @@ def alloc(h: Heap, tag: TypeTag, rel: Preorder, init: Value) -> tuple[Addr, Heap
     if not conforms(init, tag):
         raise TypeMismatch(f"initial value {init!r} does not conform to {tag}")
     addr = h.next_addr
-    cells = h.cells.set(addr, HeapCell(addr=addr, tag=tag, preorder=rel, value=init))
-    return addr, Heap(cells=cells, next_addr=addr + 1)
+    return addr, _make_heap(h.cells.set(addr, _make_cell(addr, tag, rel, init)), addr + 1)
 
 
 def read(h: Heap, r: Addr) -> Value:
@@ -279,8 +304,7 @@ def write(h: Heap, r: Addr, v: Value) -> Heap:
         raise TypeMismatch(f"value {v!r} does not conform to {cell.tag} at {r}")
     if not cell.preorder.holds(cell.value, v):
         raise PreorderViolation(r, cell.preorder.name, cell.value, v)
-    cells = h.cells.set(r, HeapCell(addr=r, tag=cell.tag, preorder=cell.preorder, value=v))
-    return Heap(cells=cells, next_addr=h.next_addr)
+    return _make_heap(h.cells.set(r, _make_cell(r, cell.tag, cell.preorder, v)), h.next_addr)
 
 
 def heap_leq(h0: Heap, h1: Heap) -> bool:

@@ -41,7 +41,7 @@ def label_leq(l0: Label, l1: Label) -> bool:
     return l0 is l1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class World:
     heap: Heap
     labels: AddrMap  # Addr -> Label; absent means Private
@@ -70,9 +70,22 @@ class World:
 
 NO_LABELS = EMPTY_MAP
 
+_new = object.__new__
+_set_heap = World.heap.__set__
+_set_labels = World.labels.__set__
+
+
+def _make_world(heap: Heap, labels: AddrMap) -> World:
+    """World(heap, labels) for an AddrMap of labels, without the
+    frozen-record __init__: step paths build one or two per step."""
+    w = _new(World)
+    _set_heap(w, heap)
+    _set_labels(w, labels)
+    return w
+
 
 def initial_world() -> World:
-    return World(heap=hp.EMPTY_HEAP, labels=NO_LABELS)
+    return _make_world(hp.EMPTY_HEAP, NO_LABELS)
 
 
 def is_private(w: World, r: Addr) -> bool:
@@ -157,7 +170,7 @@ def lr_inv_at(w: World, r: Addr) -> bool:
 def lr_alloc(w: World, tag: TypeTag, rel: Preorder, init: Value) -> tuple[Addr, World]:
     _check_embedded_contained(w, tag, init, "alloc")
     addr, h1 = hp.alloc(w.heap, tag, rel, init)
-    return addr, World(heap=h1, labels=w.labels)
+    return addr, _make_world(h1, w.labels)
 
 
 def lr_read(w: World, r: Addr) -> Value:
@@ -174,7 +187,7 @@ def lr_write(w: World, r: Addr, v: Value) -> World:
         if leaked:
             raise ShareLeak(r, v, leaked)
     h1 = hp.write(w.heap, r, v)
-    return World(heap=h1, labels=w.labels)
+    return _make_world(h1, w.labels)
 
 
 def label_shareable(w: World, r: Addr) -> World:
@@ -189,7 +202,7 @@ def label_shareable(w: World, r: Addr) -> World:
         leaked = _private_embedded(w, cell.tag, cell.value)
         if leaked:
             raise ShareLeak(r, cell.value, leaked)
-    return World(heap=w.heap, labels=w.labels.set(r, Label.SHAREABLE))
+    return _make_world(w.heap, w.labels.set(r, Label.SHAREABLE))
 
 
 def label_encapsulated(w: World, r: Addr) -> World:
@@ -198,7 +211,7 @@ def label_encapsulated(w: World, r: Addr) -> World:
     w.heap.cell(r)
     if not is_private(w, r):
         raise AlreadyLabeled(f"{r} is already {w.label_of(r).value}")
-    return World(heap=w.heap, labels=w.labels.set(r, Label.ENCAPSULATED))
+    return _make_world(w.heap, w.labels.set(r, Label.ENCAPSULATED))
 
 
 # ---------------------------------------------------------------------------

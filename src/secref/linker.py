@@ -36,6 +36,7 @@ from .heap import TRIVIAL
 from .labels import (
     Label,
     World,
+    _make_world,
     initial_world,  # the canonical start state, re-exported from here
     is_private,
     is_shareable,
@@ -90,7 +91,7 @@ def ctx_alloc(w: World, tag: TypeTag, init: Value) -> tuple[Addr, World]:
     # carries the trivial preorder
     if not is_private(w1, addr):
         raise AlreadyLabeled(f"fresh cell {addr} is already {w1.label_of(addr).value}")
-    return addr, World(heap=w1.heap, labels=w1.labels.set(addr, Label.SHAREABLE))
+    return addr, _make_world(w1.heap, w1.labels.set(addr, Label.SHAREABLE))
 
 
 def ctx_read(w: World, r: Addr) -> Value:

@@ -263,7 +263,12 @@ class WorldJournal:
         """Per recorded step, the (addr, cell) pairs recorded for it, cell
         None when absent; () for a step that changed nothing."""
         for entry in self._entries:
-            yield () if entry is None else tuple(zip(entry[1::3], entry[2::3]))
+            if entry is None:
+                yield ()
+            elif len(entry) == 4:  # one address, the common step
+                yield ((entry[1], entry[2]),)
+            else:
+                yield tuple(zip(entry[1::3], entry[2::3]))
 
     def __iter__(self):
         w = self._start

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from .errors import TypeMismatch, Uncontained
 
@@ -24,6 +24,11 @@ Addr = int
 
 # ---------------------------------------------------------------------------
 # type tags
+#
+# Each tag checks its own values: `_conforms(v)` is structural conformance,
+# and `_refs(v, out)` appends the embedded (addr, tag) entries of a value
+# already known to conform, without checking it again.  The value classes
+# they test are defined below; the names resolve when a method runs.
 
 
 @dataclass(frozen=True)
@@ -31,17 +36,35 @@ class Unit:
     def __str__(self):
         return "unit"
 
+    def _conforms(self, v) -> bool:
+        return isinstance(v, VUnit)
+
+    def _refs(self, v, out: list) -> None:
+        pass
+
 
 @dataclass(frozen=True)
 class Int:
     def __str__(self):
         return "int"
 
+    def _conforms(self, v) -> bool:
+        return isinstance(v, VInt)
+
+    def _refs(self, v, out: list) -> None:
+        pass
+
 
 @dataclass(frozen=True)
 class Bool:
     def __str__(self):
         return "bool"
+
+    def _conforms(self, v) -> bool:
+        return isinstance(v, VBool)
+
+    def _refs(self, v, out: list) -> None:
+        pass
 
 
 @dataclass(frozen=True)
@@ -52,6 +75,16 @@ class Sum:
     def __str__(self):
         return f"(sum {self.left} {self.right})"
 
+    def _conforms(self, v) -> bool:
+        if isinstance(v, VInl):
+            return self.left._conforms(v.payload)
+        if isinstance(v, VInr):
+            return self.right._conforms(v.payload)
+        return False
+
+    def _refs(self, v, out: list) -> None:
+        (self.left if isinstance(v, VInl) else self.right)._refs(v.payload, out)
+
 
 @dataclass(frozen=True)
 class Pair:
@@ -61,6 +94,17 @@ class Pair:
     def __str__(self):
         return f"(pair {self.first} {self.second})"
 
+    def _conforms(self, v) -> bool:
+        return (
+            isinstance(v, VPair)
+            and self.first._conforms(v.first)
+            and self.second._conforms(v.second)
+        )
+
+    def _refs(self, v, out: list) -> None:
+        self.first._refs(v.first, out)
+        self.second._refs(v.second, out)
+
 
 @dataclass(frozen=True)
 class Ref:
@@ -68,6 +112,12 @@ class Ref:
 
     def __str__(self):
         return f"(ref {self.target})"
+
+    def _conforms(self, v) -> bool:
+        return isinstance(v, VRef) and v.target == self.target
+
+    def _refs(self, v, out: list) -> None:
+        out.append((v.addr, self.target))
 
 
 @dataclass(frozen=True)
@@ -77,6 +127,16 @@ class LList:
     def __str__(self):
         return f"(llist {self.elem})"
 
+    def _conforms(self, v) -> bool:
+        if isinstance(v, VLLNil):
+            return True
+        return isinstance(v, VLLCons) and self.elem._conforms(v.head)
+
+    def _refs(self, v, out: list) -> None:
+        if isinstance(v, VLLCons):
+            self.elem._refs(v.head, out)
+            out.append((v.tail, self))
+
 
 @dataclass(frozen=True)
 class Arrow:
@@ -85,6 +145,12 @@ class Arrow:
 
     def __str__(self):
         return f"(-> {self.arg} {self.res})"
+
+    def _conforms(self, v) -> bool:
+        return False
+
+    def _refs(self, v, out: list) -> None:
+        raise TypeMismatch(f"no value conforms to {self}")
 
 
 TypeTag = Union[Unit, Int, Bool, Sum, Pair, Ref, LList, Arrow]
@@ -192,57 +258,25 @@ V_NIL = VLLNil()
 
 def conforms(v: Value, t: TypeTag) -> bool:
     """Structural conformance of a value to a type tag."""
-    if isinstance(t, Unit):
-        return isinstance(v, VUnit)
-    if isinstance(t, Int):
-        return isinstance(v, VInt)
-    if isinstance(t, Bool):
-        return isinstance(v, VBool)
-    if isinstance(t, Sum):
-        if isinstance(v, VInl):
-            return conforms(v.payload, t.left)
-        if isinstance(v, VInr):
-            return conforms(v.payload, t.right)
-        return False
-    if isinstance(t, Pair):
-        return (
-            isinstance(v, VPair)
-            and conforms(v.first, t.first)
-            and conforms(v.second, t.second)
-        )
-    if isinstance(t, Ref):
-        return isinstance(v, VRef) and v.target == t.target
-    if isinstance(t, LList):
-        if isinstance(v, VLLNil):
-            return True
-        return isinstance(v, VLLCons) and conforms(v.head, t.elem)
-    if isinstance(t, Arrow):
-        return False
-    raise TypeMismatch(f"unknown type tag {t!r}")
+    try:
+        return t._conforms(v)
+    except AttributeError as err:
+        # reached a node, at any depth, that is not a type tag
+        raise TypeMismatch(f"unknown type tag {err.obj!r}") from None
 
 
 # ---------------------------------------------------------------------------
 # reference traversal (one level deep: stops at embedded addresses)
 
 
-def ref_entries(t: TypeTag, v: Value) -> Iterator[tuple[Addr, TypeTag]]:
-    """Yield each embedded address with the type tag its cell must carry."""
+def ref_entries(t: TypeTag, v: Value) -> list[tuple[Addr, TypeTag]]:
+    """Each embedded address with the type tag its cell must carry, in
+    value order.  The value is checked against t once, then walked."""
     if not conforms(v, t):
         raise TypeMismatch(f"value {v!r} does not conform to {t}")
-    if isinstance(t, (Unit, Int, Bool)):
-        return
-    if isinstance(t, Sum):
-        inner = t.left if isinstance(v, VInl) else t.right
-        yield from ref_entries(inner, v.payload)
-    elif isinstance(t, Pair):
-        yield from ref_entries(t.first, v.first)
-        yield from ref_entries(t.second, v.second)
-    elif isinstance(t, Ref):
-        yield (v.addr, t.target)
-    elif isinstance(t, LList):
-        if isinstance(v, VLLCons):
-            yield from ref_entries(t.elem, v.head)
-            yield (v.tail, LList(t.elem))
+    out: list = []
+    t._refs(v, out)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,13 @@ def bench():
     dont_write = sys.dont_write_bytecode
     sys.dont_write_bytecode = True
     try:
+        import run
         import tracing
         import workloads
     finally:
         sys.dont_write_bytecode = dont_write
         sys.path.remove(str(BENCH))
-    return workloads, tracing
+    return workloads, tracing, run
 
 
 def _first(workload, n):
@@ -35,7 +36,7 @@ def _first(workload, n):
 
 
 def test_fuzz_trials_of_every_kind_pass_their_checks(bench):
-    workloads, _ = bench
+    workloads, _, _ = bench
     fuzz = workloads.WORKLOADS["fuzz"]
     trials = _first(fuzz, 5)
     assert {t[0] for t in trials} == {"universal", "inversion", "dual"}
@@ -45,14 +46,14 @@ def test_fuzz_trials_of_every_kind_pass_their_checks(bench):
 
 @pytest.mark.parametrize("name", ["sort_fast", "sched_paranoid", "sched_fast_large"])
 def test_first_trial_of_each_other_workload_passes_its_checks(bench, name):
-    workloads, _ = bench
+    workloads, _, _ = bench
     workload = workloads.WORKLOADS[name]
     (trial,) = _first(workload, 1)
     assert workload.run(trial).problems == []
 
 
 def test_tracer_installs_and_uninstalls(bench):
-    workloads, tracing = bench
+    workloads, tracing, _ = bench
     from secref import linker
 
     close_span = linker._close_span
@@ -63,3 +64,25 @@ def test_tracer_installs_and_uninstalls(bench):
     finally:
         tracer.uninstall()
     assert linker._close_span is close_span
+
+
+@pytest.mark.parametrize("name", ["fuzz", "sort_fast", "sched_paranoid", "sched_fast_large"])
+def test_traced_first_trial_keeps_the_cross_layer_identities(bench, name):
+    """Under the tracer, every step is counted once and every labeled
+    operation reaches its heap operation once, and the verdict is the one
+    an untraced run gives."""
+    workloads, tracing, run = bench
+    workload = workloads.WORKLOADS[name]
+    (trial,) = _first(workload, 1)
+    plain = workload.run(trial)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        traced = workload.run(trial)
+    finally:
+        tracer.uninstall()
+    assert traced.problems == []
+    assert traced.signature == plain.signature
+    calls = dict(tracer.calls)
+    assert calls.get("labels.lr_write.calls", 0) + calls.get("labels.lr_alloc.calls", 0) > 0
+    assert run.identities(calls, traced.steps) == []

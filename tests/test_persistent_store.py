@@ -6,11 +6,13 @@ footprint predicate built on it must agree with a full scan over the heap;
 the full scans live here as oracles.
 """
 import itertools
+from dataclasses import fields
 
 import pytest
 
 from secref import campaigns
 from secref import heap as hp
+from secref import labels as lb
 from secref.errors import ImmutableWrite
 from secref.heap import (
     TRIVIAL,
@@ -26,6 +28,7 @@ from secref.labels import (
     NO_LABELS,
     Label,
     World,
+    initial_world,
     label_leq,
     labels_monotone,
     lr_alloc,
@@ -33,9 +36,10 @@ from secref.labels import (
     modif_shareable_and,
     same_labels,
 )
+from secref.linker import ctx_alloc
 from secref.programs import RunState
 from secref.scenarios import TASK_DONE, run_scheduler, yielding_task
-from secref.values import INT, VInr, VInt
+from secref.values import INT, Ref, VInr, VInt, VRef
 
 # ---------------------------------------------------------------------------
 # full-scan oracles of the footprint predicates and of `changed`
@@ -323,3 +327,51 @@ def test_addr_map_refuses_and_counts_every_in_place_write():
             attempt()
         assert AddrMap.refused == refused + 1
     assert dict(m) == {1: "a"} and len(m) == 1
+
+
+# ---------------------------------------------------------------------------
+# the snapshot records a step builds
+
+
+def _step_records() -> list:
+    """The cells, heaps and worlds built by lr_alloc, label_shareable,
+    hp.write and ctx_alloc."""
+    addr, w1 = lr_alloc(initial_world(), INT, TRIVIAL, VInt(1))
+    w1 = lb.label_shareable(w1, addr)
+    h2 = hp.write(w1.heap, addr, VInt(2))
+    shared, w3 = ctx_alloc(w1, Ref(INT), VRef(addr, INT))
+    return [w1, w1.heap, w1.heap.cell(addr), h2, h2.cell(addr), w3, w3.heap, w3.heap.cell(shared)]
+
+
+def test_the_records_a_step_builds_are_frozen_and_slotted():
+    records = _step_records()
+    assert {type(r) for r in records} == {World, Heap, HeapCell}
+    for record in records:
+        assert not hasattr(record, "__dict__")
+        before = [getattr(record, f.name) for f in fields(record)]
+        for f in fields(record):
+            with pytest.raises(AttributeError):
+                setattr(record, f.name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, f.name)
+        # the generated __setattr__ refuses a new name with TypeError on
+        # Python 3.11: it calls super() with the class from before slots
+        with pytest.raises((AttributeError, TypeError)):
+            record.extra = 1
+        with pytest.raises(AttributeError):
+            object.__setattr__(record, "extra", 1)
+        assert [getattr(record, f.name) for f in fields(record)] == before
+
+
+def test_the_private_constructors_build_what_the_public_ones_build():
+    w1, heap, cell = _step_records()[:3]
+    assert hp._make_cell(cell.addr, cell.tag, cell.preorder, cell.value) == HeapCell(
+        addr=cell.addr, tag=cell.tag, preorder=cell.preorder, value=cell.value)
+    assert hp._make_heap(heap.cells, heap.next_addr) == Heap(cells=heap.cells,
+                                                             next_addr=heap.next_addr)
+    built = World(heap=Heap(cells=dict(heap.cells.items()), next_addr=heap.next_addr),
+                  labels=dict(w1.labels.items()))
+    assert type(built.heap.cells) is AddrMap and type(built.labels) is AddrMap
+    assert lb._make_world(w1.heap, w1.labels) == built == w1
+    assert hp.EMPTY_HEAP == Heap(cells={}, next_addr=1)
+    assert initial_world() == World(heap=hp.EMPTY_HEAP, labels={})

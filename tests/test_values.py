@@ -1,7 +1,11 @@
 import random
+import sys
+from collections import Counter
+from dataclasses import dataclass, fields, is_dataclass
 
 import pytest
 
+from secref import values
 from secref.errors import TypeMismatch, Uncontained
 from secref.heap import EMPTY_HEAP, NIL_THEN_FIXED, TRIVIAL, alloc, write
 from secref.sampling import sample_tag, sample_value
@@ -9,19 +13,25 @@ from secref.values import (
     BOOL,
     INT,
     Arrow,
+    Bool,
+    Int,
     LList,
     Pair,
     Ref,
     Sum,
     UNIT,
+    Unit,
     V_NIL,
     V_UNIT,
     VBool,
     VInl,
+    VInr,
     VInt,
     VLLCons,
+    VLLNil,
     VPair,
     VRef,
+    VUnit,
     conforms,
     is_storable,
     llist_collect,
@@ -128,6 +138,217 @@ def test_forall_refs_agrees_with_embedded_addrs_on_samples():
         t = sample_tag(rng)
         v = sample_value(t, rng)
         assert [a for a, _ in ref_entries(t, v)] == _oracle_collect_addrs(t, v)
+
+
+# ---------------------------------------------------------------------------
+# the isinstance-chain conformance and traversal, kept as oracles of the
+# per-tag methods
+
+
+def old_conforms(v, t) -> bool:
+    if isinstance(t, Unit):
+        return isinstance(v, VUnit)
+    if isinstance(t, Int):
+        return isinstance(v, VInt)
+    if isinstance(t, Bool):
+        return isinstance(v, VBool)
+    if isinstance(t, Sum):
+        if isinstance(v, VInl):
+            return old_conforms(v.payload, t.left)
+        if isinstance(v, VInr):
+            return old_conforms(v.payload, t.right)
+        return False
+    if isinstance(t, Pair):
+        return (
+            isinstance(v, VPair)
+            and old_conforms(v.first, t.first)
+            and old_conforms(v.second, t.second)
+        )
+    if isinstance(t, Ref):
+        return isinstance(v, VRef) and v.target == t.target
+    if isinstance(t, LList):
+        if isinstance(v, VLLNil):
+            return True
+        return isinstance(v, VLLCons) and old_conforms(v.head, t.elem)
+    if isinstance(t, Arrow):
+        return False
+    raise TypeMismatch(f"unknown type tag {t!r}")
+
+
+def old_ref_entries(t, v):
+    if not old_conforms(v, t):
+        raise TypeMismatch(f"value {v!r} does not conform to {t}")
+    if isinstance(t, (Unit, Int, Bool)):
+        return
+    if isinstance(t, Sum):
+        inner = t.left if isinstance(v, VInl) else t.right
+        yield from old_ref_entries(inner, v.payload)
+    elif isinstance(t, Pair):
+        yield from old_ref_entries(t.first, v.first)
+        yield from old_ref_entries(t.second, v.second)
+    elif isinstance(t, Ref):
+        yield (v.addr, t.target)
+    elif isinstance(t, LList):
+        if isinstance(v, VLLCons):
+            yield from old_ref_entries(t.elem, v.head)
+            yield (v.tail, LList(t.elem))
+
+
+@dataclass(frozen=True)
+class NotATag:
+    name: str
+
+
+def random_tag(rng, depth=4):
+    """Any tag up to `depth` constructors deep, arrows included, and now
+    and then a node that is not a tag at all."""
+    roll = rng.random()
+    if roll < 0.02:
+        return NotATag("junk")
+    if depth == 0 or roll < 0.3:
+        return rng.choice((UNIT, INT, BOOL))
+    kind = rng.choice(("sum", "pair", "ref", "llist", "arrow"))
+    if kind == "ref":
+        return Ref(random_tag(rng, depth - 1))
+    if kind == "llist":
+        return LList(random_tag(rng, depth - 1))
+    a, b = random_tag(rng, depth - 1), random_tag(rng, depth - 1)
+    return {"sum": Sum, "pair": Pair, "arrow": Arrow}[kind](a, b)
+
+
+def random_value(rng, depth=3):
+    """A value of any shape, unrelated to any tag."""
+    kinds = ["unit", "int", "bool", "nil", "ref"] + ["inl", "inr", "pair", "cons"] * (depth > 0)
+    kind = rng.choice(kinds)
+    if kind == "unit":
+        return V_UNIT
+    if kind == "int":
+        return VInt(rng.randint(-3, 3))
+    if kind == "bool":
+        return VBool(rng.random() < 0.5)
+    if kind == "nil":
+        return V_NIL
+    if kind == "ref":
+        return VRef(rng.randint(1, 9), random_tag(rng, 1))
+    if kind == "inl":
+        return VInl(random_value(rng, depth - 1))
+    if kind == "inr":
+        return VInr(random_value(rng, depth - 1))
+    if kind == "pair":
+        return VPair(random_value(rng, depth - 1), random_value(rng, depth - 1))
+    return VLLCons(random_value(rng, depth - 1), rng.randint(1, 9))
+
+
+def guided_value(t, rng, stray):
+    """A value that follows t's shape, leaving it at each node with
+    probability `stray` (no value follows an arrow or a non-tag)."""
+    if rng.random() < stray or not isinstance(t, (Unit, Int, Bool, Sum, Pair, Ref, LList)):
+        return random_value(rng)
+    if isinstance(t, (Unit, Int, Bool)):
+        return {Unit: V_UNIT, Int: VInt(rng.randint(-3, 3)), Bool: VBool(True)}[type(t)]
+    if isinstance(t, Sum):
+        if rng.random() < 0.5:
+            return VInl(guided_value(t.left, rng, stray))
+        return VInr(guided_value(t.right, rng, stray))
+    if isinstance(t, Pair):
+        return VPair(guided_value(t.first, rng, stray), guided_value(t.second, rng, stray))
+    if isinstance(t, Ref):
+        return VRef(rng.randint(1, 9), t.target)
+    if rng.random() < 0.3:
+        return V_NIL
+    return VLLCons(guided_value(t.elem, rng, stray), rng.randint(1, 9))
+
+
+def _outcome(f, *args):
+    try:
+        return ("ok", list(f(*args)) if f in (ref_entries, old_ref_entries) else f(*args))
+    except TypeMismatch as err:
+        return ("TypeMismatch", str(err))
+
+
+def test_tag_methods_agree_with_the_isinstance_chains():
+    rng = random.Random(2026)
+    seen = Counter()
+    for _ in range(6000):
+        t = random_tag(rng)
+        v = guided_value(t, rng, rng.choice((0.0, 0.0, 0.1, 0.3, 1.0)))
+        got, want = _outcome(conforms, v, t), _outcome(old_conforms, v, t)
+        assert got == want, (t, v)
+        got, want = _outcome(ref_entries, t, v), _outcome(old_ref_entries, t, v)
+        assert got == want, (t, v)
+        seen[want[0], bool(want[1]) if want[0] == "ok" else "unknown" in want[1]] += 1
+    # every kind of outcome occurred: no refs, some refs, refused, unknown tag
+    assert min(seen[key] for key in (("ok", False), ("ok", True), ("TypeMismatch", False),
+                                     ("TypeMismatch", True))) > 50, seen
+
+
+def test_an_unknown_tag_at_any_depth_raises_type_mismatch():
+    junk = NotATag("junk")
+    for t, v in ((junk, VInt(1)), (Pair(INT, junk), VPair(VInt(1), VInt(2))),
+                 (Sum(INT, LList(junk)), VInr(VLLCons(V_UNIT, 3)))):
+        for f, args in ((conforms, (v, t)), (ref_entries, (t, v))):
+            with pytest.raises(TypeMismatch, match="unknown type tag NotATag"):
+                list(f(*args)) if f is ref_entries else f(*args)
+    # a node the value never reaches is never looked at, as before
+    assert not conforms(VInt(1), Pair(INT, junk))
+
+
+def _nested(depth):
+    """A tag `depth` constructors deep around a reference, with a value that
+    reaches the reference; every tag node is a distinct object."""
+    t, v = Ref(Int()), VRef(1, INT)
+    entries = [(1, t.target)]
+    for i in range(depth):
+        if i % 3 == 0:
+            t, v = Pair(Int(), t), VPair(VInt(i), v)
+        elif i % 3 == 1:
+            t, v = Sum(Unit(), t), VInr(v)
+        else:
+            t, v = LList(t), VLLCons(v, 100 + i)
+            entries.append((100 + i, t))
+    return t, v, entries
+
+
+def _tag_nodes(t):
+    out = [t]
+    for f in fields(t):
+        sub = getattr(t, f.name)
+        if is_dataclass(sub):
+            out += _tag_nodes(sub)
+    return out
+
+
+def _visits_of_one_walk(t, v):
+    """The entries of one ref_entries(t, v) call, and how often each
+    function of `values` was entered with each tag node of t."""
+    nodes = {id(n): n for n in _tag_nodes(t)}
+    visits = Counter()
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename == values.__file__:
+            for name in code.co_varnames[:code.co_argcount]:
+                if nodes.get(id(frame.f_locals.get(name))) is not None:
+                    visits[code.co_name, id(frame.f_locals[name])] += 1
+
+    sys.setprofile(profile)
+    try:
+        entries = list(ref_entries(t, v))
+    finally:
+        sys.setprofile(None)
+    return entries, visits, len(nodes)
+
+
+@pytest.mark.parametrize("depth", [4, 16])
+def test_ref_entries_visits_each_tag_node_once(depth):
+    t, v, expected = _nested(depth)
+    entries, visits, n_nodes = _visits_of_one_walk(t, v)
+    assert entries == expected  # inner head first, then each tail outward
+    assert visits, "the profile hook saw no call"
+    repeated = {key: n for key, n in visits.items() if n > 1}
+    assert not repeated, f"{len(repeated)} (function, node) pairs entered more than once"
+    # one conformance visit and one walk visit per node, plus the two entry calls
+    assert sum(visits.values()) <= 2 * n_nodes + 2
 
 
 def build_chain(values, preorder=TRIVIAL):
