@@ -209,29 +209,12 @@ def shape_matches(spec: InterfaceSpec, tree: ContractTree) -> bool:
     return False
 
 
-def value_fits_spec(spec: InterfaceSpec, v: Any) -> bool:
-    """Shallow conformance of a boundary value to a spec's data shape."""
+def value_fits_spec(spec: Union[BaseS, RefS, LListS], v: Any) -> bool:
+    """Shallow conformance of a boundary value to a leaf spec's data shape."""
     if isinstance(spec, BaseS):
         return not callable(v) and conforms(v, spec.tag)
-    if isinstance(spec, RefS):
-        return isinstance(v, VRef) and v.target == spec.target
-    if isinstance(spec, LListS):
-        return isinstance(v, VRef) and v.target == LList(spec.elem)
-    if isinstance(spec, PairS):
-        return (
-            isinstance(v, VPair)
-            and value_fits_spec(spec.first, v.first)
-            and value_fits_spec(spec.second, v.second)
-        )
-    if isinstance(spec, SumS):
-        if isinstance(v, VInl):
-            return value_fits_spec(spec.left, v.payload)
-        if isinstance(v, VInr):
-            return value_fits_spec(spec.right, v.payload)
-        return False
-    if isinstance(spec, RefinedS):
-        return value_fits_spec(spec.base, v)
-    return callable(v)
+    target = spec.target if isinstance(spec, RefS) else LList(spec.elem)
+    return isinstance(v, VRef) and v.target == target
 
 
 def has_refinements(spec: InterfaceSpec) -> bool:

@@ -100,8 +100,11 @@ def is_encapsulated(w: World, r: Addr) -> bool:
     return w.label_of(r) is Label.ENCAPSULATED
 
 
-def _check_embedded_contained(w: World, tag: TypeTag, v: Value, who: str) -> None:
-    for addr, expected in ref_entries(tag, v):
+def _check_embedded_contained(w: World, tag: TypeTag, v: Value, who: str) -> list:
+    """The embedded (address, tag) entries of v, each checked contained and
+    of the expected tag; one walk, so callers reuse the entries."""
+    entries = ref_entries(tag, v)
+    for addr, expected in entries:
         if not w.heap.contains(addr):
             raise DanglingInit(f"{who}: embedded address {addr} not in heap")
         actual = w.heap.cell(addr).tag
@@ -109,12 +112,11 @@ def _check_embedded_contained(w: World, tag: TypeTag, v: Value, who: str) -> Non
             raise TypeMismatch(
                 f"{who}: embedded ref {addr} expects cell of {expected}, found {actual}"
             )
+    return entries
 
 
-def _private_embedded(w: World, tag: TypeTag, v: Value) -> frozenset[Addr]:
-    return frozenset(
-        a for a, _ in ref_entries(tag, v) if not is_shareable(w, a)
-    )
+def _private_embedded(w: World, entries: list) -> frozenset[Addr]:
+    return frozenset(a for a, _ in entries if not is_shareable(w, a))
 
 
 def _cell_ok(w: World, addr: Addr, cell) -> bool:
@@ -181,9 +183,9 @@ def lr_write(w: World, r: Addr, v: Value) -> World:
     if r == LABEL_MAP_MARKER:
         raise Uncontained(r, "the label-map marker is not writable")
     cell = w.heap.cell(r)
-    _check_embedded_contained(w, cell.tag, v, "write")
+    entries = _check_embedded_contained(w, cell.tag, v, "write")
     if is_shareable(w, r):
-        leaked = _private_embedded(w, cell.tag, v)
+        leaked = _private_embedded(w, entries)
         if leaked:
             raise ShareLeak(r, v, leaked)
     h1 = hp.write(w.heap, r, v)
@@ -199,7 +201,7 @@ def label_shareable(w: World, r: Addr) -> World:
             f"cannot share {r}: carries preorder {cell.preorder.name}"
         )
     if not mutants.is_active("label_share_unchecked"):
-        leaked = _private_embedded(w, cell.tag, cell.value)
+        leaked = _private_embedded(w, ref_entries(cell.tag, cell.value))
         if leaked:
             raise ShareLeak(r, cell.value, leaked)
     return _make_world(w.heap, w.labels.set(r, Label.SHAREABLE))

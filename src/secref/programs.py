@@ -1,12 +1,13 @@
 """Free-monad programs over the heap operations, plus witness/recall.
 
-A program is a tree whose nodes are operation calls and whose continuations
-are host functions.  The interpreter threads a world through the tree; in
-paranoid mode it re-asserts the global invariant and every witnessed
-predicate after each step.  The invariant is re-checked only at the address
-a step touched, with one full scan whenever a step starts from a world the
-monitor did not validate itself (the first step of a run, or a world
-installed from outside).
+A program is `Return(value)` or `Call(op, args, cont)`: one operation step,
+named by the `RunState.op_*` method that performs it, and a host function
+from the step's result to the rest of the tree.  The interpreter threads a
+world through the tree, one `Call` per step; in paranoid mode it re-asserts
+the global invariant and every witnessed predicate after each step.  The
+invariant is re-checked only at the address a step touched, with one full
+scan whenever a step starts from a world the monitor did not validate itself
+(the first step of a run, or a world installed from outside).
 
 Continuations run in program order, so host code inside them may also call
 boundary-wrapped functions directly; those route their effects through the
@@ -14,7 +15,6 @@ same run state (and the same fuel meter) as the tree nodes themselves.
 """
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Any, Callable, Optional, Union
@@ -86,59 +86,26 @@ def contains_pred(addr: Addr) -> StablePredicate:
 # program trees
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Return:
     value: Any
 
 
-@dataclass(frozen=True)
-class Read:
-    addr: Addr
-    cont: Callable[[Value], "Program"]
+@dataclass(frozen=True, slots=True)
+class Call:
+    """One operation step: `RunState.<op>(*args)`, then `cont` on its result.
+
+    `op` names the method rather than holding it, so the interpreter looks
+    the method up on every step and a wrapper installed on the class later
+    still sees steps of trees built before it.
+    """
+
+    op: str
+    args: tuple
+    cont: Callable[[Any], "Program"]
 
 
-@dataclass(frozen=True)
-class Write:
-    addr: Addr
-    value: Value
-    cont: Callable[[None], "Program"]
-
-
-@dataclass(frozen=True)
-class Alloc:
-    tag: TypeTag
-    preorder: Preorder
-    init: Value
-    cont: Callable[[Addr], "Program"]
-
-
-@dataclass(frozen=True)
-class Witness:
-    pred: StablePredicate
-    cont: Callable[[None], "Program"]
-
-
-@dataclass(frozen=True)
-class Recall:
-    pred: StablePredicate
-    cont: Callable[[None], "Program"]
-
-
-@dataclass(frozen=True)
-class LabelShareable:
-    addr: Addr
-    cont: Callable[[None], "Program"]
-
-
-@dataclass(frozen=True)
-class LabelEncapsulated:
-    addr: Addr
-    cont: Callable[[None], "Program"]
-
-
-Program = Union[
-    Return, Read, Write, Alloc, Witness, Recall, LabelShareable, LabelEncapsulated
-]
+Program = Union[Return, Call]
 
 # Every node's continuation is a host function from the operation's result
 # to the rest of the tree.  Keeping continuations as functions (even where
@@ -147,38 +114,38 @@ Program = Union[
 
 
 def read_op(addr: Addr) -> Program:
-    return Read(addr, Return)
+    return Call("op_read", (addr,), Return)
 
 
 def write_op(addr: Addr, v: Value) -> Program:
-    return Write(addr, v, Return)
+    return Call("op_write", (addr, v), Return)
 
 
 def alloc_op(tag: TypeTag, rel: Preorder, init: Value) -> Program:
-    return Alloc(tag, rel, init, Return)
+    return Call("op_alloc", (tag, rel, init), Return)
 
 
 def witness_op(pred: StablePredicate) -> Program:
-    return Witness(pred, Return)
+    return Call("op_witness", (pred,), Return)
 
 
 def recall_op(pred: StablePredicate) -> Program:
-    return Recall(pred, Return)
+    return Call("op_recall", (pred,), Return)
 
 
 def label_shareable_op(addr: Addr) -> Program:
-    return LabelShareable(addr, Return)
+    return Call("op_label_shareable", (addr,), Return)
 
 
 def label_encapsulated_op(addr: Addr) -> Program:
-    return LabelEncapsulated(addr, Return)
+    return Call("op_label_encapsulated", (addr,), Return)
 
 
 def bind(m: Program, k: Callable[[Any], Program]) -> Program:
     """Graft k onto every leaf of m."""
     if isinstance(m, Return):
         return k(m.value)
-    return dataclasses.replace(m, cont=lambda x, c=m.cont: bind(c(x), k))
+    return Call(m.op, m.args, lambda x, c=m.cont: bind(c(x), k))
 
 
 def do(make_gen: Callable[[], Any]) -> Program:
@@ -204,7 +171,7 @@ def do(make_gen: Callable[[], Any]) -> Program:
 # run state and interpreter
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     check_level: str = "fast"  # "fast" | "paranoid"
     fuel: int = 1_000_000
@@ -399,30 +366,11 @@ class RunState:
 
     def interpret(self, program: Program) -> Any:
         node = program
-        while True:
-            if isinstance(node, Return):
-                return node.value
-            if isinstance(node, Read):
-                node = node.cont(self.op_read(node.addr))
-            elif isinstance(node, Write):
-                self.op_write(node.addr, node.value)
-                node = node.cont(None)
-            elif isinstance(node, Alloc):
-                node = node.cont(self.op_alloc(node.tag, node.preorder, node.init))
-            elif isinstance(node, Witness):
-                self.op_witness(node.pred)
-                node = node.cont(None)
-            elif isinstance(node, Recall):
-                self.op_recall(node.pred)
-                node = node.cont(None)
-            elif isinstance(node, LabelShareable):
-                self.op_label_shareable(node.addr)
-                node = node.cont(None)
-            elif isinstance(node, LabelEncapsulated):
-                self.op_label_encapsulated(node.addr)
-                node = node.cont(None)
-            else:
-                raise TypeError(f"not a program node: {node!r}")
+        while type(node) is Call:
+            node = node.cont(getattr(self, node.op)(*node.args))
+        if isinstance(node, Return):
+            return node.value
+        raise TypeError(f"not a program node: {node!r}")
 
 
 def run(

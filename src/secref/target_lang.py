@@ -455,12 +455,9 @@ def parse(text: str) -> Expr:
 
 def _validate_annotation(t: TypeTag) -> None:
     if isinstance(t, (Ref, LList)):
-        inner = t.target if isinstance(t, Ref) else t.elem
-        if not is_storable(inner):
-            raise TargetTypeError(
-                "FunctionInStore", f"{t} stores a function type"
-            )
-        _validate_annotation(inner)
+        # is_storable walks the whole payload, so no nested check is left
+        if not is_storable(t):
+            raise TargetTypeError("FunctionInStore", f"{t} stores a function type")
     elif isinstance(t, Pair):
         _validate_annotation(t.first)
         _validate_annotation(t.second)

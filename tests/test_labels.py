@@ -1,5 +1,8 @@
+import sys
+
 import pytest
 
+from secref import values
 from secref.errors import (
     AlreadyLabeled,
     DanglingInit,
@@ -30,7 +33,9 @@ from secref.labels import (
     modif_shareable_and,
     same_labels,
 )
-from secref.values import INT, Ref, VInt, VRef
+from secref.linker import CtxOps
+from secref.programs import RunState
+from secref.values import INT, Pair, Ref, VInt, VPair, VRef
 
 
 def test_label_leq_table():
@@ -243,3 +248,59 @@ def test_world_labels_refuse_in_place_writes():
     assert is_encapsulated(w3, a) and is_private(w3, b)
     with pytest.raises(ImmutableWrite):
         w3.labels.update({b: Label.SHAREABLE})
+
+
+def test_lr_write_checks_containment_before_share_leak():
+    # the value embeds a private address first, then a dangling one
+    p, w = lr_alloc(initial_world(), INT, TRIVIAL, VInt(0))
+    r, w = lr_alloc(w, Pair(Ref(INT), Ref(INT)), TRIVIAL, VPair(VRef(p, INT), VRef(p, INT)))
+    w = label_shareable(label_shareable(w, p), r)
+    q, w = lr_alloc(w, INT, TRIVIAL, VInt(1))
+    with pytest.raises(DanglingInit):
+        lr_write(w, r, VPair(VRef(q, INT), VRef(99, INT)))
+    with pytest.raises(ShareLeak) as err:
+        lr_write(w, r, VPair(VRef(q, INT), VRef(p, INT)))
+    assert err.value.leaked == frozenset({q})
+    q2, w = lr_alloc(w, INT, TRIVIAL, VInt(2))
+    with pytest.raises(ShareLeak) as err:
+        lr_write(w, r, VPair(VRef(q2, INT), VRef(q, INT)))
+    assert err.value.leaked == frozenset({q, q2})
+
+
+@pytest.fixture
+def conforms_calls(monkeypatch):
+    """Every call of values.conforms, under each module's alias of it."""
+    calls = []
+    original = values.conforms
+
+    def counted(v, t):
+        calls.append(t)
+        return original(v, t)
+
+    for name, module in list(sys.modules.items()):
+        if name == "secref" or name.startswith("secref."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_one_write_walks_the_written_value_once_per_layer(conforms_calls):
+    tag = Pair(INT, Ref(INT))
+    state = RunState()
+    p = state.op_alloc(INT, TRIVIAL, VInt(0))
+    state.op_label_shareable(p)
+    shared = state.op_alloc(tag, TRIVIAL, VPair(VInt(0), VRef(p, INT)))
+    state.op_label_shareable(shared)
+    private = state.op_alloc(tag, TRIVIAL, VPair(VInt(0), VRef(p, INT)))
+    v = VPair(VInt(1), VRef(p, INT))
+
+    def counted(write):
+        conforms_calls.clear()
+        write()
+        return len(conforms_calls)
+
+    # linker.ctx_write's boundary walk, lr_write's one walk, heap.write
+    assert counted(lambda: CtxOps(state).write(VRef(shared, tag), v)) == 3
+    assert counted(lambda: state.op_write(shared, v)) == 2
+    assert counted(lambda: state.op_write(private, v)) == 2

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from secref import heap as hp
@@ -8,8 +10,9 @@ from secref.errors import (
     WitnessFalse,
 )
 from secref.heap import EMPTY_HEAP, INT_LEQ, TRIVIAL, alloc
-from secref.labels import is_shareable
+from secref.labels import initial_world, is_shareable, lr_alloc
 from secref.programs import (
+    Call,
     Return,
     RunConfig,
     RunState,
@@ -17,6 +20,7 @@ from secref.programs import (
     alloc_op,
     bind,
     do,
+    label_encapsulated_op,
     label_shareable_op,
     private_pred,
     read_op,
@@ -34,30 +38,91 @@ def nonempty_pred():
     return StablePredicate("heap_nonempty", lambda w: len(w.heap.cells) > 0)
 
 
-def observe(program, h0=EMPTY_HEAP):
-    result, h1, ws = run(program, h0)
-    return result, h1, frozenset(ws)
+# every operation constructor, as a program that succeeds from law_start()
+# at cell `a` with predicate `p` already witnessed
+OPS = {
+    "read": lambda a, p: read_op(a),
+    "write": lambda a, p: write_op(a, VInt(6)),
+    "alloc": lambda a, p: alloc_op(INT, TRIVIAL, VInt(0)),
+    "witness": lambda a, p: witness_op(p),
+    "recall": lambda a, p: recall_op(p),
+    "label_shareable": lambda a, p: label_shareable_op(a),
+    "label_encapsulated": lambda a, p: label_encapsulated_op(a),
+}
+
+
+def law_start():
+    a, w = lr_alloc(initial_world(), INT, TRIVIAL, VInt(5))
+    return a, nonempty_pred(), w
+
+
+def observe_state(program, w, p):
+    """Result, final world (cells and labels), witnessed names and steps."""
+    state = RunState(world=w, witnesses={p.name: p})
+    result = state.interpret(program)
+    return result, state.world, frozenset(state.witnesses), state.trace.steps
 
 
 def test_bind_left_unit():
-    k = lambda v: Return(v + 1)
-    assert observe(bind(Return(1), k)) == observe(k(1))
+    a, p, w = law_start()
+    for name, make in OPS.items():
+        k = lambda v: bind(make(a, p), lambda r: Return((v, r)))
+        assert observe_state(bind(Return(1), k), w, p) == observe_state(k(1), w, p), name
 
 
 def test_bind_right_unit():
-    a, h = alloc(EMPTY_HEAP, INT, TRIVIAL, VInt(5))
-    m = read_op(a)
-    assert observe(bind(m, Return), h) == observe(m, h)
+    a, p, w = law_start()
+    for name, make in OPS.items():
+        m = make(a, p)
+        assert observe_state(bind(m, Return), w, p) == observe_state(m, w, p), name
 
 
 def test_bind_associativity():
-    a, h = alloc(EMPTY_HEAP, INT, TRIVIAL, VInt(5))
-    m = read_op(a)
-    f = lambda v: write_op(a, VInt(v.value + 1))
-    g = lambda _: read_op(a)
-    lhs = bind(bind(m, f), g)
-    rhs = bind(m, lambda x: bind(f(x), g))
-    assert observe(lhs, h) == observe(rhs, h)
+    a, p, w = law_start()
+    f = lambda x: bind(read_op(a), lambda v: Return((x, v)))
+    g = lambda xv: bind(write_op(a, VInt(7)), lambda _: Return(xv))
+    for name, make in OPS.items():
+        lhs = bind(bind(make(a, p), f), g)
+        rhs = bind(make(a, p), lambda x: bind(f(x), g))
+        assert observe_state(lhs, w, p) == observe_state(rhs, w, p), name
+
+
+def test_op_wrapper_installed_after_build_sees_every_step(monkeypatch):
+    a, p, w = law_start()
+    programs = {name: bind(make(a, p), lambda r: read_op(a)) for name, make in OPS.items()}
+    seen = []
+    for op in {prog.op for prog in programs.values()} | {"op_read"}:
+        original = getattr(RunState, op)
+
+        def wrapper(self, *args, _op=op, _original=original):
+            seen.append(_op)
+            return _original(self, *args)
+
+        monkeypatch.setattr(RunState, op, wrapper)
+    for name, prog in programs.items():
+        seen.clear()
+        observe_state(prog, w, p)
+        assert seen == [prog.op, "op_read"], name
+
+
+def test_interpret_rejects_a_non_node():
+    with pytest.raises(TypeError, match="not a program node"):
+        RunState().interpret(7)
+    # a continuation that returns a non-node is refused after its step
+    a, p, w = law_start()
+    state = RunState(world=w)
+    with pytest.raises(TypeError, match="not a program node"):
+        state.interpret(Call("op_read", (a,), lambda v: v))
+    assert state.trace.steps == 1
+
+
+def test_run_config_is_frozen():
+    cfg = RunConfig(check_level="paranoid", fuel=10)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.fuel = 11
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.check_level = "fast"
+    assert (cfg.check_level, cfg.fuel) == ("paranoid", 10)
 
 
 def test_run_return_leaves_heap_alone():
