@@ -295,7 +295,13 @@ def alloc(h: Heap, tag: TypeTag, rel: Preorder, init: Value) -> tuple[Addr, Heap
 
 
 def read(h: Heap, r: Addr) -> Value:
-    return h.cell(r).value
+    # Heap.cell's lookup, inline: a context read reaches this on every step
+    chunks, hi = h.cells.chunks, r >> SHIFT
+    if 0 <= hi < len(chunks):
+        cell = chunks[hi][r & MASK]
+        if cell is not None:
+            return cell.value
+    raise Uncontained(r)
 
 
 def write(h: Heap, r: Addr, v: Value) -> Heap:

@@ -100,10 +100,34 @@ def is_encapsulated(w: World, r: Addr) -> bool:
     return w.label_of(r) is Label.ENCAPSULATED
 
 
+# A context step walks the value it stores once.  The linker's boundary
+# check walks it with `ref_entries` and hands the entries over; the
+# `lr_alloc`/`lr_write` that follows takes them instead of walking again.
+# `ref_entries` is a pure function of the tag and the value, and the
+# hand-off holds both objects, so entries taken for the same two objects
+# are the ones a fresh walk would return.
+_handed: tuple = ()
+
+
+def _hand_over(tag: TypeTag, v: Value, entries: list) -> None:
+    global _handed
+    _handed = (tag, v, entries)
+
+
+def _entries(tag: TypeTag, v: Value) -> list:
+    """ref_entries(tag, v), or the entries handed over for these two
+    objects; the hand-off is emptied either way."""
+    global _handed
+    handed, _handed = _handed, ()
+    if handed and handed[0] is tag and handed[1] is v:
+        return handed[2]
+    return ref_entries(tag, v)
+
+
 def _check_embedded_contained(w: World, tag: TypeTag, v: Value, who: str) -> list:
     """The embedded (address, tag) entries of v, each checked contained and
     of the expected tag; one walk, so callers reuse the entries."""
-    entries = ref_entries(tag, v)
+    entries = _entries(tag, v)
     for addr, expected in entries:
         if not w.heap.contains(addr):
             raise DanglingInit(f"{who}: embedded address {addr} not in heap")

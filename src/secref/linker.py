@@ -36,10 +36,10 @@ from .heap import TRIVIAL
 from .labels import (
     Label,
     World,
+    _hand_over,
     _make_world,
     initial_world,  # the canonical start state, re-exported from here
     is_private,
-    is_shareable,
     lr_alloc,
     lr_read,
     lr_write,
@@ -79,12 +79,18 @@ class WholeProgram:
 # the three context-facing operations
 
 
+def _embeds_only_shareable(w: World, tag: TypeTag, v: Value, what: str) -> None:
+    """The boundary walk: every address v embeds is shareable.  Its entries
+    go on to the labeled operation, which then does not walk v again."""
+    entries = ref_entries(tag, v)
+    for sub, _ in entries:
+        if w.label_of(sub) is not Label.SHAREABLE:
+            raise BoundaryViolation(f"context {what} embeds non-shareable address {sub}")
+    _hand_over(tag, v, entries)
+
+
 def ctx_alloc(w: World, tag: TypeTag, init: Value) -> tuple[Addr, World]:
-    for sub, _ in ref_entries(tag, init):
-        if not is_shareable(w, sub):
-            raise BoundaryViolation(
-                f"context alloc embeds non-shareable address {sub}"
-            )
+    _embeds_only_shareable(w, tag, init, "alloc")
     addr, w1 = lr_alloc(w, tag, TRIVIAL, init)
     # labeled directly: the embedded refs were just checked shareable, which
     # is stronger than label_shareable's ShareLeak check, and a fresh cell
@@ -95,21 +101,18 @@ def ctx_alloc(w: World, tag: TypeTag, init: Value) -> tuple[Addr, World]:
 
 
 def ctx_read(w: World, r: Addr) -> Value:
-    if not is_shareable(w, r) and not mutants.is_active("ctx_read_unchecked"):
+    if w.label_of(r) is not Label.SHAREABLE and not mutants.is_active("ctx_read_unchecked"):
         raise BoundaryViolation(f"context read of non-shareable address {r}")
     return lr_read(w, r)
 
 
 def ctx_write(w: World, r: Addr, v: Value) -> World:
     if not mutants.is_active("ctx_write_unchecked"):
-        if not is_shareable(w, r):
+        if w.label_of(r) is not Label.SHAREABLE:
             raise BoundaryViolation(f"context write to non-shareable address {r}")
-        if w.heap.contains(r):
-            for sub, _ in ref_entries(w.heap.cell(r).tag, v):
-                if not is_shareable(w, sub):
-                    raise BoundaryViolation(
-                        f"context write embeds non-shareable address {sub}"
-                    )
+        cell = w.heap.cells.get(r)
+        if cell is not None:
+            _embeds_only_shareable(w, cell.tag, v, "write")
     return lr_write(w, r, v)
 
 
@@ -118,17 +121,26 @@ class CtxOps:
 
     Context code speaks in reference values; the handles unwrap them, burn
     fuel, and re-run the per-step monitors exactly like tree-node steps.
+    Each runs `RunState._tick`'s fuel meter inline and calls it only to
+    raise `OutOfFuel`.
     """
 
     def __init__(self, state: RunState):
         self._state = state
 
     def tick(self) -> None:
-        self._state._tick()
+        st = self._state
+        if st.fuel <= 0:
+            st._tick()
+        st.fuel -= 1
+        st.trace.steps += 1
 
     def alloc(self, tag: TypeTag, init: Value) -> VRef:
         st = self._state
-        st._tick()
+        if st.fuel <= 0:
+            st._tick()
+        st.fuel -= 1
+        st.trace.steps += 1
         w0 = st.world
         addr, st.world = ctx_alloc(w0, tag, init)
         st._after_step(w0, addr)
@@ -136,7 +148,10 @@ class CtxOps:
 
     def read(self, ref: Value) -> Value:
         st = self._state
-        st._tick()
+        if st.fuel <= 0:
+            st._tick()
+        st.fuel -= 1
+        st.trace.steps += 1
         if not isinstance(ref, VRef):
             raise BoundaryViolation(f"context read of a non-reference: {ref}")
         v = ctx_read(st.world, ref.addr)
@@ -145,7 +160,10 @@ class CtxOps:
 
     def write(self, ref: Value, v: Value) -> Value:
         st = self._state
-        st._tick()
+        if st.fuel <= 0:
+            st._tick()
+        st.fuel -= 1
+        st.trace.steps += 1
         if not isinstance(ref, VRef):
             raise BoundaryViolation(f"context write to a non-reference: {ref}")
         w0 = st.world

@@ -270,7 +270,10 @@ class TraceLog:
 
 
 class RunState:
-    """Mutable interpreter state: current world, witnessed set, fuel."""
+    """Mutable interpreter state: current world, witnessed set, fuel.
+
+    The config is fixed at construction, and its check level is read once.
+    """
 
     def __init__(
         self,
@@ -281,14 +284,21 @@ class RunState:
     ):
         self.world = world if world is not None else lb.initial_world()
         self.witnesses: dict[str, StablePredicate] = dict(witnesses or {})
-        self.config = config or RunConfig()
-        self.fuel = self.config.fuel
+        self._config = config or RunConfig()
+        self.fuel = self._config.fuel
+        self._paranoid = self._config.paranoid
         self.trace = trace if trace is not None else TraceLog()
         self._validated: Optional[World] = None  # last world lr_inv passed on
+
+    @property
+    def config(self) -> RunConfig:
+        return self._config
 
     # -- single-step operations; every one burns fuel and re-checks monitors
 
     def _tick(self) -> None:
+        # linker.CtxOps runs these three lines inline and calls _tick only
+        # to raise
         if self.fuel <= 0:
             raise OutOfFuel(f"fuel exhausted after {self.trace.steps} steps")
         self.fuel -= 1
@@ -297,7 +307,7 @@ class RunState:
     def _after_step(self, before: World, touched: Optional[Addr] = None) -> None:
         """Paranoid monitors for a step from `before` to the current world
         that changed at most the cell and label of `touched`."""
-        if not self.config.paranoid:
+        if not self._paranoid:
             return
         w = self.world
         if before is not self._validated:

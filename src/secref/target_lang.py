@@ -54,7 +54,9 @@ from .values import (
     Sum,
     TypeTag,
     Unit,
+    V_FALSE,
     V_NIL,
+    V_TRUE,
     V_UNIT,
     VBool,
     VInl,
@@ -597,13 +599,15 @@ def typecheck(e: Expr, env: Optional[dict] = None, types: Optional[dict] = None)
 # compile time.  Node dispatch and the tags of `alloc` and `casell` are
 # resolved at compile time as well; at run time a node costs one call.
 
+# a comparison picks one of the two shared booleans by its bool result
+_shared_bool = (V_FALSE, V_TRUE).__getitem__
 _BINOP_IMPL = {
     "+": (operator.add, VInt),
     "-": (operator.sub, VInt),
     "*": (operator.mul, VInt),
-    "=": (operator.eq, VBool),
-    "<": (operator.lt, VBool),
-    "<=": (operator.le, VBool),
+    "=": (operator.eq, _shared_bool),
+    "<": (operator.lt, _shared_bool),
+    "<=": (operator.le, _shared_bool),
 }
 
 _Code = Callable[[tuple], Any]

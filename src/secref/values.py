@@ -179,13 +179,13 @@ def is_storable(t: TypeTag) -> bool:
 # values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VUnit:
     def __str__(self):
         return "()"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VInt:
     value: int
 
@@ -193,7 +193,7 @@ class VInt:
         return str(self.value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VBool:
     value: bool
 
@@ -201,7 +201,7 @@ class VBool:
         return "true" if self.value else "false"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VInl:
     payload: "Value"
 
@@ -209,7 +209,7 @@ class VInl:
         return f"inl({self.payload})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VInr:
     payload: "Value"
 
@@ -217,7 +217,7 @@ class VInr:
         return f"inr({self.payload})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VPair:
     first: "Value"
     second: "Value"
@@ -226,7 +226,7 @@ class VPair:
         return f"({self.first}, {self.second})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VRef:
     addr: Addr
     target: TypeTag
@@ -235,13 +235,13 @@ class VRef:
         return f"ref@{self.addr}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VLLNil:
     def __str__(self):
         return "llnil"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VLLCons:
     head: "Value"
     tail: Addr
@@ -254,6 +254,9 @@ Value = Union[VUnit, VInt, VBool, VInl, VInr, VPair, VRef, VLLNil, VLLCons]
 
 V_UNIT = VUnit()
 V_NIL = VLLNil()
+# the two booleans; comparisons return these instead of building new ones
+V_TRUE = VBool(True)
+V_FALSE = VBool(False)
 
 
 def conforms(v: Value, t: TypeTag) -> bool:

@@ -86,3 +86,38 @@ def test_traced_first_trial_keeps_the_cross_layer_identities(bench, name):
     calls = dict(tracer.calls)
     assert calls.get("labels.lr_write.calls", 0) + calls.get("labels.lr_alloc.calls", 0) > 0
     assert run.identities(calls, traced.steps) == []
+
+
+# expect_nonzero keys that are ratios of whole passes, not readings of one trial
+RATIOS = ("programs.monitor_share", "trace_overhead_ratio")
+
+
+@pytest.mark.parametrize("name", ["sort_fast", "sched_paranoid", "sched_fast_large"])
+def test_traced_first_trial_reaches_every_layer_the_workload_expects(bench, name):
+    """One traced trial already reads non-zero for each of the workload's
+    `expect_nonzero` keys, so a layer that stops being entered (a skipped
+    step monitor, a dump made lazy) fails here, not only in a traced run."""
+    workloads, tracing, run = bench
+    workload = workloads.WORKLOADS[name]
+    (trial,) = _first(workload, 1)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        verdict = workload.run(trial)
+    finally:
+        tracer.uninstall()
+    derived = {"programs.steps": verdict.steps, "programs.worlds_retained": verdict.worlds}
+    zero = []
+    for key in workload.expect_nonzero:
+        if key in RATIOS:
+            continue
+        if key.endswith(".self_s"):
+            reading = tracer.self_s.get(key[:-len(".self_s")], 0.0)
+        elif key in derived:
+            reading = derived[key]
+        else:
+            assert key in run.COUNTS, key
+            reading = tracer.calls.get(key, 0)
+        if not reading:
+            zero.append(key)
+    assert zero == []

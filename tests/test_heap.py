@@ -72,6 +72,10 @@ def test_alloc_read_roundtrip():
 def test_read_uncontained():
     with pytest.raises(Uncontained):
         read(EMPTY_HEAP, 1)
+    addr, h = alloc(EMPTY_HEAP, INT, TRIVIAL, VInt(0))
+    for missing in (addr + 1, -1, 0):  # in the allocated chunk, negative, the marker
+        with pytest.raises(Uncontained):
+            read(h, missing)
 
 
 def test_write_old_value_is_identity():

@@ -2,7 +2,16 @@ import pytest
 
 from secref import mutants
 from secref.contracts import ArrowS, BaseS, Inr, hocs_of
-from secref.errors import AlreadyLabeled, BoundaryViolation, RunFailure, UniversalViolation
+from secref.errors import (
+    AlreadyLabeled,
+    BoundaryViolation,
+    DanglingInit,
+    OutOfFuel,
+    RunFailure,
+    ShareLeak,
+    TypeMismatch,
+    UniversalViolation,
+)
 from secref.heap import INT_LEQ, TRIVIAL
 from secref.labels import (
     Label,
@@ -31,10 +40,10 @@ from secref.linker import (
     link_target,
     render_world,
 )
-from secref.programs import RunConfig, RunState, alloc_op, do, read_op
+from secref.programs import RunConfig, RunState, alloc_op, do, read_op, write_op
 from secref.scenarios import all_scenarios, run_scenario
 from secref.target_lang import elaborate, gen_random_context, parse
-from secref.values import INT, Ref, VInt, VRef
+from secref.values import BOOL, INT, Pair, Ref, VBool, VInt, VPair, VRef
 
 
 def test_initial_world_is_canonical():
@@ -82,6 +91,82 @@ def test_ctx_alloc_embedding_private_ref_is_refused():
     ops = CtxOps(state)
     with pytest.raises(BoundaryViolation):
         ops.alloc(Ref(INT), VRef(private, INT))
+
+
+def test_context_store_errors_keep_their_order():
+    """BoundaryViolation for any embedded non-shareable address comes
+    first, then the labeled operation's containment and typing checks on
+    the entries the boundary walk handed over, then ShareLeak."""
+    state = RunState()
+    ops = CtxOps(state)
+    shared_int = ops.alloc(INT, VInt(0))
+    shared_bool = ops.alloc(BOOL, VBool(True))
+    private = state.op_alloc(INT, TRIVIAL, VInt(0))
+    tag = Pair(Ref(INT), Ref(INT))
+    cell = ops.alloc(tag, VPair(shared_int, shared_int))
+    before = state.world
+    mistyped = VRef(shared_bool.addr, INT)  # shareable, but its cell holds a bool
+    for bad in (VRef(999, INT), VRef(private, INT)):
+        with pytest.raises(BoundaryViolation, match=f"write embeds non-shareable address {bad.addr}"):
+            ops.write(cell, VPair(mistyped, bad))
+        with pytest.raises(BoundaryViolation, match=f"alloc embeds non-shareable address {bad.addr}"):
+            ops.alloc(tag, VPair(mistyped, bad))
+    with pytest.raises(TypeMismatch, match="expects cell of int, found bool"):
+        ops.write(cell, VPair(mistyped, shared_int))
+    with pytest.raises(TypeMismatch, match="expects cell of int, found bool"):
+        ops.alloc(tag, VPair(mistyped, shared_int))
+    with pytest.raises(TypeMismatch, match="does not conform"):
+        ops.write(cell, VInt(0))
+    with mutants.enabled("ctx_write_unchecked"):
+        with pytest.raises(DanglingInit):
+            ops.write(cell, VPair(shared_int, VRef(999, INT)))
+        with pytest.raises(ShareLeak):
+            ops.write(cell, VPair(shared_int, VRef(private, INT)))
+    assert state.world is before
+
+
+def test_checked_and_context_steps_share_one_fuel_meter():
+    """The context side runs the fuel meter inline; with equal fuel both
+    sides stop at the same step with the same message."""
+
+    def checked():
+        def gen():
+            a = yield alloc_op(INT, TRIVIAL, VInt(0))
+            while True:
+                yield write_op(a, VInt(1))
+                yield read_op(a)
+
+        state.interpret(do(gen))
+
+    def context():
+        ops = CtxOps(state)
+        a = ops.alloc(INT, VInt(0))
+        while True:
+            ops.write(a, VInt(1))
+            ops.read(a)
+            ops.tick()
+
+    stops = []
+    for body in (checked, context):
+        state = RunState(config=RunConfig(fuel=40))
+        with pytest.raises(OutOfFuel) as err:
+            body()
+        stops.append((state.trace.steps, state.fuel, str(err.value)))
+    assert stops[0] == stops[1] == (40, 0, "fuel exhausted after 40 steps")
+
+
+def test_a_context_step_without_fuel_changes_nothing():
+    state = RunState(config=RunConfig(fuel=2))
+    ops = CtxOps(state)
+    ref = ops.alloc(INT, VInt(0))
+    ops.write(ref, VInt(1))
+    world, steps = state.world, state.trace.steps
+    for step in (ops.tick, lambda: ops.read(ref), lambda: ops.write(ref, VInt(2)),
+                 lambda: ops.alloc(INT, VInt(3))):
+        with pytest.raises(OutOfFuel):
+            step()
+        assert state.world is world
+        assert (state.trace.steps, state.fuel) == (steps, 0)
 
 
 def test_ctx_alloc_labels_as_lr_alloc_then_label_shareable_would():

@@ -14,6 +14,7 @@ from secref.campaigns import _collect_transitions
 from secref.errors import InvariantViolation
 from secref.heap import TRIVIAL, Heap, HeapCell
 from secref.labels import Label, World, lr_inv, lr_inv_at
+from secref.linker import CtxOps
 from secref.programs import RunConfig, RunState, alloc_op, do, read_op, run
 from secref.scenarios import (
     run_scenario,
@@ -88,6 +89,45 @@ def test_a_world_installed_from_outside_is_scanned_in_full():
     state.world = World(state.world.heap, {q: Label.SHAREABLE})
     with pytest.raises(InvariantViolation):
         state.op_read(p)
+
+
+def _forged(state: RunState) -> World:
+    """The state's world plus a cell that embeds a dangling address."""
+    h = state.world.heap
+    a = h.next_addr
+    bad = HeapCell(a, Ref(INT), TRIVIAL, VRef(a + 5, INT))
+    return World(Heap(h.cells.set(a, bad), a + 1), state.world.labels)
+
+
+def test_paranoid_context_steps_run_the_monitors():
+    state = RunState(config=PARANOID)
+    ops = CtxOps(state)
+    r = ops.alloc(INT, VInt(0))
+    state.world = _forged(state)
+    with pytest.raises(InvariantViolation):
+        ops.read(r)
+
+
+def test_the_config_is_fixed_at_construction():
+    state = RunState(config=PARANOID)
+    with pytest.raises(AttributeError):
+        state.config = RunConfig()
+    assert state.config is PARANOID
+
+
+def test_fast_context_steps_never_check_the_invariant(monkeypatch):
+    calls = []
+    for name in ("lr_inv", "lr_inv_at"):
+        monkeypatch.setattr(lb, name, lambda *args, _n=name: calls.append(_n) or True)
+    state = RunState()
+    ops = CtxOps(state)
+    r = ops.alloc(INT, VInt(0))
+    state.world = _forged(state)
+    ops.write(r, VInt(1))
+    assert ops.read(r) == VInt(1)
+    ops.tick()
+    assert calls == []
+    assert state.trace.steps == 4
 
 
 @pytest.fixture

@@ -19,12 +19,15 @@ from secref.target_lang import (
     typecheck,
 )
 from secref.values import (
+    BOOL,
     INT,
     UNIT,
     Arrow,
     LList,
     Ref,
+    V_FALSE,
     V_NIL,
+    V_TRUE,
     V_UNIT,
     VInt,
     VLLCons,
@@ -148,6 +151,16 @@ def test_elaborate_literal_no_effects():
     state = RunState()
     assert ctx.builder(CtxOps(state)) == VInt(7)
     assert not state.world.heap.cells
+
+
+@pytest.mark.parametrize("op, results", [("=", (False, True, False)),
+                                         ("<", (True, False, False)),
+                                         ("<=", (True, True, False))])
+def test_compiled_comparisons_return_the_shared_booleans(op, results):
+    ctx = elaborate(parse(f"(lam (x int) ({op} x 1))"), ArrowS(BaseS(INT), BaseS(BOOL)))
+    fn = ctx.builder(CtxOps(RunState()))
+    for x, want in zip((0, 1, 2), results):
+        assert fn(VInt(x)) is (V_TRUE if want else V_FALSE)
 
 
 def _shareable_chain(state, values):

@@ -1,7 +1,7 @@
 import random
 import sys
 from collections import Counter
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import FrozenInstanceError, dataclass, fields, is_dataclass
 
 import pytest
 
@@ -21,7 +21,9 @@ from secref.values import (
     Sum,
     UNIT,
     Unit,
+    V_FALSE,
     V_NIL,
+    V_TRUE,
     V_UNIT,
     VBool,
     VInl,
@@ -39,6 +41,29 @@ from secref.values import (
     llist_sorted,
     ref_entries,
 )
+
+
+def test_values_are_slotted_hashable_and_equal_by_value():
+    def build():
+        return [V_UNIT, VInt(3), VBool(True), VInl(VInt(1)), VInr(V_UNIT),
+                VPair(VInt(1), VRef(2, INT)), VRef(2, INT), V_NIL, VLLCons(VInt(1), 4)]
+
+    first, second = build(), build()
+    assert {type(v) for v in first} == {VUnit, VInt, VBool, VInl, VInr, VPair, VRef,
+                                        VLLNil, VLLCons}
+    for v, same in zip(first, second):
+        assert not hasattr(v, "__dict__")
+        assert v == same and hash(v) == hash(same)
+        for f in fields(v):
+            with pytest.raises(FrozenInstanceError):
+                setattr(v, f.name, V_UNIT)
+        # on Python 3.11 a new attribute on a frozen slotted record raises
+        # TypeError from the generated __setattr__'s super() call
+        with pytest.raises((FrozenInstanceError, TypeError, AttributeError)):
+            v.extra = 0
+    assert len(set(first + second)) == len(first)
+    assert VBool(True) == V_TRUE and VBool(False) == V_FALSE
+    assert V_TRUE != V_FALSE and V_TRUE.value is True and V_FALSE.value is False
 
 
 def test_conforms_int():
