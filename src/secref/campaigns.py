@@ -630,7 +630,7 @@ def campaign_autograder(seed: int = 0, honest_runs: int = 50, adversary_runs: in
 
 def mutation_detected(name: str) -> bool:
     """Enable one seeded fault and re-run the acceptance check it must break."""
-    if name in ("ctx_read_unchecked", "ctx_write_unchecked"):
+    if name in ("ctx_read_unchecked", "ctx_write_unchecked", "lr_write_share_unchecked"):
         with mutants.enabled(name):
             report = campaign_intro()
         return not report.ok

@@ -13,6 +13,7 @@ KNOWN = frozenset(
         "ctx_read_unchecked",  # boundary read skips the shareable check
         "ctx_write_unchecked",  # boundary write skips the shareable check
         "label_share_unchecked",  # label_shareable skips the points-to check
+        "lr_write_share_unchecked",  # lr_write skips its ShareLeak check
         "import_no_post",  # imported arrows skip their post contract
     }
 )

@@ -31,12 +31,13 @@ unfoldings: the depth a tree-walking evaluator reaches, no more.
 """
 from __future__ import annotations
 
+import itertools
 import operator
 import random
 import re
 import weakref
 from dataclasses import dataclass
-from typing import Any, Callable, NamedTuple, Optional, Union
+from typing import Any, Callable, Optional, Union
 
 from .contracts import ArrowS, BaseS, InterfaceSpec, LListS, PairS, RefS, RefinedS, SumS
 from .errors import GenerationExhausted, InterfaceMismatch, SrefParseError, TargetTypeError
@@ -246,209 +247,200 @@ Expr = Union[
 
 # ---------------------------------------------------------------------------
 # parser
-
-
-_INT_RE = re.compile(r"-?[0-9]+$")
-_BINOPS = ("+", "-", "*", "=", "<", "<=")
-
-
-class _Tok(NamedTuple):
-    text: str
-    line: int
-    col: int
+#
+# A load does its per-token work in C.  With comments stripped and each
+# parenthesis spaced out, one `str.split` yields the tokens as plain strings.
+# The reader turns them into (payload, index) pairs, where the payload is an
+# atom's text or a list of pairs and the index is the token's place in the
+# stream.  A parse error carries that index, and `parse` finds its line and
+# column by scanning the text again with `_TOKEN_RE`, so a load that succeeds
+# never computes a position.
 
 
 # a token is a parenthesis or a run of characters that are neither
 # whitespace, parentheses nor `;`; a `;` starts a comment that runs to the
-# end of its line
-_TOKEN_RE = re.compile(r"[()]|[^\s();]+|;")
+# end of its line.  `\s` and `str.split` agree on what whitespace is.
+_TOKEN_RE = re.compile(r"[()]|[^\s();]+")
+_COMMENT_RE = re.compile(r";[^\n]*")
+_INT_RE = re.compile(r"-?[0-9]+$")
+
+# The deepest expression or type accepted.  Each argument of an application
+# counts as one level, as it parses to one `App` of a left-nested spine.
+# Parse recurses at most twice per level and compile once, so an accepted
+# term loads inside Python's default recursion limit of 1000.  Typecheck
+# recurses once per level of the term and of its inferred types.
+MAX_DEPTH = 200
 
 
-def _tokenize(text: str) -> list[_Tok]:
-    toks = []
-    for line, row in enumerate(text.split("\n"), 1):
-        for m in _TOKEN_RE.finditer(row):
-            tok = m.group()
-            if tok == ";":
-                break
-            toks.append(_Tok(tok, line, m.start() + 1))
-    return toks
+class _Bad(Exception):
+    """A parse error at a token index; `parse` adds its line and column."""
 
 
-def _read_sexpr(toks: list[_Tok], pos: int):
-    if pos >= len(toks):
-        last = toks[-1] if toks else _Tok("", 1, 1)
-        raise SrefParseError("unexpected end of input", last.line, last.col)
-    tok = toks[pos]
-    if tok.text == "(":
-        items = []
-        pos += 1
-        while pos < len(toks) and toks[pos].text != ")":
-            item, pos = _read_sexpr(toks, pos)
-            items.append(item)
-        if pos >= len(toks):
-            raise SrefParseError("missing )", tok.line, tok.col)
-        return (items, tok), pos + 1
-    if tok.text == ")":
-        raise SrefParseError("unexpected )", tok.line, tok.col)
-    return (tok.text, tok), pos + 1
+def _read(toks: list[str]):
+    """The (payload, index) pair of the one s-expression toks must hold."""
+    stack = []  # (enclosing items, index of the open paren)
+    items: list = []
+    for i, tok in enumerate(toks):
+        if tok == "(":
+            stack.append((items, i))
+            items = []
+            continue
+        if tok != ")":
+            items.append((tok, i))
+        elif stack:
+            outer, start = stack.pop()
+            outer.append((items, start))
+            items = outer
+        else:
+            raise _Bad("unexpected )", i)
+        if not stack:
+            if i + 1 < len(toks):
+                raise _Bad("trailing tokens", i + 1)
+            return items[0]
+    raise _Bad("missing )", stack[-1][1])
 
 
-def _parse_type(sx) -> TypeTag:
-    node, tok = sx
-    if isinstance(node, str):
-        if node == "unit":
-            return UNIT
-        if node == "int":
-            return INT
-        if node == "bool":
-            return BOOL
-        raise SrefParseError(f"unknown type {node!r}", tok.line, tok.col)
+_BASE_TYPES = {"unit": UNIT, "int": INT, "bool": BOOL}
+_TYPE_FORMS = {"pair": (2, Pair), "sum": (2, Sum), "ref": (1, Ref), "llist": (1, LList),
+               "->": (2, Arrow)}
+
+
+def _parse_type(sx, depth: int) -> TypeTag:
+    node, at = sx
+    if depth > MAX_DEPTH:
+        raise _Bad(f"nesting deeper than {MAX_DEPTH}", at)
+    if type(node) is str:
+        t = _BASE_TYPES.get(node)
+        if t is None:
+            raise _Bad(f"unknown type {node!r}", at)
+        return t
     if not node:
-        raise SrefParseError("empty type", tok.line, tok.col)
+        raise _Bad("empty type", at)
     head = node[0][0]
-    if head == "pair" and len(node) == 3:
-        return Pair(_parse_type(node[1]), _parse_type(node[2]))
-    if head == "sum" and len(node) == 3:
-        return Sum(_parse_type(node[1]), _parse_type(node[2]))
-    if head == "ref" and len(node) == 2:
-        return Ref(_parse_type(node[1]))
-    if head == "llist" and len(node) == 2:
-        return LList(_parse_type(node[1]))
-    if head == "->" and len(node) == 3:
-        return Arrow(_parse_type(node[1]), _parse_type(node[2]))
-    raise SrefParseError(f"bad type form {head!r}", tok.line, tok.col)
+    if type(head) is not str:
+        raise _Bad("bad type form: its head is a form, not a type name", at)
+    form = _TYPE_FORMS.get(head)
+    if form is None or len(node) != form[0] + 1:
+        raise _Bad(f"bad type form {head!r}", at)
+    return form[1](*[_parse_type(arg, depth + 1) for arg in node[1:]])
 
 
-def _binder(sx, what: str) -> tuple[str, "TypeTag"]:
-    node, tok = sx
-    if not isinstance(node, list) or len(node) != 2 or not isinstance(node[0][0], str):
-        raise SrefParseError(f"{what} wants (name type)", tok.line, tok.col)
-    return node[0][0], _parse_type(node[1])
+def _binder(sx, what: str, depth: int) -> tuple[str, "TypeTag"]:
+    node, at = sx
+    if type(node) is not list or len(node) != 2 or type(node[0][0]) is not str:
+        raise _Bad(f"{what} wants (name type)", at)
+    return node[0][0], _parse_type(node[1], depth)
 
 
 def _name_of(sx, what: str) -> str:
-    node, tok = sx
-    if not isinstance(node, str):
-        raise SrefParseError(f"{what} wants a name", tok.line, tok.col)
+    node, at = sx
+    if type(node) is not str:
+        raise _Bad(f"{what} wants a name", at)
     return node
 
 
-def _parse_expr(sx) -> Expr:
-    node, tok = sx
-    if isinstance(node, str):
+def _let(n, d) -> Let:
+    inner, at = n[1]
+    if type(inner) is not list or len(inner) != 2:
+        raise _Bad("let wants (name expr)", at)
+    return Let(_name_of(inner[0], "let"), _parse_expr(inner[1], d), _parse_expr(n[2], d))
+
+
+def _case(n, d) -> Case:
+    for branch, at in (n[2], n[3]):
+        if type(branch) is not list or len(branch) != 2:
+            raise _Bad("case wants (name expr) branches", at)
+    left, right = n[2][0], n[3][0]
+    return Case(
+        _parse_expr(n[1], d),
+        _name_of(left[0], "case"), _parse_expr(left[1], d),
+        _name_of(right[0], "case"), _parse_expr(right[1], d),
+    )
+
+
+def _casell(n, d) -> CaseLL:
+    cons, at = n[3]
+    if type(cons) is not list or len(cons) != 3:
+        raise _Bad("casell wants (head tail expr) as the cons branch", at)
+    return CaseLL(
+        _parse_expr(n[1], d), _parse_expr(n[2], d),
+        _name_of(cons[0], "casell"), _name_of(cons[1], "casell"), _parse_expr(cons[2], d),
+    )
+
+
+# atoms other than integers and names; each occurrence gets its own node,
+# since typecheck and the compiler key node types by id()
+_ATOMS = {"unit": LitUnit, "true": lambda: LitBool(True), "false": lambda: LitBool(False)}
+
+# form head -> (arity, builder from the form's items and their depth)
+_FORMS = {
+    "lam": (2, lambda n, d: Lam(*_binder(n[1], "lam", d), _parse_expr(n[2], d))),
+    "fix": (4, lambda n, d: Fix(_name_of(n[1], "fix"), *_binder(n[2], "fix", d),
+                                _parse_type(n[3], d), _parse_expr(n[4], d))),
+    "let": (2, _let),
+    **{op: (2, lambda n, d: BinOp(n[0][0], _parse_expr(n[1], d), _parse_expr(n[2], d)))
+       for op in ("+", "-", "*", "=", "<", "<=")},
+    "if": (3, lambda n, d: If(_parse_expr(n[1], d), _parse_expr(n[2], d),
+                              _parse_expr(n[3], d))),
+    "pair": (2, lambda n, d: PairE(_parse_expr(n[1], d), _parse_expr(n[2], d))),
+    "fst": (1, lambda n, d: Fst(_parse_expr(n[1], d))),
+    "snd": (1, lambda n, d: Snd(_parse_expr(n[1], d))),
+    "inl": (2, lambda n, d: InlE(_parse_type(n[1], d), _parse_expr(n[2], d))),
+    "inr": (2, lambda n, d: InrE(_parse_type(n[1], d), _parse_expr(n[2], d))),
+    "case": (3, _case),
+    "alloc": (1, lambda n, d: AllocE(_parse_expr(n[1], d))),
+    "!": (1, lambda n, d: DerefE(_parse_expr(n[1], d))),
+    ":=": (2, lambda n, d: AssignE(_parse_expr(n[1], d), _parse_expr(n[2], d))),
+    "llnil": (1, lambda n, d: LLNilE(_parse_type(n[1], d))),
+    "llcons": (2, lambda n, d: LLConsE(_parse_expr(n[1], d), _parse_expr(n[2], d))),
+    "casell": (3, _casell),
+}
+
+
+def _parse_expr(sx, depth: int) -> Expr:
+    node, at = sx
+    if depth > MAX_DEPTH:
+        raise _Bad(f"nesting deeper than {MAX_DEPTH}", at)
+    if type(node) is str:
+        atom = _ATOMS.get(node)
+        if atom is not None:
+            return atom()
         if _INT_RE.match(node):
             return LitInt(int(node))
-        if node == "unit":
-            return LitUnit()
-        if node == "true":
-            return LitBool(True)
-        if node == "false":
-            return LitBool(False)
         return Var(node)
     if not node:
-        raise SrefParseError("empty form", tok.line, tok.col)
+        raise _Bad("empty form", at)
     head = node[0][0]
-
-    def arity(n):
-        if len(node) != n + 1:
-            raise SrefParseError(f"{head} wants {n} argument(s)", tok.line, tok.col)
-
-    if isinstance(head, str):
-        if head == "lam":
-            arity(2)
-            param, ty = _binder(node[1], "lam")
-            return Lam(param, ty, _parse_expr(node[2]))
-        if head == "fix":
-            arity(4)
-            fname = _name_of(node[1], "fix")
-            param, ty = _binder(node[2], "fix")
-            return Fix(fname, param, ty, _parse_type(node[3]), _parse_expr(node[4]))
-        if head == "let":
-            arity(2)
-            inner, itok = node[1]
-            if not isinstance(inner, list) or len(inner) != 2:
-                raise SrefParseError("let wants (name expr)", itok.line, itok.col)
-            return Let(_name_of(inner[0], "let"), _parse_expr(inner[1]), _parse_expr(node[2]))
-        if head in _BINOPS:
-            arity(2)
-            return BinOp(head, _parse_expr(node[1]), _parse_expr(node[2]))
-        if head == "if":
-            arity(3)
-            return If(_parse_expr(node[1]), _parse_expr(node[2]), _parse_expr(node[3]))
-        if head == "pair":
-            arity(2)
-            return PairE(_parse_expr(node[1]), _parse_expr(node[2]))
-        if head == "fst":
-            arity(1)
-            return Fst(_parse_expr(node[1]))
-        if head == "snd":
-            arity(1)
-            return Snd(_parse_expr(node[1]))
-        if head == "inl":
-            arity(2)
-            return InlE(_parse_type(node[1]), _parse_expr(node[2]))
-        if head == "inr":
-            arity(2)
-            return InrE(_parse_type(node[1]), _parse_expr(node[2]))
-        if head == "case":
-            arity(3)
-            ln, ltok = node[2]
-            rn, rtok = node[3]
-            if not (isinstance(ln, list) and len(ln) == 2):
-                raise SrefParseError("case wants (name expr) branches", ltok.line, ltok.col)
-            if not (isinstance(rn, list) and len(rn) == 2):
-                raise SrefParseError("case wants (name expr) branches", rtok.line, rtok.col)
-            return Case(
-                _parse_expr(node[1]),
-                _name_of(ln[0], "case"), _parse_expr(ln[1]),
-                _name_of(rn[0], "case"), _parse_expr(rn[1]),
-            )
-        if head == "alloc":
-            arity(1)
-            return AllocE(_parse_expr(node[1]))
-        if head == "!":
-            arity(1)
-            return DerefE(_parse_expr(node[1]))
-        if head == ":=":
-            arity(2)
-            return AssignE(_parse_expr(node[1]), _parse_expr(node[2]))
-        if head == "llnil":
-            arity(1)
-            return LLNilE(_parse_type(node[1]))
-        if head == "llcons":
-            arity(2)
-            return LLConsE(_parse_expr(node[1]), _parse_expr(node[2]))
-        if head == "casell":
-            arity(3)
-            cn, ctok = node[3]
-            if not (isinstance(cn, list) and len(cn) == 3):
-                raise SrefParseError(
-                    "casell wants (head tail expr) as the cons branch", ctok.line, ctok.col
-                )
-            return CaseLL(
-                _parse_expr(node[1]),
-                _parse_expr(node[2]),
-                _name_of(cn[0], "casell"),
-                _name_of(cn[1], "casell"),
-                _parse_expr(cn[2]),
-            )
-    # anything else is application
-    expr = _parse_expr(node[0])
+    form = _FORMS.get(head) if type(head) is str else None
+    if form is not None:
+        if len(node) != form[0] + 1:
+            raise _Bad(f"{head} wants {form[0]} argument(s)", at)
+        return form[1](node, depth + 1)
+    # anything else is application, one spine level per argument
+    depth += len(node) - 1 or 1
+    expr = _parse_expr(node[0], depth)
     for arg in node[1:]:
-        expr = App(expr, _parse_expr(arg))
+        expr = App(expr, _parse_expr(arg, depth))
     return expr
 
 
+def _position(text: str, index: int) -> tuple[int, int]:
+    """Line and column of the index-th token of text, comments stripped."""
+    rows = enumerate(text.split("\n"), 1)
+    spans = ((line, m.start() + 1) for line, row in rows for m in _TOKEN_RE.finditer(row))
+    return next(itertools.islice(spans, index, None))
+
+
 def parse(text: str) -> Expr:
-    toks = _tokenize(text)
+    text = _COMMENT_RE.sub("", text)
+    toks = text.replace("(", " ( ").replace(")", " ) ").split()
     if not toks:
         raise SrefParseError("empty input", 1, 1)
-    sx, pos = _read_sexpr(toks, 0)
-    if pos != len(toks):
-        extra = toks[pos]
-        raise SrefParseError("trailing tokens", extra.line, extra.col)
-    return _parse_expr(sx)
+    try:
+        return _parse_expr(_read(toks), 1)
+    except _Bad as bad:
+        msg, index = bad.args
+        raise SrefParseError(msg, *_position(text, index)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -481,93 +473,55 @@ def typecheck(e: Expr, env: Optional[dict] = None, types: Optional[dict] = None)
     types = types if types is not None else {}
 
     def expect(t, want, what):
-        if t != want:
+        if t is not want and t != want:
             raise TargetTypeError("Mismatch", f"{what}: expected {want}, found {t}")
 
     def go(e, env) -> TypeTag:
-        if isinstance(e, Var):
+        k = type(e)
+        if k is Var:
             if e.name not in env:
                 raise TargetTypeError("UnboundVar", f"unknown name {e.name!r}")
             t = env[e.name]
-        elif isinstance(e, Lam):
-            _validate_annotation(e.param_ty)
-            t = Arrow(e.param_ty, go(e.body, {**env, e.param: e.param_ty}))
-        elif isinstance(e, Fix):
-            _validate_annotation(e.param_ty)
-            _validate_annotation(e.res_ty)
-            fty = Arrow(e.param_ty, e.res_ty)
-            body_t = go(e.body, {**env, e.fname: fty, e.param: e.param_ty})
-            expect(body_t, e.res_ty, "fix body")
-            t = fty
-        elif isinstance(e, App):
+        elif k is App:
             fn_t = go(e.fn, env)
-            if not isinstance(fn_t, Arrow):
+            if type(fn_t) is not Arrow:
                 raise TargetTypeError("NotAFunction", f"cannot apply {fn_t}")
-            arg_t = go(e.arg, env)
-            expect(arg_t, fn_t.arg, "application argument")
+            expect(go(e.arg, env), fn_t.arg, "application argument")
             t = fn_t.res
-        elif isinstance(e, Let):
+        elif k is Let:
             t = go(e.body, {**env, e.name: go(e.bound, env)})
-        elif isinstance(e, LitUnit):
-            t = UNIT
-        elif isinstance(e, LitInt):
+        elif k is LitInt:
             t = INT
-        elif isinstance(e, LitBool):
-            t = BOOL
-        elif isinstance(e, BinOp):
+        elif k is LitUnit:
+            t = UNIT
+        elif k is BinOp:
             expect(go(e.left, env), INT, f"left operand of {e.op}")
             expect(go(e.right, env), INT, f"right operand of {e.op}")
             t = INT if e.op in ("+", "-", "*") else BOOL
-        elif isinstance(e, If):
+        elif k is DerefE:
+            rt = go(e.ref, env)
+            if type(rt) is not Ref:
+                raise TargetTypeError("NotARef", f"dereference of {rt}")
+            t = rt.target
+        elif k is Lam:
+            _validate_annotation(e.param_ty)
+            t = Arrow(e.param_ty, go(e.body, {**env, e.param: e.param_ty}))
+        elif k is If:
             expect(go(e.cond, env), BOOL, "if condition")
             t = go(e.then, env)
             expect(go(e.other, env), t, "else branch")
-        elif isinstance(e, PairE):
-            t = Pair(go(e.first, env), go(e.second, env))
-        elif isinstance(e, Fst):
-            pt = go(e.pair, env)
-            if not isinstance(pt, Pair):
-                raise TargetTypeError("NotAPair", f"fst of {pt}")
-            t = pt.first
-        elif isinstance(e, Snd):
-            pt = go(e.pair, env)
-            if not isinstance(pt, Pair):
-                raise TargetTypeError("NotAPair", f"snd of {pt}")
-            t = pt.second
-        elif isinstance(e, InlE):
-            _validate_annotation(e.right_ty)
-            t = Sum(go(e.payload, env), e.right_ty)
-        elif isinstance(e, InrE):
-            _validate_annotation(e.left_ty)
-            t = Sum(e.left_ty, go(e.payload, env))
-        elif isinstance(e, Case):
-            st = go(e.scrut, env)
-            if not isinstance(st, Sum):
-                raise TargetTypeError("NotASum", f"case of {st}")
-            t = go(e.lbranch, {**env, e.lname: st.left})
-            expect(go(e.rbranch, {**env, e.rname: st.right}), t, "case branches")
-        elif isinstance(e, AllocE):
+        elif k is AssignE:
+            rt = go(e.ref, env)
+            if type(rt) is not Ref:
+                raise TargetTypeError("NotARef", f"assignment to {rt}")
+            expect(go(e.value, env), rt.target, "assignment value")
+            t = UNIT
+        elif k is AllocE:
             it = go(e.init, env)
             if not is_storable(it):
                 raise TargetTypeError("FunctionInStore", f"cannot store {it}")
             t = Ref(it)
-        elif isinstance(e, DerefE):
-            rt = go(e.ref, env)
-            if not isinstance(rt, Ref):
-                raise TargetTypeError("NotARef", f"dereference of {rt}")
-            t = rt.target
-        elif isinstance(e, AssignE):
-            rt = go(e.ref, env)
-            if not isinstance(rt, Ref):
-                raise TargetTypeError("NotARef", f"assignment to {rt}")
-            expect(go(e.value, env), rt.target, "assignment value")
-            t = UNIT
-        elif isinstance(e, LLNilE):
-            _validate_annotation(e.elem_ty)
-            if not is_storable(e.elem_ty):
-                raise TargetTypeError("FunctionInStore", f"cannot store {e.elem_ty}")
-            t = LList(e.elem_ty)
-        elif isinstance(e, LLConsE):
+        elif k is LLConsE:
             ht = go(e.head, env)
             tt = go(e.tail, env)
             if tt != Ref(LList(ht)):
@@ -575,13 +529,51 @@ def typecheck(e: Expr, env: Optional[dict] = None, types: Optional[dict] = None)
                     "Mismatch", f"llcons tail: expected (ref (llist {ht})), found {tt}"
                 )
             t = LList(ht)
-        elif isinstance(e, CaseLL):
+        elif k is CaseLL:
             st = go(e.scrut, env)
-            if not isinstance(st, LList):
+            if type(st) is not LList:
                 raise TargetTypeError("NotAList", f"casell of {st}")
             t = go(e.nil_branch, env)
             cons_env = {**env, e.hname: st.elem, e.tname: Ref(st)}
             expect(go(e.cons_branch, cons_env), t, "casell branches")
+        elif k is Fix:
+            _validate_annotation(e.param_ty)
+            _validate_annotation(e.res_ty)
+            fty = Arrow(e.param_ty, e.res_ty)
+            body_t = go(e.body, {**env, e.fname: fty, e.param: e.param_ty})
+            expect(body_t, e.res_ty, "fix body")
+            t = fty
+        elif k is LitBool:
+            t = BOOL
+        elif k is LLNilE:
+            _validate_annotation(e.elem_ty)
+            if not is_storable(e.elem_ty):
+                raise TargetTypeError("FunctionInStore", f"cannot store {e.elem_ty}")
+            t = LList(e.elem_ty)
+        elif k is PairE:
+            t = Pair(go(e.first, env), go(e.second, env))
+        elif k is Fst:
+            pt = go(e.pair, env)
+            if type(pt) is not Pair:
+                raise TargetTypeError("NotAPair", f"fst of {pt}")
+            t = pt.first
+        elif k is Snd:
+            pt = go(e.pair, env)
+            if type(pt) is not Pair:
+                raise TargetTypeError("NotAPair", f"snd of {pt}")
+            t = pt.second
+        elif k is InlE:
+            _validate_annotation(e.right_ty)
+            t = Sum(go(e.payload, env), e.right_ty)
+        elif k is InrE:
+            _validate_annotation(e.left_ty)
+            t = Sum(e.left_ty, go(e.payload, env))
+        elif k is Case:
+            st = go(e.scrut, env)
+            if type(st) is not Sum:
+                raise TargetTypeError("NotASum", f"case of {st}")
+            t = go(e.lbranch, {**env, e.lname: st.left})
+            expect(go(e.rbranch, {**env, e.rname: st.right}), t, "case branches")
         else:
             raise TargetTypeError("Mismatch", f"not an expression: {e!r}")
         types[id(e)] = t

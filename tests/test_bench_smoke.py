@@ -121,3 +121,25 @@ def test_traced_first_trial_reaches_every_layer_the_workload_expects(bench, name
         if not reading:
             zero.append(key)
     assert zero == []
+
+
+def test_traced_fuzz_cycle_parses_typechecks_and_generates(bench):
+    """One full fuzz cycle under the tracer parses and typechecks shipped
+    contexts and generates random ones, so a parse cache or a lazy load
+    that would zero these readings in a traced run fails here.  The cycle
+    runs once untraced first, so such a cache would already be full."""
+    workloads, tracing, _ = bench
+    fuzz = workloads.WORKLOADS["fuzz"]
+    trials = _first(fuzz, len(workloads.FUZZ_CYCLE))
+    for trial in trials:
+        fuzz.run(trial)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for trial in trials:
+            assert fuzz.run(trial).problems == [], trial
+    finally:
+        tracer.uninstall()
+    assert tracer.calls.get("target_lang.parse.calls", 0) > 0
+    for layer in ("target_lang.parse", "target_lang.typecheck", "target_lang.gen"):
+        assert tracer.self_s.get(layer, 0.0) > 0, layer

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -72,6 +73,24 @@ def test_check_valid_and_invalid_files(tmp_path, monkeypatch):
     broken = tmp_path / "broken.sref"
     broken.write_text("(lam (x int)")
     assert run_cli(["check", str(broken)], tmp_path, monkeypatch) == 1
+
+
+@pytest.mark.parametrize("text", [
+    "(lam (x int) " * 1200 + "x" + ")" * 1200,
+    "(lam (f (-> int int)) (f" + " 1" * 3000 + "))",
+])
+def test_check_fails_deep_input_without_crashing(text, tmp_path, monkeypatch, capsys):
+    deep = tmp_path / "deep.sref"
+    deep.write_text(text)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the default, whatever an earlier test set
+    try:
+        code = run_cli(["check", str(deep)], tmp_path, monkeypatch)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 1
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL ") and "nesting deeper than" in out
 
 
 def test_fuzz_writes_deterministic_report(tmp_path, monkeypatch):

@@ -1,5 +1,8 @@
+import sys
+
 import pytest
 
+from secref import target_lang
 from secref.contracts import ArrowS, BaseS, LListS, RefS
 from secref.errors import InterfaceMismatch, OutOfFuel, SrefParseError, TargetTypeError
 from secref.labels import is_shareable
@@ -11,7 +14,9 @@ from secref.target_lang import (
     DerefE,
     Lam,
     LitInt,
+    MAX_DEPTH,
     Var,
+    compile_term,
     elaborate,
     gen_random_context,
     parse,
@@ -79,6 +84,79 @@ def test_parse_error_positions_count_past_comments_and_tabs():
 def test_parse_rejects_bad_type():
     with pytest.raises(SrefParseError):
         parse("(lam (x intt) x)")
+
+
+def test_type_form_headed_by_a_form_is_named_in_words():
+    with pytest.raises(SrefParseError) as err:
+        parse("(lam (next ((-) unit int)) 7)")
+    assert (err.value.line, err.value.col) == (1, 12)
+    assert str(err.value).endswith("bad type form: its head is a form, not a type name")
+
+
+def _at_default_limit(fn):
+    """fn() run at Python's default recursion limit, whatever an earlier
+    test set it to."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        return fn()
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_deeply_nested_forms_are_a_positioned_parse_error():
+    text = "(lam (x int) " * 1200 + "x" + ")" * 1200
+    with pytest.raises(SrefParseError) as err:
+        _at_default_limit(lambda: parse(text))
+    # the first node past the bound: the parameter type of the 200th lambda
+    assert (err.value.line, err.value.col) == (1, 13 * (MAX_DEPTH - 1) + 9)
+    assert f"nesting deeper than {MAX_DEPTH}" in str(err.value)
+
+
+def test_each_application_argument_counts_as_one_level():
+    # it would parse to a 3000-deep left-nested spine of App nodes
+    with pytest.raises(SrefParseError) as err:
+        _at_default_limit(lambda: parse("(f" + " 1" * 3000 + ")"))
+    assert (err.value.line, err.value.col) == (1, 2)
+    assert f"nesting deeper than {MAX_DEPTH}" in str(err.value)
+
+    def spine(args: int) -> str:
+        return "(lam (f (-> int int)) (f" + " 1" * args + "))"
+
+    # the lambda is one level, its body's App spine one per argument
+    assert isinstance(parse(spine(MAX_DEPTH - 2)).body, App)
+    with pytest.raises(SrefParseError):
+        parse(spine(MAX_DEPTH - 1))
+
+
+def _curried(n: int) -> str:
+    """A let-bound function of n curried int arguments applied to n of them.
+    Under the let, the lambda chain and the App spine both reach depth n + 2."""
+    return ("(let (f " + "(lam (x int) " * n + "x" + ")" * n + ") (f" + " 1" * n + "))")
+
+
+def _ref_chain(n: int) -> str:
+    return "(lam (x " + "(ref " * n + "int" + ")" * n + ") x)"
+
+
+@pytest.mark.parametrize("text", [
+    _curried(MAX_DEPTH - 2),
+    _ref_chain(MAX_DEPTH - 2),
+    "(" * (MAX_DEPTH - 1) + "7" + ")" * (MAX_DEPTH - 1),
+])
+def test_terms_at_the_bound_parse_typecheck_and_compile_at_the_default_limit(
+        text, monkeypatch):
+    def load():
+        e = parse(text)
+        types: dict = {}
+        typecheck(e, {}, types)
+        compile_term(e, types)
+
+    _at_default_limit(load)
+    # each term is exactly at the bound
+    monkeypatch.setattr(target_lang, "MAX_DEPTH", MAX_DEPTH - 1)
+    with pytest.raises(SrefParseError):
+        parse(text)
 
 
 def test_typecheck_deref_arrow():
