@@ -33,6 +33,7 @@ from .sampling import preorder_laws
 from .scenarios import (
     SECRET_SNOOP,
     Scenario,
+    counter_callback,
     run_scenario,
     run_scheduler,
     scenario_autograder,
@@ -353,11 +354,9 @@ def campaign_dual(seed: int = 0, trials: int = 200, fuel: int = FUZZ_FUEL) -> Re
     and assert the final world only differs at shareable or encapsulated
     cells."""
     _ensure_recursion_headroom()
-    from .contracts import ArrowS, BaseS, hocs_of
+    from .contracts import ArrowS, BaseS
     from .labels import modif_only_shareable_and_encaps
     from .linker import DualProgram, link_dual
-    from .programs import read_op, write_op
-    from .scenarios import generate_nr
     from .values import UNIT
 
     report = Report(title=f"dual-direction (seed={seed}, trials={trials})")
@@ -369,18 +368,9 @@ def campaign_dual(seed: int = 0, trials: int = 200, fuel: int = FUZZ_FUEL) -> Re
         def setup(state: RunState):
             counter = state.op_alloc(INT, PREORDERS["int_leq"], VInt(0))
             state.op_label_encapsulated(counter)
+            return counter_callback(counter, mix_seed)
 
-            def cb(_arg):
-                def gen():
-                    cur = yield read_op(counter)
-                    yield write_op(counter, VInt(cur.value + 1))
-                    return VInt(generate_nr(mix_seed, cur.value + 1))
-
-                return do(gen)
-
-            return cb
-
-        return DualProgram(name="dual_counter", setup=setup, spec=cb_spec, hocs=hocs_of(cb_spec))
+        return DualProgram(name="dual_counter", setup=setup, spec=cb_spec)
 
     violations = []
     aborted = 0

@@ -131,82 +131,10 @@ class RefinedS:
 InterfaceSpec = Union[BaseS, PairS, SumS, RefS, LListS, ArrowS, RefinedS]
 
 
-# ---------------------------------------------------------------------------
-# contract trees (same shape as the spec, carrying the executable checks)
-
-
-@dataclass(frozen=True)
-class LeafC:
-    pass
-
-
-@dataclass(frozen=True)
-class PairC:
-    first: "ContractTree"
-    second: "ContractTree"
-
-
-@dataclass(frozen=True)
-class SumC:
-    left: "ContractTree"
-    right: "ContractTree"
-
-
-@dataclass(frozen=True)
-class RefinedC:
-    inner: "ContractTree"
-
-
-@dataclass(frozen=True)
-class ArrowC:
-    pre: Optional[ExecPre]
-    post: Optional[ExecPost]
-    arg: "ContractTree"
-    res: "ContractTree"
-
-
-ContractTree = Union[LeafC, PairC, SumC, RefinedC, ArrowC]
-
-LEAF = LeafC()
-
-
-def hocs_of(spec: InterfaceSpec) -> ContractTree:
-    """The contract tree carrying the checks declared inline on the spec."""
-    if isinstance(spec, (BaseS, RefS, LListS)):
-        return LEAF
-    if isinstance(spec, PairS):
-        return PairC(hocs_of(spec.first), hocs_of(spec.second))
-    if isinstance(spec, SumS):
-        return SumC(hocs_of(spec.left), hocs_of(spec.right))
-    if isinstance(spec, RefinedS):
-        return RefinedC(hocs_of(spec.base))
-    return ArrowC(spec.pre, spec.post, hocs_of(spec.arg), hocs_of(spec.res))
-
-
-def shape_matches(spec: InterfaceSpec, tree: ContractTree) -> bool:
-    if isinstance(spec, (BaseS, RefS, LListS)):
-        return isinstance(tree, LeafC)
-    if isinstance(spec, PairS):
-        return (
-            isinstance(tree, PairC)
-            and shape_matches(spec.first, tree.first)
-            and shape_matches(spec.second, tree.second)
-        )
-    if isinstance(spec, SumS):
-        return (
-            isinstance(tree, SumC)
-            and shape_matches(spec.left, tree.left)
-            and shape_matches(spec.right, tree.right)
-        )
-    if isinstance(spec, RefinedS):
-        return isinstance(tree, RefinedC) and shape_matches(spec.base, tree.inner)
-    if isinstance(spec, ArrowS):
-        return (
-            isinstance(tree, ArrowC)
-            and shape_matches(spec.arg, tree.arg)
-            and shape_matches(spec.res, tree.res)
-        )
-    return False
+def hocs_of(spec: InterfaceSpec) -> InterfaceSpec:
+    """The spec itself: it carries its own checks.  Kept only because the
+    benchmark still calls it."""
+    return spec
 
 
 def value_fits_spec(spec: Union[BaseS, RefS, LListS], v: Any) -> bool:
@@ -280,7 +208,7 @@ def refinement_errors(spec: InterfaceSpec, v: Any, env) -> Optional[Err]:
 # export / import
 
 
-def export(spec: InterfaceSpec, v: Any, hocs: ContractTree, env) -> Any:
+def export(spec: InterfaceSpec, v: Any, env) -> Any:
     """Lower a checked-side value to the raw side.
 
     Data passes through structurally.  Arrows are wrapped so that each call
@@ -291,35 +219,35 @@ def export(spec: InterfaceSpec, v: Any, hocs: ContractTree, env) -> Any:
     if isinstance(spec, (BaseS, RefS, LListS)):
         return v
     if isinstance(spec, RefinedS):
-        return export(spec.base, v, hocs.inner, env)
+        return export(spec.base, v, env)
     if isinstance(spec, PairS):
         return VPair(
-            export(spec.first, v.first, hocs.first, env),
-            export(spec.second, v.second, hocs.second, env),
+            export(spec.first, v.first, env),
+            export(spec.second, v.second, env),
         )
     if isinstance(spec, SumS):
         if isinstance(v, VInl):
-            return VInl(export(spec.left, v.payload, hocs.left, env))
-        return VInr(export(spec.right, v.payload, hocs.right, env))
+            return VInl(export(spec.left, v.payload, env))
+        return VInr(export(spec.right, v.payload, env))
     if isinstance(spec, ArrowS):
-        return _export_arrow(spec, v, hocs, env)
+        return _export_arrow(spec, v, env)
     raise TypeError(f"not an interface spec: {spec!r}")
 
 
-def _export_arrow(spec: ArrowS, f, hocs: ArrowC, env):
+def _export_arrow(spec: ArrowS, f, env):
     with_either = arrow_export_uses_either(spec)
 
     def wrapped(x):
-        if hocs.pre is not None:
-            err = _run_check(env, hocs.pre.check, x, env.world)
+        if spec.pre is not None:
+            err = _run_check(env, spec.pre.check, x, env.world)
             if err is not None:
                 return Inr(err)
-        arg_in = import_value(spec.arg, x, hocs.arg, env)
+        arg_in = import_value(spec.arg, x, env)
         if isinstance(arg_in, Inr):
             return arg_in
         program = f(arg_in.value)
         result = env.interpret(program)
-        out = export(spec.res, result, hocs.res, env)
+        out = export(spec.res, result, env)
         res_err = refinement_errors(spec.res, out, env)
         if res_err is not None:
             return Inr(res_err)
@@ -328,7 +256,7 @@ def _export_arrow(spec: ArrowS, f, hocs: ArrowC, env):
     return wrapped
 
 
-def import_value(spec: InterfaceSpec, v: Any, hocs: ContractTree, env) -> Either:
+def import_value(spec: InterfaceSpec, v: Any, env) -> Either:
     """Raise a raw-side value to the checked side, adding dynamic checks.
 
     Refinements are checked immediately.  Arrows import without immediate
@@ -342,7 +270,7 @@ def import_value(spec: InterfaceSpec, v: Any, hocs: ContractTree, env) -> Either
             return Inr(Err(ErrCode.IMPORT_FAILURE, f"{v} does not fit {spec}"))
         return Inl(v)
     if isinstance(spec, RefinedS):
-        base = import_value(spec.base, v, hocs.inner, env)
+        base = import_value(spec.base, v, env)
         if isinstance(base, Inr):
             return base
         if not _run_check(env, spec.check, base.value):
@@ -353,44 +281,44 @@ def import_value(spec: InterfaceSpec, v: Any, hocs: ContractTree, env) -> Either
     if isinstance(spec, PairS):
         if not isinstance(v, VPair):
             return Inr(Err(ErrCode.IMPORT_FAILURE, f"{v} is not a pair"))
-        a = import_value(spec.first, v.first, hocs.first, env)
+        a = import_value(spec.first, v.first, env)
         if isinstance(a, Inr):
             return a
-        b = import_value(spec.second, v.second, hocs.second, env)
+        b = import_value(spec.second, v.second, env)
         if isinstance(b, Inr):
             return b
         return Inl(VPair(a.value, b.value))
     if isinstance(spec, SumS):
         if isinstance(v, VInl):
-            p = import_value(spec.left, v.payload, hocs.left, env)
+            p = import_value(spec.left, v.payload, env)
             return p if isinstance(p, Inr) else Inl(VInl(p.value))
         if isinstance(v, VInr):
-            p = import_value(spec.right, v.payload, hocs.right, env)
+            p = import_value(spec.right, v.payload, env)
             return p if isinstance(p, Inr) else Inl(VInr(p.value))
         return Inr(Err(ErrCode.IMPORT_FAILURE, f"{v} is not a sum"))
     if isinstance(spec, ArrowS):
         if not callable(v):
             return Inr(Err(ErrCode.IMPORT_FAILURE, f"{v} is not callable"))
-        return Inl(_import_arrow(spec, v, hocs, env))
+        return Inl(_import_arrow(spec, v, env))
     raise TypeError(f"not an interface spec: {spec!r}")
 
 
-def _import_arrow(spec: ArrowS, f, hocs: ArrowC, env):
+def _import_arrow(spec: ArrowS, f, env):
     def wrapped(x) -> Either:
-        out = export(spec.arg, x, hocs.arg, env)
+        out = export(spec.arg, x, env)
         captured = None
-        if hocs.post is not None:
-            captured = _run_check(env, hocs.post.select, x, env.world)
+        if spec.post is not None:
+            captured = _run_check(env, spec.post.select, x, env.world)
         raw = f(out)
         if isinstance(raw, Inr):
             return raw
         if isinstance(raw, Inl):
             raw = raw.value
-        back = import_value(spec.res, raw, hocs.res, env)
+        back = import_value(spec.res, raw, env)
         if isinstance(back, Inr):
             return back
-        if hocs.post is not None and not mutants.is_active("import_no_post"):
-            err = _run_check(env, hocs.post.verify, captured, back.value, env.world)
+        if spec.post is not None and not mutants.is_active("import_no_post"):
+            err = _run_check(env, spec.post.verify, captured, back.value, env.world)
             if err is not None:
                 return Inr(err)
         return Inl(back.value)

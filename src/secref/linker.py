@@ -23,7 +23,6 @@ from typing import Any, Callable, Optional
 from . import mutants
 from .contracts import (
     ArrowS,
-    ContractTree,
     Inr,
     InterfaceSpec,
     PairS,
@@ -38,7 +37,6 @@ from .labels import (
     World,
     _hand_over,
     _make_world,
-    initial_world,  # the canonical start state, re-exported from here
     is_private,
     lr_alloc,
     lr_read,
@@ -53,7 +51,6 @@ from .values import Addr, TypeTag, Value, VInl, VInr, VPair, VRef, ref_entries
 @dataclass(frozen=True)
 class SourceInterface:
     spec: InterfaceSpec
-    hocs: ContractTree
     psi: Callable[[World, Any, World], bool]
 
 
@@ -239,7 +236,7 @@ def compile_program(program: SourceProgram, iface: SourceInterface):
     """
 
     def compiled(ctx_value: Any, state: RunState) -> Program:
-        imported = import_value(iface.spec, ctx_value, iface.hocs, state)
+        imported = import_value(iface.spec, ctx_value, state)
         if isinstance(imported, Inr):
             return Return(imported)
         return program.body(imported.value)
@@ -255,7 +252,7 @@ def back_translate(context: TargetContext, iface: SourceInterface):
 
     def materialize(state: RunState):
         raw = _instantiate(context, iface, state)
-        return import_value(iface.spec, raw, iface.hocs, state)
+        return import_value(iface.spec, raw, state)
 
     materialize.context = context
     return materialize
@@ -291,13 +288,13 @@ class DualProgram:
     name: str
     setup: Callable[[RunState], Any]  # allocate program state, return the value
     spec: InterfaceSpec
-    hocs: ContractTree
+    hocs: Any = None  # unread; only the benchmark still sets it
 
 
 def link_dual(dual: DualProgram, context: TargetContext) -> WholeProgram:
     def run_in(state: RunState):
         progv = dual.setup(state)
-        exported = export(dual.spec, progv, dual.hocs, state)
+        exported = export(dual.spec, progv, state)
 
         def enter():
             main = context.builder(CtxOps(state))

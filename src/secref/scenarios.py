@@ -24,7 +24,6 @@ from .contracts import (
     PairS,
     RefS,
     SumS,
-    hocs_of,
 )
 from .errors import RunFailure, TypeMismatch, Uncontained
 from .heap import HIST_PREFIX, INT_LEQ, NIL_THEN_FIXED, NONE_THEN_FIXED, TRIVIAL
@@ -219,7 +218,6 @@ SECRET_SNOOP = TargetContext(name="secret_snoop", builder=_snoop_builder)
 def scenario_safe_prog(labeled: bool = True) -> Scenario:
     iface = SourceInterface(
         spec=SAFE_PROG_SPEC,
-        hocs=hocs_of(SAFE_PROG_SPEC),
         psi=lambda w0, r, w1: (
             w1.heap.contains(SECRET_ADDR)
             and w1.heap.cell(SECRET_ADDR).value == VInt(42)
@@ -315,7 +313,6 @@ def scenario_autograder(tests=(4, 1, 3)) -> Scenario:
 
     iface = SourceInterface(
         spec=HW_SPEC,
-        hocs=hocs_of(HW_SPEC),
         psi=lambda w0, r, w1: (
             w1.heap.contains(GRADE_ADDR)
             and isinstance(w1.heap.cell(GRADE_ADDR).value, VInr)
@@ -482,17 +479,26 @@ def generate_nr(seed: int, i: int) -> int:
     return (x >> 17) % 1000
 
 
+def counter_callback(counter: Addr, seed: int):
+    """The checked callback over an encapsulated call counter: each call
+    bumps the counter and returns the pseudo-number for its new value."""
+
+    def cb(_arg):
+        def gen():
+            cur = yield read_op(counter)
+            nxt = cur.value + 1
+            yield write_op(counter, VInt(nxt))
+            return VInt(generate_nr(seed, nxt))
+
+        return do(gen)
+
+    return cb
+
+
 def scenario_prng(seed: int = 2024) -> Scenario:
+    cb = counter_callback(COUNTER_ADDR, seed)
+
     def body(ctx_main):
-        def cb(_arg):
-            def gen():
-                cur = yield read_op(COUNTER_ADDR)
-                nxt = cur.value + 1
-                yield write_op(COUNTER_ADDR, VInt(nxt))
-                return VInt(generate_nr(seed, nxt))
-
-            return do(gen)
-
         def gen():
             counter = yield alloc_op(INT, INT_LEQ, VInt(0))
             yield label_encapsulated_op(counter)
@@ -505,7 +511,6 @@ def scenario_prng(seed: int = 2024) -> Scenario:
 
     iface = SourceInterface(
         spec=PRNG_SPEC,
-        hocs=hocs_of(PRNG_SPEC),
         psi=lambda w0, r, w1: (
             w1.heap.contains(COUNTER_ADDR)
             and is_encapsulated(w1, COUNTER_ADDR)
@@ -652,7 +657,6 @@ def scenario_guess(lo: int = 0, hi: int = 100, pick: int = 42) -> Scenario:
 
     iface = SourceInterface(
         spec=GUESS_SPEC,
-        hocs=hocs_of(GUESS_SPEC),
         psi=lambda w0, r, w1: (
             w1.heap.contains(GUESSES_ADDR)
             and is_encapsulated(w1, GUESSES_ADDR)
@@ -803,15 +807,18 @@ class SchedHistory(ChainFollower):
 
 def _sched_append(state: RunState, task_id: int, next_task: int, inact: int, tail):
     """Append one history entry; tail is the terminal nil cell of the chain,
-    or None while the history still sits empty inside the counter pair."""
+    or None while the history still sits empty inside the counter pair.
+
+    The entry is committed by the last write, which links it into the chain,
+    so a run that stops part-way records no entry."""
     fresh = state.op_alloc(LList(INT), NIL_THEN_FIXED, V_NIL)
     new_rest = VPair(VInt(next_task), VInt(inact))
     cell = state.world.heap.cell(SCHED_COUNTER_ADDR).value
     if tail is None:
         state.op_write(SCHED_COUNTER_ADDR, VPair(VLLCons(VInt(task_id), fresh), new_rest))
     else:
-        state.op_write(tail, VLLCons(VInt(task_id), fresh))
         state.op_write(SCHED_COUNTER_ADDR, VPair(cell.first, new_rest))
+        state.op_write(tail, VLLCons(VInt(task_id), fresh))
     return fresh
 
 
@@ -847,15 +854,18 @@ def run_scheduler(task_builders, shared_init: int = 0, cfg: Optional[RunConfig] 
             span_start = state.world
             out = steps[nxt]()
             state.trace.context_spans.append((f"task{nxt}", span_start, state.world))
+            done = isinstance(out, VInl)
+            following = (nxt + 1) % k
+            # the host history follows the recorded one: an entry whose
+            # record ran out of fuel is in neither
+            tail = _sched_append(state, nxt, following, inact + done, tail)
             hist.append(nxt)
-            if isinstance(out, VInl):
+            if done:
                 steps[nxt] = None
                 inact += 1
                 finished_at[nxt] = len(hist) - 1
             else:
                 steps[nxt] = out.payload
-            following = (nxt + 1) % k
-            tail = _sched_append(state, nxt, following, inact, tail)
             nxt = following
         outcome = ("ok", inact)
     except RunFailure as failure:

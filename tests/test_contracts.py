@@ -12,7 +12,6 @@ from secref.contracts import (
     ExecPre,
     Inl,
     Inr,
-    LEAF,
     LListS,
     PairS,
     RefS,
@@ -20,10 +19,9 @@ from secref.contracts import (
     SumS,
     arrow_export_uses_either,
     export,
-    hocs_of,
     import_value,
-    shape_matches,
 )
+from secref import mutants
 from secref.errors import PurityViolation
 from secref.heap import TRIVIAL, HeapCell
 from secref.labels import Label, initial_world, is_private
@@ -57,42 +55,42 @@ def fresh_env():
 
 
 def test_export_base_identity():
-    assert export(INT_S, VInt(5), LEAF, RunState(world=initial_world())) == VInt(5)
+    assert export(INT_S, VInt(5), RunState(world=initial_world())) == VInt(5)
 
 
 def test_export_ref_identity():
     spec = RefS(INT)
     v = VRef(4, INT)
-    assert export(spec, v, LEAF, RunState(world=initial_world())) == v
+    assert export(spec, v, RunState(world=initial_world())) == v
 
 
 def test_import_base():
-    assert import_value(INT_S, VInt(5), LEAF, RunState(world=initial_world())) == Inl(VInt(5))
+    assert import_value(INT_S, VInt(5), RunState(world=initial_world())) == Inl(VInt(5))
 
 
 def test_import_base_shape_mismatch():
-    out = import_value(INT_S, V_UNIT, LEAF, RunState(world=initial_world()))
+    out = import_value(INT_S, V_UNIT, RunState(world=initial_world()))
     assert isinstance(out, Inr)
     assert out.error.code is ErrCode.IMPORT_FAILURE
 
 
 def test_import_refinement_violation():
-    out = import_value(POSITIVE, VInt(-3), hocs_of(POSITIVE), RunState(world=initial_world()))
+    out = import_value(POSITIVE, VInt(-3), RunState(world=initial_world()))
     assert isinstance(out, Inr)
     assert out.error.code is ErrCode.REFINEMENT_VIOLATION
 
 
 def test_import_refinement_pass():
-    out = import_value(POSITIVE, VInt(3), hocs_of(POSITIVE), RunState(world=initial_world()))
+    out = import_value(POSITIVE, VInt(3), RunState(world=initial_world()))
     assert out == Inl(VInt(3))
 
 
 def test_import_pair_and_sum_recurse():
     spec = PairS(POSITIVE, SumS(INT_S, POSITIVE))
     env = RunState(world=initial_world())
-    ok = import_value(spec, VPair(VInt(1), VInr(VInt(2))), hocs_of(spec), env)
+    ok = import_value(spec, VPair(VInt(1), VInr(VInt(2))), env)
     assert ok == Inl(VPair(VInt(1), VInr(VInt(2))))
-    bad = import_value(spec, VPair(VInt(1), VInr(VInt(-2))), hocs_of(spec), env)
+    bad = import_value(spec, VPair(VInt(1), VInr(VInt(-2))), env)
     assert isinstance(bad, Inr)
 
 
@@ -109,7 +107,7 @@ def test_export_arrow_pre_violation_without_invoking():
         pre=ExecPre(lambda v, w: None if v.value > 0 else Err(ErrCode.PRE_VIOLATION, "arg <= 0")),
     )
     env = fresh_env()
-    wrapped = export(spec, body, hocs_of(spec), env)
+    wrapped = export(spec, body, env)
     out = wrapped(VInt(-1))
     assert isinstance(out, Inr) and out.error.code is ErrCode.PRE_VIOLATION
     assert calls == []
@@ -120,7 +118,7 @@ def test_export_arrow_without_checks_returns_raw():
     spec = ArrowS(INT_S, INT_S)
     assert not arrow_export_uses_either(spec)
     env = fresh_env()
-    wrapped = export(spec, lambda v: Return(VInt(v.value + 1)), hocs_of(spec), env)
+    wrapped = export(spec, lambda v: Return(VInt(v.value + 1)), env)
     assert wrapped(VInt(1)) == VInt(2)
 
 
@@ -136,7 +134,7 @@ def test_exported_arrow_runs_its_program_against_the_live_state():
 
         return do(gen)
 
-    wrapped = export(spec, body, hocs_of(spec), env)
+    wrapped = export(spec, body, env)
     assert wrapped(V_UNIT) == VInt(10)
     assert env.world.heap.contains(1)
 
@@ -175,7 +173,7 @@ def test_imported_arrow_post_violation_on_lazy_adversary():
     state, head = _chain_state([3, 1, 2])
     lazy = lambda ref: V_UNIT
     spec = hw_spec()
-    imported = import_value(spec, lazy, hocs_of(spec), state)
+    imported = import_value(spec, lazy, state)
     out = imported.value(VRef(head, LList(INT)))
     assert isinstance(out, Inr) and out.error.code is ErrCode.POST_VIOLATION
 
@@ -192,7 +190,7 @@ def test_imported_arrow_accepts_honest_worker():
         return V_UNIT
 
     spec = hw_spec()
-    imported = import_value(spec, honest, hocs_of(spec), state)
+    imported = import_value(spec, honest, state)
     out = imported.value(VRef(head, LList(INT)))
     assert out == Inl(V_UNIT)
 
@@ -206,7 +204,7 @@ def test_post_violation_does_not_roll_back_the_heap():
         return V_UNIT
 
     spec = hw_spec()
-    imported = import_value(spec, vandal, hocs_of(spec), state)
+    imported = import_value(spec, vandal, state)
     out = imported.value(VRef(head, LList(INT)))
     assert isinstance(out, Inr)
     assert state.world.heap.cell(head).value.head == VInt(99)
@@ -215,7 +213,7 @@ def test_post_violation_does_not_roll_back_the_heap():
 def test_contract_checks_are_counted_and_pure():
     state, head = _chain_state([1])
     spec = hw_spec()
-    imported = import_value(spec, lambda r: V_UNIT, hocs_of(spec), state)
+    imported = import_value(spec, lambda r: V_UNIT, state)
     before = state.trace.contract_checks
     imported.value(VRef(head, LList(INT)))
     assert state.trace.contract_checks == before + 2  # select + verify
@@ -231,7 +229,7 @@ def test_purity_monitor_fires_on_a_mutating_check():
             return None
 
     spec = ArrowS(INT_S, INT_S, pre=ExecPre(Sneaky()))
-    wrapped = export(spec, lambda v: Return(v), hocs_of(spec), state)
+    wrapped = export(spec, lambda v: Return(v), state)
     with pytest.raises(PurityViolation):
         wrapped(VInt(1))
 
@@ -258,19 +256,13 @@ def test_purity_monitor_fires_on_an_in_place_rewrite(swallow):
         return None
 
     spec = ArrowS(INT_S, INT_S, pre=ExecPre(rewrite))
-    wrapped = export(spec, lambda v: Return(v), hocs_of(spec), state)
+    wrapped = export(spec, lambda v: Return(v), state)
     with pytest.raises(PurityViolation):
         wrapped(VInt(1))
     assert state.trace.purity_failures == 1
     assert state.world is before
     assert state.world.heap.cell(secret).value == VInt(42)
     assert is_private(state.world, secret)
-
-
-def test_shape_matching():
-    spec = PairS(POSITIVE, ArrowS(INT_S, INT_S))
-    assert shape_matches(spec, hocs_of(spec))
-    assert not shape_matches(spec, LEAF)
 
 
 def _random_first_order_spec(rng, depth=2):
@@ -310,8 +302,8 @@ def test_round_trip_on_first_order_data():
     for _ in range(300):
         spec = _random_first_order_spec(rng)
         v = _spec_value(spec, rng)
-        assert import_value(spec, v, hocs_of(spec), env) == Inl(v)
-        out = import_value(spec, export(spec, v, hocs_of(spec), env), hocs_of(spec), env)
+        assert import_value(spec, v, env) == Inl(v)
+        out = import_value(spec, export(spec, v, env), env)
         assert out == Inl(v)
 
 
@@ -320,7 +312,57 @@ def test_preserves_refs_on_data():
     spec = PairS(RefS(INT), BaseS(INT))
     v = VPair(VRef(3, INT), VInt(1))
     env = RunState(world=initial_world())
-    exported = export(spec, v, hocs_of(spec), env)
-    imported = import_value(spec, exported, hocs_of(spec), env)
+    exported = export(spec, v, env)
+    imported = import_value(spec, exported, env)
     for out in (exported, imported.value):
         assert list(ref_entries(Pair(Ref(INT), INT), out)) == [(3, INT)]
+
+
+# -- checks on arrows nested inside data and inside other arrows
+
+POSITIVE_PRE = ExecPre(lambda v, w: None if v.value > 0 else Err(ErrCode.PRE_VIOLATION, "arg <= 0"))
+
+SUCC_POST = ExecPost(
+    lambda arg, world: arg.value,
+    lambda before, result, world: (
+        None if result.value == before + 1 else Err(ErrCode.POST_VIOLATION, "not arg + 1")
+    ),
+)
+
+
+def test_exported_arrow_inside_a_pair_checks_its_pre():
+    calls = []
+
+    def body(v):
+        calls.append(v)
+        return Return(v)
+
+    spec = PairS(ArrowS(INT_S, INT_S, pre=POSITIVE_PRE), INT_S)
+    exported = export(spec, VPair(body, VInt(0)), fresh_env())
+    out = exported.first(VInt(-1))
+    assert isinstance(out, Inr) and out.error.code is ErrCode.PRE_VIOLATION
+    assert calls == []
+    assert exported.first(VInt(3)) == Inl(VInt(3))
+    assert exported.second == VInt(0)
+
+
+def test_exported_arrow_in_a_sum_arm_checks_its_pre():
+    spec = SumS(INT_S, ArrowS(INT_S, INT_S, pre=POSITIVE_PRE))
+    exported = export(spec, VInr(lambda v: Return(v)), fresh_env())
+    out = exported.payload(VInt(0))
+    assert isinstance(out, Inr) and out.error.code is ErrCode.PRE_VIOLATION
+    assert exported.payload(VInt(1)) == Inl(VInt(1))
+
+
+def test_arrow_returned_by_an_imported_arrow_checks_its_own_post():
+    spec = ArrowS(BaseS(UNIT), ArrowS(INT_S, INT_S, post=SUCC_POST))
+    state = fresh_env()
+    outer = import_value(spec, lambda _: (lambda v: VInt(v.value + 2)), state).value
+    inner = outer(V_UNIT).value
+    out = inner(VInt(4))
+    assert isinstance(out, Inr) and out.error.code is ErrCode.POST_VIOLATION
+    with mutants.enabled("import_no_post"):
+        assert inner(VInt(4)) == Inl(VInt(6))
+
+    honest = import_value(spec, lambda _: (lambda v: VInt(v.value + 1)), state).value
+    assert honest(V_UNIT).value(VInt(4)) == Inl(VInt(5))

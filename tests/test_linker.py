@@ -1,7 +1,7 @@
 import pytest
 
 from secref import mutants
-from secref.contracts import ArrowS, BaseS, Inr, hocs_of
+from secref.contracts import ArrowS, BaseS, Inr
 from secref.errors import (
     AlreadyLabeled,
     BoundaryViolation,
@@ -193,7 +193,6 @@ def test_ctx_alloc_refuses_a_fresh_address_that_already_carries_a_label():
 def doubler_interface():
     return SourceInterface(
         spec=ArrowS(BaseS(INT), BaseS(INT)),
-        hocs=hocs_of(ArrowS(BaseS(INT), BaseS(INT))),
         psi=lambda w0, r, w1: w1.heap.contains(1) and w1.heap.cell(1).value == VInt(42),
     )
 

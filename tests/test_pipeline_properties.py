@@ -11,7 +11,6 @@ from secref.contracts import (
     Inl,
     LListS,
     RefinedS,
-    hocs_of,
     import_value,
 )
 from secref.errors import BoundaryViolation
@@ -60,7 +59,7 @@ def test_wrapped_arrow_passes_addresses_through_per_call():
     state = RunState()
     ops = CtxOps(state)
     head = ops.alloc(LList(INT), V_NIL)
-    imported = import_value(spec, recorder, hocs_of(spec), state).value
+    imported = import_value(spec, recorder, state).value
     for _ in range(5):
         out = imported(head)
         assert out == Inl(head)

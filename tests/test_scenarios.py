@@ -240,6 +240,19 @@ def test_scheduler_runs_out_of_fuel_on_immortal_tasks():
     assert run.record.outcome[1] == "OutOfFuel"
 
 
+@pytest.mark.parametrize("mode", ["fast", "paranoid"])
+def test_scheduler_history_matches_on_every_aborted_run(mode):
+    """A spinner never finishes, so fuel runs out at each step of recording
+    a history entry in turn; the host history still equals the recorded one."""
+    for fuel in range(60, 66):
+        tasks = [yielding_task(10**9), yielding_task(2, write_value=7)]
+        run = run_scheduler(tasks, cfg=RunConfig(check_level=mode, fuel=fuel))
+        assert run.record.outcome[1] == "OutOfFuel"
+        checks = scheduler_checks(run, 2)
+        assert not checks.pop("all_tasks_finished")
+        assert all(checks.values()), (fuel, checks)
+
+
 def test_fairness_counterexample():
     # task 1 starved between the two runs of task 0 while still active
     assert not fairness(2, [0, 1, 0, 0, 1], {0: 3, 1: 4})
