@@ -32,10 +32,6 @@ from .scenarios import (
 from .target_lang import load_sref, parse, typecheck
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("SECREF_SEED", "0"))
-
-
 def _emit(reports: list[Report], json_path: str, meta: dict) -> int:
     for report in reports:
         for line in report.lines():
@@ -81,9 +77,9 @@ def cmd_run(args) -> int:
     context = args.context
     if context.endswith(".sref"):
         try:
-            text = Path(context).read_text()
+            text = Path(context).read_text(encoding="utf-8")
             context = load_sref(text, scenario.interface.spec, name=Path(context).stem)
-        except (OSError, SecrefError) as err:
+        except (OSError, UnicodeDecodeError, SecrefError) as err:
             print(f"cannot load context: {err}")
             return 2
     elif context not in scenario.contexts:
@@ -102,8 +98,8 @@ def cmd_run(args) -> int:
 
 def cmd_check(args) -> int:
     try:
-        text = Path(args.file).read_text()
-    except OSError as err:
+        text = Path(args.file).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
         print(f"cannot read {args.file}: {err}")
         return 2
     try:
@@ -153,6 +149,11 @@ def cmd_props(args) -> int:
 
 
 def main(argv=None) -> int:
+    try:
+        seed = int(os.environ.get("SECREF_SEED", "0"))
+    except ValueError:
+        print(f"SECREF_SEED must be an integer, not {os.environ['SECREF_SEED']!r}")
+        return 2
     parser = argparse.ArgumentParser(prog="secref", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -169,7 +170,7 @@ def main(argv=None) -> int:
     p_check.set_defaults(fn=cmd_check)
 
     p_fuzz = sub.add_parser("fuzz", help="differential and universal-property campaigns")
-    p_fuzz.add_argument("--seed", type=int, default=_default_seed())
+    p_fuzz.add_argument("--seed", type=int, default=seed)
     p_fuzz.add_argument("--trials", type=int, default=200)
     p_fuzz.add_argument("--fuel", type=int, default=1500)
     p_fuzz.add_argument("--paranoid", action="store_true")
@@ -178,7 +179,7 @@ def main(argv=None) -> int:
     p_fuzz.set_defaults(fn=cmd_fuzz)
 
     p_props = sub.add_parser("props", help="module invariant suites")
-    p_props.add_argument("--seed", type=int, default=_default_seed())
+    p_props.add_argument("--seed", type=int, default=seed)
     p_props.add_argument("--json", default="secref-report.json")
     p_props.set_defaults(fn=cmd_props)
 

@@ -20,16 +20,7 @@ from . import mutants
 from .errors import ImmutableWrite, PurityViolation
 from .heap import AddrMap
 from .labels import World
-from .values import (
-    LList,
-    TypeTag,
-    Value,
-    VInl,
-    VInr,
-    VPair,
-    VRef,
-    conforms,
-)
+from .values import TypeTag, Value, VInl, VInr, VPair, conforms
 
 
 class ErrCode(enum.Enum):
@@ -89,16 +80,6 @@ class SumS:
 
 
 @dataclass(frozen=True)
-class RefS:
-    target: TypeTag
-
-
-@dataclass(frozen=True)
-class LListS:
-    elem: TypeTag
-
-
-@dataclass(frozen=True)
 class ExecPre:
     check: Callable[[Value, World], Optional[Err]]
 
@@ -128,21 +109,13 @@ class RefinedS:
             raise TypeError("refinements are not allowed on arrow nodes")
 
 
-InterfaceSpec = Union[BaseS, PairS, SumS, RefS, LListS, ArrowS, RefinedS]
+InterfaceSpec = Union[BaseS, PairS, SumS, ArrowS, RefinedS]
 
 
 def hocs_of(spec: InterfaceSpec) -> InterfaceSpec:
     """The spec itself: it carries its own checks.  Kept only because the
     benchmark still calls it."""
     return spec
-
-
-def value_fits_spec(spec: Union[BaseS, RefS, LListS], v: Any) -> bool:
-    """Shallow conformance of a boundary value to a leaf spec's data shape."""
-    if isinstance(spec, BaseS):
-        return not callable(v) and conforms(v, spec.tag)
-    target = spec.target if isinstance(spec, RefS) else LList(spec.elem)
-    return isinstance(v, VRef) and v.target == target
 
 
 def has_refinements(spec: InterfaceSpec) -> bool:
@@ -216,7 +189,7 @@ def export(spec: InterfaceSpec, v: Any, env) -> Any:
     underlying program against the live run state, exports the result, and
     re-checks any result refinements.  Wrap time itself never fails.
     """
-    if isinstance(spec, (BaseS, RefS, LListS)):
+    if isinstance(spec, BaseS):
         return v
     if isinstance(spec, RefinedS):
         return export(spec.base, v, env)
@@ -265,8 +238,8 @@ def import_value(spec: InterfaceSpec, v: Any, env) -> Either:
     runs verify, turning a violation into the call's Inr result.  Heap
     effects of a failed call are not rolled back.
     """
-    if isinstance(spec, (BaseS, RefS, LListS)):
-        if not value_fits_spec(spec, v):
+    if isinstance(spec, BaseS):
+        if callable(v) or not conforms(v, spec.tag):
             return Inr(Err(ErrCode.IMPORT_FAILURE, f"{v} does not fit {spec}"))
         return Inl(v)
     if isinstance(spec, RefinedS):

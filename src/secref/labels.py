@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Optional
 
 from . import heap as hp
 from . import mutants
@@ -100,34 +101,8 @@ def is_encapsulated(w: World, r: Addr) -> bool:
     return w.label_of(r) is Label.ENCAPSULATED
 
 
-# A context step walks the value it stores once.  The linker's boundary
-# check walks it with `ref_entries` and hands the entries over; the
-# `lr_alloc`/`lr_write` that follows takes them instead of walking again.
-# `ref_entries` is a pure function of the tag and the value, and the
-# hand-off holds both objects, so entries taken for the same two objects
-# are the ones a fresh walk would return.
-_handed: tuple = ()
-
-
-def _hand_over(tag: TypeTag, v: Value, entries: list) -> None:
-    global _handed
-    _handed = (tag, v, entries)
-
-
-def _entries(tag: TypeTag, v: Value) -> list:
-    """ref_entries(tag, v), or the entries handed over for these two
-    objects; the hand-off is emptied either way."""
-    global _handed
-    handed, _handed = _handed, ()
-    if handed and handed[0] is tag and handed[1] is v:
-        return handed[2]
-    return ref_entries(tag, v)
-
-
-def _check_embedded_contained(w: World, tag: TypeTag, v: Value, who: str) -> list:
-    """The embedded (address, tag) entries of v, each checked contained and
-    of the expected tag; one walk, so callers reuse the entries."""
-    entries = _entries(tag, v)
+def _check_embedded_contained(w: World, entries: list, who: str) -> None:
+    """Each embedded (address, tag) entry is contained and of the expected tag."""
     for addr, expected in entries:
         if not w.heap.contains(addr):
             raise DanglingInit(f"{who}: embedded address {addr} not in heap")
@@ -136,7 +111,6 @@ def _check_embedded_contained(w: World, tag: TypeTag, v: Value, who: str) -> lis
             raise TypeMismatch(
                 f"{who}: embedded ref {addr} expects cell of {expected}, found {actual}"
             )
-    return entries
 
 
 def _private_embedded(w: World, entries: list) -> frozenset[Addr]:
@@ -193,8 +167,13 @@ def lr_inv_at(w: World, r: Addr) -> bool:
     return is_private(w, LABEL_MAP_MARKER)
 
 
-def lr_alloc(w: World, tag: TypeTag, rel: Preorder, init: Value) -> tuple[Addr, World]:
-    _check_embedded_contained(w, tag, init, "alloc")
+# `entries`, when given, are the stored value's `ref_entries`: a context store
+# passes those its boundary walk found, so the value is walked once.
+def lr_alloc(w: World, tag: TypeTag, rel: Preorder, init: Value,
+             entries: Optional[list] = None) -> tuple[Addr, World]:
+    if entries is None:
+        entries = ref_entries(tag, init)
+    _check_embedded_contained(w, entries, "alloc")
     addr, h1 = hp.alloc(w.heap, tag, rel, init)
     return addr, _make_world(h1, w.labels)
 
@@ -203,11 +182,13 @@ def lr_read(w: World, r: Addr) -> Value:
     return hp.read(w.heap, r)
 
 
-def lr_write(w: World, r: Addr, v: Value) -> World:
+def lr_write(w: World, r: Addr, v: Value, entries: Optional[list] = None) -> World:
     if r == LABEL_MAP_MARKER:
         raise Uncontained(r, "the label-map marker is not writable")
     cell = w.heap.cell(r)
-    entries = _check_embedded_contained(w, cell.tag, v, "write")
+    if entries is None:
+        entries = ref_entries(cell.tag, v)
+    _check_embedded_contained(w, entries, "write")
     if is_shareable(w, r):
         leaked = _private_embedded(w, entries)
         if leaked and not mutants.is_active("lr_write_share_unchecked"):

@@ -35,7 +35,6 @@ from .heap import TRIVIAL
 from .labels import (
     Label,
     World,
-    _hand_over,
     _make_world,
     is_private,
     lr_alloc,
@@ -76,19 +75,19 @@ class WholeProgram:
 # the three context-facing operations
 
 
-def _embeds_only_shareable(w: World, tag: TypeTag, v: Value, what: str) -> None:
-    """The boundary walk: every address v embeds is shareable.  Its entries
-    go on to the labeled operation, which then does not walk v again."""
+def _embeds_only_shareable(w: World, tag: TypeTag, v: Value, what: str) -> list:
+    """The boundary walk: every address v embeds is shareable.  Returns its
+    entries, which the labeled operation takes instead of walking v again."""
     entries = ref_entries(tag, v)
     for sub, _ in entries:
         if w.label_of(sub) is not Label.SHAREABLE:
             raise BoundaryViolation(f"context {what} embeds non-shareable address {sub}")
-    _hand_over(tag, v, entries)
+    return entries
 
 
 def ctx_alloc(w: World, tag: TypeTag, init: Value) -> tuple[Addr, World]:
-    _embeds_only_shareable(w, tag, init, "alloc")
-    addr, w1 = lr_alloc(w, tag, TRIVIAL, init)
+    entries = _embeds_only_shareable(w, tag, init, "alloc")
+    addr, w1 = lr_alloc(w, tag, TRIVIAL, init, entries)
     # labeled directly: the embedded refs were just checked shareable, which
     # is stronger than label_shareable's ShareLeak check, and a fresh cell
     # carries the trivial preorder
@@ -104,13 +103,14 @@ def ctx_read(w: World, r: Addr) -> Value:
 
 
 def ctx_write(w: World, r: Addr, v: Value) -> World:
+    entries = None
     if not mutants.is_active("ctx_write_unchecked"):
         if w.label_of(r) is not Label.SHAREABLE:
             raise BoundaryViolation(f"context write to non-shareable address {r}")
         cell = w.heap.cells.get(r)
         if cell is not None:
-            _embeds_only_shareable(w, cell.tag, v, "write")
-    return lr_write(w, r, v)
+            entries = _embeds_only_shareable(w, cell.tag, v, "write")
+    return lr_write(w, r, v, entries)
 
 
 class CtxOps:

@@ -176,6 +176,10 @@ class RunConfig:
     check_level: str = "fast"  # "fast" | "paranoid"
     fuel: int = 1_000_000
 
+    def __post_init__(self):
+        if self.check_level not in ("fast", "paranoid"):
+            raise ValueError(f"check_level must be 'fast' or 'paranoid', not {self.check_level!r}")
+
     @property
     def paranoid(self) -> bool:
         return self.check_level == "paranoid"

@@ -20,9 +20,7 @@ from .contracts import (
     ExecPost,
     Inl,
     Inr,
-    LListS,
     PairS,
-    RefS,
     SumS,
 )
 from .errors import RunFailure, TypeMismatch, Uncontained
@@ -144,7 +142,7 @@ def _context_spans(result: ScenarioResult):
 # intro example: a secret survives an adversarial library
 
 
-SAFE_PROG_SPEC = ArrowS(RefS(Ref(INT)), ArrowS(BaseS(UNIT), BaseS(UNIT)))
+SAFE_PROG_SPEC = ArrowS(BaseS(Ref(Ref(INT))), ArrowS(BaseS(UNIT), BaseS(UNIT)))
 
 SECRET_ADDR = 1  # first allocation of the program
 
@@ -278,7 +276,7 @@ def _sorting_post() -> ExecPost:
     return ExecPost(select, verify)
 
 
-HW_SPEC = ArrowS(LListS(INT), BaseS(UNIT), post=_sorting_post())
+HW_SPEC = ArrowS(BaseS(Ref(LList(INT))), BaseS(UNIT), post=_sorting_post())
 
 
 def _create_llist(values):
@@ -554,10 +552,6 @@ def scenario_prng(seed: int = 2024) -> Scenario:
         contexts=contexts,
         check=check,
     )
-
-
-def expected_counter(context_name: str) -> Optional[int]:
-    return {"three_calls": 3, "zero_calls": 0, "counter_snoop": 2}.get(context_name)
 
 
 # ---------------------------------------------------------------------------

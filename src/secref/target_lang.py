@@ -39,7 +39,7 @@ import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Union
 
-from .contracts import ArrowS, BaseS, InterfaceSpec, LListS, PairS, RefS, RefinedS, SumS
+from .contracts import ArrowS, BaseS, InterfaceSpec, PairS, RefinedS, SumS
 from .errors import GenerationExhausted, InterfaceMismatch, SrefParseError, TargetTypeError
 from .linker import CtxOps, TargetContext
 from .values import (
@@ -79,10 +79,6 @@ def spec_type(spec: InterfaceSpec) -> TypeTag:
     """The type at which untrusted code sees a boundary value."""
     if isinstance(spec, BaseS):
         return spec.tag
-    if isinstance(spec, RefS):
-        return Ref(spec.target)
-    if isinstance(spec, LListS):
-        return Ref(LList(spec.elem))
     if isinstance(spec, PairS):
         return Pair(spec_type(spec.first), spec_type(spec.second))
     if isinstance(spec, SumS):

@@ -10,7 +10,6 @@ conforms to.  `is_storable` tells the two kinds of tag apart.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Union
 
@@ -316,11 +315,3 @@ def llist_sorted(h: "Heap", head: Addr) -> bool:
         return False
     return all(a <= b for a, b in zip(ints, ints[1:]))
 
-
-def llist_same_values(h0: "Heap", h1: "Heap", head: Addr) -> bool:
-    """Multiset equality of the collected elements in both heaps."""
-    a = llist_collect(h0, head)
-    b = llist_collect(h1, head)
-    if a is None or b is None:
-        return False
-    return Counter(a) == Counter(b)

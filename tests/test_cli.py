@@ -93,6 +93,28 @@ def test_check_fails_deep_input_without_crashing(text, tmp_path, monkeypatch, ca
     assert out.startswith("FAIL ") and "nesting deeper than" in out
 
 
+def test_check_reports_a_file_that_is_not_utf8(tmp_path, monkeypatch, capsys):
+    bad = tmp_path / "bad.sref"
+    bad.write_bytes(b"\xff(lam (x int) x)")
+    assert run_cli(["check", str(bad)], tmp_path, monkeypatch) == 2
+    assert capsys.readouterr().out.startswith(f"cannot read {bad}: ")
+
+
+def test_run_reports_a_context_that_is_not_utf8(tmp_path, monkeypatch, capsys):
+    bad = tmp_path / "bad.sref"
+    bad.write_bytes(b"\xff(lam (ll (ref (llist int))) unit)")
+    code = run_cli(["run", "autograder", str(bad), "--json", str(tmp_path / "r.json")],
+                   tmp_path, monkeypatch)
+    assert code == 2
+    assert capsys.readouterr().out.startswith("cannot load context: ")
+
+
+def test_a_seed_that_is_not_an_integer_is_reported(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SECREF_SEED", "abc")
+    assert run_cli(["props"], tmp_path, monkeypatch) == 2
+    assert "SECREF_SEED" in capsys.readouterr().out
+
+
 def test_fuzz_writes_deterministic_report(tmp_path, monkeypatch):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert run_cli(["fuzz", "--seed", "4", "--trials", "12", "--json", str(a)],

@@ -18,7 +18,7 @@ import pytest
 
 import secref
 from secref.campaigns import FUZZ_FUEL, _fuzz_targets
-from secref.contracts import ArrowS, BaseS, LListS, RefS
+from secref.contracts import ArrowS, BaseS
 from secref.errors import MonitorAlarm, OutOfFuel, TargetTypeError
 from secref.linker import CtxOps, TargetContext
 from secref.programs import RunConfig, RunState
@@ -57,6 +57,7 @@ from secref.values import (
     V_NIL,
     V_UNIT,
     LList,
+    Ref,
     VBool,
     VInl,
     VInr,
@@ -338,7 +339,7 @@ def _tick_depths(make_builder, src, spec, arg_of):
 RECURSIONS = {
     "countdown": (COUNTDOWN, INT_TO_INT, lambda state: VInt(40)),
     "sort": ((CONTEXTS / "autograder_honest.sref").read_text(),
-             ArrowS(LListS(INT), BaseS(UNIT)), lambda state: _descending_chain(state, 12)),
+             ArrowS(BaseS(Ref(LList(INT))), BaseS(UNIT)), lambda state: _descending_chain(state, 12)),
 }
 
 
@@ -399,7 +400,7 @@ def test_a_context_compiles_once_on_its_first_build(monkeypatch):
         return original(e, types)
 
     monkeypatch.setattr(target_lang, "compile_term", counting)
-    ctx = elaborate(parse("(alloc 1)"), RefS(INT))
+    ctx = elaborate(parse("(alloc 1)"), BaseS(Ref(INT)))
     assert compiled == []
     for _ in range(3):
         state = RunState()

@@ -12,9 +12,7 @@ from secref.contracts import (
     ExecPre,
     Inl,
     Inr,
-    LListS,
     PairS,
-    RefS,
     RefinedS,
     SumS,
     arrow_export_uses_either,
@@ -59,7 +57,7 @@ def test_export_base_identity():
 
 
 def test_export_ref_identity():
-    spec = RefS(INT)
+    spec = BaseS(Ref(INT))
     v = VRef(4, INT)
     assert export(spec, v, RunState(world=initial_world())) == v
 
@@ -72,6 +70,17 @@ def test_import_base_shape_mismatch():
     out = import_value(INT_S, V_UNIT, RunState(world=initial_world()))
     assert isinstance(out, Inr)
     assert out.error.code is ErrCode.IMPORT_FAILURE
+
+
+@pytest.mark.parametrize("target, other", [(INT, LList(INT)), (LList(INT), INT)],
+                         ids=["ref_int", "ref_llist"])
+def test_import_reference_leaf(target, other):
+    spec = BaseS(Ref(target))
+    env = RunState(world=initial_world())
+    assert import_value(spec, VRef(3, target), env) == Inl(VRef(3, target))
+    for bad in (VRef(3, other), VInt(3), lambda x: x):
+        out = import_value(spec, bad, env)
+        assert isinstance(out, Inr) and out.error.code is ErrCode.IMPORT_FAILURE
 
 
 def test_import_refinement_violation():
@@ -166,7 +175,7 @@ def sorting_post():
 
 
 def hw_spec():
-    return ArrowS(LListS(INT), BaseS(UNIT), post=sorting_post())
+    return ArrowS(BaseS(Ref(LList(INT))), BaseS(UNIT), post=sorting_post())
 
 
 def test_imported_arrow_post_violation_on_lazy_adversary():
@@ -270,7 +279,7 @@ def _random_first_order_spec(rng, depth=2):
     if depth == 0 or roll < 0.4:
         return BaseS(rng.choice([INT, UNIT]))
     if roll < 0.6:
-        return RefS(INT)
+        return BaseS(Ref(INT))
     if roll < 0.8:
         return PairS(
             _random_first_order_spec(rng, depth - 1),
@@ -285,8 +294,6 @@ def _random_first_order_spec(rng, depth=2):
 def _spec_value(spec, rng):
     if isinstance(spec, BaseS):
         return sample_value(spec.tag, rng)
-    if isinstance(spec, RefS):
-        return VRef(rng.randint(1, 5), spec.target)
     if isinstance(spec, PairS):
         return VPair(_spec_value(spec.first, rng), _spec_value(spec.second, rng))
     if isinstance(spec, SumS):
@@ -309,7 +316,7 @@ def test_round_trip_on_first_order_data():
 
 def test_preserves_refs_on_data():
     # wrapping data hands every address through at its own position
-    spec = PairS(RefS(INT), BaseS(INT))
+    spec = PairS(BaseS(Ref(INT)), BaseS(INT))
     v = VPair(VRef(3, INT), VInt(1))
     env = RunState(world=initial_world())
     exported = export(spec, v, env)

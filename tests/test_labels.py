@@ -2,7 +2,7 @@ import sys
 
 import pytest
 
-from secref import labels, values
+from secref import values
 from secref.errors import (
     AlreadyLabeled,
     DanglingInit,
@@ -323,19 +323,3 @@ def test_one_alloc_walks_the_initial_value_once_per_layer(conforms_calls):
     # heap.alloc; a checked alloc: lr_alloc's one walk, then heap.alloc
     assert counted(lambda: ops.alloc(tag, init)) == 2
     assert counted(lambda: state.op_alloc(tag, TRIVIAL, init)) == 2
-
-
-def test_handed_over_entries_serve_only_the_same_tag_and_value_once():
-    p, w = lr_alloc(initial_world(), INT, TRIVIAL, VInt(0))
-    r, w = lr_alloc(w, Ref(INT), TRIVIAL, VRef(p, INT))
-    v = VRef(p, INT)
-    # entries that a walk of v would never give: taken, they fail containment
-    forged = [(99, INT)]
-    for tag, value in ((Ref(INT), v), (Ref(INT), VRef(p, INT))):
-        labels._hand_over(tag, value, forged)
-        assert lr_write(w, r, v).heap.cell(r).value == v  # not the same objects
-    labels._hand_over(w.heap.cell(r).tag, v, forged)
-    with pytest.raises(DanglingInit):
-        lr_write(w, r, v)
-    assert labels._handed == ()
-    assert lr_write(w, r, v).heap.cell(r).value == v  # taken once only

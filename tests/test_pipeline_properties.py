@@ -9,7 +9,6 @@ from secref.contracts import (
     ArrowS,
     BaseS,
     Inl,
-    LListS,
     RefinedS,
     import_value,
 )
@@ -34,6 +33,7 @@ from secref.target_lang import elaborate, gen_random_context
 from secref.values import (
     INT,
     LList,
+    Ref,
     V_NIL,
     VInt,
     llist_collect,
@@ -55,7 +55,7 @@ def test_wrapped_arrow_passes_addresses_through_per_call():
         seen.append(ref.addr)
         return ref  # hand the same reference straight back
 
-    spec = ArrowS(LListS(INT), LListS(INT))
+    spec = ArrowS(BaseS(Ref(LList(INT))), BaseS(Ref(LList(INT))))
     state = RunState()
     ops = CtxOps(state)
     head = ops.alloc(LList(INT), V_NIL)

@@ -125,6 +125,12 @@ def test_run_config_is_frozen():
     assert (cfg.check_level, cfg.fuel) == ("paranoid", 10)
 
 
+@pytest.mark.parametrize("level", ["Paranoid", "slow", ""])
+def test_run_config_refuses_an_unknown_check_level(level):
+    with pytest.raises(ValueError, match="check_level"):
+        RunConfig(check_level=level)
+
+
 def test_run_return_leaves_heap_alone():
     result, h1, ws = run(Return(7), EMPTY_HEAP)
     assert (result, h1, ws) == (7, EMPTY_HEAP, {})

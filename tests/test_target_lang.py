@@ -3,7 +3,7 @@ import sys
 import pytest
 
 from secref import target_lang
-from secref.contracts import ArrowS, BaseS, LListS, RefS
+from secref.contracts import ArrowS, BaseS
 from secref.errors import InterfaceMismatch, OutOfFuel, SrefParseError, TargetTypeError
 from secref.labels import is_shareable
 from secref.linker import CtxOps
@@ -206,7 +206,7 @@ def test_homework_typechecks():
 
 
 def test_spec_type():
-    spec = ArrowS(LListS(INT), BaseS(UNIT))
+    spec = ArrowS(BaseS(Ref(LList(INT))), BaseS(UNIT))
     assert spec_type(spec) == Arrow(Ref(LList(INT)), UNIT)
 
 
@@ -216,7 +216,7 @@ def test_elaborate_type_mismatch_against_interface():
 
 
 def test_elaborated_alloc_yields_shareable_ref():
-    ctx = elaborate(parse("(alloc 0)"), RefS(INT))
+    ctx = elaborate(parse("(alloc 0)"), BaseS(Ref(INT)))
     state = RunState()
     ref = ctx.builder(CtxOps(state))
     assert isinstance(ref, VRef)
@@ -252,7 +252,7 @@ def _shareable_chain(state, values):
 def test_elaborated_homework_sorts_in_place():
     state = RunState()
     head = _shareable_chain(state, [3, 1, 2])
-    ctx = elaborate(parse(HOMEWORK_SORT), ArrowS(LListS(INT), BaseS(UNIT)))
+    ctx = elaborate(parse(HOMEWORK_SORT), ArrowS(BaseS(Ref(LList(INT))), BaseS(UNIT)))
     sort = ctx.builder(CtxOps(state))
     assert sort(head) == V_UNIT
     elems = llist_collect(state.world.heap, head.addr)
@@ -269,7 +269,7 @@ def test_fix_burns_fuel():
 
 
 def test_generator_is_seed_deterministic():
-    spec = ArrowS(LListS(INT), BaseS(UNIT))
+    spec = ArrowS(BaseS(Ref(LList(INT))), BaseS(UNIT))
     a = gen_random_context(spec, seed=7, size=40)
     b = gen_random_context(spec, seed=7, size=40)
     c = gen_random_context(spec, seed=8, size=40)
@@ -279,8 +279,8 @@ def test_generator_is_seed_deterministic():
 
 def test_generated_terms_typecheck():
     specs = [
-        ArrowS(LListS(INT), BaseS(UNIT)),
-        ArrowS(RefS(INT), ArrowS(BaseS(UNIT), BaseS(INT))),
+        ArrowS(BaseS(Ref(LList(INT))), BaseS(UNIT)),
+        ArrowS(BaseS(Ref(INT)), ArrowS(BaseS(UNIT), BaseS(INT))),
         ArrowS(ArrowS(BaseS(UNIT), BaseS(INT)), BaseS(INT)),
     ]
     n = 0
@@ -306,7 +306,7 @@ def _count_ref_stashes(e) -> int:
 
 def test_corpus_contains_the_stash_pattern():
     # the intro shape: a library taking a ref-to-ref and returning a callback
-    spec = ArrowS(RefS(Ref(INT)), ArrowS(BaseS(UNIT), BaseS(UNIT)))
+    spec = ArrowS(BaseS(Ref(Ref(INT))), ArrowS(BaseS(UNIT), BaseS(UNIT)))
     stashes = 0
     for seed in range(200):
         expr = gen_random_context(spec, seed=seed, size=45)

@@ -37,7 +37,6 @@ from secref.values import (
     conforms,
     is_storable,
     llist_collect,
-    llist_same_values,
     llist_sorted,
     ref_entries,
 )
@@ -418,26 +417,6 @@ def test_llist_sorted_false_on_cycle():
     addr, h = alloc(EMPTY_HEAP, LList(INT), TRIVIAL, V_NIL)
     h = write(h, addr, VLLCons(VInt(1), addr))
     assert not llist_sorted(h, addr)
-
-
-def test_llist_same_values_multiset():
-    head, h0 = build_chain([3, 1, 2])
-    # simulate an in-place sort by writing a permuted chain at the same cells
-    h1 = h0
-    order = [1, 2, 3]
-    addr = head
-    for x in order:
-        node = h1.cell(addr).value
-        h1 = write(h1, addr, VLLCons(VInt(x), node.tail))
-        addr = node.tail
-    assert llist_same_values(h0, h1, head)
-
-
-def test_llist_same_values_rejects_multiset_change():
-    head, h0 = build_chain([3, 1])
-    node = h0.cell(head).value
-    h1 = write(h0, head, VLLCons(VInt(1), node.tail))
-    assert not llist_same_values(h0, h1, head)
 
 
 def test_collection_terminates_on_dense_heaps():
