@@ -429,7 +429,7 @@ def _collect_transitions(seed: int, runs: int = 24):
             result = run_scenario(scenario, ctx, cfg)
         except MonitorAlarm:
             continue
-        worlds = [initial_world()] + result.state.trace.worlds
+        worlds = [initial_world(), *result.state.trace.worlds]
         transitions.extend(zip(worlds, worlds[1:]))
     return transitions
 
@@ -590,6 +590,17 @@ def campaign_autograder(seed: int = 0, honest_runs: int = 50, adversary_runs: in
     report.add("honest_sorts_everything", honest_ok == honest_runs,
                f"{honest_ok}/{honest_runs}")
 
+    def graded_zero(adversary, tests, failures) -> int:
+        """Run one adversary trial; 1 if it ran to an outcome, 0 on an alarm."""
+        try:
+            result = run_scenario(scenario_autograder(tuple(tests)), adversary, cfg)
+        except MonitorAlarm as alarm:
+            failures.append(f"{adversary}: {alarm}")
+            return 0
+        if result.record.outcome != ("ok", 0) or not result.ok:
+            failures.append(f"{adversary}@{tests}: {result.record.outcome}")
+        return 1
+
     runs = 0
     failures = []
     for adversary in ("cycler", "mutator", "lazy"):
@@ -601,15 +612,17 @@ def campaign_autograder(seed: int = 0, honest_runs: int = 50, adversary_runs: in
             tests[0], tests[-1] = tests[-1], tests[0]
             if tests[0] == tests[-1]:
                 tests[0] += 1
-            try:
-                result = run_scenario(scenario_autograder(tuple(tests)), adversary, cfg)
-            except MonitorAlarm as alarm:
-                failures.append(f"{adversary}: {alarm}")
-                continue
-            runs += 1
-            if result.record.outcome != ("ok", 0) or not result.ok:
-                failures.append(f"{adversary}@{tests}: {result.record.outcome}")
+            runs += graded_zero(adversary, tests, failures)
     report.add("adversaries_always_zero", not failures, "; ".join(failures[:3]))
+
+    # distinct sorted values stay sorted when the mutator bumps the head, so
+    # only the same-values law can refuse it
+    sorted_failures = []
+    for _ in range(adversary_runs):
+        tests = sorted(rng.sample(range(-20, 21), rng.randint(2, 8)))
+        graded_zero("mutator", tests, sorted_failures)
+    report.add("mutator_on_sorted_lists_zero", not sorted_failures,
+               "; ".join(sorted_failures[:3]))
     report.stats.update(honest_runs=honest_runs, adversary_runs=runs)
     return report
 

@@ -229,7 +229,7 @@ def _export_arrow(spec: ArrowS, f, env):
     return wrapped
 
 
-def import_value(spec: InterfaceSpec, v: Any, env) -> Either:
+def import_value(spec: InterfaceSpec, v: Any, env, monitor=None) -> Either:
     """Raise a raw-side value to the checked side, adding dynamic checks.
 
     Refinements are checked immediately.  Arrows import without immediate
@@ -237,13 +237,16 @@ def import_value(spec: InterfaceSpec, v: Any, env) -> Either:
     select, invokes the underlying raw function, imports the result, and
     runs verify, turning a violation into the call's Inr result.  Heap
     effects of a failed call are not rolled back.
+
+    A given `monitor` runs each raw call as `monitor(run)`, also in arrows
+    those calls return; the linker passes its universal-property span.
     """
     if isinstance(spec, BaseS):
         if callable(v) or not conforms(v, spec.tag):
             return Inr(Err(ErrCode.IMPORT_FAILURE, f"{v} does not fit {spec}"))
         return Inl(v)
     if isinstance(spec, RefinedS):
-        base = import_value(spec.base, v, env)
+        base = import_value(spec.base, v, env, monitor)
         if isinstance(base, Inr):
             return base
         if not _run_check(env, spec.check, base.value):
@@ -254,40 +257,40 @@ def import_value(spec: InterfaceSpec, v: Any, env) -> Either:
     if isinstance(spec, PairS):
         if not isinstance(v, VPair):
             return Inr(Err(ErrCode.IMPORT_FAILURE, f"{v} is not a pair"))
-        a = import_value(spec.first, v.first, env)
+        a = import_value(spec.first, v.first, env, monitor)
         if isinstance(a, Inr):
             return a
-        b = import_value(spec.second, v.second, env)
+        b = import_value(spec.second, v.second, env, monitor)
         if isinstance(b, Inr):
             return b
         return Inl(VPair(a.value, b.value))
     if isinstance(spec, SumS):
         if isinstance(v, VInl):
-            p = import_value(spec.left, v.payload, env)
+            p = import_value(spec.left, v.payload, env, monitor)
             return p if isinstance(p, Inr) else Inl(VInl(p.value))
         if isinstance(v, VInr):
-            p = import_value(spec.right, v.payload, env)
+            p = import_value(spec.right, v.payload, env, monitor)
             return p if isinstance(p, Inr) else Inl(VInr(p.value))
         return Inr(Err(ErrCode.IMPORT_FAILURE, f"{v} is not a sum"))
     if isinstance(spec, ArrowS):
         if not callable(v):
             return Inr(Err(ErrCode.IMPORT_FAILURE, f"{v} is not callable"))
-        return Inl(_import_arrow(spec, v, env))
+        return Inl(_import_arrow(spec, v, env, monitor))
     raise TypeError(f"not an interface spec: {spec!r}")
 
 
-def _import_arrow(spec: ArrowS, f, env):
+def _import_arrow(spec: ArrowS, f, env, monitor):
     def wrapped(x) -> Either:
         out = export(spec.arg, x, env)
         captured = None
         if spec.post is not None:
             captured = _run_check(env, spec.post.select, x, env.world)
-        raw = f(out)
+        raw = f(out) if monitor is None else monitor(lambda: f(out))
         if isinstance(raw, Inr):
             return raw
         if isinstance(raw, Inl):
             raw = raw.value
-        back = import_value(spec.res, raw, env)
+        back = import_value(spec.res, raw, env, monitor)
         if isinstance(back, Inr):
             return back
         if spec.post is not None and not mutants.is_active("import_no_post"):
@@ -297,4 +300,3 @@ def _import_arrow(spec: ArrowS, f, env):
         return Inl(back.value)
 
     return wrapped
-

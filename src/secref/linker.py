@@ -11,25 +11,19 @@ every context execution a monitor snapshots the world and asserts the
 universal property: only shareable and encapsulated cells changed, and no
 existing cell changed label.
 
-Compilation and back-translation share one instantiate-monitor-import
-step: the context is built against the live world and monitored by
-`_instantiate`, then imported at the interface.
+Compilation and back-translation share one instantiate-then-import step:
+`_instantiate` builds the context against the live world under its
+`build:` span, and `import_value` wraps each context arrow once, running
+every call of it under a span named after the context.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Optional
 
 from . import mutants
-from .contracts import (
-    ArrowS,
-    Inr,
-    InterfaceSpec,
-    PairS,
-    SumS,
-    export,
-    import_value,
-)
+from .contracts import Inr, InterfaceSpec, export, import_value
 from .errors import AlreadyLabeled, BoundaryViolation, RunFailure, UniversalViolation
 from .heap import TRIVIAL
 from .labels import (
@@ -44,7 +38,7 @@ from .labels import (
     same_labels,
 )
 from .programs import Program, Return, RunConfig, RunState
-from .values import Addr, TypeTag, Value, VInl, VInr, VPair, VRef, ref_entries
+from .values import Addr, TypeTag, Value, VRef, ref_entries
 
 
 @dataclass(frozen=True)
@@ -194,35 +188,11 @@ def _monitored_span(state: RunState, name: str, run: Callable[[], Any],
     return out
 
 
-def monitor_context_value(spec: InterfaceSpec, v: Any, state: RunState, name: str) -> Any:
-    """Bracket every context-arrow call (and arrows it returns) with the
-    universal-property assertion."""
-    if isinstance(spec, ArrowS):
-        if not callable(v):
-            return v
-
-        def monitored(x, _f=v, _spec=spec):
-            out = _monitored_span(state, name, lambda: _f(x))
-            return monitor_context_value(_spec.res, out, state, name)
-
-        return monitored
-    if isinstance(spec, PairS) and isinstance(v, VPair):
-        return VPair(
-            monitor_context_value(spec.first, v.first, state, name),
-            monitor_context_value(spec.second, v.second, state, name),
-        )
-    if isinstance(spec, SumS):
-        if isinstance(v, VInl):
-            return VInl(monitor_context_value(spec.left, v.payload, state, name))
-        if isinstance(v, VInr):
-            return VInr(monitor_context_value(spec.right, v.payload, state, name))
-    return v
-
-
-def _instantiate(context: TargetContext, iface: SourceInterface, state: RunState):
-    """Build the raw context value against the live world, monitored."""
+def _instantiate(context: TargetContext, state: RunState):
+    """Build the raw context value against the live world, monitored.  Also
+    returns the span monitor its imported arrows run each call under."""
     raw = _monitored_span(state, f"build:{context.name}", lambda: context.builder(CtxOps(state)))
-    return monitor_context_value(iface.spec, raw, state, context.name)
+    return raw, partial(_monitored_span, state, context.name)
 
 
 # ---------------------------------------------------------------------------
@@ -230,18 +200,18 @@ def _instantiate(context: TargetContext, iface: SourceInterface, state: RunState
 
 
 def compile_program(program: SourceProgram, iface: SourceInterface):
-    """Wrap a checked program so it accepts an instantiated context value.
+    """Wrap a checked program so it accepts an instantiated context value
+    and the monitor that each call of the value's arrows runs under.
 
     Pure wrapping: nothing touches the heap until the result runs.
     """
 
-    def compiled(ctx_value: Any, state: RunState) -> Program:
-        imported = import_value(iface.spec, ctx_value, state)
+    def compiled(ctx_value: Any, state: RunState, monitor: Callable) -> Program:
+        imported = import_value(iface.spec, ctx_value, state, monitor)
         if isinstance(imported, Inr):
             return Return(imported)
         return program.body(imported.value)
 
-    compiled.interface = iface
     compiled.source = program
     return compiled
 
@@ -251,18 +221,17 @@ def back_translate(context: TargetContext, iface: SourceInterface):
     value by instantiating, monitoring, and importing the raw builder."""
 
     def materialize(state: RunState):
-        raw = _instantiate(context, iface, state)
-        return import_value(iface.spec, raw, state)
+        raw, monitor = _instantiate(context, state)
+        return import_value(iface.spec, raw, state, monitor)
 
     materialize.context = context
     return materialize
 
 
 def link_target(compiled, context: TargetContext) -> WholeProgram:
-    iface = compiled.interface
-
     def run_in(state: RunState):
-        return state.interpret(compiled(_instantiate(context, iface, state), state))
+        raw, monitor = _instantiate(context, state)
+        return state.interpret(compiled(raw, state, monitor))
 
     return WholeProgram(name=f"{compiled.source.name}[{context.name}]", run_in=run_in)
 

@@ -196,9 +196,8 @@ class WorldJournal:
     step from the last recorded world that touched one address records that
     address; any other change, such as a world installed from outside
     between two steps, records the addresses `heap.changed` finds.
-    `[w0] + journal` is the list of replayed worlds after w0.  A check
-    that only follows a few cells reads `start` and `deltas()` instead,
-    which rebuild no world.
+    A check that only follows a few cells reads `start` and `deltas()`
+    instead, which rebuild no world.
     """
 
     def __init__(self):
@@ -257,9 +256,6 @@ class WorldJournal:
                     heap = Heap(cells=cells, next_addr=entry[0])
                 w = World(heap=heap, labels=labels)
             yield w
-
-    def __radd__(self, other: list) -> list:
-        return other + list(self)
 
 
 @dataclass

@@ -39,7 +39,7 @@ import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Union
 
-from .contracts import ArrowS, BaseS, InterfaceSpec, PairS, RefinedS, SumS
+from .contracts import ArrowS, BaseS, InterfaceSpec, PairS, RefinedS, SumS, arrow_export_uses_either
 from .errors import GenerationExhausted, InterfaceMismatch, SrefParseError, TargetTypeError
 from .linker import CtxOps, TargetContext
 from .values import (
@@ -75,22 +75,30 @@ from .values import (
 # the cell tags its allocations use
 
 
-def spec_type(spec: InterfaceSpec) -> TypeTag:
-    """The type at which untrusted code sees a boundary value."""
+def spec_type(spec: InterfaceSpec, received: bool = False) -> TypeTag:
+    """The type at which untrusted code sees a boundary value.
+
+    `received` marks a value the context is handed rather than one it
+    provides; it flips at each arrow argument.  A received arrow that can
+    fail answers `Inl`/`Inr`, which no target type describes."""
     if isinstance(spec, BaseS):
         return spec.tag
     if isinstance(spec, PairS):
-        return Pair(spec_type(spec.first), spec_type(spec.second))
+        return Pair(spec_type(spec.first, received), spec_type(spec.second, received))
     if isinstance(spec, SumS):
-        return Sum(spec_type(spec.left), spec_type(spec.right))
+        return Sum(spec_type(spec.left, received), spec_type(spec.right, received))
     if isinstance(spec, RefinedS):
-        return spec_type(spec.base)
+        return spec_type(spec.base, received)
     if isinstance(spec, ArrowS):
         if spec.pre is not None:
             raise InterfaceMismatch(
                 "arrows with pre-checks have no plain target type"
             )
-        return Arrow(spec_type(spec.arg), spec_type(spec.res))
+        if received and arrow_export_uses_either(spec):
+            raise InterfaceMismatch(
+                "a checked arrow with refinements answers Inl/Inr and has no plain target type"
+            )
+        return Arrow(spec_type(spec.arg, not received), spec_type(spec.res, received))
     raise InterfaceMismatch(f"not an interface spec: {spec!r}")
 
 

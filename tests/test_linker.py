@@ -1,7 +1,7 @@
 import pytest
 
 from secref import mutants
-from secref.contracts import ArrowS, BaseS, Inr
+from secref.contracts import ArrowS, BaseS, Inl, Inr, PairS, SumS
 from secref.errors import (
     AlreadyLabeled,
     BoundaryViolation,
@@ -40,10 +40,24 @@ from secref.linker import (
     link_target,
     render_world,
 )
-from secref.programs import RunConfig, RunState, alloc_op, do, read_op, write_op
+from secref.programs import RunConfig, RunState, Return, alloc_op, do, read_op, write_op
 from secref.scenarios import all_scenarios, run_scenario
 from secref.target_lang import elaborate, gen_random_context, parse
-from secref.values import BOOL, INT, Pair, Ref, VBool, VInt, VPair, VRef
+from secref.values import (
+    BOOL,
+    INT,
+    UNIT,
+    V_FALSE,
+    V_TRUE,
+    V_UNIT,
+    Pair,
+    Ref,
+    VBool,
+    VInr,
+    VInt,
+    VPair,
+    VRef,
+)
 
 
 def test_initial_world_is_canonical():
@@ -345,6 +359,67 @@ def test_target_and_source_links_record_the_same_spans():
             beh(link_source(scenario.program, back_translate(ctx, iface)), state=s_state)
             assert _span_names(t_state) == _span_names(s_state)
             assert _span_names(t_state)[0] == f"build:gen{seed}"
+
+
+# a pair's first arrow, and a sum arm's arrow that returns a third arrow
+NESTED_ARROWS_SPEC = PairS(
+    ArrowS(BaseS(UNIT), BaseS(UNIT)),
+    SumS(BaseS(INT), ArrowS(BaseS(BOOL), ArrowS(BaseS(UNIT), BaseS(UNIT)))),
+)
+
+
+def _nested_vandal(private: int):
+    """A host-Python context whose every arrow can zero a private cell."""
+
+    def builder(ops):
+        def vandal(_):
+            ops.write(VRef(private, INT), VInt(0))
+            return V_UNIT
+
+        def maker(write_now):
+            if write_now == V_TRUE:
+                vandal(V_UNIT)
+            return vandal
+
+        return VPair(vandal, VInr(maker))
+
+    return TargetContext(name="nested", builder=builder)
+
+
+def _imported_nested(link: str, state: RunState, ctx: TargetContext):
+    iface = SourceInterface(NESTED_ARROWS_SPEC, psi=lambda w0, out, w1: True)
+    if link == "source":
+        return back_translate(ctx, iface)(state).value
+    seen = []
+
+    def stash(v):
+        seen.append(v)
+        return Return(0)
+
+    link_target(compile_program(SourceProgram(name="stash", body=stash), iface), ctx).run_in(state)
+    return seen[0]
+
+
+@pytest.mark.parametrize("link", ["target", "source"])
+@pytest.mark.parametrize("arrow", ["pair", "sum_arm", "returned"])
+def test_nested_context_arrows_run_under_the_context_span(link, arrow):
+    state = RunState()
+    private = state.op_alloc(INT, TRIVIAL, VInt(42))
+    value = _imported_nested(link, state, _nested_vandal(private))
+    if arrow == "pair":
+        call = lambda: value.first(V_UNIT)
+    elif arrow == "sum_arm":
+        call = lambda: value.second.payload(V_TRUE)
+    else:
+        returned = value.second.payload(V_FALSE)
+        assert isinstance(returned, Inl)
+        call = lambda: returned.value(V_UNIT)
+    with mutants.enabled("ctx_write_unchecked"):
+        with pytest.raises(UniversalViolation, match=r"\(nested\)"):
+            call()
+    assert _span_names(state)[0] == "build:nested"
+    assert _span_names(state)[-1] == "nested"
+    assert state.world.heap.cell(private).value == VInt(0)
 
 
 def test_render_world_is_sorted_and_stable():

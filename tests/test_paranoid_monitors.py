@@ -163,7 +163,7 @@ def test_journal_replays_a_prng_run(eager_worlds):
     journal = result.state.trace.worlds
     assert len(journal) == result.state.trace.steps == len(eager_worlds)
     assert list(journal) == eager_worlds
-    assert [lb.initial_world()] + journal == [lb.initial_world()] + eager_worlds
+    assert [lb.initial_world(), *journal] == [lb.initial_world(), *eager_worlds]
     assert "counter_counts_callback_calls" in result.checks
     result.state.trace.worlds = eager_worlds
     assert replayed_transition_checks(result) == {"counter_counts_callback_calls": True}

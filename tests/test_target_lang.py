@@ -3,10 +3,10 @@ import sys
 import pytest
 
 from secref import target_lang
-from secref.contracts import ArrowS, BaseS
+from secref.contracts import ArrowS, BaseS, ErrCode, Inl, Inr, RefinedS
 from secref.errors import InterfaceMismatch, OutOfFuel, SrefParseError, TargetTypeError
 from secref.labels import is_shareable
-from secref.linker import CtxOps
+from secref.linker import CtxOps, SourceInterface, back_translate
 from secref.programs import RunConfig, RunState
 from secref.target_lang import (
     AllocE,
@@ -208,6 +208,39 @@ def test_homework_typechecks():
 def test_spec_type():
     spec = ArrowS(BaseS(Ref(LList(INT))), BaseS(UNIT))
     assert spec_type(spec) == Arrow(Ref(LList(INT)), UNIT)
+
+
+POS = RefinedS(BaseS(INT), "pos", lambda v: v.value > 0)
+INT_S = BaseS(INT)
+
+
+@pytest.mark.parametrize("spec, text", [
+    # the probe: a checked callback with a refined argument answers Inl(v),
+    # and the context's (+ 1 (f 3)) used to crash the host on it
+    (ArrowS(ArrowS(POS, INT_S), INT_S), "(lam (f (-> int int)) (+ 1 (f 3)))"),
+    (ArrowS(ArrowS(INT_S, POS), INT_S), "(lam (f (-> int int)) (+ 1 (f 3)))"),
+    # an arrow a received arrow returns is received too
+    (ArrowS(ArrowS(INT_S, ArrowS(POS, INT_S)), INT_S), "(lam (f (-> int (-> int int))) ((f 1) 2))"),
+    # polarity flips at each argument: the innermost arrow is received again
+    (ArrowS(ArrowS(ArrowS(ArrowS(POS, INT_S), INT_S), INT_S), INT_S),
+     "(lam (g (-> (-> (-> int int) int) int)) (g (lam (h (-> int int)) (h 1))))"),
+], ids=["refined_arg", "refined_result", "received_result_arrow", "received_twice_removed"])
+def test_a_received_arrow_that_can_fail_is_refused_at_load(spec, text):
+    with pytest.raises(InterfaceMismatch, match="refinements"):
+        elaborate(parse(text), spec)
+
+
+def test_a_provided_arrow_with_a_refined_result_loads_and_fails_as_inr():
+    spec = ArrowS(INT_S, POS)
+    ctx = elaborate(parse("(lam (x int) (- 0 x))"), spec, name="negate")
+    # a provided arrow with a refined result inside a received one's argument
+    nested = ArrowS(ArrowS(spec, INT_S), INT_S)
+    assert spec_type(nested) == Arrow(Arrow(Arrow(INT, INT), INT), INT)
+    iface = SourceInterface(spec, psi=lambda w0, out, w1: True)
+    negate = back_translate(ctx, iface)(RunState()).value
+    assert negate(VInt(-2)) == Inl(VInt(2))
+    out = negate(VInt(3))
+    assert isinstance(out, Inr) and out.error.code is ErrCode.REFINEMENT_VIOLATION
 
 
 def test_elaborate_type_mismatch_against_interface():
