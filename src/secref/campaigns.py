@@ -424,11 +424,8 @@ def _collect_transitions(seed: int, runs: int = 24):
     for i in range(runs):
         name, factory = targets[i % len(targets)]
         scenario = factory(rng)
-        try:
-            _, ctx = _generated_context(scenario, rng.randint(0, 2**31))
-            result = run_scenario(scenario, ctx, cfg)
-        except MonitorAlarm:
-            continue
+        _, ctx = _generated_context(scenario, rng.randint(0, 2**31))
+        result = run_scenario(scenario, ctx, cfg)
         worlds = [initial_world(), *result.state.trace.worlds]
         transitions.extend(zip(worlds, worlds[1:]))
     return transitions

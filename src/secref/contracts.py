@@ -286,10 +286,6 @@ def _import_arrow(spec: ArrowS, f, env, monitor):
         if spec.post is not None:
             captured = _run_check(env, spec.post.select, x, env.world)
         raw = f(out) if monitor is None else monitor(lambda: f(out))
-        if isinstance(raw, Inr):
-            return raw
-        if isinstance(raw, Inl):
-            raw = raw.value
         back = import_value(spec.res, raw, env, monitor)
         if isinstance(back, Inr):
             return back

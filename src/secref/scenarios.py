@@ -10,6 +10,7 @@ from __future__ import annotations
 import importlib.resources
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Optional
 
 from .contracts import (
@@ -376,92 +377,106 @@ def value_changes(journal: WorldJournal, addr: Addr) -> int:
     return changes
 
 
-_ABSENT = object()  # the node of a position whose cell is absent
+def chain_history(heap, head: Addr, first=None) -> Optional[list[int]]:
+    """The head values of the chain of list cells from the node in cell
+    `head`, or from `first(value)` of that cell, to the nil: [] when the
+    head is absent, None when the chain revisits a cell or its head.  A
+    dangling tail raises Uncontained, a node that is neither cons nor nil
+    TypeMismatch."""
+    if not heap.contains(head):
+        return []
+    elems = llist_collect(heap, head, first)
+    return None if elems is None else [e.value for e in elems]
 
 
-class ChainFollower:
-    """The history stored in a chain of list cells, followed through a
-    journal one step at a time, rebuilding no world.
+class HistoryFollower:
+    """`chain_history` of every recorded world of a journal, followed one
+    step at a time, rebuilding no world and never walking the start world.
 
     For every position of the chain walk it keeps the address that supplied
-    the node there (`addrs`) and the node read (`nodes`); `values` holds the
-    history, one entry per list node walked.  A step re-walks the chain only
-    from the lowest position whose address it rebound to a different node,
-    so appending at the chain's nil end costs the same however long the
-    history is.  Subclasses read the head node and walk on from the last
-    position, and fix what an absent head or a repeated address means.
+    the node there (`addrs`, the head first) and the node read (`nodes`);
+    `values` holds the history, one entry per list node walked.  A step
+    re-walks the chain only from the lowest position whose address it
+    rebound to a different node, so appending at the chain's nil end costs
+    the same however long the history is.  After a step that fails or
+    raises, the follower is spent.
     """
 
-    def __init__(self, journal: WorldJournal, head: Addr):
-        self.head = head
+    def __init__(self, journal: WorldJournal, head: Addr, first=None):
+        self.head, self.first = head, first
         self._journal = journal
         self._base = journal.start.heap.cells
         self._cells: dict = {}  # the current cell of every address a step rebound
         self.addrs: list = []
         self.nodes: list = []
         self.values: list = []
-        self._pos: dict = {}  # address -> position, for the walk's repeat check
-        self._prev: Optional[list] = []  # the history last compared; None: it is values
+        self._pos: dict = {}  # address -> position, for the walk's revisit check
 
     def cell(self, addr: Addr):
         cells = self._cells
         return cells[addr] if addr in cells else self._base.get(addr)
 
-    @staticmethod
-    def head_node(cell):
+    def node(self, k: int, cell):
+        """The node position k reads from cell; an absent head reads as nil."""
+        if cell is None:
+            return V_NIL if k == 0 else None
+        if k == 0 and self.first is not None:
+            return self.first(cell.value)
         return cell.value
 
     def walk(self) -> Optional[list]:
-        """Extend the walk from its last position; the history this world
-        shows, or None for a world the check skips."""
-        raise NotImplementedError
+        """Extend the walk from its last position to the nil; the history
+        this world shows, or None when the chain revisits a cell."""
+        addrs, nodes, pos = self.addrs, self.nodes, self._pos
+        if not nodes:
+            pos[self.head] = 0
+            addrs.append(self.head)
+            nodes.append(self.node(0, self.cell(self.head)))
+        node = nodes[-1]
+        while not isinstance(node, VLLNil):
+            if not isinstance(node, VLLCons):
+                raise TypeMismatch(f"cell {addrs[-1]} holds {node!r}, not a list node")
+            cur = node.tail
+            if cur in pos:
+                return None
+            cell = self.cell(cur)
+            if cell is None:
+                raise Uncontained(cur, "linked-list tail")
+            pos[cur] = len(addrs)
+            node = cell.value
+            addrs.append(cur)
+            nodes.append(node)
+        values = self.values
+        for n in nodes[len(values):-1]:
+            values.append(n.head.value)
+        return values
 
     def step(self, delta) -> bool:
         """Apply one recorded step; False when the history it shows does
-        not extend the last one compared."""
-        cells, pos, head, nodes = self._cells, self._pos, self.head, self.nodes
+        not extend the one before it."""
+        cells, pos, nodes = self._cells, self._pos, self.nodes
         n = low = len(nodes)
         for addr, cell in delta:
             cells[addr] = cell
-            if addr == head and low:
-                new, old = _ABSENT if cell is None else self.head_node(cell), nodes[0]
-                if new is not old and new != old:
-                    low = 0
             k = pos.get(addr)
             if k is not None and k < low:
-                new, old = _ABSENT if cell is None else cell.value, nodes[k]
+                new, old = self.node(k, cell), nodes[k]
                 if new is not old and new != old:
                     low = k
         if n and low == n:
             return True
-        addrs, values, prev = self.addrs, self.values, self._prev
-        if prev is None:
-            old = values[low:]
-        for k in range(low, n):
-            if pos.get(addrs[k]) == k:
-                del pos[addrs[k]]
+        addrs, values = self.addrs, self.values
+        old = values[low:]
+        for addr in addrs[low:]:
+            del pos[addr]
         del addrs[low:], nodes[low:], values[low:]
         shown = self.walk()
-        if shown is None:
-            if prev is None:
-                self._prev = values[:low] + old
-            return True
-        if prev is None and shown is values:
-            ok = values[low:low + len(old)] == old
-        else:
-            if prev is None:
-                prev = values[:low] + old
-            ok = shown[:len(prev)] == prev
-        self._prev = None if shown is values else shown
-        return ok
+        return shown is not None and shown[low:low + len(old)] == old
 
     def monotone(self) -> bool:
-        """Every recorded world's history extends the one before it."""
-        grows = True
-        for delta in self._journal.deltas():
-            if not self.step(delta):
-                grows = False
-        return grows
+        """Every recorded world's history extends the one before it, the
+        first extending []; stops at the first world that fails."""
+        return all(map(self.step, self._journal.deltas()))
 
 
 # ---------------------------------------------------------------------------
@@ -584,44 +599,6 @@ def _append_encapsulated(head, value):
     yield write_op(cur, VLLCons(value, fresh))
 
 
-def collect_history(world: World, head: int) -> list[int]:
-    elems = llist_collect(world.heap, head)
-    return [e.value for e in elems] if elems is not None else []
-
-
-class GuessHistory(ChainFollower):
-    """`collect_history` of every recorded world that holds the head: a
-    cycle reads as no history, and a dangling tail raises."""
-
-    def walk(self) -> Optional[list]:
-        addrs, nodes, pos = self.addrs, self.nodes, self._pos
-        if not addrs:
-            cell = self.cell(self.head)
-            addrs.append(self.head)
-            if cell is None:
-                nodes.append(_ABSENT)
-                return None
-            pos[self.head] = 0
-            nodes.append(cell.value)
-        node = nodes[-1]
-        while not isinstance(node, VLLNil):
-            if not isinstance(node, VLLCons):
-                raise TypeMismatch(f"cell {addrs[-1]} holds {node!r}, not a list node")
-            cur = node.tail
-            if cur in pos:
-                return []
-            cell = self.cell(cur)
-            if cell is None:
-                raise Uncontained(cur, "linked-list tail")
-            pos[cur] = len(addrs)
-            node = cell.value
-            addrs.append(cur)
-            nodes.append(node)
-        values = self.values
-        values.extend(n.head.value for n in nodes[len(values):-1])
-        return values
-
-
 def scenario_guess(lo: int = 0, hi: int = 100, pick: int = 42) -> Scenario:
     assert lo < pick < hi
 
@@ -654,13 +631,13 @@ def scenario_guess(lo: int = 0, hi: int = 100, pick: int = 42) -> Scenario:
         psi=lambda w0, r, w1: (
             w1.heap.contains(GUESSES_ADDR)
             and is_encapsulated(w1, GUESSES_ADDR)
-            and len(collect_history(w1, GUESSES_ADDR)) >= 1
+            and bool(chain_history(w1.heap, GUESSES_ADDR))
         ),
     )
     program = SourceProgram(name="guess", body=body)
 
     def check(result: ScenarioResult) -> dict:
-        history = collect_history(result.w1, GUESSES_ADDR)
+        history = chain_history(result.w1.heap, GUESSES_ADDR)
         checks = {
             "psi_history_recorded": iface.psi(result.w0, result.record.outcome, result.w1),
             "found_iff_last_is_pick": result.record.outcome
@@ -670,8 +647,8 @@ def scenario_guess(lo: int = 0, hi: int = 100, pick: int = 42) -> Scenario:
         if journal:
             # history only ever grows by appending (prefix order), and the
             # number of callback calls is its length minus the final append
-            checks["history_prefix_monotone"] = GuessHistory(journal, GUESSES_ADDR).monotone()
-            checks["history_is_calls_plus_one"] = len(history) >= 1
+            checks["history_prefix_monotone"] = HistoryFollower(journal, GUESSES_ADDR).monotone()
+            checks["history_is_calls_plus_one"] = bool(history)
         return checks
 
     contexts = {
@@ -695,6 +672,7 @@ def scenario_guess(lo: int = 0, hi: int = 100, pick: int = 42) -> Scenario:
 SCHED_COUNTER_ADDR = 1
 SCHED_SHARED_ADDR = 2
 SCHED_COUNTER_TAG = Pair(LList(INT), Pair(INT, INT))
+SCHED_HISTORY = attrgetter("first")  # the counter pair's history chain
 
 TASK_DONE = VInl(V_UNIT)
 
@@ -748,55 +726,6 @@ def fairness(k: int, hist: list, finished_at: dict) -> bool:
                         return False
         last[i] = q
     return True
-
-
-def collect_sched_history(world: World, counter: int = SCHED_COUNTER_ADDR) -> list[int]:
-    if not world.heap.contains(counter):
-        return []
-    node = world.heap.cell(counter).value.first
-    out = []
-    seen = set()
-    while isinstance(node, VLLCons):
-        out.append(node.head.value)
-        if node.tail in seen:
-            break
-        seen.add(node.tail)
-        node = world.heap.cell(node.tail).value
-    return out
-
-
-class SchedHistory(ChainFollower):
-    """`collect_sched_history` of every recorded world: an absent counter
-    reads as no history, and a repeated tail ends the walk."""
-
-    @staticmethod
-    def head_node(cell):
-        return cell.value.first
-
-    def walk(self) -> list:
-        addrs, nodes, values, pos = self.addrs, self.nodes, self.values, self._pos
-        if not addrs:
-            cell = self.cell(self.head)
-            node = _ABSENT if cell is None else self.head_node(cell)
-            addrs.append(self.head)
-            nodes.append(node)
-            if isinstance(node, VLLCons):
-                values.append(node.head.value)
-        node = nodes[-1]
-        while isinstance(node, VLLCons):
-            tail = node.tail
-            if tail in pos:
-                break
-            cell = self.cell(tail)
-            if cell is None:
-                raise Uncontained(tail)
-            pos[tail] = len(addrs)
-            node = cell.value
-            addrs.append(tail)
-            nodes.append(node)
-            if isinstance(node, VLLCons):
-                values.append(node.head.value)
-        return values
 
 
 def _sched_append(state: RunState, task_id: int, next_task: int, inact: int, tail):
@@ -884,7 +813,8 @@ def scheduler_checks(run: SchedulerRun, k: int) -> dict:
         "fairness": fairness(k, run.hist, run.finished_at),
         "all_tasks_finished": run.record.outcome == ("ok", k),
         "counter_private": is_private(run.w1, SCHED_COUNTER_ADDR),
-        "recorded_history_matches": collect_sched_history(run.w1) == run.hist,
+        "recorded_history_matches": chain_history(run.w1.heap, SCHED_COUNTER_ADDR,
+                                                  SCHED_HISTORY) == run.hist,
         "task_steps_touch_only_shareable": all(
             modif_only_shareable_and_encaps(w0, w1)
             for name, w0, w1 in run.state.trace.context_spans
@@ -892,7 +822,8 @@ def scheduler_checks(run: SchedulerRun, k: int) -> dict:
     }
     journal = run.state.trace.worlds
     if journal:
-        checks["history_prefix_monotone"] = SchedHistory(journal, SCHED_COUNTER_ADDR).monotone()
+        checks["history_prefix_monotone"] = HistoryFollower(
+            journal, SCHED_COUNTER_ADDR, SCHED_HISTORY).monotone()
     return checks
 
 

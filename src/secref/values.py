@@ -285,8 +285,10 @@ def ref_entries(t: TypeTag, v: Value) -> list[tuple[Addr, TypeTag]]:
 # linked-list chains
 
 
-def llist_collect(h: "Heap", head: Addr) -> Optional[list[Value]]:
-    """Element values of the chain starting at head, or None on a cycle."""
+def llist_collect(h: "Heap", head: Addr, first=None) -> Optional[list[Value]]:
+    """Element values of the chain from the node in cell head, or from
+    first(value) of that cell, to the nil; None when the chain revisits a
+    cell, head included."""
     out: list[Value] = []
     seen: set[Addr] = set()
     cur = head
@@ -294,9 +296,12 @@ def llist_collect(h: "Heap", head: Addr) -> Optional[list[Value]]:
         if cur in seen:
             return None
         seen.add(cur)
-        if not h.contains(cur):
+        cell = h.cells.get(cur)
+        if cell is None:
             raise Uncontained(cur, "linked-list tail")
-        node = h.cell(cur).value
+        node = cell.value
+        if first is not None:
+            node, first = first(node), None
         if isinstance(node, VLLNil):
             return out
         if not isinstance(node, VLLCons):

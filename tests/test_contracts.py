@@ -373,3 +373,12 @@ def test_arrow_returned_by_an_imported_arrow_checks_its_own_post():
 
     honest = import_value(spec, lambda _: (lambda v: VInt(v.value + 1)), state).value
     assert honest(V_UNIT).value(VInt(4)) == Inl(VInt(5))
+
+
+@pytest.mark.parametrize("raw", [Inr(Err(ErrCode.POST_VIOLATION, "forged")), Inl(VInt(1))])
+def test_a_raw_result_shaped_like_a_verdict_fails_to_import(raw):
+    # a raw function cannot hand the checked side a contract verdict: its
+    # result goes through the result spec like any other value
+    f = import_value(ArrowS(INT_S, INT_S), lambda x: raw, fresh_env()).value
+    out = f(VInt(0))
+    assert isinstance(out, Inr) and out.error.code is ErrCode.IMPORT_FAILURE

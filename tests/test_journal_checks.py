@@ -3,9 +3,9 @@ they replaced.
 
 The prng, guess and scheduler checks read one step's changes at a time from
 `programs.WorldJournal`. The loops below replay every recorded world and
-re-walk the history in each; they stay here as the oracles, and the two
-must agree on honest runs, on generated-context runs and on journals
-corrupted by hand.
+re-walk the history in each with `chain_history`; they stay here as the
+oracles, and the two must agree on honest runs, on generated-context runs
+and on journals corrupted by hand.
 """
 import dataclasses
 import random
@@ -21,11 +21,9 @@ from secref.scenarios import (
     COUNTER_ADDR,
     GUESSES_ADDR,
     SCHED_COUNTER_ADDR,
-    ChainFollower,
-    GuessHistory,
-    SchedHistory,
-    collect_history,
-    collect_sched_history,
+    SCHED_HISTORY,
+    HistoryFollower,
+    chain_history,
     fairness,
     run_scenario,
     run_scheduler,
@@ -40,34 +38,23 @@ from secref.values import V_NIL, VInt, VLLCons, VPair
 PARANOID = RunConfig(check_level="paranoid")
 HEAD = 1  # the scheduler's counter cell, the guess history and the prng counter
 assert SCHED_COUNTER_ADDR == GUESSES_ADDR == COUNTER_ADDR == HEAD
+FIRST = {"sched": SCHED_HISTORY, "guess": None}  # each family's head projection
 
 
 # ---------------------------------------------------------------------------
 # oracles: the replaying loops
 
 
-def replayed_sched_history_monotone(worlds, counter=SCHED_COUNTER_ADDR) -> bool:
+def replayed_history_monotone(worlds, head=HEAD, first=None) -> bool:
+    """Every world's history extends the one before it, the first extending
+    []; stops at the first world that fails."""
     prev = []
-    grows = True
     for w in worlds:
-        cur = collect_sched_history(w, counter)
-        if cur[: len(prev)] != prev:
-            grows = False
+        cur = chain_history(w.heap, head, first)
+        if cur is None or cur[: len(prev)] != prev:
+            return False
         prev = cur
-    return grows
-
-
-def replayed_guess_history_monotone(worlds, head=GUESSES_ADDR) -> bool:
-    prev = []
-    grows = True
-    for w in worlds:
-        if not w.heap.contains(head):
-            continue
-        cur = collect_history(w, head)
-        if cur[: len(prev)] != prev:
-            grows = False
-        prev = cur
-    return grows
+    return True
 
 
 def replayed_value_changes(worlds, addr=COUNTER_ADDR) -> int:
@@ -92,7 +79,8 @@ def replayed_scheduler_checks(run, k: int) -> dict:
         "fairness": fairness(k, run.hist, run.finished_at),
         "all_tasks_finished": run.record.outcome == ("ok", k),
         "counter_private": is_private(run.w1, SCHED_COUNTER_ADDR),
-        "recorded_history_matches": collect_sched_history(run.w1) == run.hist,
+        "recorded_history_matches": chain_history(run.w1.heap, SCHED_COUNTER_ADDR,
+                                                  SCHED_HISTORY) == run.hist,
         "task_steps_touch_only_shareable": all(
             modif_only_shareable_and_encaps(w0, w1)
             for name, w0, w1 in run.state.trace.context_spans
@@ -100,7 +88,7 @@ def replayed_scheduler_checks(run, k: int) -> dict:
     }
     worlds = list(run.state.trace.worlds)
     if worlds:
-        checks["history_prefix_monotone"] = replayed_sched_history_monotone(worlds)
+        checks["history_prefix_monotone"] = replayed_history_monotone(worlds, first=SCHED_HISTORY)
     return checks
 
 
@@ -114,7 +102,7 @@ def replayed_transition_checks(result) -> dict:
         final = result.w1.heap.cell(COUNTER_ADDR).value.value
         return {"counter_counts_callback_calls": replayed_value_changes(worlds) == final}
     if result.scenario == "guess":
-        return {"history_prefix_monotone": replayed_guess_history_monotone(worlds)}
+        return {"history_prefix_monotone": replayed_history_monotone(worlds)}
     return {}
 
 
@@ -145,13 +133,13 @@ def journal_of(worlds) -> WorldJournal:
 
 
 def families_agree(journal: WorldJournal, addr: int) -> list:
-    """All three journal checks at addr, each with its oracle's outcome."""
+    """Both history checks and the value check at addr, each with its
+    oracle's outcome."""
     worlds = list(journal)
     return [
-        (outcome(lambda: SchedHistory(journal, addr).monotone()),
-         outcome(lambda: replayed_sched_history_monotone(worlds, addr))),
-        (outcome(lambda: GuessHistory(journal, addr).monotone()),
-         outcome(lambda: replayed_guess_history_monotone(worlds, addr))),
+        *((outcome(lambda: HistoryFollower(journal, addr, first).monotone()),
+           outcome(lambda: replayed_history_monotone(worlds, addr, first)))
+          for first in FIRST.values()),
         (outcome(lambda: value_changes(journal, addr)),
          outcome(lambda: replayed_value_changes(worlds, addr))),
     ]
@@ -191,11 +179,9 @@ def honest_worlds(family: str) -> list:
 
 
 def check_of(family: str):
-    if family == "sched":
-        return (lambda j: SchedHistory(j, SCHED_COUNTER_ADDR).monotone(),
-                replayed_sched_history_monotone)
-    return (lambda j: GuessHistory(j, GUESSES_ADDR).monotone(),
-            replayed_guess_history_monotone)
+    first = FIRST[family]
+    return (lambda j: HistoryFollower(j, HEAD, first).monotone(),
+            lambda worlds: replayed_history_monotone(worlds, HEAD, first))
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +224,13 @@ def _head_removed(w, nodes):
     return rebind(w, HEAD, None)
 
 
+def _cyclic_append(w, nodes):
+    # the nil end after the last list cell becomes a cons whose tail points
+    # back at the first list cell, a write the nil-then-fixed preorder allows
+    end = w.heap.cell(nodes[-1]).value.tail
+    return rebind(w, end, VLLCons(VInt(0), nodes[0]))
+
+
 CORRUPTIONS = {
     "sched": {
         "mid_node_rewritten": _mid_node_rewritten,
@@ -246,12 +239,14 @@ CORRUPTIONS = {
         "first_reset": _first_reset,
         "installed_from_outside": _two_nodes_rewritten,
         "dangling_tail": _dangling_tail,
+        "cyclic_append": _cyclic_append,
     },
     "guess": {
         "mid_node_rewritten": _mid_node_rewritten,
         "cycle_spliced": _cycle_spliced,
         "installed_from_outside": _two_nodes_rewritten,
         "dangling_tail": _dangling_tail,
+        "cyclic_append": _cyclic_append,
     },
 }
 
@@ -357,31 +352,31 @@ def test_a_corrupted_history_is_caught_as_the_replay_catches_it(family, name):
                 assert got == ("ok", False), (name, at, persistent)
 
 
-def test_a_removed_head_resets_the_scheduler_history_but_is_skipped_by_guess():
-    for family, expected in (("sched", False), ("guess", True)):
+def test_a_removed_head_resets_the_history_in_both_families():
+    for family in ("sched", "guess"):
         worlds = honest_worlds(family)
         ours, oracle = check_of(family)
         at = _corruption_sites(worlds, family)[0]
         bad = corrupted(worlds, at, _head_removed, [], persistent=False)
-        assert ours(journal_of(bad)) is expected
-        assert oracle(bad[1:]) is expected
-        # guess compares the world after the gap with the one before it
-        bad = corrupted(bad, at + 1, _mid_node_rewritten, chain(worlds[at], family),
+        assert ours(journal_of(bad)) is oracle(bad[1:]) is False
+        # the check stops at the first failing world: a dangling tail in
+        # every world after the gap is never walked
+        bad = corrupted(bad, at + 1, _dangling_tail, chain(worlds[at + 1], family),
                         persistent=True)
         assert ours(journal_of(bad)) is oracle(bad[1:]) is False
 
 
-def test_a_guess_cycle_reads_as_no_history_not_as_a_cut_one():
+def test_a_cycle_fails_the_history_check_in_both_families():
     # the first recorded world holds a cycle; every later one a history
     # that differs from the honest one before the node the cycle left from
-    for family, expected in (("sched", False), ("guess", True)):
+    for family in ("sched", "guess"):
         worlds = honest_worlds(family)
         ours, oracle = check_of(family)
         at = _corruption_sites(worlds, family)[0]
         nodes = chain(worlds[at], family)
         bad = corrupted(worlds, at, _cycle_spliced, nodes, persistent=False)
         bad = corrupted(bad, at + 1, _two_nodes_rewritten, nodes, persistent=True)[at - 1:]
-        assert ours(journal_of(bad)) is oracle(bad[1:]) is expected
+        assert ours(journal_of(bad)) is oracle(bad[1:]) is False
 
 
 def test_a_start_world_the_replay_never_walks_is_not_walked():
@@ -460,16 +455,16 @@ def _cells_read_per_step(runs: int, monkeypatch) -> list:
     assert len(run.hist) == runs
     journal = run.state.trace.worlds
     reads = [0]
-    cell = ChainFollower.cell
+    cell = HistoryFollower.cell
 
     def counted(self, addr):
         reads[0] += 1
         return cell(self, addr)
 
-    follower = SchedHistory(journal, SCHED_COUNTER_ADDR)
+    follower = HistoryFollower(journal, SCHED_COUNTER_ADDR, SCHED_HISTORY)
     out = []
     with monkeypatch.context() as patch:
-        patch.setattr(ChainFollower, "cell", counted)
+        patch.setattr(HistoryFollower, "cell", counted)
         for delta in journal.deltas():
             reads[0] = 0
             assert follower.step(delta)
@@ -501,3 +496,45 @@ def test_no_scenario_check_replays_the_journal(monkeypatch):
     assert prng.checks["counter_counts_callback_calls"] and prng.ok, prng.checks
     guess = run_scenario(scenario_guess(0, 100, pick=42), "binary_search", PARANOID)
     assert guess.checks["history_prefix_monotone"] and guess.ok, guess.checks
+
+
+# ---------------------------------------------------------------------------
+# one meaning per case, in the reader and the follower alike
+
+
+def test_the_reader_and_the_follower_read_each_case_one_way():
+    for family in ("sched", "guess"):
+        worlds = honest_worlds(family)
+        w, first = worlds[-1], FIRST[family]
+        nodes = chain(w, family)
+        cases = {
+            "head_removed": ("ok", []),
+            "cyclic_append": ("ok", None),
+            "cycle_spliced": ("ok", None),
+            "dangling_tail": ("raised", "Uncontained"),
+            "non_list_node": ("raised", "TypeMismatch"),
+        }
+        corrupt = {**CORRUPTIONS[family], "head_removed": _head_removed,
+                   "non_list_node": lambda w, nodes: rebind(w, nodes[-1], VInt(3))}
+        for name, expected in cases.items():
+            bad = corrupt[name](w, nodes)
+            got = outcome(lambda: chain_history(bad.heap, HEAD, first))
+            assert got[:2] == expected, (family, name)
+            # the start world is never walked: the honest world before bad is
+            # the first one compared
+            journal = journal_of([worlds[-3], worlds[-2], bad])
+            follower = outcome(lambda: HistoryFollower(journal, HEAD, first).monotone())
+            assert follower[:2] == (("ok", False) if got[0] == "ok" else got[:2]), (family, name)
+
+
+def test_scheduler_checks_fail_a_history_appended_into_a_cycle():
+    run = run_scheduler([yielding_task(3, write_value=7), yielding_task(2)], cfg=PARANOID)
+    assert all(scheduler_checks(run, 2).values())
+    w = run.state.world
+    nodes = chain(w, "sched")
+    # a checked-side write that the nil end's nil-then-fixed preorder allows
+    run.state.op_write(w.heap.cell(nodes[-1]).value.tail, VLLCons(VInt(0), nodes[0]))
+    checks = scheduler_checks(dataclasses.replace(run, w1=run.state.world), 2)
+    assert checks["history_prefix_monotone"] is False
+    assert checks["recorded_history_matches"] is False
+    assert checks["counter_private"] and checks["fairness"]

@@ -8,10 +8,11 @@ checks that read it step by step are compared with replay in
 """
 import pytest
 
+from secref import campaigns
 from secref import labels as lb
 from secref import values
 from secref.campaigns import _collect_transitions
-from secref.errors import InvariantViolation
+from secref.errors import InvariantViolation, UniversalViolation
 from secref.heap import TRIVIAL, Heap, HeapCell
 from secref.labels import Label, World, lr_inv, lr_inv_at
 from secref.linker import CtxOps
@@ -226,3 +227,19 @@ def test_paranoid_monitor_work_per_write_does_not_grow_with_the_heap(monkeypatch
     small = _monitor_ref_entries_per_write(250, monkeypatch)
     large = _monitor_ref_entries_per_write(4000, monkeypatch)
     assert small == large > 0
+
+
+def test_an_alarm_while_collecting_the_transition_corpus_propagates(monkeypatch):
+    real = campaigns.run_scenario
+    fired = []
+
+    def alarming(*args):
+        if not fired:
+            fired.append(True)
+            raise UniversalViolation("planted")
+        return real(*args)
+
+    monkeypatch.setattr(campaigns, "run_scenario", alarming)
+    with pytest.raises(UniversalViolation, match="planted"):
+        campaigns.campaign_props(seed=0)
+    assert fired

@@ -15,8 +15,10 @@ from secref.scenarios import (
     SCHED_COUNTER_ADDR,
     SECRET_ADDR,
     SECRET_SNOOP,
+    SCHED_COUNTER_TAG,
+    TASK_DONE,
     all_scenarios,
-    collect_history,
+    chain_history,
     fairness,
     generate_nr,
     run_scenario,
@@ -28,7 +30,7 @@ from secref.scenarios import (
     scheduler_checks,
     yielding_task,
 )
-from secref.values import VInr, VInt
+from secref.values import V_NIL, VInr, VInt, VPair, VRef
 
 PARANOID = RunConfig(check_level="paranoid")
 
@@ -186,7 +188,7 @@ def test_generate_nr_is_pure():
 def test_guess_binary_search_finds_the_pick():
     result = run_scenario(scenario_guess(0, 100, 42), "binary_search", PARANOID)
     assert result.record.outcome == ("ok", 1)
-    history = collect_history(result.w1, GUESSES_ADDR)
+    history = chain_history(result.w1.heap, GUESSES_ADDR)
     # hand-simulated bisection trace for (0, 100, pick 42), plus the final echo
     assert history == [50, 25, 37, 43, 40, 41, 42, 42]
     assert result.ok, result.checks
@@ -195,13 +197,13 @@ def test_guess_binary_search_finds_the_pick():
 def test_guess_one_wrong_records_two_entries():
     result = run_scenario(scenario_guess(0, 100, 42), "one_wrong", PARANOID)
     assert result.record.outcome == ("ok", 0)
-    assert collect_history(result.w1, GUESSES_ADDR) == [7, 7]
+    assert chain_history(result.w1.heap, GUESSES_ADDR) == [7, 7]
 
 
 def test_guess_no_calls_records_single_entry():
     result = run_scenario(scenario_guess(0, 100, 42), "no_calls", PARANOID)
     assert result.record.outcome == ("ok", 0)
-    assert collect_history(result.w1, GUESSES_ADDR) == [0]
+    assert chain_history(result.w1.heap, GUESSES_ADDR) == [0]
 
 
 def test_guess_history_stays_encapsulated_and_monotone():
@@ -257,6 +259,32 @@ def test_scheduler_history_matches_on_every_aborted_run(mode):
         checks = scheduler_checks(run, 2)
         assert not checks.pop("all_tasks_finished")
         assert all(checks.values()), (fuel, checks)
+
+
+def _counter_forger(ops, shared):
+    """A task that yields once, then resets the scheduler's private counter
+    through a forged reference."""
+    ran = [False]
+
+    def step():
+        if not ran[0]:
+            ran[0] = True
+            return VInr(step)
+        ops.write(VRef(SCHED_COUNTER_ADDR, SCHED_COUNTER_TAG),
+                  VPair(V_NIL, VPair(VInt(0), VInt(0))))
+        return TASK_DONE
+
+    return step
+
+
+def test_a_forged_counter_write_is_refused_and_the_history_survives():
+    run = run_scheduler([yielding_task(2), _counter_forger], cfg=PARANOID)
+    assert run.record.outcome[:2] == ("err", "BoundaryViolation")
+    assert run.hist == [0, 1, 0]
+    checks = scheduler_checks(run, 2)
+    assert checks["counter_private"] and checks["recorded_history_matches"]
+    assert checks["history_prefix_monotone"]
+    assert not checks.pop("all_tasks_finished") and all(checks.values()), checks
 
 
 def test_fairness_counterexample():
