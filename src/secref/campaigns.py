@@ -575,17 +575,18 @@ def campaign_autograder(seed: int = 0, honest_runs: int = 50, adversary_runs: in
     rng = random.Random(seed)
     cfg = RunConfig(check_level="paranoid")
 
-    honest_ok = 0
+    honest_ok, alarms = 0, []
     for _ in range(honest_runs):
         tests = tuple(rng.randint(-20, 20) for _ in range(rng.randint(0, 10)))
         try:
             result = run_scenario(scenario_autograder(tests), "honest", cfg)
-        except MonitorAlarm:
+        except MonitorAlarm as alarm:
+            alarms.append(f"{type(alarm).__name__}: {alarm}")
             continue
         if result.record.outcome == ("ok", 10) and result.ok:
             honest_ok += 1
     report.add("honest_sorts_everything", honest_ok == honest_runs,
-               f"{honest_ok}/{honest_runs}")
+               "; ".join([f"{honest_ok}/{honest_runs}", *alarms[:3]]))
 
     def graded_zero(adversary, tests, failures) -> int:
         """Run one adversary trial; 1 if it ran to an outcome, 0 on an alarm."""

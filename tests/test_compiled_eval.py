@@ -1,16 +1,18 @@
-"""The closure compiler against a reference AST-walking evaluator.
+"""Both compiler backends against a reference AST-walking evaluator.
 
-`reference_eval` is the tree-walking evaluator the compiler replaced, kept
-here as a test oracle.  Both evaluators run the same terms through the same
+`reference_eval` is the tree-walking evaluator the compilers replaced, kept
+here as a test oracle.  `elaborate`'s choice of backend, the Python backend
+called directly and the reference run the same terms through the same
 scenarios against a recording `CtxOps`; every tick, alloc, read and write
 they perform, in order and with its arguments, must agree, as must the
-behaviour records and step counts.  The file also holds the compiled code's
+behaviour records and step counts.  The file also holds each backend's
 host-stack depth to the reference's, and checks that a finished run is
 freed by reference counting and that a context compiles once.
 """
 import gc
 import random
 import sys
+import traceback
 import weakref
 from pathlib import Path
 
@@ -46,6 +48,9 @@ from secref.target_lang import (
     PairE,
     Snd,
     Var,
+    compile_closures,
+    compile_python,
+    compile_term,
     elaborate,
     gen_random_context,
     parse,
@@ -72,6 +77,8 @@ CONTEXTS = Path(secref.__file__).parent / "contexts"
 INT_TO_INT = ArrowS(BaseS(INT), BaseS(INT))
 # the fuzz families; a shipped context's file name starts with its family
 FAMILIES = ("autograder", "guess", "prng", "safe_prog")
+# the shipped contexts that contain a `fix`, and so take the Python backend
+HAVE_FIX = {"autograder_honest", "guess_binary_search", "safe_prog_adversary"}
 
 
 def reference_eval(e, env: dict, ops, types: dict):
@@ -185,10 +192,21 @@ def compiled_builder(expr, spec):
     return elaborate(expr, spec).builder
 
 
-def reference_builder(expr, spec):
-    types: dict = {}
-    typecheck(expr, {}, types)
-    return lambda ops: reference_eval(expr, {}, ops, types)
+def backend_builder(backend):
+    def make(expr, spec):
+        types: dict = {}
+        typecheck(expr, {}, types)
+        return backend(expr, types)
+
+    return make
+
+
+closure_builder = backend_builder(compile_closures)
+python_builder = backend_builder(compile_python)
+reference_builder = backend_builder(
+    lambda expr, types: lambda ops: reference_eval(expr, {}, ops, types))
+# elaborate's choice, the Python backend whatever the term, and the oracle
+EVALUATORS = (compiled_builder, python_builder, reference_builder)
 
 
 def run_recorded(family: str, seed: int, expr, make_builder, fuel: int):
@@ -206,16 +224,14 @@ def run_recorded(family: str, seed: int, expr, make_builder, fuel: int):
 
 
 def assert_same_runs(family: str, seed: int, expr) -> int:
-    """Compare both evaluators at full fuel and at half the steps the run
+    """Compare the evaluators at full fuel and at half the steps the run
     took; returns the number of context operations logged."""
-    full = [run_recorded(family, seed, expr, make, FUZZ_FUEL)
-            for make in (compiled_builder, reference_builder)]
-    assert full[0] == full[1], (family, seed)
+    full = [run_recorded(family, seed, expr, make, FUZZ_FUEL) for make in EVALUATORS]
+    assert full[0] == full[1] == full[2], (family, seed)
     steps = full[0][1]
     if steps is not None and steps > 1:
-        short = [run_recorded(family, seed, expr, make, steps // 2)
-                 for make in (compiled_builder, reference_builder)]
-        assert short[0] == short[1], (family, seed)
+        short = [run_recorded(family, seed, expr, make, steps // 2) for make in EVALUATORS]
+        assert short[0] == short[1] == short[2], (family, seed)
         outcome = short[0][0].outcome
         assert outcome[:2] == ("err", OutOfFuel.code), (family, seed, outcome)
     return len(full[0][2])
@@ -237,6 +253,11 @@ def test_shipped_contexts_match_the_reference_evaluator(path):
     expr = parse(path.read_text())
     for seed in range(3):
         assert_same_runs(family, seed, expr)
+    # the backend the file takes: only Python code has an `<sref:...>` file
+    types: dict = {}
+    typecheck(expr, {}, types)
+    filename = compile_term(expr, types, path.stem).__code__.co_filename
+    assert (filename == f"<sref:{path.stem}>") == (path.stem in HAVE_FIX)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -286,16 +307,17 @@ def test_hand_written_terms_match_the_reference(name):
     expr = parse(HAND_WRITTEN[name])
     for arg in (-6, -3, 0, 4):
         results = []
-        for make in (compiled_builder, reference_builder):
+        for make in EVALUATORS:
             state, log = RunState(config=RunConfig(fuel=200)), []
             fn = make(expr, INT_TO_INT)(RecordingOps(CtxOps(state), log))
             results.append((fn(VInt(arg)), log, state.trace.steps))
-        assert results[0] == results[1]
+        assert results[0] == results[1] == results[2]
 
 
 # ---------------------------------------------------------------------------
 # host stack: compiled code must not nest deeper than the reference
-# evaluator, or a recursion it survived would now crash the host
+# evaluator, or a recursion it survived would now crash the host; and a
+# Python-backend unfolding is one frame, no more than the closures use
 
 
 COUNTDOWN = "(fix go (x int) int (if (= x 0) 0 (go (- x 1))))"
@@ -346,18 +368,20 @@ RECURSIONS = {
 @pytest.mark.parametrize("name", sorted(RECURSIONS))
 def test_compiled_code_nests_no_deeper_than_the_reference(name):
     src, spec, arg_of = RECURSIONS[name]
-    compiled = _tick_depths(compiled_builder, src, spec, arg_of)
-    reference = _tick_depths(reference_builder, src, spec, arg_of)
-    assert len(compiled) == len(reference)
-    assert all(c <= r for c, r in zip(compiled, reference))
+    python, closures, reference = (_tick_depths(make, src, spec, arg_of)
+                                   for make in (python_builder, closure_builder, reference_builder))
+    assert len(python) == len(closures) == len(reference)
+    assert all(p <= c <= r for p, c, r in zip(python, closures, reference))
     # frames per unfolding on the first descent: at most the reference's 4
-    assert 0 < compiled[1] <= 4
+    # for closures, one for Python code
+    assert 0 < closures[1] <= 4
+    assert python[1] == 1
 
 
 def test_compiled_recursion_reaches_as_deep_as_the_reference():
     reached = []
     limit = sys.getrecursionlimit()
-    for make in (compiled_builder, reference_builder):
+    for make in (python_builder, closure_builder, reference_builder):
         state = RunState(config=RunConfig(fuel=100_000))
         fn = make(parse(COUNTDOWN), INT_TO_INT)(CtxOps(state))
         sys.setrecursionlimit(_frames() + 1000)
@@ -367,24 +391,56 @@ def test_compiled_recursion_reaches_as_deep_as_the_reference():
         finally:
             sys.setrecursionlimit(limit)
         reached.append(state.trace.steps)
-    assert reached[0] >= reached[1] > 0
+    assert reached[0] >= reached[1] >= reached[2] > 0
+
+
+def test_a_traceback_through_context_code_names_the_context():
+    fn = elaborate(parse(COUNTDOWN), INT_TO_INT, name="gen123").builder(
+        CtxOps(RunState(config=RunConfig(fuel=100_000))))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frames() + 100)
+    try:
+        with pytest.raises(RecursionError) as err:
+            fn(VInt(50_000))
+    finally:
+        sys.setrecursionlimit(limit)
+    frames = traceback.extract_tb(err.value.__traceback__)
+    assert {f.filename for f in frames if f.name.startswith("go_")} == {"<sref:gen123>"}
 
 
 # ---------------------------------------------------------------------------
 # memory
 
 
-def test_a_finished_run_is_freed_by_reference_counting():
-    # the honest sort is a fix; a self-referencing closure would keep the
-    # run state alive until the cyclic collector ran
+def test_a_finished_run_is_freed_by_reference_counting(monkeypatch):
+    # the honest sort is a fix; a self-referencing function would keep the
+    # run state alive until the cyclic collector ran, and a namespace that
+    # held the generated function would keep both
+    from secref import target_lang
+
+    builders = []
+    original = target_lang.compile_term
+
+    def recording(*args):
+        builders.append(original(*args))
+        return builders[-1]
+
+    monkeypatch.setattr(target_lang, "compile_term", recording)
     gc.collect()
     gc.disable()
     try:
         result = run_scenario(scenario_autograder((3, -1, 2, 0)), "honest")
         assert result.record.outcome[0] == "ok"
         state = weakref.ref(result.state)
+        [builder] = builders
+        assert builder.__code__.co_filename == "<sref:honest>"
+        namespace = builder.__globals__
+        builder = weakref.ref(builders.pop())
         del result
         assert state() is None
+        assert builder() is None
+        # nothing but this frame holds the namespace any longer
+        assert sys.getrefcount(namespace) == 2
     finally:
         gc.enable()
 
@@ -395,9 +451,9 @@ def test_a_context_compiles_once_on_its_first_build(monkeypatch):
     compiled = []
     original = target_lang.compile_term
 
-    def counting(e, types):
+    def counting(e, *rest):
         compiled.append(e)
-        return original(e, types)
+        return original(e, *rest)
 
     monkeypatch.setattr(target_lang, "compile_term", counting)
     ctx = elaborate(parse("(alloc 1)"), BaseS(Ref(INT)))

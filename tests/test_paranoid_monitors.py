@@ -243,3 +243,24 @@ def test_an_alarm_while_collecting_the_transition_corpus_propagates(monkeypatch)
     with pytest.raises(UniversalViolation, match="planted"):
         campaigns.campaign_props(seed=0)
     assert fired
+
+
+def test_an_alarm_in_an_honest_autograder_run_is_named_in_the_report(monkeypatch):
+    real = campaigns.run_scenario
+
+    def alarming(scenario, context, *rest):
+        if context == "honest":
+            raise UniversalViolation("planted")
+        return real(scenario, context, *rest)
+
+    monkeypatch.setattr(campaigns, "run_scenario", alarming)
+    report = campaigns.campaign_autograder(seed=1, honest_runs=2, adversary_runs=1)
+    [honest] = [c for c in report.checks if c.name == "honest_sorts_everything"]
+    assert not honest.ok
+    assert honest.detail == "0/2; UniversalViolation: planted; UniversalViolation: planted"
+
+
+def test_honest_autograder_runs_without_alarms_report_only_the_count():
+    report = campaigns.campaign_autograder(seed=1, honest_runs=2, adversary_runs=1)
+    [honest] = [c for c in report.checks if c.name == "honest_sorts_everything"]
+    assert (honest.ok, honest.detail) == (True, "2/2")

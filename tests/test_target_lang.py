@@ -12,6 +12,7 @@ from secref.target_lang import (
     AllocE,
     App,
     DerefE,
+    Fix,
     Lam,
     LitInt,
     MAX_DEPTH,
@@ -139,10 +140,18 @@ def _ref_chain(n: int) -> str:
     return "(lam (x " + "(ref " * n + "int" + ")" * n + ") x)"
 
 
+def _in_fix(body: str) -> str:
+    """body, an int term, as the body of a fix of type int -> int: one level
+    deeper, and compiled by the Python backend."""
+    return f"(fix f (u int) int {body})"
+
+
 @pytest.mark.parametrize("text", [
     _curried(MAX_DEPTH - 2),
     _ref_chain(MAX_DEPTH - 2),
     "(" * (MAX_DEPTH - 1) + "7" + ")" * (MAX_DEPTH - 1),
+    _in_fix(_curried(MAX_DEPTH - 3)),
+    _in_fix("(if true " * (MAX_DEPTH - 2) + "7" + " 0)" * (MAX_DEPTH - 2)),
 ])
 def test_terms_at_the_bound_parse_typecheck_and_compile_at_the_default_limit(
         text, monkeypatch):
@@ -150,7 +159,9 @@ def test_terms_at_the_bound_parse_typecheck_and_compile_at_the_default_limit(
         e = parse(text)
         types: dict = {}
         typecheck(e, {}, types)
-        compile_term(e, types)
+        value = compile_term(e, types)(CtxOps(RunState()))
+        if isinstance(e, Fix):
+            assert value(VInt(0)) in (VInt(1), VInt(7))
 
     _at_default_limit(load)
     # each term is exactly at the bound
