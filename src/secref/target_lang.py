@@ -689,23 +689,6 @@ def _compile(e: Expr, scope: dict, depth: int, types: dict) -> _Code:
         return lambda env: VLLCons(head(env), tail(env).addr)
     if t is LLNilE:
         return _const(V_NIL)
-    if t is Fix:
-        body = _compile(e.body, _bind(scope, depth, e.fname, e.param), depth + 2, types)
-
-        def fix(env):
-            ops = env[0]
-
-            def fn(v):
-                ops.tick()
-                return body(env + (me(), v))
-
-            # a weak self-reference keeps fn out of a reference cycle, so a
-            # finished run is freed by reference counting; while fn runs, its
-            # caller holds it
-            me = weakref.ref(fn)
-            return fn
-
-        return fix
     if t is CaseLL:
         tag, scrut = types[id(e.scrut)], _compile(e.scrut, scope, depth, types)
         nil = _compile(e.nil_branch, scope, depth, types)
@@ -747,7 +730,8 @@ def _compile(e: Expr, scope: dict, depth: int, types: dict) -> _Code:
 
 
 def compile_closures(e: Expr, types: dict) -> Callable[[CtxOps], Any]:
-    """The closure backend: a builder from the build's CtxOps to e's value."""
+    """The closure backend: a builder from the build's CtxOps to e's value,
+    for a term without a `fix`; `compile_term` sends it no other."""
     code = _compile(e, {}, 1, types)
     return lambda ops: code((ops,))
 

@@ -5,9 +5,11 @@ here as a test oracle.  `elaborate`'s choice of backend, the Python backend
 called directly and the reference run the same terms through the same
 scenarios against a recording `CtxOps`; every tick, alloc, read and write
 they perform, in order and with its arguments, must agree, as must the
-behaviour records and step counts.  The file also holds each backend's
-host-stack depth to the reference's, and checks that a finished run is
-freed by reference counting and that a context compiles once.
+behaviour records and step counts.  The file also holds the host-stack
+depth of compiled `fix` terms to the reference's, runs generated contexts
+that recurse until their fuel runs out at the default recursion limit, and
+checks that a finished run is freed by reference counting and that a
+context compiles once.
 """
 import gc
 import random
@@ -19,7 +21,7 @@ from pathlib import Path
 import pytest
 
 import secref
-from secref.campaigns import FUZZ_FUEL, _fuzz_targets
+from secref.campaigns import FUZZ_FUEL, _fuzz_targets, _generated_context
 from secref.contracts import ArrowS, BaseS
 from secref.errors import MonitorAlarm, OutOfFuel, TargetTypeError
 from secref.linker import CtxOps, TargetContext
@@ -48,7 +50,6 @@ from secref.target_lang import (
     PairE,
     Snd,
     Var,
-    compile_closures,
     compile_python,
     compile_term,
     elaborate,
@@ -201,7 +202,6 @@ def backend_builder(backend):
     return make
 
 
-closure_builder = backend_builder(compile_closures)
 python_builder = backend_builder(compile_python)
 reference_builder = backend_builder(
     lambda expr, types: lambda ops: reference_eval(expr, {}, ops, types))
@@ -317,7 +317,7 @@ def test_hand_written_terms_match_the_reference(name):
 # ---------------------------------------------------------------------------
 # host stack: compiled code must not nest deeper than the reference
 # evaluator, or a recursion it survived would now crash the host; and a
-# Python-backend unfolding is one frame, no more than the closures use
+# `fix` unfolding, which only the Python backend compiles, is one frame
 
 
 COUNTDOWN = "(fix go (x int) int (if (= x 0) 0 (go (- x 1))))"
@@ -368,20 +368,18 @@ RECURSIONS = {
 @pytest.mark.parametrize("name", sorted(RECURSIONS))
 def test_compiled_code_nests_no_deeper_than_the_reference(name):
     src, spec, arg_of = RECURSIONS[name]
-    python, closures, reference = (_tick_depths(make, src, spec, arg_of)
-                                   for make in (python_builder, closure_builder, reference_builder))
-    assert len(python) == len(closures) == len(reference)
-    assert all(p <= c <= r for p, c, r in zip(python, closures, reference))
-    # frames per unfolding on the first descent: at most the reference's 4
-    # for closures, one for Python code
-    assert 0 < closures[1] <= 4
+    python, reference = (_tick_depths(make, src, spec, arg_of)
+                         for make in (python_builder, reference_builder))
+    assert len(python) == len(reference)
+    assert all(p <= r for p, r in zip(python, reference))
+    # frames per unfolding on the first descent
     assert python[1] == 1
 
 
 def test_compiled_recursion_reaches_as_deep_as_the_reference():
     reached = []
     limit = sys.getrecursionlimit()
-    for make in (python_builder, closure_builder, reference_builder):
+    for make in (python_builder, reference_builder):
         state = RunState(config=RunConfig(fuel=100_000))
         fn = make(parse(COUNTDOWN), INT_TO_INT)(CtxOps(state))
         sys.setrecursionlimit(_frames() + 1000)
@@ -391,7 +389,27 @@ def test_compiled_recursion_reaches_as_deep_as_the_reference():
         finally:
             sys.setrecursionlimit(limit)
         reached.append(state.trace.steps)
-    assert reached[0] >= reached[1] >= reached[2] > 0
+    assert reached[0] >= reached[1] > 0
+
+
+# generated autograder contexts whose walker recurses over a list it made
+# cyclic until its fuel runs out; each unfolding costs one frame and about
+# three fuel, so FUZZ_FUEL stays under the default limit of 1000 frames
+FUEL_BOUND_WALKERS = (9, 77, 138, 146)
+
+
+@pytest.mark.parametrize("seed", FUEL_BOUND_WALKERS)
+def test_generated_walkers_run_out_of_fuel_at_the_default_recursion_limit(seed):
+    scenario = dict(_fuzz_targets())["autograder"](random.Random(seed))
+    _, ctx = _generated_context(scenario, seed)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        result = run_scenario(scenario, ctx, RunConfig(fuel=FUZZ_FUEL))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert result.record.outcome[:2] == ("err", OutOfFuel.code)
+    assert result.state.trace.steps == FUZZ_FUEL
 
 
 def test_a_traceback_through_context_code_names_the_context():
@@ -440,7 +458,8 @@ def test_a_finished_run_is_freed_by_reference_counting(monkeypatch):
         assert state() is None
         assert builder() is None
         # nothing but this frame holds the namespace any longer
-        assert sys.getrefcount(namespace) == 2
+        here = sys._getframe()
+        assert [r for r in gc.get_referrers(namespace) if r is not here] == []
     finally:
         gc.enable()
 
