@@ -644,10 +644,3 @@ def mutation_detected(name: str) -> bool:
             report = campaign_autograder(seed=1, honest_runs=2, adversary_runs=2)
         return not report.ok
     raise ValueError(f"unknown mutant {name!r}")
-
-
-def campaign_mutation() -> Report:
-    report = Report(title="mutation sensitivity")
-    for name in sorted(mutants.KNOWN):
-        report.add(f"mutant_detected[{name}]", mutation_detected(name))
-    return report

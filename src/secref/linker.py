@@ -24,15 +24,14 @@ from typing import Any, Callable, Optional
 
 from . import mutants
 from .contracts import Inr, InterfaceSpec, export, import_value
-from .errors import AlreadyLabeled, BoundaryViolation, RunFailure, UniversalViolation
-from .heap import TRIVIAL
+from .errors import AlreadyLabeled, BoundaryViolation, RunFailure, Uncontained, UniversalViolation
+from .heap import MASK, SHIFT, TRIVIAL
 from .labels import (
     Label,
     World,
     _make_world,
     is_private,
     lr_alloc,
-    lr_read,
     lr_write,
     modif_only_shareable_and_encaps,
     same_labels,
@@ -68,13 +67,17 @@ class WholeProgram:
 # ---------------------------------------------------------------------------
 # the three context-facing operations
 
+# bound once: on CPython 3.11 a class-attribute lookup of an enum member costs
+# about eight times a global lookup, and every context read tests it
+_SHAREABLE = Label.SHAREABLE
+
 
 def _embeds_only_shareable(w: World, tag: TypeTag, v: Value, what: str) -> list:
     """The boundary walk: every address v embeds is shareable.  Returns its
     entries, which the labeled operation takes instead of walking v again."""
     entries = ref_entries(tag, v)
     for sub, _ in entries:
-        if w.label_of(sub) is not Label.SHAREABLE:
+        if w.label_of(sub) is not _SHAREABLE:
             raise BoundaryViolation(f"context {what} embeds non-shareable address {sub}")
     return entries
 
@@ -87,19 +90,30 @@ def ctx_alloc(w: World, tag: TypeTag, init: Value) -> tuple[Addr, World]:
     # carries the trivial preorder
     if not is_private(w1, addr):
         raise AlreadyLabeled(f"fresh cell {addr} is already {w1.label_of(addr).value}")
-    return addr, _make_world(w1.heap, w1.labels.set(addr, Label.SHAREABLE))
+    return addr, _make_world(w1.heap, w1.labels.set(addr, _SHAREABLE))
 
 
 def ctx_read(w: World, r: Addr) -> Value:
-    if w.label_of(r) is not Label.SHAREABLE and not mutants.is_active("ctx_read_unchecked"):
-        raise BoundaryViolation(f"context read of non-shareable address {r}")
-    return lr_read(w, r)
+    """The context read rule, whole: r must be labeled shareable, and then
+    reads as `heap.read` does.  It looks the label and the cell up in the
+    chunks of the two maps itself, so a context read is this one call."""
+    hi, lo = r >> SHIFT, r & MASK
+    labels = w.labels.chunks
+    if not (0 <= hi < len(labels) and labels[hi][lo] is _SHAREABLE):
+        if not mutants.is_active("ctx_read_unchecked"):
+            raise BoundaryViolation(f"context read of non-shareable address {r}")
+    cells = w.heap.cells.chunks
+    if 0 <= hi < len(cells):
+        cell = cells[hi][lo]
+        if cell is not None:
+            return cell.value
+    raise Uncontained(r)
 
 
 def ctx_write(w: World, r: Addr, v: Value) -> World:
     entries = None
     if not mutants.is_active("ctx_write_unchecked"):
-        if w.label_of(r) is not Label.SHAREABLE:
+        if w.label_of(r) is not _SHAREABLE:
             raise BoundaryViolation(f"context write to non-shareable address {r}")
         cell = w.heap.cells.get(r)
         if cell is not None:
@@ -110,14 +124,18 @@ def ctx_write(w: World, r: Addr, v: Value) -> World:
 class CtxOps:
     """Live handles to the three operations, bound to one run state.
 
-    Context code speaks in reference values; the handles unwrap them, burn
-    fuel, and re-run the per-step monitors exactly like tree-node steps.
-    Each runs `RunState._tick`'s fuel meter inline and calls it only to
-    raise `OutOfFuel`.
+    Context code speaks in reference values; the handles unwrap them and
+    burn fuel like tree-node steps.  Each runs `RunState._tick`'s fuel meter
+    inline and calls it only to raise `OutOfFuel`.  The check level is read
+    once, here: in paranoid mode each step then runs the per-step monitors,
+    `RunState._after_step`, exactly like a tree-node step; in fast mode a
+    step makes no monitor call at all, so a fast read is `read` plus one
+    `ctx_read`.
     """
 
     def __init__(self, state: RunState):
         self._state = state
+        self._paranoid = state._paranoid
 
     def tick(self) -> None:
         st = self._state
@@ -134,7 +152,8 @@ class CtxOps:
         st.trace.steps += 1
         w0 = st.world
         addr, st.world = ctx_alloc(w0, tag, init)
-        st._after_step(w0, addr)
+        if self._paranoid:
+            st._after_step(w0, addr)
         return VRef(addr, tag)
 
     def read(self, ref: Value) -> Value:
@@ -146,7 +165,8 @@ class CtxOps:
         if not isinstance(ref, VRef):
             raise BoundaryViolation(f"context read of a non-reference: {ref}")
         v = ctx_read(st.world, ref.addr)
-        st._after_step(st.world)
+        if self._paranoid:
+            st._after_step(st.world)
         return v
 
     def write(self, ref: Value, v: Value) -> Value:
@@ -159,7 +179,8 @@ class CtxOps:
             raise BoundaryViolation(f"context write to a non-reference: {ref}")
         w0 = st.world
         st.world = ctx_write(w0, ref.addr, v)
-        st._after_step(w0, ref.addr)
+        if self._paranoid:
+            st._after_step(w0, ref.addr)
         return None
 
 

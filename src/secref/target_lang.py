@@ -596,7 +596,10 @@ def typecheck(e: Expr, env: Optional[dict] = None, types: Optional[dict] = None)
         types[id(e)] = t
         return t
 
-    return go(e, env)
+    try:
+        return go(e, env)
+    finally:
+        go = None  # go's cell holds go; unbound, refcounting frees the walk
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ they perform, in order and with its arguments, must agree, as must the
 behaviour records and step counts.  The file also holds the host-stack
 depth of compiled `fix` terms to the reference's, runs generated contexts
 that recurse until their fuel runs out at the default recursion limit, and
-checks that a finished run is freed by reference counting and that a
-context compiles once.
+checks that a finished run and a typecheck are freed by reference
+counting and that a context compiles once.
 """
 import gc
 import random
@@ -17,6 +17,7 @@ import sys
 import traceback
 import weakref
 from pathlib import Path
+from types import FunctionType
 
 import pytest
 
@@ -460,6 +461,37 @@ def test_a_finished_run_is_freed_by_reference_counting(monkeypatch):
         # nothing but this frame holds the namespace any longer
         here = sys._getframe()
         assert [r for r in gc.get_referrers(namespace) if r is not here] == []
+        # the run typechecked each context it loaded; no walk outlived it
+        assert typecheck_leftovers() == []
+    finally:
+        gc.enable()
+
+
+def typecheck_leftovers() -> list:
+    """Objects the cyclic collector still tracks that typecheck made: its
+    inner functions, and so anything they hold."""
+    return [o for o in gc.get_objects()
+            if isinstance(o, FunctionType) and o.__qualname__.startswith("typecheck.<locals>")]
+
+
+@pytest.mark.parametrize("term, well_typed", [(COUNTDOWN, True), ("(lam (x int) (+ x 1))", True),
+                                              ("(fst 1)", False)],
+                         ids=["fix", "lam", "ill_typed"])
+def test_a_typecheck_is_freed_by_reference_counting(term, well_typed):
+    # typecheck's walk is a recursive inner function; left bound, its own
+    # closure cell would keep it, the types dict and every inferred tag
+    # alive until the cyclic collector ran
+    e = parse(term)
+    gc.collect()
+    gc.disable()
+    try:
+        try:
+            typecheck(e, types={})
+        except TargetTypeError:
+            assert not well_typed
+        else:
+            assert well_typed
+        assert typecheck_leftovers() == []
     finally:
         gc.enable()
 

@@ -1,3 +1,6 @@
+import sys
+from pathlib import Path
+
 import pytest
 
 from secref import mutants
@@ -10,9 +13,10 @@ from secref.errors import (
     RunFailure,
     ShareLeak,
     TypeMismatch,
+    Uncontained,
     UniversalViolation,
 )
-from secref.heap import INT_LEQ, TRIVIAL
+from secref.heap import INT_LEQ, TRIVIAL, WIDTH
 from secref.labels import (
     Label,
     World,
@@ -87,6 +91,122 @@ def test_ctx_read_of_private_is_a_boundary_violation():
     private = state.op_alloc(INT, TRIVIAL, VInt(42))
     with pytest.raises(BoundaryViolation):
         ctx_read(state.world, private)
+
+
+# -- the context read rule, through CtxOps
+
+
+def read_rule_refs(config=None):
+    """A run state, a CtxOps on it, and one reference per row of the read
+    rule's matrix: a cell of each label, addresses no cell has, and the
+    label-map marker."""
+    state = RunState(config=config)
+    ops = CtxOps(state)
+    shareable = ops.alloc(INT, VInt(7))
+    private = state.op_alloc(INT, TRIVIAL, VInt(42))
+    encapsulated = state.op_alloc(INT, TRIVIAL, VInt(9))
+    state.op_label_encapsulated(encapsulated)
+    refs = {
+        "shareable": shareable,
+        "private": VRef(private, INT),
+        "encapsulated": VRef(encapsulated, INT),
+        "unallocated": VRef(state.world.heap.next_addr, INT),
+        "beyond_every_chunk": VRef(1000, INT),
+        # one chunk below the shareable cell: a lookup that let a negative
+        # chunk index wrap around would read the shareable cell
+        "negative": VRef(shareable.addr - WIDTH, INT),
+        "label_map_marker": VRef(0, INT),
+    }
+    return state, ops, refs
+
+
+# every row but the shareable one, with what a read of it returns or raises
+# once the shareable check is off
+UNCHECKED = {"private": VInt(42), "encapsulated": VInt(9), "unallocated": Uncontained,
+             "beyond_every_chunk": Uncontained, "negative": Uncontained,
+             "label_map_marker": Uncontained}
+
+
+def test_a_context_reads_a_shareable_cell():
+    state, ops, refs = read_rule_refs()
+    assert ops.read(refs["shareable"]) == VInt(7)
+    assert ctx_read(state.world, refs["shareable"].addr) == VInt(7)
+
+
+@pytest.mark.parametrize("row", UNCHECKED)
+def test_a_context_read_of_a_non_shareable_address_is_a_boundary_violation(row):
+    state, ops, refs = read_rule_refs()
+    world = state.world
+    with pytest.raises(BoundaryViolation, match=f"non-shareable address {refs[row].addr}$"):
+        ops.read(refs[row])
+    assert state.world is world
+
+
+@pytest.mark.parametrize("value", [VInt(3), None, 1])
+def test_a_context_read_of_a_non_reference_is_a_boundary_violation(value):
+    _, ops, _ = read_rule_refs()
+    with pytest.raises(BoundaryViolation, match="non-reference"):
+        ops.read(value)
+
+
+@pytest.mark.parametrize("row", UNCHECKED)
+def test_an_unchecked_context_read_reads_what_the_heap_holds(row):
+    state, ops, refs = read_rule_refs()
+    with mutants.enabled("ctx_read_unchecked"):
+        if UNCHECKED[row] is Uncontained:
+            with pytest.raises(Uncontained):
+                ops.read(refs[row])
+        else:
+            assert ops.read(refs[row]) == UNCHECKED[row]
+
+
+@pytest.mark.parametrize("fuel", [1, 2, 5])
+def test_context_reads_run_out_of_fuel_at_exactly_the_configured_fuel(fuel):
+    state = RunState(config=RunConfig(fuel=fuel))
+    ops = CtxOps(state)
+    ref = ops.alloc(INT, VInt(0))
+    for _ in range(fuel - 1):
+        assert ops.read(ref) == VInt(0)
+    with pytest.raises(OutOfFuel, match=f"after {fuel} steps"):
+        ops.read(ref)
+    assert (state.trace.steps, state.fuel) == (fuel, 0)
+
+
+def python_calls(fn, *args) -> list:
+    """The Python functions a call of fn(*args) enters, fn included, in
+    order, each as "<module file stem>.<function name>"."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            calls.append(f"{Path(code.co_filename).stem}.{code.co_name}")
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_a_fast_context_read_is_two_python_calls():
+    # the read rule is one function, and fast mode runs no monitor; a layer
+    # or a monitor call put back on this path fails here, not in a timing
+    _, ops, refs = read_rule_refs()
+    ref = refs["shareable"]
+    assert python_calls(ops.read, ref) == ["linker.read", "linker.ctx_read"]
+
+
+def test_a_paranoid_context_read_runs_the_step_monitor_once():
+    state, ops, refs = read_rule_refs(RunConfig(check_level="paranoid"))
+    ref = refs["shareable"]
+    for _ in range(3):
+        recorded = len(state.trace.worlds)
+        calls = python_calls(ops.read, ref)
+        assert calls[:2] == ["linker.read", "linker.ctx_read"]
+        assert calls.count("programs._after_step") == 1
+        assert len(state.trace.worlds) == recorded + 1
 
 
 def test_ctx_read_of_ref_to_ref_yields_shareable_target():
