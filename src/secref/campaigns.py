@@ -32,6 +32,7 @@ from .programs import (
 from .sampling import preorder_laws
 from .scenarios import (
     SECRET_SNOOP,
+    SECRET_STASH,
     Scenario,
     counter_callback,
     run_scenario,
@@ -551,14 +552,16 @@ def campaign_intro() -> Report:
         except MonitorAlarm as alarm:
             report.add(f"safe_prog[{name}]", False, str(alarm))
 
-    try:
-        result = run_scenario(scenario, SECRET_SNOOP, cfg)
-        outcome = result.record.outcome[:2]
-        report.add("forged_read_of_secret_refused",
-                   outcome == ("err", "BoundaryViolation") and result.checks["psi_secret_42"],
-                   str(outcome))
-    except MonitorAlarm as alarm:
-        report.add("forged_read_of_secret_refused", False, str(alarm))
+    for check, forger in (("forged_read_of_secret_refused", SECRET_SNOOP),
+                          ("forged_alloc_of_secret_refused", SECRET_STASH)):
+        try:
+            result = run_scenario(scenario, forger, cfg)
+            outcome = result.record.outcome[:2]
+            report.add(check,
+                       outcome == ("err", "BoundaryViolation") and result.checks["psi_secret_42"],
+                       str(outcome))
+        except MonitorAlarm as alarm:
+            report.add(check, False, str(alarm))
 
     unlabeled = scenario_safe_prog(labeled=False)
     try:
@@ -631,7 +634,10 @@ def campaign_autograder(seed: int = 0, honest_runs: int = 50, adversary_runs: in
 
 def mutation_detected(name: str) -> bool:
     """Enable one seeded fault and re-run the acceptance check it must break."""
-    if name in ("ctx_read_unchecked", "ctx_write_unchecked", "lr_write_share_unchecked"):
+    # under ctx_alloc_unchecked the forged alloc stores the secret's address
+    # in a shareable cell, and the paranoid monitor's lr_inv_at alarms
+    if name in ("ctx_alloc_unchecked", "ctx_read_unchecked", "ctx_write_unchecked",
+                "lr_write_share_unchecked"):
         with mutants.enabled(name):
             report = campaign_intro()
         return not report.ok

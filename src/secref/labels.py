@@ -36,8 +36,15 @@ class Label(enum.Enum):
     ENCAPSULATED = "Encapsulated"
 
 
+# the members, bound once: on CPython 3.11 a class-attribute lookup of an enum
+# member costs about eight times a global lookup, and step paths test labels
+PRIVATE = Label.PRIVATE
+SHAREABLE = Label.SHAREABLE
+ENCAPSULATED = Label.ENCAPSULATED
+
+
 def label_leq(l0: Label, l1: Label) -> bool:
-    if l0 is Label.PRIVATE:
+    if l0 is PRIVATE:
         return True
     return l0 is l1
 
@@ -57,7 +64,7 @@ class World:
             label = chunks[hi][addr & MASK]
             if label is not None:
                 return label
-        return Label.PRIVATE
+        return PRIVATE
 
     def __eq__(self, other):
         if not isinstance(other, World):
@@ -90,15 +97,15 @@ def initial_world() -> World:
 
 
 def is_private(w: World, r: Addr) -> bool:
-    return w.label_of(r) is Label.PRIVATE
+    return w.label_of(r) is PRIVATE
 
 
 def is_shareable(w: World, r: Addr) -> bool:
-    return w.label_of(r) is Label.SHAREABLE
+    return w.label_of(r) is SHAREABLE
 
 
 def is_encapsulated(w: World, r: Addr) -> bool:
-    return w.label_of(r) is Label.ENCAPSULATED
+    return w.label_of(r) is ENCAPSULATED
 
 
 def _check_embedded_contained(w: World, entries: list, who: str) -> None:
@@ -143,7 +150,7 @@ def lr_inv(w: World) -> bool:
         if not _cell_ok(w, addr, cell):
             return False
     for addr, label in w.labels.items():
-        if addr >= h.next_addr and label is not Label.PRIVATE:
+        if addr >= h.next_addr and label is not PRIVATE:
             return False
     return is_private(w, LABEL_MAP_MARKER)
 
@@ -167,13 +174,8 @@ def lr_inv_at(w: World, r: Addr) -> bool:
     return is_private(w, LABEL_MAP_MARKER)
 
 
-# `entries`, when given, are the stored value's `ref_entries`: a context store
-# passes those its boundary walk found, so the value is walked once.
-def lr_alloc(w: World, tag: TypeTag, rel: Preorder, init: Value,
-             entries: Optional[list] = None) -> tuple[Addr, World]:
-    if entries is None:
-        entries = ref_entries(tag, init)
-    _check_embedded_contained(w, entries, "alloc")
+def lr_alloc(w: World, tag: TypeTag, rel: Preorder, init: Value) -> tuple[Addr, World]:
+    _check_embedded_contained(w, ref_entries(tag, init), "alloc")
     addr, h1 = hp.alloc(w.heap, tag, rel, init)
     return addr, _make_world(h1, w.labels)
 
@@ -182,6 +184,8 @@ def lr_read(w: World, r: Addr) -> Value:
     return hp.read(w.heap, r)
 
 
+# `entries`, when given, are the written value's `ref_entries`: a context write
+# passes those its boundary walk found, so the value is walked once.
 def lr_write(w: World, r: Addr, v: Value, entries: Optional[list] = None) -> World:
     if r == LABEL_MAP_MARKER:
         raise Uncontained(r, "the label-map marker is not writable")
@@ -209,7 +213,7 @@ def label_shareable(w: World, r: Addr) -> World:
         leaked = _private_embedded(w, ref_entries(cell.tag, cell.value))
         if leaked:
             raise ShareLeak(r, cell.value, leaked)
-    return _make_world(w.heap, w.labels.set(r, Label.SHAREABLE))
+    return _make_world(w.heap, w.labels.set(r, SHAREABLE))
 
 
 def label_encapsulated(w: World, r: Addr) -> World:
@@ -218,7 +222,7 @@ def label_encapsulated(w: World, r: Addr) -> World:
     w.heap.cell(r)
     if not is_private(w, r):
         raise AlreadyLabeled(f"{r} is already {w.label_of(r).value}")
-    return _make_world(w.heap, w.labels.set(r, Label.ENCAPSULATED))
+    return _make_world(w.heap, w.labels.set(r, ENCAPSULATED))
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +235,7 @@ def modif_only_shareable_and_encaps(w0: World, w1: World) -> bool:
     for addr in changed(cells0, cells1, within=cells0):
         old = cells0.get(addr)
         # a label other than Private is Shareable or Encapsulated
-        if old is None or labels0.get(addr, Label.PRIVATE) is not Label.PRIVATE:
+        if old is None or labels0.get(addr, PRIVATE) is not PRIVATE:
             continue
         new = cells1.get(addr)
         if new is None or new.value != old.value:

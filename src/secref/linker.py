@@ -20,24 +20,32 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import zip_longest
 from typing import Any, Callable, Optional
 
 from . import mutants
 from .contracts import Inr, InterfaceSpec, export, import_value
-from .errors import AlreadyLabeled, BoundaryViolation, RunFailure, Uncontained, UniversalViolation
-from .heap import MASK, SHIFT, TRIVIAL
+from .errors import (
+    AlreadyLabeled,
+    BoundaryViolation,
+    RunFailure,
+    TypeMismatch,
+    Uncontained,
+    UniversalViolation,
+)
+from .heap import HOLES, MASK, SHIFT, TRIVIAL, _make_cell, _make_heap
 from .labels import (
-    Label,
+    PRIVATE,
+    SHAREABLE,
     World,
+    _check_embedded_contained,
     _make_world,
-    is_private,
-    lr_alloc,
     lr_write,
     modif_only_shareable_and_encaps,
     same_labels,
 )
 from .programs import Program, Return, RunConfig, RunState
-from .values import Addr, TypeTag, Value, VRef, ref_entries
+from .values import Addr, TypeTag, Value, VRef, _make_ref, is_storable, ref_entries
 
 
 @dataclass(frozen=True)
@@ -67,30 +75,42 @@ class WholeProgram:
 # ---------------------------------------------------------------------------
 # the three context-facing operations
 
-# bound once: on CPython 3.11 a class-attribute lookup of an enum member costs
-# about eight times a global lookup, and every context read tests it
-_SHAREABLE = Label.SHAREABLE
-
-
 def _embeds_only_shareable(w: World, tag: TypeTag, v: Value, what: str) -> list:
-    """The boundary walk: every address v embeds is shareable.  Returns its
-    entries, which the labeled operation takes instead of walking v again."""
+    """The boundary walk of a context store: v conforms to tag, and every
+    address it embeds is shareable unless the operation's mutant,
+    `ctx_<what>_unchecked`, is on.  Returns the walk's entries, which the
+    rest of the rule checks instead of walking v again."""
     entries = ref_entries(tag, v)
     for sub, _ in entries:
-        if w.label_of(sub) is not _SHAREABLE:
+        if w.label_of(sub) is not SHAREABLE and not mutants.is_active(f"ctx_{what}_unchecked"):
             raise BoundaryViolation(f"context {what} embeds non-shareable address {sub}")
     return entries
 
 
 def ctx_alloc(w: World, tag: TypeTag, init: Value) -> tuple[Addr, World]:
+    """The context alloc rule, whole: a fresh cell of the trivial preorder
+    holding init, labeled shareable.  It is `labels.lr_alloc` then
+    `label_shareable`, with init walked once and one `set` on each map, and
+    it refuses in that order: TypeMismatch for an init that does not
+    conform; BoundaryViolation for an embedded address that is not
+    shareable; DanglingInit or TypeMismatch for one that is not contained
+    at its tag; TypeMismatch for a tag no cell may hold; AlreadyLabeled for
+    a fresh address that carries a label.  The shareable embedded addresses
+    make label_shareable's ShareLeak check hold already."""
     entries = _embeds_only_shareable(w, tag, init, "alloc")
-    addr, w1 = lr_alloc(w, tag, TRIVIAL, init, entries)
-    # labeled directly: the embedded refs were just checked shareable, which
-    # is stronger than label_shareable's ShareLeak check, and a fresh cell
-    # carries the trivial preorder
-    if not is_private(w1, addr):
-        raise AlreadyLabeled(f"fresh cell {addr} is already {w1.label_of(addr).value}")
-    return addr, _make_world(w1.heap, w1.labels.set(addr, _SHAREABLE))
+    if entries:
+        _check_embedded_contained(w, entries, "alloc")
+    if not is_storable(tag):
+        raise TypeMismatch(f"{tag} is not a storable type")
+    h, labels = w.heap, w.labels
+    addr = h.next_addr
+    chunks, hi = labels.chunks, addr >> SHIFT
+    if hi < len(chunks):
+        label = chunks[hi][addr & MASK]
+        if label is not None and label is not PRIVATE:
+            raise AlreadyLabeled(f"fresh cell {addr} is already {label.value}")
+    cells = h.cells.set(addr, _make_cell(addr, tag, TRIVIAL, init))
+    return addr, _make_world(_make_heap(cells, addr + 1), labels.set(addr, SHAREABLE))
 
 
 def ctx_read(w: World, r: Addr) -> Value:
@@ -99,7 +119,7 @@ def ctx_read(w: World, r: Addr) -> Value:
     chunks of the two maps itself, so a context read is this one call."""
     hi, lo = r >> SHIFT, r & MASK
     labels = w.labels.chunks
-    if not (0 <= hi < len(labels) and labels[hi][lo] is _SHAREABLE):
+    if not (0 <= hi < len(labels) and labels[hi][lo] is SHAREABLE):
         if not mutants.is_active("ctx_read_unchecked"):
             raise BoundaryViolation(f"context read of non-shareable address {r}")
     cells = w.heap.cells.chunks
@@ -113,7 +133,7 @@ def ctx_read(w: World, r: Addr) -> Value:
 def ctx_write(w: World, r: Addr, v: Value) -> World:
     entries = None
     if not mutants.is_active("ctx_write_unchecked"):
-        if w.label_of(r) is not _SHAREABLE:
+        if w.label_of(r) is not SHAREABLE:
             raise BoundaryViolation(f"context write to non-shareable address {r}")
         cell = w.heap.cells.get(r)
         if cell is not None:
@@ -126,11 +146,14 @@ class CtxOps:
 
     Context code speaks in reference values; the handles unwrap them and
     burn fuel like tree-node steps.  Each runs `RunState._tick`'s fuel meter
-    inline and calls it only to raise `OutOfFuel`.  The check level is read
-    once, here: in paranoid mode each step then runs the per-step monitors,
-    `RunState._after_step`, exactly like a tree-node step; in fast mode a
-    step makes no monitor call at all, so a fast read is `read` plus one
-    `ctx_read`.
+    inline and calls it only to raise `OutOfFuel`, then calls the one
+    function that is its rule: `ctx_alloc`, `ctx_read` or `ctx_write`.  The
+    check level is read once, here: in paranoid mode each step then runs the
+    per-step monitors, `RunState._after_step`, exactly like a tree-node
+    step; in fast mode a step makes no monitor call at all.  So a fast read
+    is `read` plus one `ctx_read`, and a fast alloc is `alloc` plus one
+    `ctx_alloc`, which reaches no labeled or heap operation; `alloc` also
+    builds its `VRef` without the frozen record's `__init__`.
     """
 
     def __init__(self, state: RunState):
@@ -154,7 +177,7 @@ class CtxOps:
         addr, st.world = ctx_alloc(w0, tag, init)
         if self._paranoid:
             st._after_step(w0, addr)
-        return VRef(addr, tag)
+        return _make_ref(addr, tag)
 
     def read(self, ref: Value) -> Value:
         st = self._state
@@ -311,10 +334,22 @@ class BehaviorRecord:
 
 
 def render_world(w: World) -> tuple:
+    """One line per cell, by address: `addr: tag [label] = value`.  One pass
+    over the cell and label chunks side by side; the text between address
+    and value is made once per tag and label."""
     out = []
-    for addr in sorted(w.heap.addresses()):
-        cell = w.heap.cell(addr)
-        out.append(f"{addr}: {cell.tag} [{w.label_of(addr).value}] = {cell.value}")
+    heads = {}
+    for cells, labels in zip_longest(w.heap.cells.chunks, w.labels.chunks, fillvalue=HOLES):
+        for cell, label in zip(cells, labels):
+            if cell is None:
+                continue
+            tag = cell.tag
+            # ids, because an enum member hashes in Python code
+            key = (id(tag), id(label))
+            head = heads.get(key)
+            if head is None:
+                head = heads[key] = f": {tag} [{(label or PRIVATE).value}] = "
+            out.append(f"{cell.addr}{head}{cell.value}")
     return tuple(out)
 
 

@@ -10,6 +10,7 @@ from contextlib import contextmanager
 
 KNOWN = frozenset(
     {
+        "ctx_alloc_unchecked",  # boundary alloc skips the embedded-shareable check
         "ctx_read_unchecked",  # boundary read skips the shareable check
         "ctx_write_unchecked",  # boundary write skips the shareable check
         "label_share_unchecked",  # label_shareable skips the points-to check

@@ -148,6 +148,24 @@ def bind(m: Program, k: Callable[[Any], Program]) -> Program:
     return Call(m.op, m.args, lambda x, c=m.cont: bind(c(x), k))
 
 
+class _Stepper:
+    """The continuation of a `do` program: its bound `step` resumes the
+    generator.  An object, not a closure that names itself, so a finished
+    run is freed by reference counting."""
+
+    __slots__ = ("gen",)
+
+    def __init__(self, gen):
+        self.gen = gen
+
+    def step(self, send_val) -> Program:
+        try:
+            op = self.gen.send(send_val)
+        except StopIteration as stop:
+            return Return(stop.value)
+        return bind(op, self.step)
+
+
 def do(make_gen: Callable[[], Any]) -> Program:
     """Build a program from a generator that yields operation programs.
 
@@ -155,16 +173,7 @@ def do(make_gen: Callable[[], Any]) -> Program:
     ends the program with x.  The generator is consumed once per run, so
     callers that run a program twice must rebuild it.
     """
-    gen = make_gen()
-
-    def step(send_val):
-        try:
-            op = gen.send(send_val)
-        except StopIteration as stop:
-            return Return(stop.value)
-        return bind(op, step)
-
-    return step(None)
+    return _Stepper(make_gen()).step(None)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import importlib.resources
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from .contracts import (
     ArrowS,
@@ -195,23 +195,32 @@ def _forger_builder(ops: CtxOps):
     return lib
 
 
-def _snoop_builder(ops: CtxOps):
-    """A host-level library that reads the secret through a forged reference
-    and lets the refusal end the run."""
+def _forged_step_builder(step: Callable[[CtxOps, VRef], Any]):
+    """A host-level library whose callback makes one boundary step on a
+    forged reference to the secret and lets the refusal end the run."""
 
-    def lib(rref):
-        def cb(u):
-            ops.read(VRef(SECRET_ADDR, INT))
-            return V_UNIT
+    def build(ops: CtxOps):
+        def lib(rref):
+            def cb(u):
+                step(ops, VRef(SECRET_ADDR, INT))
+                return V_UNIT
 
-        return cb
+            return cb
 
-    return lib
+        return lib
+
+    return build
 
 
 # kept out of the scenario's own contexts, which the fuzz campaigns run
-# and require to end in a result or OutOfFuel
-SECRET_SNOOP = TargetContext(name="secret_snoop", builder=_snoop_builder)
+# and require to end in a result or OutOfFuel: one reads the secret, one
+# allocates a shareable cell that holds its address
+SECRET_SNOOP = TargetContext(
+    name="secret_snoop",
+    builder=_forged_step_builder(lambda ops, secret: ops.read(secret)))
+SECRET_STASH = TargetContext(
+    name="secret_stash",
+    builder=_forged_step_builder(lambda ops, secret: ops.alloc(Ref(INT), secret)))
 
 
 def scenario_safe_prog(labeled: bool = True) -> Scenario:

@@ -251,6 +251,19 @@ class VLLCons:
 
 Value = Union[VUnit, VInt, VBool, VInl, VInr, VPair, VRef, VLLNil, VLLCons]
 
+_set_ref_addr = VRef.addr.__set__
+_set_ref_target = VRef.target.__set__
+
+
+def _make_ref(addr: Addr, target: TypeTag) -> VRef:
+    """VRef(addr, target) without the frozen-record __init__, which goes
+    through object.__setattr__ per field: every context alloc builds one."""
+    r = object.__new__(VRef)
+    _set_ref_addr(r, addr)
+    _set_ref_target(r, target)
+    return r
+
+
 V_UNIT = VUnit()
 V_NIL = VLLNil()
 # the two booleans; comparisons return these instead of building new ones

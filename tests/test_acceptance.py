@@ -116,8 +116,8 @@ def test_criterion_10_scheduler():
 
 
 def test_criterion_11_mutation_sensitivity():
-    names = ("ctx_read_unchecked", "ctx_write_unchecked", "label_share_unchecked",
-             "lr_write_share_unchecked", "import_no_post")
+    names = ("ctx_alloc_unchecked", "ctx_read_unchecked", "ctx_write_unchecked",
+             "label_share_unchecked", "lr_write_share_unchecked", "import_no_post")
     assert set(names) == mutants.KNOWN
     results = {name: mutation_detected(name) for name in names}
     _verdict(11, f"seeded mutants detected: {sorted(results)}", all(results.values()))

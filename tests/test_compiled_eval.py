@@ -17,7 +17,7 @@ import sys
 import traceback
 import weakref
 from pathlib import Path
-from types import FunctionType
+from types import FunctionType, GeneratorType
 
 import pytest
 
@@ -26,7 +26,7 @@ from secref.campaigns import FUZZ_FUEL, _fuzz_targets, _generated_context
 from secref.contracts import ArrowS, BaseS
 from secref.errors import MonitorAlarm, OutOfFuel, TargetTypeError
 from secref.linker import CtxOps, TargetContext
-from secref.programs import RunConfig, RunState
+from secref.programs import RunConfig, RunState, _Stepper
 from secref.scenarios import run_scenario, scenario_autograder
 from secref.target_lang import (
     AllocE,
@@ -463,8 +463,21 @@ def test_a_finished_run_is_freed_by_reference_counting(monkeypatch):
         assert [r for r in gc.get_referrers(namespace) if r is not here] == []
         # the run typechecked each context it loaded; no walk outlived it
         assert typecheck_leftovers() == []
+        # nor did the program's generator or the continuation that drove it
+        assert do_leftovers() == []
     finally:
         gc.enable()
+
+
+def do_leftovers() -> list:
+    """Objects the cyclic collector still tracks that `programs.do` made or
+    drove: a stepper, an inner function of `do`, and the autograder body's
+    generator."""
+    return [o for o in gc.get_objects()
+            if isinstance(o, _Stepper)
+            or (isinstance(o, FunctionType) and o.__qualname__.startswith("do.<locals>"))
+            or (isinstance(o, GeneratorType)
+                and o.__qualname__.startswith("scenario_autograder.<locals>"))]
 
 
 def typecheck_leftovers() -> list:

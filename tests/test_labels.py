@@ -319,7 +319,8 @@ def test_one_alloc_walks_the_initial_value_once_per_layer(conforms_calls):
         alloc()
         return len(conforms_calls)
 
-    # linker.ctx_alloc's boundary walk, whose entries lr_alloc takes, then
-    # heap.alloc; a checked alloc: lr_alloc's one walk, then heap.alloc
-    assert counted(lambda: ops.alloc(tag, init)) == 2
+    # a context alloc: linker.ctx_alloc's one boundary walk, whose entries
+    # the rest of its rule checks; a checked alloc: lr_alloc's one walk,
+    # then heap.alloc
+    assert counted(lambda: ops.alloc(tag, init)) == 1
     assert counted(lambda: state.op_alloc(tag, TRIVIAL, init)) == 2

@@ -1,14 +1,17 @@
+import random
 import sys
 from pathlib import Path
 
 import pytest
 
+from secref import heap as hp
 from secref import mutants
 from secref.contracts import ArrowS, BaseS, Inl, Inr, PairS, SumS
 from secref.errors import (
     AlreadyLabeled,
     BoundaryViolation,
     DanglingInit,
+    InvariantViolation,
     OutOfFuel,
     RunFailure,
     ShareLeak,
@@ -18,6 +21,7 @@ from secref.errors import (
 )
 from secref.heap import INT_LEQ, TRIVIAL, WIDTH
 from secref.labels import (
+    NO_LABELS,
     Label,
     World,
     initial_world,
@@ -45,6 +49,7 @@ from secref.linker import (
     render_world,
 )
 from secref.programs import RunConfig, RunState, Return, alloc_op, do, read_op, write_op
+from secref.sampling import sample_tag, sample_value
 from secref.scenarios import all_scenarios, run_scenario
 from secref.target_lang import elaborate, gen_random_context, parse
 from secref.values import (
@@ -54,9 +59,12 @@ from secref.values import (
     V_FALSE,
     V_TRUE,
     V_UNIT,
+    Arrow,
     Pair,
     Ref,
+    Sum,
     VBool,
+    VInl,
     VInr,
     VInt,
     VPair,
@@ -205,6 +213,137 @@ def test_a_paranoid_context_read_runs_the_step_monitor_once():
         recorded = len(state.trace.worlds)
         calls = python_calls(ops.read, ref)
         assert calls[:2] == ["linker.read", "linker.ctx_read"]
+        assert calls.count("programs._after_step") == 1
+        assert len(state.trace.worlds) == recorded + 1
+
+
+# -- the context alloc rule, through CtxOps
+
+
+def alloc_rule_refs():
+    """A run state, a CtxOps on it, and the references the alloc rule's
+    matrix stores.  The world's fresh address already carries a label, which
+    lr_inv refuses, so that a store can break the rule's last check too."""
+    state = RunState()
+    ops = CtxOps(state)
+    shareable = ops.alloc(INT, VInt(0))
+    shareable_bool = ops.alloc(BOOL, V_TRUE)
+    private = state.op_alloc(INT, TRIVIAL, VInt(42))
+    w = state.world
+    state.world = World(heap=w.heap, labels=w.labels.set(w.heap.next_addr, Label.ENCAPSULATED))
+    refs = {
+        "shareable": shareable,
+        "private": VRef(private, INT),
+        "mistyped": VRef(shareable_bool.addr, INT),  # shareable, but its cell holds a bool
+        "unallocated": VRef(999, INT),
+    }
+    return state, ops, refs
+
+
+REFS = Pair(Ref(INT), Ref(INT))
+UNSTORABLE = Sum(REFS, Arrow(INT, INT))
+
+# row: (tag, the stored value built from the refs, refusal, its message).
+# Each store also breaks every check after the one that refuses it, so a
+# row fails if the rule's checks run in another order.
+ALLOC_REFUSALS = {
+    "not_conforming": (UNSTORABLE, lambda r: VInl(VPair(VRef(r["private"].addr, BOOL), r["private"])),
+                       TypeMismatch, "does not conform"),
+    "embeds_private": (UNSTORABLE, lambda r: VInl(VPair(r["mistyped"], r["private"])),
+                       BoundaryViolation, "alloc embeds non-shareable address 3$"),
+    "embeds_unallocated": (UNSTORABLE, lambda r: VInl(VPair(r["shareable"], r["unallocated"])),
+                           BoundaryViolation, "alloc embeds non-shareable address 999$"),
+    "embeds_mistyped": (UNSTORABLE, lambda r: VInl(VPair(r["mistyped"], r["shareable"])),
+                        TypeMismatch, "expects cell of int, found bool"),
+    "unstorable": (UNSTORABLE, lambda r: VInl(VPair(r["shareable"], r["shareable"])),
+                   TypeMismatch, "is not a storable type"),
+    "unstorable_int_sum": (Sum(INT, Arrow(INT, INT)), lambda r: VInl(VInt(1)),
+                           TypeMismatch, "is not a storable type"),
+    "fresh_address_labeled": (REFS, lambda r: VPair(r["shareable"], r["shareable"]),
+                              AlreadyLabeled, "fresh cell 4 is already Encapsulated"),
+}
+
+# the rows whose refusal changes once the boundary refusal is off
+UNCHECKED_ALLOC = {
+    "embeds_private": (TypeMismatch, "expects cell of int, found bool"),
+    "embeds_unallocated": (DanglingInit, "embedded address 999 not in heap"),
+}
+
+
+@pytest.mark.parametrize("row", ALLOC_REFUSALS)
+def test_context_alloc_refusals_keep_their_order(row):
+    state, ops, refs = alloc_rule_refs()
+    tag, init, error, message = ALLOC_REFUSALS[row]
+    before = state.world
+    with pytest.raises(error, match=message):
+        ops.alloc(tag, init(refs))
+    assert state.world is before
+
+
+@pytest.mark.parametrize("row", ALLOC_REFUSALS)
+@pytest.mark.parametrize("mutant", ["ctx_alloc_unchecked", "ctx_write_unchecked"])
+def test_the_alloc_mutant_skips_only_the_boundary_refusal(row, mutant):
+    # ctx_write_unchecked shares the boundary walk and must not reach alloc
+    state, ops, refs = alloc_rule_refs()
+    tag, init, error, message = ALLOC_REFUSALS[row]
+    if mutant == "ctx_alloc_unchecked":
+        error, message = UNCHECKED_ALLOC.get(row, (error, message))
+    before = state.world
+    with mutants.enabled(mutant), pytest.raises(error, match=message):
+        ops.alloc(tag, init(refs))
+    assert state.world is before
+
+
+def test_an_unchecked_context_alloc_stores_a_non_shareable_address():
+    state = RunState()
+    private = VRef(state.op_alloc(INT, TRIVIAL, VInt(42)), INT)
+    ops = CtxOps(state)
+    with mutants.enabled("ctx_alloc_unchecked"):
+        stash = ops.alloc(Ref(INT), private)
+    assert is_shareable(state.world, stash.addr)
+    assert state.world.heap.cell(stash.addr).value == private
+    assert not lr_inv(state.world)
+
+
+def test_a_paranoid_step_monitor_catches_an_unchecked_context_alloc():
+    state = RunState(config=RunConfig(check_level="paranoid"))
+    private = VRef(state.op_alloc(INT, TRIVIAL, VInt(42)), INT)
+    ops = CtxOps(state)
+    with mutants.enabled("ctx_alloc_unchecked"), pytest.raises(InvariantViolation):
+        ops.alloc(Ref(INT), private)
+
+
+@pytest.mark.parametrize("fuel", [1, 2, 5])
+def test_context_allocs_run_out_of_fuel_at_exactly_the_configured_fuel(fuel):
+    state = RunState(config=RunConfig(fuel=fuel))
+    ops = CtxOps(state)
+    for i in range(fuel):
+        assert ops.alloc(INT, VInt(i)) == VRef(i + 1, INT)
+    world = state.world
+    with pytest.raises(OutOfFuel, match=f"after {fuel} steps"):
+        ops.alloc(INT, VInt(fuel))
+    assert state.world is world
+    assert (state.trace.steps, state.fuel, len(world.heap.cells)) == (fuel, 0, fuel)
+
+
+def test_a_fast_context_alloc_is_one_rule():
+    # the alloc rule is one function: no labeled operation, heap operation,
+    # label lookup or monitor call under it, and one walk of the value
+    _, ops, _ = read_rule_refs()
+    calls = python_calls(ops.alloc, INT, VInt(1))
+    assert calls[:2] == ["linker.alloc", "linker.ctx_alloc"]
+    for layer in ("labels.lr_alloc", "heap.alloc", "labels.label_of", "labels.is_private",
+                  "programs._after_step"):
+        assert layer not in calls
+    assert calls.count("values.ref_entries") == 1
+
+
+def test_a_paranoid_context_alloc_runs_the_step_monitor_once():
+    state, ops, _ = read_rule_refs(RunConfig(check_level="paranoid"))
+    for i in range(3):
+        recorded = len(state.trace.worlds)
+        calls = python_calls(ops.alloc, INT, VInt(i))
+        assert calls[:2] == ["linker.alloc", "linker.ctx_alloc"]
         assert calls.count("programs._after_step") == 1
         assert len(state.trace.worlds) == recorded + 1
 
@@ -552,3 +691,57 @@ def test_render_world_is_sorted_and_stable():
         "1: int [Shareable] = 3",
         "2: int [Private] = 0",
     )
+
+
+def reference_render_world(w: World) -> tuple:
+    """The dump one address at a time, as render_world first computed it:
+    the reference its one-pass version is held to."""
+    out = []
+    for addr in sorted(w.heap.addresses()):
+        cell = w.heap.cell(addr)
+        out.append(f"{addr}: {cell.tag} [{w.label_of(addr).value}] = {cell.value}")
+    return tuple(out)
+
+
+def sampled_world(seed: int, cells: int, labeled: int) -> World:
+    """`cells` cells of nested sampled tags, some sharing one tag object and
+    some holding equal tags built apart, and a label map over addresses
+    1..labeled whose entries are absent or any of the three labels."""
+    rng = random.Random(seed)
+    shared = [sample_tag(rng, depth=3) for _ in range(4)]
+    h = hp.EMPTY_HEAP
+    for _ in range(cells):
+        tag = rng.choice(shared) if rng.random() < 0.5 else sample_tag(rng, depth=3)
+        _, h = hp.alloc(h, tag, TRIVIAL, sample_value(tag, rng, addr_pool=range(1, 200)))
+    labels = NO_LABELS
+    for addr in range(1, labeled + 1):
+        labels = labels.set(addr, rng.choice([None, *Label]))
+    return World(heap=h, labels=labels)
+
+
+# (cells, labeled addresses): up to five cell chunks of WIDTH addresses, and
+# label maps with fewer, as many and more chunks than the cell map
+@pytest.mark.parametrize("cells,labeled", [(0, 0), (1, 0), (1, 1), (3 * WIDTH, WIDTH // 2),
+                                           (4 * WIDTH + 5, 2 * WIDTH), (130, 130),
+                                           (2 * WIDTH, 5 * WIDTH)])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_render_world_matches_the_per_address_dump(seed, cells, labeled):
+    w = sampled_world(seed, cells, labeled)
+    assert render_world(w) == reference_render_world(w)
+
+
+def test_the_sampled_worlds_cover_every_label_and_nested_tag():
+    w = sampled_world(1, 4 * WIDTH + 5, 2 * WIDTH)
+    assert len(w.heap.cells.chunks) > len(w.labels.chunks) >= 3
+    text = "\n".join(render_world(w))
+    for part in ("[Private]", "[Shareable]", "[Encapsulated]",
+                 "(pair ", "(sum ", "(llist ", "(ref "):
+        assert part in text
+
+
+def test_render_world_matches_the_per_address_dump_on_every_shipped_context():
+    for factory in all_scenarios().values():
+        scenario = factory()
+        for name in sorted(scenario.contexts):
+            result = run_scenario(scenario, name)
+            assert render_world(result.w1) == reference_render_world(result.w1), (scenario.name, name)

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from secref import campaigns, mutants, target_lang
-from secref.errors import ShareLeak
+from secref.errors import InvariantViolation, ShareLeak
 from secref.labels import is_encapsulated, is_private, is_shareable
 from secref.programs import RunConfig
 from secref.scenarios import (
@@ -15,6 +15,7 @@ from secref.scenarios import (
     SCHED_COUNTER_ADDR,
     SECRET_ADDR,
     SECRET_SNOOP,
+    SECRET_STASH,
     SCHED_COUNTER_TAG,
     TASK_DONE,
     all_scenarios,
@@ -63,6 +64,18 @@ def test_a_forged_read_of_the_secret_ends_the_run():
     with mutants.enabled("ctx_read_unchecked"):
         result = run_scenario(scenario_safe_prog(), SECRET_SNOOP, PARANOID)
         assert result.record.outcome == ("ok", 42)
+        assert not campaigns.campaign_intro().ok
+
+
+def test_a_forged_alloc_of_the_secret_ends_the_run():
+    result = run_scenario(scenario_safe_prog(), SECRET_STASH, PARANOID)
+    assert result.record.outcome[:2] == ("err", "BoundaryViolation")
+    assert result.checks["psi_secret_42"] and result.checks["secret_private"]
+    # with the alloc's embedded-shareable check gone, a shareable cell holds
+    # the secret's address, and the paranoid step monitor alarms
+    with mutants.enabled("ctx_alloc_unchecked"):
+        with pytest.raises(InvariantViolation):
+            run_scenario(scenario_safe_prog(), SECRET_STASH, PARANOID)
         assert not campaigns.campaign_intro().ok
 
 
