@@ -19,7 +19,7 @@ from operator import is_not
 from typing import Callable, Optional
 
 from .errors import ImmutableWrite, PreorderViolation, TypeMismatch, Uncontained
-from .values import Addr, TypeTag, Value, VInl, VInt, VLLNil, VPair, conforms, is_storable
+from .values import Addr, TypeTag, Value, VInl, VInt, VLLNil, VPair, conforms, frozen_record, is_storable
 
 LABEL_MAP_MARKER: Addr = 0
 
@@ -217,7 +217,7 @@ PREORDERS: dict[str, Preorder] = {
 }
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class HeapCell:
     addr: Addr
     tag: TypeTag
@@ -256,23 +256,10 @@ class Heap:
         )
 
 
-# Step paths build cells and heaps through these, setting the slots directly:
-# the frozen records' __init__ goes through object.__setattr__ per field.
-_set_addr = HeapCell.addr.__set__
-_set_tag = HeapCell.tag.__set__
-_set_preorder = HeapCell.preorder.__set__
-_set_value = HeapCell.value.__set__
+# Step paths build heaps through this, setting the slots directly: Heap's
+# __init__ goes through object.__setattr__ per field and its __post_init__.
 _set_cells = Heap.cells.__set__
 _set_next_addr = Heap.next_addr.__set__
-
-
-def _make_cell(addr: Addr, tag: TypeTag, preorder: Preorder, value: Value) -> HeapCell:
-    c = _new(HeapCell)
-    _set_addr(c, addr)
-    _set_tag(c, tag)
-    _set_preorder(c, preorder)
-    _set_value(c, value)
-    return c
 
 
 def _make_heap(cells: AddrMap, next_addr: Addr) -> Heap:
@@ -291,7 +278,7 @@ def alloc(h: Heap, tag: TypeTag, rel: Preorder, init: Value) -> tuple[Addr, Heap
     if not conforms(init, tag):
         raise TypeMismatch(f"initial value {init!r} does not conform to {tag}")
     addr = h.next_addr
-    return addr, _make_heap(h.cells.set(addr, _make_cell(addr, tag, rel, init)), addr + 1)
+    return addr, _make_heap(h.cells.set(addr, HeapCell(addr, tag, rel, init)), addr + 1)
 
 
 def read(h: Heap, r: Addr) -> Value:
@@ -304,7 +291,7 @@ def write(h: Heap, r: Addr, v: Value) -> Heap:
         raise TypeMismatch(f"value {v!r} does not conform to {cell.tag} at {r}")
     if not cell.preorder.holds(cell.value, v):
         raise PreorderViolation(r, cell.preorder.name, cell.value, v)
-    return _make_heap(h.cells.set(r, _make_cell(r, cell.tag, cell.preorder, v)), h.next_addr)
+    return _make_heap(h.cells.set(r, HeapCell(r, cell.tag, cell.preorder, v)), h.next_addr)
 
 
 def heap_leq(h0: Heap, h1: Heap) -> bool:

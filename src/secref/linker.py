@@ -33,7 +33,7 @@ from .errors import (
     Uncontained,
     UniversalViolation,
 )
-from .heap import HOLES, MASK, SHIFT, TRIVIAL, _make_cell, _make_heap
+from .heap import HOLES, MASK, SHIFT, TRIVIAL, HeapCell, _make_heap
 from .labels import (
     PRIVATE,
     SHAREABLE,
@@ -45,7 +45,7 @@ from .labels import (
     same_labels,
 )
 from .programs import Program, Return, RunConfig, RunState
-from .values import Addr, TypeTag, Value, VRef, _make_ref, is_storable, ref_entries
+from .values import TypeTag, Value, VRef, is_storable, ref_entries
 
 
 @dataclass(frozen=True)
@@ -87,16 +87,22 @@ def _embeds_only_shareable(w: World, tag: TypeTag, v: Value, what: str) -> list:
     return entries
 
 
-def ctx_alloc(w: World, tag: TypeTag, init: Value) -> tuple[Addr, World]:
-    """The context alloc rule, whole: a fresh cell of the trivial preorder
-    holding init, labeled shareable.  It is `labels.lr_alloc` then
-    `label_shareable`, with init walked once and one `set` on each map, and
-    it refuses in that order: TypeMismatch for an init that does not
-    conform; BoundaryViolation for an embedded address that is not
-    shareable; DanglingInit or TypeMismatch for one that is not contained
-    at its tag; TypeMismatch for a tag no cell may hold; AlreadyLabeled for
-    a fresh address that carries a label.  The shareable embedded addresses
-    make label_shareable's ShareLeak check hold already."""
+def ctx_alloc(ops: CtxOps, tag: TypeTag, init: Value) -> VRef:
+    """The context alloc step, whole: the fuel meter, then a fresh cell of
+    the trivial preorder holding init, labeled shareable.  It is
+    `labels.lr_alloc` then `label_shareable`, with init walked once and one
+    `set` on each map, and it refuses in that order: TypeMismatch for an
+    init that does not conform; BoundaryViolation for an embedded address
+    that is not shareable; DanglingInit or TypeMismatch for one that is not
+    contained at its tag; TypeMismatch for a tag no cell may hold;
+    AlreadyLabeled for a fresh address that carries a label.  The shareable
+    embedded addresses make label_shareable's ShareLeak check hold already."""
+    st = ops._state
+    if st.fuel <= 0:
+        st._tick()
+    st.fuel -= 1
+    st.trace.steps += 1
+    w = st.world
     entries = _embeds_only_shareable(w, tag, init, "alloc")
     if entries:
         _check_embedded_contained(w, entries, "alloc")
@@ -109,51 +115,78 @@ def ctx_alloc(w: World, tag: TypeTag, init: Value) -> tuple[Addr, World]:
         label = chunks[hi][addr & MASK]
         if label is not None and label is not PRIVATE:
             raise AlreadyLabeled(f"fresh cell {addr} is already {label.value}")
-    cells = h.cells.set(addr, _make_cell(addr, tag, TRIVIAL, init))
-    return addr, _make_world(_make_heap(cells, addr + 1), labels.set(addr, SHAREABLE))
+    cells = h.cells.set(addr, HeapCell(addr, tag, TRIVIAL, init))
+    st.world = _make_world(_make_heap(cells, addr + 1), labels.set(addr, SHAREABLE))
+    if ops._paranoid:
+        st._after_step(w, addr)
+    return VRef(addr, tag)
 
 
-def ctx_read(w: World, r: Addr) -> Value:
-    """The context read rule, whole: r must be labeled shareable, and then
-    reads as `heap.read` does.  It looks the label and the cell up in the
-    chunks of the two maps itself, so a context read is this one call."""
+def ctx_read(ops: CtxOps, ref: Value) -> Value:
+    """The context read step, whole: the fuel meter, then ref must be a
+    reference whose address is labeled shareable, and the step reads as
+    `heap.read` does.  It looks the label and the cell up in the chunks of
+    the two maps itself, so a context read is this one call."""
+    st = ops._state
+    if st.fuel <= 0:
+        st._tick()
+    st.fuel -= 1
+    st.trace.steps += 1
+    if not isinstance(ref, VRef):
+        raise BoundaryViolation(f"context read of a non-reference: {ref}")
+    r = ref.addr
     hi, lo = r >> SHIFT, r & MASK
+    w = st.world
     labels = w.labels.chunks
     if not (0 <= hi < len(labels) and labels[hi][lo] is SHAREABLE):
         if not mutants.is_active("ctx_read_unchecked"):
             raise BoundaryViolation(f"context read of non-shareable address {r}")
     cells = w.heap.cells.chunks
-    if 0 <= hi < len(cells):
-        cell = cells[hi][lo]
-        if cell is not None:
-            return cell.value
-    raise Uncontained(r)
+    cell = cells[hi][lo] if 0 <= hi < len(cells) else None
+    if cell is None:
+        raise Uncontained(r)
+    if ops._paranoid:
+        st._after_step(w)
+    return cell.value
 
 
-def ctx_write(w: World, r: Addr, v: Value) -> World:
+def ctx_write(ops: CtxOps, ref: Value, v: Value) -> None:
+    """The context write step: the fuel meter, then ref must be a reference
+    whose address is labeled shareable, v must conform to its cell's tag and
+    embed only shareable addresses, and `labels.lr_write` makes the rest of
+    the checks and the write."""
+    st = ops._state
+    if st.fuel <= 0:
+        st._tick()
+    st.fuel -= 1
+    st.trace.steps += 1
+    if not isinstance(ref, VRef):
+        raise BoundaryViolation(f"context write to a non-reference: {ref}")
+    r = ref.addr
+    w0 = st.world
     entries = None
     if not mutants.is_active("ctx_write_unchecked"):
-        if w.label_of(r) is not SHAREABLE:
+        if w0.label_of(r) is not SHAREABLE:
             raise BoundaryViolation(f"context write to non-shareable address {r}")
-        cell = w.heap.cells.get(r)
+        cell = w0.heap.cells.get(r)
         if cell is not None:
-            entries = _embeds_only_shareable(w, cell.tag, v, "write")
-    return lr_write(w, r, v, entries)
+            entries = _embeds_only_shareable(w0, cell.tag, v, "write")
+    st.world = lr_write(w0, r, v, entries)
+    if ops._paranoid:
+        st._after_step(w0, r)
 
 
 class CtxOps:
     """Live handles to the three operations, bound to one run state.
 
-    Context code speaks in reference values; the handles unwrap them and
-    burn fuel like tree-node steps.  Each runs `RunState._tick`'s fuel meter
-    inline and calls it only to raise `OutOfFuel`, then calls the one
-    function that is its rule: `ctx_alloc`, `ctx_read` or `ctx_write`.  The
-    check level is read once, here: in paranoid mode each step then runs the
-    per-step monitors, `RunState._after_step`, exactly like a tree-node
-    step; in fast mode a step makes no monitor call at all.  So a fast read
-    is `read` plus one `ctx_read`, and a fast alloc is `alloc` plus one
-    `ctx_alloc`, which reaches no labeled or heap operation; `alloc` also
-    builds its `VRef` without the frozen record's `__init__`.
+    Context code speaks in reference values.  Each handle is the function
+    that is its whole step, `ctx_alloc`, `ctx_read` or `ctx_write`, so a
+    context step is one call.  Each runs `RunState._tick`'s fuel meter
+    inline and calls it only to raise `OutOfFuel`.  The check level is read
+    once, here: in paranoid mode each step then runs the per-step monitors,
+    `RunState._after_step`, exactly like a tree-node step; in fast mode a
+    step makes no monitor call at all.  A fast alloc or read reaches no
+    labeled or heap operation; a write goes through `labels.lr_write`.
     """
 
     def __init__(self, state: RunState):
@@ -167,44 +200,9 @@ class CtxOps:
         st.fuel -= 1
         st.trace.steps += 1
 
-    def alloc(self, tag: TypeTag, init: Value) -> VRef:
-        st = self._state
-        if st.fuel <= 0:
-            st._tick()
-        st.fuel -= 1
-        st.trace.steps += 1
-        w0 = st.world
-        addr, st.world = ctx_alloc(w0, tag, init)
-        if self._paranoid:
-            st._after_step(w0, addr)
-        return _make_ref(addr, tag)
-
-    def read(self, ref: Value) -> Value:
-        st = self._state
-        if st.fuel <= 0:
-            st._tick()
-        st.fuel -= 1
-        st.trace.steps += 1
-        if not isinstance(ref, VRef):
-            raise BoundaryViolation(f"context read of a non-reference: {ref}")
-        v = ctx_read(st.world, ref.addr)
-        if self._paranoid:
-            st._after_step(st.world)
-        return v
-
-    def write(self, ref: Value, v: Value) -> Value:
-        st = self._state
-        if st.fuel <= 0:
-            st._tick()
-        st.fuel -= 1
-        st.trace.steps += 1
-        if not isinstance(ref, VRef):
-            raise BoundaryViolation(f"context write to a non-reference: {ref}")
-        w0 = st.world
-        st.world = ctx_write(w0, ref.addr, v)
-        if self._paranoid:
-            st._after_step(w0, ref.addr)
-        return None
+    alloc = ctx_alloc
+    read = ctx_read
+    write = ctx_write
 
 
 # ---------------------------------------------------------------------------

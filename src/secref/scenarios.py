@@ -8,6 +8,7 @@ named boolean checks; the post-condition is always among them.
 from __future__ import annotations
 
 import importlib.resources
+import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -699,8 +700,10 @@ def yielding_task(yields: int, write_value: Optional[int] = None):
             if remaining[0] <= 0:
                 return TASK_DONE
             remaining[0] -= 1
-            return VInr(step)
+            return VInr(me())
 
+        # weak, so the run state step holds is not in a cycle with step
+        me = weakref.ref(step)
         return step
 
     return make

@@ -10,7 +10,7 @@ conforms to.  `is_storable` tells the two kinds of tag apart.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Optional, Union
 
 from .errors import TypeMismatch, Uncontained
@@ -178,13 +178,29 @@ def is_storable(t: TypeTag) -> bool:
 # values
 
 
+def frozen_record(cls):
+    """cls as a frozen slotted dataclass whose `__init__` sets each slot
+    through its descriptor, written straight-line the way `dataclasses`
+    writes its own.  The frozen dataclass `__init__` goes through
+    `object.__setattr__` per field, which makes a record cost about half as
+    much again; assignment and deletion are refused all the same."""
+    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    names = [f.name for f in fields(cls)]
+    namespace = {f"_set_{name}": getattr(cls, name).__set__ for name in names}
+    body = "".join(f"\n    _set_{name}(self, {name})" for name in names)
+    exec(f"def __init__(self, {', '.join(names)}):{body}", namespace)
+    cls.__init__ = namespace["__init__"]
+    cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+    return cls
+
+
 @dataclass(frozen=True, slots=True)
 class VUnit:
     def __str__(self):
         return "()"
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class VInt:
     value: int
 
@@ -192,7 +208,7 @@ class VInt:
         return str(self.value)
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class VBool:
     value: bool
 
@@ -200,7 +216,7 @@ class VBool:
         return "true" if self.value else "false"
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class VInl:
     payload: "Value"
 
@@ -208,7 +224,7 @@ class VInl:
         return f"inl({self.payload})"
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class VInr:
     payload: "Value"
 
@@ -216,7 +232,7 @@ class VInr:
         return f"inr({self.payload})"
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class VPair:
     first: "Value"
     second: "Value"
@@ -225,7 +241,7 @@ class VPair:
         return f"({self.first}, {self.second})"
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class VRef:
     addr: Addr
     target: TypeTag
@@ -240,7 +256,7 @@ class VLLNil:
         return "llnil"
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class VLLCons:
     head: "Value"
     tail: Addr
@@ -250,19 +266,6 @@ class VLLCons:
 
 
 Value = Union[VUnit, VInt, VBool, VInl, VInr, VPair, VRef, VLLNil, VLLCons]
-
-_set_ref_addr = VRef.addr.__set__
-_set_ref_target = VRef.target.__set__
-
-
-def _make_ref(addr: Addr, target: TypeTag) -> VRef:
-    """VRef(addr, target) without the frozen-record __init__, which goes
-    through object.__setattr__ per field: every context alloc builds one."""
-    r = object.__new__(VRef)
-    _set_ref_addr(r, addr)
-    _set_ref_target(r, target)
-    return r
-
 
 V_UNIT = VUnit()
 V_NIL = VLLNil()

@@ -8,7 +8,9 @@ oracles, and the two must agree on honest runs, on generated-context runs
 and on journals corrupted by hand.
 """
 import dataclasses
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -538,3 +540,18 @@ def test_scheduler_checks_fail_a_history_appended_into_a_cycle():
     assert checks["history_prefix_monotone"] is False
     assert checks["recorded_history_matches"] is False
     assert checks["counter_private"] and checks["fairness"]
+
+
+def test_a_finished_scheduler_run_is_freed_by_reference_counting():
+    # a task that closed over itself would hold the run state, and with it
+    # every world the paranoid journal recorded, until the cyclic collector ran
+    gc.collect()
+    gc.disable()
+    try:
+        run = run_scheduler([yielding_task(3, write_value=7), yielding_task(2)], cfg=PARANOID)
+        assert run.record.outcome == ("ok", 2) and len(run.state.trace.worlds) > 0
+        state = weakref.ref(run.state)
+        del run
+        assert state() is None
+    finally:
+        gc.enable()

@@ -1,5 +1,6 @@
 import random
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import pytest
@@ -44,6 +45,7 @@ from secref.linker import (
     compile_program,
     ctx_alloc,
     ctx_read,
+    ctx_write,
     link_source,
     link_target,
     render_world,
@@ -98,7 +100,7 @@ def test_ctx_read_of_private_is_a_boundary_violation():
     state = RunState()
     private = state.op_alloc(INT, TRIVIAL, VInt(42))
     with pytest.raises(BoundaryViolation):
-        ctx_read(state.world, private)
+        CtxOps(state).read(VRef(private, INT))
 
 
 # -- the context read rule, through CtxOps
@@ -138,7 +140,7 @@ UNCHECKED = {"private": VInt(42), "encapsulated": VInt(9), "unallocated": Uncont
 def test_a_context_reads_a_shareable_cell():
     state, ops, refs = read_rule_refs()
     assert ops.read(refs["shareable"]) == VInt(7)
-    assert ctx_read(state.world, refs["shareable"].addr) == VInt(7)
+    assert ctx_read(ops, refs["shareable"]) == VInt(7)
 
 
 @pytest.mark.parametrize("row", UNCHECKED)
@@ -198,12 +200,17 @@ def python_calls(fn, *args) -> list:
     return calls
 
 
-def test_a_fast_context_read_is_two_python_calls():
-    # the read rule is one function, and fast mode runs no monitor; a layer
+def test_each_context_operation_is_its_rule():
+    # a layered copy of a rule beside the CtxOps method fails here
+    assert CtxOps.alloc is ctx_alloc and CtxOps.read is ctx_read and CtxOps.write is ctx_write
+
+
+def test_a_fast_context_read_is_one_python_call():
+    # the read step is one function, and fast mode runs no monitor; a layer
     # or a monitor call put back on this path fails here, not in a timing
     _, ops, refs = read_rule_refs()
     ref = refs["shareable"]
-    assert python_calls(ops.read, ref) == ["linker.read", "linker.ctx_read"]
+    assert python_calls(ops.read, ref) == ["linker.ctx_read"]
 
 
 def test_a_paranoid_context_read_runs_the_step_monitor_once():
@@ -212,7 +219,7 @@ def test_a_paranoid_context_read_runs_the_step_monitor_once():
     for _ in range(3):
         recorded = len(state.trace.worlds)
         calls = python_calls(ops.read, ref)
-        assert calls[:2] == ["linker.read", "linker.ctx_read"]
+        assert calls[0] == "linker.ctx_read"
         assert calls.count("programs._after_step") == 1
         assert len(state.trace.worlds) == recorded + 1
 
@@ -331,7 +338,7 @@ def test_a_fast_context_alloc_is_one_rule():
     # label lookup or monitor call under it, and one walk of the value
     _, ops, _ = read_rule_refs()
     calls = python_calls(ops.alloc, INT, VInt(1))
-    assert calls[:2] == ["linker.alloc", "linker.ctx_alloc"]
+    assert calls[0] == "linker.ctx_alloc"
     for layer in ("labels.lr_alloc", "heap.alloc", "labels.label_of", "labels.is_private",
                   "programs._after_step"):
         assert layer not in calls
@@ -343,7 +350,138 @@ def test_a_paranoid_context_alloc_runs_the_step_monitor_once():
     for i in range(3):
         recorded = len(state.trace.worlds)
         calls = python_calls(ops.alloc, INT, VInt(i))
-        assert calls[:2] == ["linker.alloc", "linker.ctx_alloc"]
+        assert calls[0] == "linker.ctx_alloc"
+        assert calls.count("programs._after_step") == 1
+        assert len(state.trace.worlds) == recorded + 1
+
+
+# -- the context write rule, through CtxOps
+
+
+def write_rule_refs(config=None):
+    """A run state, a CtxOps on it, and the references the write rule's
+    matrix writes to or stores: a shareable int cell and a shareable
+    `(pair (ref int) (ref int))` cell to write, cells of the other labels,
+    and addresses no cell has."""
+    state = RunState(config=config)
+    ops = CtxOps(state)
+    shareable = ops.alloc(INT, VInt(0))
+    shareable_bool = ops.alloc(BOOL, V_TRUE)
+    pair = ops.alloc(REFS, VPair(shareable, shareable))
+    private = state.op_alloc(INT, TRIVIAL, VInt(42))
+    encapsulated = state.op_alloc(INT, TRIVIAL, VInt(9))
+    state.op_label_encapsulated(encapsulated)
+    refs = {
+        "shareable": shareable,
+        "pair": pair,
+        "private": VRef(private, INT),
+        "encapsulated": VRef(encapsulated, INT),
+        "mistyped": VRef(shareable_bool.addr, INT),  # shareable, but its cell holds a bool
+        "unallocated": VRef(999, INT),
+    }
+    return state, ops, refs
+
+
+# row: (the target, the value written, both built from the refs; refusal,
+# its message).  A value that embeds a non-shareable address also breaks
+# the containment check after the boundary refusal where it can.
+WRITE_REFUSALS = {
+    "not_a_reference": (lambda r: VInt(3), lambda r: VInt(1),
+                        BoundaryViolation, "write to a non-reference: 3$"),
+    "private": (lambda r: r["private"], lambda r: VInt(1),
+                BoundaryViolation, "write to non-shareable address 4$"),
+    "encapsulated": (lambda r: r["encapsulated"], lambda r: VInt(1),
+                     BoundaryViolation, "write to non-shareable address 5$"),
+    "unallocated": (lambda r: r["unallocated"], lambda r: VInt(1),
+                    BoundaryViolation, "write to non-shareable address 999$"),
+    "not_conforming": (lambda r: r["pair"], lambda r: VPair(r["shareable"], VInt(1)),
+                       TypeMismatch, "does not conform"),
+    "embeds_private": (lambda r: r["pair"], lambda r: VPair(r["shareable"], r["private"]),
+                       BoundaryViolation, "write embeds non-shareable address 4$"),
+    "embeds_private_after_mistyped": (lambda r: r["pair"],
+                                      lambda r: VPair(r["mistyped"], r["private"]),
+                                      BoundaryViolation, "write embeds non-shareable address 4$"),
+    "embeds_unallocated": (lambda r: r["pair"], lambda r: VPair(r["shareable"], r["unallocated"]),
+                           BoundaryViolation, "write embeds non-shareable address 999$"),
+    "embeds_mistyped": (lambda r: r["pair"], lambda r: VPair(r["mistyped"], r["shareable"]),
+                        TypeMismatch, "expects cell of int, found bool"),
+}
+
+# under ctx_write_unchecked, the rows whose outcome changes: a refusal from
+# the labeled write, or None where the write goes through
+UNCHECKED_WRITE = {
+    "private": None,
+    "encapsulated": None,
+    "unallocated": (Uncontained, "999"),
+    "embeds_private": (ShareLeak, r"private address\(es\) \[4\] reachable"),
+    "embeds_private_after_mistyped": (TypeMismatch, "expects cell of int, found bool"),
+    "embeds_unallocated": (DanglingInit, "embedded address 999 not in heap"),
+}
+
+
+@pytest.mark.parametrize("row", WRITE_REFUSALS)
+@pytest.mark.parametrize("mutant", [None, "ctx_write_unchecked", "lr_write_share_unchecked"])
+def test_context_write_refusals_keep_their_order(row, mutant):
+    # lr_write_share_unchecked sits behind the boundary refusal and moves no row
+    state, ops, refs = write_rule_refs()
+    target, value, error, message = WRITE_REFUSALS[row]
+    target, value = target(refs), value(refs)
+    outcome = (error, message)
+    if mutant == "ctx_write_unchecked":
+        outcome = UNCHECKED_WRITE.get(row, outcome)
+    before = state.world
+    with mutants.enabled(mutant) if mutant else nullcontext():
+        if outcome is None:
+            ops.write(target, value)
+        else:
+            with pytest.raises(outcome[0], match=outcome[1]):
+                ops.write(target, value)
+    if outcome is not None:
+        assert state.world is before
+        return
+    # an unchecked write to a non-shareable cell lands, and only there
+    assert state.world.heap.cell(target.addr).value == value
+    assert [a for a in before.heap.addresses()
+            if before.heap.cell(a) != state.world.heap.cell(a)] == [target.addr]
+    assert modif_only_shareable_and_encaps(before, state.world) == (row == "encapsulated")
+
+
+def test_a_context_writes_a_shareable_cell():
+    state, ops, refs = write_rule_refs()
+    assert ops.write(refs["shareable"], VInt(5)) is None
+    assert ops.read(refs["shareable"]) == VInt(5)
+    assert ctx_write(ops, refs["pair"], VPair(refs["shareable"], refs["shareable"])) is None
+    assert lr_inv(state.world)
+
+
+@pytest.mark.parametrize("fuel", [1, 2, 5])
+def test_context_writes_run_out_of_fuel_at_exactly_the_configured_fuel(fuel):
+    state = RunState(config=RunConfig(fuel=fuel))
+    ops = CtxOps(state)
+    ref = ops.alloc(INT, VInt(0))
+    for i in range(1, fuel):
+        ops.write(ref, VInt(i))
+    world = state.world
+    with pytest.raises(OutOfFuel, match=f"after {fuel} steps"):
+        ops.write(ref, VInt(fuel))
+    assert state.world is world
+    assert world.heap.cell(ref.addr).value == VInt(fuel - 1)
+    assert (state.trace.steps, state.fuel) == (fuel, 0)
+
+
+def test_a_fast_context_write_makes_no_monitor_call():
+    _, ops, refs = write_rule_refs()
+    calls = python_calls(ops.write, refs["shareable"], VInt(1))
+    assert calls[0] == "linker.ctx_write"
+    assert "programs._after_step" not in calls
+
+
+def test_a_paranoid_context_write_runs_the_step_monitor_once():
+    state, ops, refs = write_rule_refs(RunConfig(check_level="paranoid"))
+    for i in range(3):
+        recorded = len(state.trace.worlds)
+        calls = python_calls(ops.write, refs["shareable"], VInt(i))
+        assert calls[0] == "linker.ctx_write"
         assert calls.count("programs._after_step") == 1
         assert len(state.trace.worlds) == recorded + 1
 
@@ -447,17 +585,18 @@ def test_ctx_alloc_labels_as_lr_alloc_then_label_shareable_would():
     inner = CtxOps(state).alloc(INT, VInt(1))
     w = state.world
     for tag, init in ((INT, VInt(3)), (Ref(INT), inner)):
-        addr, direct = ctx_alloc(w, tag, init)
+        direct = RunState(world=w)
+        ref = CtxOps(direct).alloc(tag, init)
         fresh, w1 = lr_alloc(w, tag, TRIVIAL, init)
-        assert (addr, direct) == (fresh, label_shareable(w1, fresh))
-        assert lr_inv(direct)
+        assert (ref, direct.world) == (VRef(fresh, tag), label_shareable(w1, fresh))
+        assert lr_inv(direct.world)
 
 
 def test_ctx_alloc_refuses_a_fresh_address_that_already_carries_a_label():
     w = initial_world()
     broken = World(heap=w.heap, labels=w.labels.set(w.heap.next_addr, Label.ENCAPSULATED))
     with pytest.raises(AlreadyLabeled):
-        ctx_alloc(broken, INT, VInt(0))
+        CtxOps(RunState(world=broken)).alloc(INT, VInt(0))
 
 
 # -- a miniature interface: the context is an int -> int function

@@ -6,7 +6,8 @@ footprint predicate built on it must agree with a full scan over the heap;
 the full scans live here as oracles.
 """
 import itertools
-from dataclasses import fields
+import sys
+from dataclasses import fields, make_dataclass, replace
 
 import pytest
 
@@ -36,10 +37,10 @@ from secref.labels import (
     modif_shareable_and,
     same_labels,
 )
-from secref.linker import ctx_alloc
+from secref.linker import CtxOps
 from secref.programs import RunState
 from secref.scenarios import TASK_DONE, run_scheduler, yielding_task
-from secref.values import INT, Ref, VInr, VInt, VRef
+from secref.values import INT, V_UNIT, Ref, VBool, VInl, VInr, VInt, VLLCons, VPair, VRef
 
 # ---------------------------------------------------------------------------
 # full-scan oracles of the footprint predicates and of `changed`
@@ -333,19 +334,27 @@ def test_addr_map_refuses_and_counts_every_in_place_write():
 # the snapshot records a step builds
 
 
+# the records whose __init__ sets their slots through the slot descriptors
+SLOT_BUILT = (VInt, VBool, VInl, VInr, VPair, VRef, VLLCons, HeapCell)
+
+
 def _step_records() -> list:
     """The cells, heaps and worlds built by lr_alloc, label_shareable,
-    hp.write and ctx_alloc."""
+    hp.write and a context alloc, then a value record of each kind."""
     addr, w1 = lr_alloc(initial_world(), INT, TRIVIAL, VInt(1))
     w1 = lb.label_shareable(w1, addr)
     h2 = hp.write(w1.heap, addr, VInt(2))
-    shared, w3 = ctx_alloc(w1, Ref(INT), VRef(addr, INT))
-    return [w1, w1.heap, w1.heap.cell(addr), h2, h2.cell(addr), w3, w3.heap, w3.heap.cell(shared)]
+    state = RunState(world=w1)
+    shared = CtxOps(state).alloc(Ref(INT), VRef(addr, INT))
+    w3 = state.world
+    return [w1, w1.heap, w1.heap.cell(addr), h2, h2.cell(addr), w3, w3.heap,
+            w3.heap.cell(shared.addr), VInt(3), VBool(True), VInl(VInt(1)), VInr(V_UNIT),
+            VPair(VInt(1), shared), shared, VLLCons(VInt(1), shared.addr)]
 
 
 def test_the_records_a_step_builds_are_frozen_and_slotted():
     records = _step_records()
-    assert {type(r) for r in records} == {World, Heap, HeapCell}
+    assert {type(r) for r in records} == {World, Heap, *SLOT_BUILT}
     for record in records:
         assert not hasattr(record, "__dict__")
         before = [getattr(record, f.name) for f in fields(record)]
@@ -364,9 +373,7 @@ def test_the_records_a_step_builds_are_frozen_and_slotted():
 
 
 def test_the_private_constructors_build_what_the_public_ones_build():
-    w1, heap, cell = _step_records()[:3]
-    assert hp._make_cell(cell.addr, cell.tag, cell.preorder, cell.value) == HeapCell(
-        addr=cell.addr, tag=cell.tag, preorder=cell.preorder, value=cell.value)
+    w1, heap = _step_records()[:2]
     assert hp._make_heap(heap.cells, heap.next_addr) == Heap(cells=heap.cells,
                                                              next_addr=heap.next_addr)
     built = World(heap=Heap(cells=dict(heap.cells.items()), next_addr=heap.next_addr),
@@ -375,3 +382,52 @@ def test_the_private_constructors_build_what_the_public_ones_build():
     assert lb._make_world(w1.heap, w1.labels) == built == w1
     assert hp.EMPTY_HEAP == Heap(cells={}, next_addr=1)
     assert initial_world() == World(heap=hp.EMPTY_HEAP, labels={})
+
+
+def _twin(cls):
+    """cls as a plain frozen slotted dataclass: the same name and fields,
+    built by the __init__ `dataclasses` writes."""
+    return make_dataclass(cls.__name__, [(f.name, f.type) for f in fields(cls)],
+                          frozen=True, slots=True)
+
+
+def test_slot_built_records_agree_with_their_plain_frozen_twins():
+    marker = VInt(-7)
+    for record in _step_records():
+        cls = type(record)
+        if cls not in SLOT_BUILT:
+            continue
+        twin = _twin(cls)
+        names = [f.name for f in fields(cls)]
+        values = [getattr(record, name) for name in names]
+        mirror = twin(*values)
+        assert repr(record) == repr(mirror)
+        assert hash(record) == hash(mirror) == hash(cls(*values))
+        by_name = cls(**dict(zip(names, values)))
+        assert type(by_name) is cls and by_name == record and by_name is not record
+        for name in names:
+            other = replace(record, **{name: marker})
+            assert type(other) is cls and getattr(other, name) is marker
+            assert repr(other) == repr(replace(mirror, **{name: marker}))
+            assert (other == record) is (replace(mirror, **{name: marker}) == mirror) is False
+        assert record != mirror and mirror != record
+        # the __init__ reads nothing but its slot setters: no __setattr__
+        assert set(cls.__init__.__code__.co_names) == {f"_set_{name}" for name in names}
+
+
+@pytest.mark.parametrize("cls", SLOT_BUILT, ids=lambda cls: cls.__name__)
+def test_a_slot_built_record_is_built_in_one_python_frame(cls):
+    args = [VInt(1)] * len(fields(cls))
+    entered = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        record = cls(*args)
+    finally:
+        sys.setprofile(None)
+    assert entered == ["__init__"]
+    assert [getattr(record, f.name) for f in fields(cls)] == args

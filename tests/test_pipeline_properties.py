@@ -21,7 +21,6 @@ from secref.linker import (
     back_translate,
     beh_equal,
     BehaviorRecord,
-    ctx_read,
 )
 from secref.programs import RunConfig, RunState
 from secref.scenarios import (
@@ -36,6 +35,7 @@ from secref.values import (
     Ref,
     V_NIL,
     VInt,
+    VRef,
     llist_collect,
     llist_sorted,
 )
@@ -71,7 +71,7 @@ def test_ctx_read_of_encapsulated_counter_is_refused():
     counter = state.op_alloc(INT, INT_LEQ, VInt(0))
     state.op_label_encapsulated(counter)
     with pytest.raises(BoundaryViolation):
-        ctx_read(state.world, counter)
+        CtxOps(state).read(VRef(counter, INT))
 
 
 def test_back_translate_pure_int_context():
