@@ -134,10 +134,7 @@ def shrink_generated_context(target_name: str, ctx_seed: int, still_fails,
     for size in sizes:
         rng = random.Random(ctx_seed)
         scenario = factory(rng)
-        try:
-            expr, ctx = _generated_context(scenario, ctx_seed, size=size)
-        except Exception:
-            continue
+        expr, ctx = _generated_context(scenario, ctx_seed, size=size)
         if still_fails(scenario, ctx, expr):
             smallest = expr
     return smallest

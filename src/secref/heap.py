@@ -225,14 +225,10 @@ class HeapCell:
     value: Value
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class Heap:
     cells: AddrMap  # Addr -> HeapCell
     next_addr: Addr
-
-    def __post_init__(self):
-        if type(self.cells) is not AddrMap:
-            object.__setattr__(self, "cells", AddrMap(self.cells))
 
     def contains(self, addr: Addr) -> bool:
         return self.cells.get(addr) is not None
@@ -256,20 +252,7 @@ class Heap:
         )
 
 
-# Step paths build heaps through this, setting the slots directly: Heap's
-# __init__ goes through object.__setattr__ per field and its __post_init__.
-_set_cells = Heap.cells.__set__
-_set_next_addr = Heap.next_addr.__set__
-
-
-def _make_heap(cells: AddrMap, next_addr: Addr) -> Heap:
-    h = _new(Heap)
-    _set_cells(h, cells)
-    _set_next_addr(h, next_addr)
-    return h
-
-
-EMPTY_HEAP = _make_heap(EMPTY_MAP, 1)
+EMPTY_HEAP = Heap(EMPTY_MAP, 1)
 
 
 def alloc(h: Heap, tag: TypeTag, rel: Preorder, init: Value) -> tuple[Addr, Heap]:
@@ -278,7 +261,7 @@ def alloc(h: Heap, tag: TypeTag, rel: Preorder, init: Value) -> tuple[Addr, Heap
     if not conforms(init, tag):
         raise TypeMismatch(f"initial value {init!r} does not conform to {tag}")
     addr = h.next_addr
-    return addr, _make_heap(h.cells.set(addr, HeapCell(addr, tag, rel, init)), addr + 1)
+    return addr, Heap(h.cells.set(addr, HeapCell(addr, tag, rel, init)), addr + 1)
 
 
 def read(h: Heap, r: Addr) -> Value:
@@ -291,7 +274,7 @@ def write(h: Heap, r: Addr, v: Value) -> Heap:
         raise TypeMismatch(f"value {v!r} does not conform to {cell.tag} at {r}")
     if not cell.preorder.holds(cell.value, v):
         raise PreorderViolation(r, cell.preorder.name, cell.value, v)
-    return _make_heap(h.cells.set(r, HeapCell(r, cell.tag, cell.preorder, v)), h.next_addr)
+    return Heap(h.cells.set(r, HeapCell(r, cell.tag, cell.preorder, v)), h.next_addr)
 
 
 def heap_leq(h0: Heap, h1: Heap) -> bool:

@@ -5,6 +5,8 @@ Private).  The global invariant ties the two together: shareable cells may
 only reach shareable cells, and nothing past the allocation frontier carries
 a label other than Private.  Both maps are persistent `AddrMap`s, so a world
 never changes once built, and a labeling copies one chunk of the label map.
+`World`, like `heap.Heap`, is a `values.frozen_record`: its one constructor
+takes the heap and an `AddrMap` of labels as they are.
 
 The two-world footprint predicates diff the maps with `heap.changed`: they
 visit only the addresses whose cell or label differs between the worlds, so
@@ -13,7 +15,6 @@ a context span's monitor costs what the span touched, not the heap size.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Optional
 
 from . import heap as hp
@@ -27,7 +28,7 @@ from .errors import (
     Uncontained,
 )
 from .heap import EMPTY_MAP, LABEL_MAP_MARKER, MASK, SHIFT, AddrMap, Heap, Preorder, changed
-from .values import Addr, TypeTag, Value, ref_entries
+from .values import Addr, TypeTag, Value, frozen_record, ref_entries
 
 
 class Label(enum.Enum):
@@ -49,14 +50,10 @@ def label_leq(l0: Label, l1: Label) -> bool:
     return l0 is l1
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class World:
     heap: Heap
     labels: AddrMap  # Addr -> Label; absent means Private
-
-    def __post_init__(self):
-        if type(self.labels) is not AddrMap:
-            object.__setattr__(self, "labels", AddrMap(self.labels))
 
     def label_of(self, addr: Addr) -> Label:
         chunks, hi = self.labels.chunks, addr >> SHIFT
@@ -78,22 +75,9 @@ class World:
 
 NO_LABELS = EMPTY_MAP
 
-_new = object.__new__
-_set_heap = World.heap.__set__
-_set_labels = World.labels.__set__
-
-
-def _make_world(heap: Heap, labels: AddrMap) -> World:
-    """World(heap, labels) for an AddrMap of labels, without the
-    frozen-record __init__: step paths build one or two per step."""
-    w = _new(World)
-    _set_heap(w, heap)
-    _set_labels(w, labels)
-    return w
-
 
 def initial_world() -> World:
-    return _make_world(hp.EMPTY_HEAP, NO_LABELS)
+    return World(hp.EMPTY_HEAP, NO_LABELS)
 
 
 def is_private(w: World, r: Addr) -> bool:
@@ -177,7 +161,7 @@ def lr_inv_at(w: World, r: Addr) -> bool:
 def lr_alloc(w: World, tag: TypeTag, rel: Preorder, init: Value) -> tuple[Addr, World]:
     _check_embedded_contained(w, ref_entries(tag, init), "alloc")
     addr, h1 = hp.alloc(w.heap, tag, rel, init)
-    return addr, _make_world(h1, w.labels)
+    return addr, World(h1, w.labels)
 
 
 def lr_read(w: World, r: Addr) -> Value:
@@ -198,7 +182,7 @@ def lr_write(w: World, r: Addr, v: Value, entries: Optional[list] = None) -> Wor
         if leaked and not mutants.is_active("lr_write_share_unchecked"):
             raise ShareLeak(r, v, leaked)
     h1 = hp.write(w.heap, r, v)
-    return _make_world(h1, w.labels)
+    return World(h1, w.labels)
 
 
 def label_shareable(w: World, r: Addr) -> World:
@@ -213,7 +197,7 @@ def label_shareable(w: World, r: Addr) -> World:
         leaked = _private_embedded(w, ref_entries(cell.tag, cell.value))
         if leaked:
             raise ShareLeak(r, cell.value, leaked)
-    return _make_world(w.heap, w.labels.set(r, SHAREABLE))
+    return World(w.heap, w.labels.set(r, SHAREABLE))
 
 
 def label_encapsulated(w: World, r: Addr) -> World:
@@ -222,7 +206,7 @@ def label_encapsulated(w: World, r: Addr) -> World:
     w.heap.cell(r)
     if not is_private(w, r):
         raise AlreadyLabeled(f"{r} is already {w.label_of(r).value}")
-    return _make_world(w.heap, w.labels.set(r, ENCAPSULATED))
+    return World(w.heap, w.labels.set(r, ENCAPSULATED))
 
 
 # ---------------------------------------------------------------------------

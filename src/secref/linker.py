@@ -11,10 +11,12 @@ every context execution a monitor snapshots the world and asserts the
 universal property: only shareable and encapsulated cells changed, and no
 existing cell changed label.
 
-Compilation and back-translation share one instantiate-then-import step:
-`_instantiate` builds the context against the live world under its
-`build:` span, and `import_value` wraps each context arrow once, running
-every call of it under a span named after the context.
+A linked program is its `run(state)` function, and `beh` runs it.  All
+three links, `link_target`, `link_source` (through `back_translate`) and
+`link_dual`, build their context through `_instantiate`: the builder runs
+against the live world under a `build:<name>` span, and every later call
+into the context value runs under a span named after the context, each
+span checked for the same universal property.
 """
 from __future__ import annotations
 
@@ -33,13 +35,12 @@ from .errors import (
     Uncontained,
     UniversalViolation,
 )
-from .heap import HOLES, MASK, SHIFT, TRIVIAL, HeapCell, _make_heap
+from .heap import HOLES, MASK, SHIFT, TRIVIAL, Heap, HeapCell
 from .labels import (
     PRIVATE,
     SHAREABLE,
     World,
     _check_embedded_contained,
-    _make_world,
     lr_write,
     modif_only_shareable_and_encaps,
     same_labels,
@@ -64,12 +65,6 @@ class SourceProgram:
 class TargetContext:
     name: str
     builder: Callable[["CtxOps"], Any]  # may allocate at build time
-
-
-@dataclass(frozen=True)
-class WholeProgram:
-    name: str
-    run_in: Callable[[RunState], Any]
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +111,7 @@ def ctx_alloc(ops: CtxOps, tag: TypeTag, init: Value) -> VRef:
         if label is not None and label is not PRIVATE:
             raise AlreadyLabeled(f"fresh cell {addr} is already {label.value}")
     cells = h.cells.set(addr, HeapCell(addr, tag, TRIVIAL, init))
-    st.world = _make_world(_make_heap(cells, addr + 1), labels.set(addr, SHAREABLE))
+    st.world = World(Heap(cells, addr + 1), labels.set(addr, SHAREABLE))
     if ops._paranoid:
         st._after_step(w, addr)
     return VRef(addr, tag)
@@ -209,24 +204,20 @@ class CtxOps:
 # the universal-property monitor
 
 
-def _close_span(state: RunState, name: str, w0: World, require_same_labels: bool = True):
+def _close_span(state: RunState, name: str, w0: World):
     w1 = state.world
     state.trace.context_spans.append((name, w0, w1))
-    ok = modif_only_shareable_and_encaps(w0, w1)
-    if ok and require_same_labels:
-        ok = same_labels(w0, w1)
-    if not ok:
+    if not (modif_only_shareable_and_encaps(w0, w1) and same_labels(w0, w1)):
         raise UniversalViolation(
             f"context code ({name}) modified non-shareable state or relabeled cells"
         )
 
 
-def _monitored_span(state: RunState, name: str, run: Callable[[], Any],
-                    require_same_labels: bool = True) -> Any:
+def _monitored_span(state: RunState, name: str, run: Callable[[], Any]) -> Any:
     """Run context code and assert the universal property over its span."""
     w0 = state.world
     out = run()
-    _close_span(state, name, w0, require_same_labels)
+    _close_span(state, name, w0)
     return out
 
 
@@ -254,7 +245,6 @@ def compile_program(program: SourceProgram, iface: SourceInterface):
             return Return(imported)
         return program.body(imported.value)
 
-    compiled.source = program
     return compiled
 
 
@@ -266,28 +256,25 @@ def back_translate(context: TargetContext, iface: SourceInterface):
         raw, monitor = _instantiate(context, state)
         return import_value(iface.spec, raw, state, monitor)
 
-    materialize.context = context
     return materialize
 
 
-def link_target(compiled, context: TargetContext) -> WholeProgram:
-    def run_in(state: RunState):
+def link_target(compiled, context: TargetContext) -> Callable[[RunState], Any]:
+    def run(state: RunState):
         raw, monitor = _instantiate(context, state)
         return state.interpret(compiled(raw, state, monitor))
 
-    return WholeProgram(name=f"{compiled.source.name}[{context.name}]", run_in=run_in)
+    return run
 
 
-def link_source(program: SourceProgram, ctx_factory) -> WholeProgram:
-    ctx_name = getattr(getattr(ctx_factory, "context", None), "name", "src")
-
-    def run_in(state: RunState):
+def link_source(program: SourceProgram, ctx_factory) -> Callable[[RunState], Any]:
+    def run(state: RunState):
         ctxv = ctx_factory(state)
         if isinstance(ctxv, Inr):
             return ctxv
         return state.interpret(program.body(ctxv.value))
 
-    return WholeProgram(name=f"{program.name}[{ctx_name}]", run_in=run_in)
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -302,18 +289,13 @@ class DualProgram:
     hocs: Any = None  # unread; only the benchmark still sets it
 
 
-def link_dual(dual: DualProgram, context: TargetContext) -> WholeProgram:
-    def run_in(state: RunState):
-        progv = dual.setup(state)
-        exported = export(dual.spec, progv, state)
+def link_dual(dual: DualProgram, context: TargetContext) -> Callable[[RunState], Any]:
+    def run(state: RunState):
+        exported = export(dual.spec, dual.setup(state), state)
+        main, monitor = _instantiate(context, state)
+        return monitor(lambda: main(exported)) if callable(main) else main
 
-        def enter():
-            main = context.builder(CtxOps(state))
-            return main(exported) if callable(main) else main
-
-        return _monitored_span(state, f"dual:{context.name}", enter, require_same_labels=False)
-
-    return WholeProgram(name=f"{context.name}[{dual.name}]", run_in=run_in)
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -351,12 +333,14 @@ def render_world(w: World) -> tuple:
     return tuple(out)
 
 
-def beh(whole: WholeProgram, cfg: Optional[RunConfig] = None, state: Optional[RunState] = None) -> BehaviorRecord:
-    """Deterministic run from the initial world; expected runtime failures
-    become part of the record, monitor alarms propagate."""
+def beh(run: Callable[[RunState], Any], cfg: Optional[RunConfig] = None,
+        state: Optional[RunState] = None) -> BehaviorRecord:
+    """Run a linked program deterministically from the initial world;
+    expected runtime failures become part of the record, monitor alarms
+    propagate."""
     state = state if state is not None else RunState(config=cfg)
     try:
-        result = whole.run_in(state)
+        result = run(state)
         if isinstance(result, Inr):
             outcome = ("err", result.error.code.value, result.error.message)
         elif isinstance(result, (int, bool, str, type(None))):

@@ -156,6 +156,15 @@ def test_shrinker_finds_a_minimal_term():
     assert nodes(expr) <= nodes(big)
 
 
+def test_shrinker_lets_a_generator_error_propagate(monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("generator bug")
+
+    monkeypatch.setattr(campaigns, "gen_random_context", broken)
+    with pytest.raises(RuntimeError, match="generator bug"):
+        campaigns.shrink_generated_context("autograder", 1234, lambda s, c, e: True)
+
+
 def test_fuzz_fuel_does_not_leak_into_later_campaigns(tmp_path, monkeypatch):
     fresh, after = tmp_path / "fresh.json", tmp_path / "after.json"
     assert run_cli(["props", "--seed", "7", "--json", str(fresh)], tmp_path, monkeypatch) == 0

@@ -227,7 +227,7 @@ def test_heap_cells_refuse_in_place_writes():
 def test_heap_built_from_a_plain_dict_is_frozen_and_equal():
     a, h = alloc(EMPTY_HEAP, INT, TRIVIAL, VInt(1))
     plain = dict(h.cells)
-    rebuilt = Heap(cells=plain, next_addr=h.next_addr)
+    rebuilt = Heap(cells=AddrMap(plain), next_addr=h.next_addr)
     assert type(rebuilt.cells) is AddrMap and rebuilt == h
     plain[a] = None  # the caller's dict stays its own
     assert rebuilt.cell(a).value == VInt(1)

@@ -12,7 +12,7 @@ from secref.errors import (
     TypeMismatch,
     Uncontained,
 )
-from secref.heap import INT_LEQ, LABEL_MAP_MARKER, TRIVIAL
+from secref.heap import INT_LEQ, LABEL_MAP_MARKER, TRIVIAL, AddrMap
 from secref.labels import (
     Label,
     World,
@@ -75,21 +75,21 @@ def test_lr_inv_rejects_shareable_pointing_to_private():
     p, w = lr_alloc(initial_world(), INT, TRIVIAL, VInt(0))
     q, w = lr_alloc(w, Ref(INT), TRIVIAL, VRef(p, INT))
     # force the bad labeling directly; label_shareable would refuse it
-    bad = World(heap=w.heap, labels={q: Label.SHAREABLE})
+    bad = World(heap=w.heap, labels=AddrMap({q: Label.SHAREABLE}))
     assert not lr_inv(bad)
     assert not lr_inv_at(bad, q)
 
 
 def test_lr_inv_rejects_labels_past_frontier():
     w = initial_world()
-    bad = World(heap=w.heap, labels={5: Label.SHAREABLE})
+    bad = World(heap=w.heap, labels=AddrMap({5: Label.SHAREABLE}))
     assert not lr_inv(bad)
     assert not lr_inv_at(bad, 5)
 
 
 def test_lr_inv_rejects_relabeled_marker():
     w = initial_world()
-    bad = World(heap=w.heap, labels={LABEL_MAP_MARKER: Label.SHAREABLE})
+    bad = World(heap=w.heap, labels=AddrMap({LABEL_MAP_MARKER: Label.SHAREABLE}))
     assert not lr_inv(bad)
     assert not lr_inv_at(bad, LABEL_MAP_MARKER)
 
@@ -225,7 +225,7 @@ def test_same_labels_scans_initial_domain_only():
     c, w2 = lr_alloc(w, INT, TRIVIAL, VInt(0))
     w3 = label_shareable(w2, c)
     assert same_labels(w, w3)
-    assert not same_labels(w2, World(heap=w3.heap, labels={**w3.labels, a: Label.SHAREABLE}))
+    assert not same_labels(w2, World(heap=w3.heap, labels=w3.labels.set(a, Label.SHAREABLE)))
 
 
 def test_labels_monotone():
@@ -243,7 +243,7 @@ def test_world_labels_refuse_in_place_writes():
     with pytest.raises(ImmutableWrite):
         del w2.labels[a]
     plain = {a: Label.ENCAPSULATED}
-    w3 = World(heap=w.heap, labels=plain)
+    w3 = World(heap=w.heap, labels=AddrMap(plain))
     plain[b] = Label.SHAREABLE
     assert is_encapsulated(w3, a) and is_private(w3, b)
     with pytest.raises(ImmutableWrite):

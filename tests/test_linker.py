@@ -35,10 +35,10 @@ from secref.labels import (
 )
 from secref.linker import (
     CtxOps,
+    DualProgram,
     SourceInterface,
     SourceProgram,
     TargetContext,
-    WholeProgram,
     back_translate,
     beh,
     beh_equal,
@@ -46,13 +46,23 @@ from secref.linker import (
     ctx_alloc,
     ctx_read,
     ctx_write,
+    link_dual,
     link_source,
     link_target,
     render_world,
 )
-from secref.programs import RunConfig, RunState, Return, alloc_op, do, read_op, write_op
+from secref.programs import (
+    RunConfig,
+    RunState,
+    Return,
+    alloc_op,
+    do,
+    label_shareable_op,
+    read_op,
+    write_op,
+)
 from secref.sampling import sample_tag, sample_value
-from secref.scenarios import all_scenarios, run_scenario
+from secref.scenarios import all_scenarios, counter_callback, run_scenario
 from secref.target_lang import elaborate, gen_random_context, parse
 from secref.values import (
     BOOL,
@@ -642,8 +652,7 @@ def test_beh_is_deterministic():
 
 
 def test_beh_of_pure_return():
-    whole = WholeProgram(name="const", run_in=lambda state: 7)
-    record = beh(whole)
+    record = beh(lambda state: 7)
     assert record.outcome == ("ok", 7)
     assert record.dump == ()
 
@@ -759,6 +768,56 @@ def test_target_and_source_links_record_the_same_spans():
             assert _span_names(t_state)[0] == f"build:gen{seed}"
 
 
+CALLBACK_SPEC = ArrowS(BaseS(UNIT), BaseS(INT))
+# a context that takes control with the checked callback and calls it once
+CALLER = TargetContext(name="caller", builder=lambda ops: lambda cb: cb(V_UNIT))
+
+
+def test_a_dual_run_records_a_build_span_and_a_call_span():
+    state = RunState(config=RunConfig(check_level="paranoid"))
+    counter = state.op_alloc(INT, INT_LEQ, VInt(0))
+    state.op_label_encapsulated(counter)
+    dual = DualProgram(name="counter", setup=lambda _: counter_callback(counter, 7),
+                       spec=CALLBACK_SPEC)
+    record = beh(link_dual(dual, CALLER), state=state)
+    assert record.outcome[0] == "ok"
+    assert state.world.heap.cell(counter).value == VInt(1)
+    assert _span_names(state) == ["build:caller", "caller"]
+
+
+def _relabeling_callback(private: int):
+    """A checked callback that labels an existing private cell shareable."""
+
+    def cb(_arg):
+        def gen():
+            yield label_shareable_op(private)
+            return VInt(0)
+
+        return do(gen)
+
+    return cb
+
+
+@pytest.mark.parametrize("link", ["target", "dual"])
+def test_a_callback_relabeling_a_private_cell_inside_a_context_call_is_caught(link):
+    state = RunState()
+    cb = _relabeling_callback(state.op_alloc(INT, TRIVIAL, VInt(42)))
+    if link == "dual":
+        run = link_dual(DualProgram(name="relabel", setup=lambda _: cb, spec=CALLBACK_SPEC),
+                        CALLER)
+    else:
+        def body(main):
+            main(cb)
+            return Return(0)
+
+        iface = SourceInterface(ArrowS(CALLBACK_SPEC, BaseS(INT)), psi=lambda w0, r, w1: True)
+        run = link_target(compile_program(SourceProgram(name="relabel", body=body), iface),
+                          CALLER)
+    with pytest.raises(UniversalViolation, match="caller"):
+        beh(run, state=state)
+    assert _span_names(state) == ["build:caller", "caller"]
+
+
 # a pair's first arrow, and a sum arm's arrow that returns a third arrow
 NESTED_ARROWS_SPEC = PairS(
     ArrowS(BaseS(UNIT), BaseS(UNIT)),
@@ -794,7 +853,7 @@ def _imported_nested(link: str, state: RunState, ctx: TargetContext):
         seen.append(v)
         return Return(0)
 
-    link_target(compile_program(SourceProgram(name="stash", body=stash), iface), ctx).run_in(state)
+    link_target(compile_program(SourceProgram(name="stash", body=stash), iface), ctx)(state)
     return seen[0]
 
 
