@@ -19,7 +19,7 @@ from operator import is_not
 from typing import Callable, Optional
 
 from .errors import ImmutableWrite, PreorderViolation, TypeMismatch, Uncontained
-from .values import Addr, TypeTag, Value, VInl, VInt, VLLNil, VPair, conforms, frozen_record, is_storable
+from .values import Addr, TypeTag, Value, VInl, VInt, VLLNil, VPair, conforms, frozen_record
 
 LABEL_MAP_MARKER: Addr = 0
 
@@ -256,7 +256,7 @@ EMPTY_HEAP = Heap(EMPTY_MAP, 1)
 
 
 def alloc(h: Heap, tag: TypeTag, rel: Preorder, init: Value) -> tuple[Addr, Heap]:
-    if not is_storable(tag):
+    if not tag.storable:
         raise TypeMismatch(f"{tag} is not a storable type")
     if not conforms(init, tag):
         raise TypeMismatch(f"initial value {init!r} does not conform to {tag}")

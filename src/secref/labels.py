@@ -98,7 +98,7 @@ def _check_embedded_contained(w: World, entries: list, who: str) -> None:
         if not w.heap.contains(addr):
             raise DanglingInit(f"{who}: embedded address {addr} not in heap")
         actual = w.heap.cell(addr).tag
-        if actual != expected:
+        if actual is not expected:
             raise TypeMismatch(
                 f"{who}: embedded ref {addr} expects cell of {expected}, found {actual}"
             )
@@ -114,7 +114,7 @@ def _cell_ok(w: World, addr: Addr, cell) -> bool:
     shareable = is_shareable(w, addr)
     for sub, expected in ref_entries(cell.tag, cell.value):
         target = cells.get(sub)
-        if target is None or target.tag != expected:
+        if target is None or target.tag is not expected:
             return False
         if shareable and not is_shareable(w, sub):
             return False

@@ -46,7 +46,7 @@ from .labels import (
     same_labels,
 )
 from .programs import Program, Return, RunConfig, RunState
-from .values import TypeTag, Value, VRef, is_storable, ref_entries
+from .values import TypeTag, Value, VRef, ref_entries
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,7 @@ def ctx_alloc(ops: CtxOps, tag: TypeTag, init: Value) -> VRef:
     entries = _embeds_only_shareable(w, tag, init, "alloc")
     if entries:
         _check_embedded_contained(w, entries, "alloc")
-    if not is_storable(tag):
+    if not tag.storable:
         raise TypeMismatch(f"{tag} is not a storable type")
     h, labels = w.heap, w.labels
     addr = h.next_addr

@@ -819,7 +819,7 @@ def run_scheduler(task_builders, shared_init: int = 0, cfg: Optional[RunConfig] 
 
 
 def scheduler_checks(run: SchedulerRun, k: int) -> dict:
-    from .labels import modif_only_shareable_and_encaps
+    from .labels import modif_only_shareable_and_encaps, same_labels
 
     checks = {
         "fairness": fairness(k, run.hist, run.finished_at),
@@ -828,7 +828,7 @@ def scheduler_checks(run: SchedulerRun, k: int) -> dict:
         "recorded_history_matches": chain_history(run.w1.heap, SCHED_COUNTER_ADDR,
                                                   SCHED_HISTORY) == run.hist,
         "task_steps_touch_only_shareable": all(
-            modif_only_shareable_and_encaps(w0, w1)
+            modif_only_shareable_and_encaps(w0, w1) and same_labels(w0, w1)
             for name, w0, w1 in run.state.trace.context_spans
         ),
     }

@@ -78,7 +78,6 @@ from .values import (
     VLLNil,
     VPair,
     VRef,
-    is_storable,
 )
 
 # ---------------------------------------------------------------------------
@@ -283,8 +282,13 @@ _INT_RE = re.compile(r"-?[0-9]+$")
 # counts as one level, as it parses to one `App` of a left-nested spine.
 # Parse recurses at most twice per level and compile once, so an accepted
 # term loads inside Python's default recursion limit of 1000.  Typecheck
-# recurses once per level of the term and of its inferred types.
+# recurses once per level of the term.  It reads an inferred type's stored
+# facts instead of walking it, and refuses one past MAX_TYPE_DEPTH or
+# MAX_TYPE_SIZE: through `let`, a term can infer a type far deeper than
+# itself, or one exponentially larger as a tree.
 MAX_DEPTH = 200
+MAX_TYPE_DEPTH = 2 * MAX_DEPTH
+MAX_TYPE_SIZE = 4096
 
 
 class _Bad(Exception):
@@ -462,34 +466,21 @@ def parse(text: str) -> Expr:
 # typechecker
 
 
-def _validate_annotation(t: TypeTag) -> None:
-    if isinstance(t, (Ref, LList)):
-        # is_storable walks the whole payload, so no nested check is left
-        if not is_storable(t):
-            raise TargetTypeError("FunctionInStore", f"{t} stores a function type")
-    elif isinstance(t, Pair):
-        _validate_annotation(t.first)
-        _validate_annotation(t.second)
-    elif isinstance(t, Sum):
-        _validate_annotation(t.left)
-        _validate_annotation(t.right)
-    elif isinstance(t, Arrow):
-        _validate_annotation(t.arg)
-        _validate_annotation(t.res)
-
-
 def typecheck(e: Expr, env: Optional[dict] = None, types: Optional[dict] = None) -> TypeTag:
     """Infer the type of e, raising TargetTypeError with a reason on failure.
 
     When a `types` dict is supplied it is filled with id(node) -> type for
     every subexpression, and with `Fix` -> True if the term has a `fix`; the
     compiler uses them for allocation tags and to pick its backend.
+
+    An inferred type past either bound, or not well formed, is refused; that
+    test also catches a function type that an annotation or `alloc` stores.
     """
     env = env or {}
     types = types if types is not None else {}
 
     def expect(t, want, what):
-        if t is not want and t != want:
+        if t is not want:
             raise TargetTypeError("Mismatch", f"{what}: expected {want}, found {t}")
 
     def go(e, env) -> TypeTag:
@@ -520,7 +511,6 @@ def typecheck(e: Expr, env: Optional[dict] = None, types: Optional[dict] = None)
                 raise TargetTypeError("NotARef", f"dereference of {rt}")
             t = rt.target
         elif k is Lam:
-            _validate_annotation(e.param_ty)
             t = Arrow(e.param_ty, go(e.body, {**env, e.param: e.param_ty}))
         elif k is If:
             expect(go(e.cond, env), BOOL, "if condition")
@@ -533,14 +523,11 @@ def typecheck(e: Expr, env: Optional[dict] = None, types: Optional[dict] = None)
             expect(go(e.value, env), rt.target, "assignment value")
             t = UNIT
         elif k is AllocE:
-            it = go(e.init, env)
-            if not is_storable(it):
-                raise TargetTypeError("FunctionInStore", f"cannot store {it}")
-            t = Ref(it)
+            t = Ref(go(e.init, env))
         elif k is LLConsE:
             ht = go(e.head, env)
             tt = go(e.tail, env)
-            if tt != Ref(LList(ht)):
+            if tt is not Ref(LList(ht)):
                 raise TargetTypeError(
                     "Mismatch", f"llcons tail: expected (ref (llist {ht})), found {tt}"
                 )
@@ -553,8 +540,6 @@ def typecheck(e: Expr, env: Optional[dict] = None, types: Optional[dict] = None)
             cons_env = {**env, e.hname: st.elem, e.tname: Ref(st)}
             expect(go(e.cons_branch, cons_env), t, "casell branches")
         elif k is Fix:
-            _validate_annotation(e.param_ty)
-            _validate_annotation(e.res_ty)
             fty = Arrow(e.param_ty, e.res_ty)
             body_t = go(e.body, {**env, e.fname: fty, e.param: e.param_ty})
             expect(body_t, e.res_ty, "fix body")
@@ -563,9 +548,6 @@ def typecheck(e: Expr, env: Optional[dict] = None, types: Optional[dict] = None)
         elif k is LitBool:
             t = BOOL
         elif k is LLNilE:
-            _validate_annotation(e.elem_ty)
-            if not is_storable(e.elem_ty):
-                raise TargetTypeError("FunctionInStore", f"cannot store {e.elem_ty}")
             t = LList(e.elem_ty)
         elif k is PairE:
             t = Pair(go(e.first, env), go(e.second, env))
@@ -580,10 +562,8 @@ def typecheck(e: Expr, env: Optional[dict] = None, types: Optional[dict] = None)
                 raise TargetTypeError("NotAPair", f"snd of {pt}")
             t = pt.second
         elif k is InlE:
-            _validate_annotation(e.right_ty)
             t = Sum(go(e.payload, env), e.right_ty)
         elif k is InrE:
-            _validate_annotation(e.left_ty)
             t = Sum(e.left_ty, go(e.payload, env))
         elif k is Case:
             st = go(e.scrut, env)
@@ -593,6 +573,12 @@ def typecheck(e: Expr, env: Optional[dict] = None, types: Optional[dict] = None)
             expect(go(e.rbranch, {**env, e.rname: st.right}), t, "case branches")
         else:
             raise TargetTypeError("Mismatch", f"not an expression: {e!r}")
+        if t.depth > MAX_TYPE_DEPTH:
+            raise TargetTypeError("TooLarge", f"an inferred type is deeper than {MAX_TYPE_DEPTH}")
+        if t.size > MAX_TYPE_SIZE:
+            raise TargetTypeError("TooLarge", f"an inferred type has more than {MAX_TYPE_SIZE} nodes")
+        if not t.well_formed:
+            raise TargetTypeError("FunctionInStore", f"{t} stores a function type")
         types[id(e)] = t
         return t
 
@@ -933,7 +919,7 @@ def elaborate(e: Expr, spec: InterfaceSpec, name: str = "ctx") -> TargetContext:
     types: dict = {}
     inferred = typecheck(e, {}, types)
     wanted = spec_type(spec)
-    if inferred != wanted:
+    if inferred is not wanted:
         raise InterfaceMismatch(f"context has type {inferred}, interface wants {wanted}")
     compiled = None
 
@@ -970,7 +956,7 @@ def gen_random_context(spec: InterfaceSpec, seed: int, size: int = 40) -> Expr:
 
 
 def _vars_of(env: dict, ty: TypeTag) -> list[str]:
-    return sorted(name for name, t in env.items() if t == ty)
+    return sorted(name for name, t in env.items() if t is ty)
 
 
 def _canonical(ty: TypeTag, env: dict, rng: random.Random) -> Expr:
@@ -1017,7 +1003,7 @@ def _effect_stmt(env: dict, depth: int, rng: random.Random, budget) -> Optional[
 def _walker_stmt(env: dict, rng: random.Random) -> Optional[Expr]:
     """A fix-powered chain traversal writing zeros over every element cell."""
     lists = [(n, t) for n, t in sorted(env.items())
-             if isinstance(t, Ref) and isinstance(t.target, LList) and t.target.elem == INT]
+             if isinstance(t, Ref) and isinstance(t.target, LList) and t.target.elem is INT]
     if not lists:
         return None
     name, t = rng.choice(lists)
@@ -1062,7 +1048,7 @@ def _gen(ty: TypeTag, env: dict, depth: int, rng: random.Random, budget) -> Expr
         refs = _vars_of(env, Ref(INT))
         if choice < 0.75 and refs:
             return DerefE(Var(rng.choice(refs)))
-        arrows = [n for n, t in sorted(env.items()) if isinstance(t, Arrow) and t.res == INT]
+        arrows = [n for n, t in sorted(env.items()) if isinstance(t, Arrow) and t.res is INT]
         if arrows:
             fn = rng.choice(arrows)
             return App(Var(fn), _gen(env[fn].arg, env, depth - 1, rng, budget))

@@ -6,7 +6,9 @@ is an ordinary value whose tail is the address of the next node's cell.
 
 `Arrow` is the one non-storable tag: the type of a function, which the
 target language and the boundary have but no cell may hold and no value
-conforms to.  `is_storable` tells the two kinds of tag apart.
+conforms to.  A tag's `storable` fact tells the two kinds of tag apart.
+Tags are hash-consed, so two tags are equal exactly when they are the same
+object.
 """
 from __future__ import annotations
 
@@ -24,14 +26,50 @@ Addr = int
 # ---------------------------------------------------------------------------
 # type tags
 #
+# Tags are hash-consed: a constructor returns the one tag of its class with
+# those children, from `_TAGS`, so tag equality is `is`.  A key holds the
+# children themselves, which as tags hash and compare by identity.  Each tag
+# is built with facts taken from its children's: `storable` (no arrow),
+# `well_formed` (no arrow under a `ref` or `llist`), `depth` and `size` (its
+# node count as a tree).  A hashable child that is not a tag is accepted;
+# `conforms` refuses it when a value reaches it.
+#
 # Each tag checks its own values: `_conforms(v)` is structural conformance,
 # and `_refs(v, out)` appends the embedded (addr, tag) entries of a value
 # already known to conform, without checking it again.  The value classes
 # they test are defined below; the names resolve when a method runs.
 
+_TAGS: dict = {}
 
-@dataclass(frozen=True)
-class Unit:
+
+class _Tag:
+    __slots__ = ("storable", "well_formed", "depth", "size")
+
+    def __new__(cls, *kids):
+        key = (cls, *kids)
+        tag = _TAGS.get(key)
+        if tag is None:
+            names = cls.__dataclass_fields__
+            if len(kids) != len(names):
+                raise TypeError(f"{cls.__name__} takes {len(names)} children, not {len(kids)}")
+            storable = all(getattr(k, "storable", False) for k in kids)
+            slots = dict(zip(names, kids), storable=storable and cls is not Arrow,
+                         well_formed=storable if cls in (Ref, LList)
+                         else all(getattr(k, "well_formed", True) for k in kids),
+                         depth=1 + max((getattr(k, "depth", 1) for k in kids), default=0),
+                         size=1 + sum(getattr(k, "size", 1) for k in kids))
+            tag = _TAGS[key] = object.__new__(cls)
+            for name, x in slots.items():
+                object.__setattr__(tag, name, x)
+        return tag
+
+
+# frozen slotted tag classes, whose instances `_Tag.__new__` builds and interns
+_tag_class = dataclass(frozen=True, slots=True, eq=False, init=False)
+
+
+@_tag_class
+class Unit(_Tag):
     def __str__(self):
         return "unit"
 
@@ -42,8 +80,8 @@ class Unit:
         pass
 
 
-@dataclass(frozen=True)
-class Int:
+@_tag_class
+class Int(_Tag):
     def __str__(self):
         return "int"
 
@@ -54,8 +92,8 @@ class Int:
         pass
 
 
-@dataclass(frozen=True)
-class Bool:
+@_tag_class
+class Bool(_Tag):
     def __str__(self):
         return "bool"
 
@@ -66,8 +104,8 @@ class Bool:
         pass
 
 
-@dataclass(frozen=True)
-class Sum:
+@_tag_class
+class Sum(_Tag):
     left: "TypeTag"
     right: "TypeTag"
 
@@ -85,8 +123,8 @@ class Sum:
         (self.left if isinstance(v, VInl) else self.right)._refs(v.payload, out)
 
 
-@dataclass(frozen=True)
-class Pair:
+@_tag_class
+class Pair(_Tag):
     first: "TypeTag"
     second: "TypeTag"
 
@@ -105,22 +143,22 @@ class Pair:
         self.second._refs(v.second, out)
 
 
-@dataclass(frozen=True)
-class Ref:
+@_tag_class
+class Ref(_Tag):
     target: "TypeTag"
 
     def __str__(self):
         return f"(ref {self.target})"
 
     def _conforms(self, v) -> bool:
-        return isinstance(v, VRef) and v.target == self.target
+        return isinstance(v, VRef) and v.target is self.target
 
     def _refs(self, v, out: list) -> None:
         out.append((v.addr, self.target))
 
 
-@dataclass(frozen=True)
-class LList:
+@_tag_class
+class LList(_Tag):
     elem: "TypeTag"
 
     def __str__(self):
@@ -137,8 +175,8 @@ class LList:
             out.append((v.tail, self))
 
 
-@dataclass(frozen=True)
-class Arrow:
+@_tag_class
+class Arrow(_Tag):
     arg: "TypeTag"
     res: "TypeTag"
 
@@ -157,21 +195,6 @@ TypeTag = Union[Unit, Int, Bool, Sum, Pair, Ref, LList, Arrow]
 UNIT = Unit()
 INT = Int()
 BOOL = Bool()
-
-
-def is_storable(t: TypeTag) -> bool:
-    """True iff no arrow occurs anywhere in t, so a cell may hold a t."""
-    if isinstance(t, (Unit, Int, Bool)):
-        return True
-    if isinstance(t, Sum):
-        return is_storable(t.left) and is_storable(t.right)
-    if isinstance(t, Pair):
-        return is_storable(t.first) and is_storable(t.second)
-    if isinstance(t, Ref):
-        return is_storable(t.target)
-    if isinstance(t, LList):
-        return is_storable(t.elem)
-    return False
 
 
 # ---------------------------------------------------------------------------

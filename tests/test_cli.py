@@ -75,22 +75,52 @@ def test_check_valid_and_invalid_files(tmp_path, monkeypatch):
     assert run_cli(["check", str(broken)], tmp_path, monkeypatch) == 1
 
 
+# 100 nested lets, each binding a 90-deep pair around the previous name: the
+# term nests fewer than 200 levels, but its inferred type is about 9000 deep
+LET_CHAIN = "".join(
+    f"(let (a{i} {'(pair 1 ' * 90}{f'a{i - 1}' if i else '1'}{')' * 90}) " for i in range(100)
+) + "(alloc a99)" + ")" * 100
+# 40 lets that each pair the previous name with itself: a 1 KB term whose
+# inferred type is 41 deep and has 2^41 nodes as a tree
+DOUBLING = "(let (a0 1) " + "".join(
+    f"(let (a{i} (pair a{i - 1} a{i - 1})) " for i in range(1, 41)
+) + "(alloc a40)" + ")" * 41
+DEEP_INPUT_ERRORS = {LET_CHAIN: "TooLarge: an inferred type is deeper than 400",
+                     DOUBLING: "TooLarge: an inferred type has more than 4096 nodes"}
+
+
+def run_cli_at_default_recursion_limit(args, tmp_path, monkeypatch):
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the default, whatever an earlier test set
+    try:
+        return run_cli(args, tmp_path, monkeypatch)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 @pytest.mark.parametrize("text", [
     "(lam (x int) " * 1200 + "x" + ")" * 1200,
     "(lam (f (-> int int)) (f" + " 1" * 3000 + "))",
+    pytest.param(LET_CHAIN, id="let_chain"),
+    pytest.param(DOUBLING, id="doubling"),
 ])
 def test_check_fails_deep_input_without_crashing(text, tmp_path, monkeypatch, capsys):
     deep = tmp_path / "deep.sref"
     deep.write_text(text)
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)  # the default, whatever an earlier test set
-    try:
-        code = run_cli(["check", str(deep)], tmp_path, monkeypatch)
-    finally:
-        sys.setrecursionlimit(limit)
+    code = run_cli_at_default_recursion_limit(["check", str(deep)], tmp_path, monkeypatch)
     assert code == 1
     out = capsys.readouterr().out
-    assert out.startswith("FAIL ") and "nesting deeper than" in out
+    assert out.startswith("FAIL ") and DEEP_INPUT_ERRORS.get(text, "nesting deeper than") in out
+
+
+def test_run_refuses_a_context_whose_inferred_type_is_too_deep(tmp_path, monkeypatch, capsys):
+    deep = tmp_path / "letchain.sref"
+    deep.write_text(LET_CHAIN)
+    code = run_cli_at_default_recursion_limit(
+        ["run", "prng", str(deep), "--json", str(tmp_path / "r.json")], tmp_path, monkeypatch)
+    assert code == 2
+    out = capsys.readouterr().out
+    assert out.startswith("cannot load context: ") and DEEP_INPUT_ERRORS[LET_CHAIN] in out
 
 
 def test_check_reports_a_file_that_is_not_utf8(tmp_path, monkeypatch, capsys):

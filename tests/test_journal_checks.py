@@ -75,7 +75,7 @@ def replayed_value_changes(worlds, addr=COUNTER_ADDR) -> int:
 def replayed_scheduler_checks(run, k: int) -> dict:
     """`scheduler_checks` as it was, reading `run.state.trace.worlds` by
     iteration."""
-    from secref.labels import modif_only_shareable_and_encaps
+    from secref.labels import modif_only_shareable_and_encaps, same_labels
 
     checks = {
         "fairness": fairness(k, run.hist, run.finished_at),
@@ -84,7 +84,7 @@ def replayed_scheduler_checks(run, k: int) -> dict:
         "recorded_history_matches": chain_history(run.w1.heap, SCHED_COUNTER_ADDR,
                                                   SCHED_HISTORY) == run.hist,
         "task_steps_touch_only_shareable": all(
-            modif_only_shareable_and_encaps(w0, w1)
+            modif_only_shareable_and_encaps(w0, w1) and same_labels(w0, w1)
             for name, w0, w1 in run.state.trace.context_spans
         ),
     }

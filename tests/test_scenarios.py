@@ -300,6 +300,35 @@ def test_a_forged_counter_write_is_refused_and_the_history_survives():
     assert not checks.pop("all_tasks_finished") and all(checks.values()), checks
 
 
+def _history_sealer(ops, shared):
+    """A host task that yields once, then labels the first history cell,
+    which the scheduler keeps private, encapsulated."""
+    ran = [False]
+
+    def step():
+        if not ran[0]:
+            ran[0] = True
+            return VInr(step)
+        state = ops._state
+        first_entry = state.world.heap.cell(SCHED_COUNTER_ADDR).value.first
+        assert is_private(state.world, first_entry.tail)
+        state.op_label_encapsulated(first_entry.tail)
+        return TASK_DONE
+
+    return step
+
+
+@pytest.mark.parametrize("mode", ["fast", "paranoid"])
+def test_a_task_that_relabels_a_private_history_cell_fails_the_task_step_check(mode):
+    run = run_scheduler([yielding_task(2), _history_sealer],
+                        cfg=RunConfig(check_level=mode))
+    assert run.record.outcome == ("ok", 2)
+    checks = scheduler_checks(run, 2)
+    assert checks.pop("task_steps_touch_only_shareable") is False
+    # the task's step changes no private value, and nothing else notices
+    assert all(checks.values()), checks
+
+
 def test_fairness_counterexample():
     # task 1 starved between the two runs of task 0 while still active
     assert not fairness(2, [0, 1, 0, 0, 1], {0: 3, 1: 4})

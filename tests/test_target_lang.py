@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 
 import pytest
@@ -350,7 +351,8 @@ def _count_ref_stashes(e) -> int:
         node = stack.pop()
         if isinstance(node, AllocE) and isinstance(node.init, (DerefE, Var)):
             total += 1
-        stack.extend(sub for sub in vars(node).values() if hasattr(sub, "__dataclass_fields__"))
+        subs = (getattr(node, f.name) for f in dataclasses.fields(node))
+        stack.extend(sub for sub in subs if hasattr(sub, "__dataclass_fields__"))
     return total
 
 

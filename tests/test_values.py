@@ -6,9 +6,12 @@ from dataclasses import FrozenInstanceError, dataclass, fields, is_dataclass
 import pytest
 
 from secref import values
+from secref.campaigns import campaign_universal
+from secref.contracts import ArrowS, BaseS, PairS
 from secref.errors import TypeMismatch, Uncontained
 from secref.heap import EMPTY_HEAP, NIL_THEN_FIXED, TRIVIAL, alloc, write
 from secref.sampling import sample_tag, sample_value
+from secref.target_lang import parse, spec_type, typecheck
 from secref.values import (
     BOOL,
     INT,
@@ -35,7 +38,6 @@ from secref.values import (
     VRef,
     VUnit,
     conforms,
-    is_storable,
     llist_collect,
     llist_sorted,
     ref_entries,
@@ -88,13 +90,83 @@ def test_no_value_conforms_to_an_arrow():
         list(ref_entries(fn, VInt(1)))
 
 
+TAG_CLASSES = (Unit, Int, Bool, Sum, Pair, Ref, LList, Arrow)
+
+
+def test_a_tag_is_equal_only_to_itself():
+    for cls in TAG_CLASSES:
+        assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__, cls
+    assert Unit() is UNIT and Int() is INT and Bool() is BOOL
+    assert Pair(Int(), Ref(LList(Bool()))) is Pair(INT, Ref(LList(BOOL)))
+    assert Sum(INT, UNIT) is not Sum(UNIT, INT) and Sum(INT, UNIT) != Pair(INT, UNIT)
+
+
+def test_the_same_type_built_twice_is_the_same_object():
+    text = "(lam (x (ref (llist (pair int (sum bool unit))))) (pair (! x) (alloc 1)))"
+    first, second = parse(text), parse(text)
+    elems = LList(Pair(INT, Sum(BOOL, UNIT)))
+    assert first.param_ty is second.param_ty is Ref(elems)
+    # typecheck builds the pair and ref types of each run afresh
+    assert typecheck(first) is typecheck(second) is Arrow(Ref(elems), Pair(elems, Ref(INT)))
+    spec = ArrowS(PairS(BaseS(Ref(INT)), BaseS(BOOL)), BaseS(UNIT))
+    assert spec_type(spec) is spec_type(spec) is typecheck(parse("(lam (p (pair (ref int) bool)) unit)"))
+    rngs = random.Random(5), random.Random(5)
+    for _ in range(200):
+        assert sample_tag(rngs[0], depth=3) is sample_tag(rngs[1], depth=3)
+
+
+def test_tags_refuse_attribute_writes():
+    fn = Arrow(INT, Ref(INT))
+    for t in (UNIT, Sum(INT, BOOL), Pair(UNIT, fn), Ref(INT), LList(INT), fn):
+        assert not hasattr(t, "__dict__")
+        for name in [f.name for f in fields(t)] + ["storable", "well_formed", "depth", "size", "x"]:
+            # on Python 3.11 the generated __setattr__ of a frozen slotted
+            # class raises TypeError from its super() call for a non-field
+            with pytest.raises((FrozenInstanceError, TypeError, AttributeError)):
+                setattr(t, name, INT)
+    assert fn.arg is INT and fn.res is Ref(INT) and not fn.storable
+
+
+def test_a_wrong_number_of_children_is_refused_before_anything_is_cached():
+    before = len(values._TAGS)
+    for build in (lambda: Pair(INT), lambda: Ref(INT, BOOL), lambda: Unit(INT), lambda: Arrow()):
+        with pytest.raises(TypeError, match="children"):
+            build()
+    assert len(values._TAGS) == before
+
+
+def test_tag_facts_come_from_the_children():
+    fn = Arrow(INT, INT)
+    t = Pair(INT, Ref(fn))
+    assert (t.storable, t.well_formed, t.depth, t.size) == (False, False, 4, 6)
+    assert (fn.storable, fn.well_formed) == (False, True)
+    assert Arrow(INT, Ref(INT)).well_formed and not Arrow(INT, LList(fn)).well_formed
+    assert Sum(fn, UNIT).well_formed and not LList(Sum(fn, UNIT)).well_formed
+    assert (UNIT.storable, UNIT.well_formed, UNIT.depth, UNIT.size) == (True, True, 1, 1)
+    # a DAG: each fact is read off the children, never by walking the tree
+    doubled = INT
+    for _ in range(60):
+        doubled = Pair(doubled, doubled)
+    assert (doubled.depth, doubled.size, doubled.storable) == (61, 2 ** 61 - 1, True)
+
+
+def test_the_tag_table_stays_small_over_a_campaign():
+    before = len(values._TAGS)
+    assert campaign_universal(trials=200).ok
+    after = len(values._TAGS)
+    assert after - before <= 64, (before, after)
+    # the same campaign again builds no tag the first run did not
+    assert campaign_universal(trials=200).ok
+    assert len(values._TAGS) == after
+
+
 def test_is_storable_is_false_for_arrows_nested_anywhere():
     for t in (UNIT, Sum(INT, BOOL), Pair(UNIT, Ref(INT)), LList(Pair(INT, Ref(BOOL)))):
-        assert is_storable(t)
+        assert t.storable
     fn = Arrow(UNIT, INT)
     for t in (fn, Pair(INT, fn), Pair(fn, INT), Sum(fn, INT), Sum(INT, fn), Ref(fn), LList(fn),
               Ref(Pair(INT, LList(Sum(BOOL, fn)))), Arrow(INT, Ref(INT))):
-        assert not is_storable(t)
+        assert not t.storable
 
 
 def _addrs(t, v):
@@ -319,7 +391,7 @@ def test_an_unknown_tag_at_any_depth_raises_type_mismatch():
 
 def _nested(depth):
     """A tag `depth` constructors deep around a reference, with a value that
-    reaches the reference; every tag node is a distinct object."""
+    reaches the reference."""
     t, v = Ref(Int()), VRef(1, INT)
     entries = [(1, t.target)]
     for i in range(depth):
@@ -334,6 +406,8 @@ def _nested(depth):
 
 
 def _tag_nodes(t):
+    """Every tree position of t; a tag shared by several positions (tags are
+    hash-consed, so every `int` is one object) is listed once per position."""
     out = [t]
     for f in fields(t):
         sub = getattr(t, f.name)
@@ -343,16 +417,17 @@ def _tag_nodes(t):
 
 
 def _visits_of_one_walk(t, v):
-    """The entries of one ref_entries(t, v) call, and how often each
-    function of `values` was entered with each tag node of t."""
-    nodes = {id(n): n for n in _tag_nodes(t)}
+    """The entries of one ref_entries(t, v) call, how often each function
+    of `values` was entered with each tag, and how many tree positions
+    each tag fills in t."""
+    positions = Counter(id(n) for n in _tag_nodes(t))
     visits = Counter()
 
     def profile(frame, event, arg):
         code = frame.f_code
         if event == "call" and code.co_filename == values.__file__:
             for name in code.co_varnames[:code.co_argcount]:
-                if nodes.get(id(frame.f_locals.get(name))) is not None:
+                if id(frame.f_locals.get(name)) in positions:
                     visits[code.co_name, id(frame.f_locals[name])] += 1
 
     sys.setprofile(profile)
@@ -360,19 +435,20 @@ def _visits_of_one_walk(t, v):
         entries = list(ref_entries(t, v))
     finally:
         sys.setprofile(None)
-    return entries, visits, len(nodes)
+    return entries, visits, positions
 
 
 @pytest.mark.parametrize("depth", [4, 16])
 def test_ref_entries_visits_each_tag_node_once(depth):
     t, v, expected = _nested(depth)
-    entries, visits, n_nodes = _visits_of_one_walk(t, v)
+    entries, visits, positions = _visits_of_one_walk(t, v)
     assert entries == expected  # inner head first, then each tail outward
     assert visits, "the profile hook saw no call"
-    repeated = {key: n for key, n in visits.items() if n > 1}
-    assert not repeated, f"{len(repeated)} (function, node) pairs entered more than once"
-    # one conformance visit and one walk visit per node, plus the two entry calls
-    assert sum(visits.values()) <= 2 * n_nodes + 2
+    # a (function, tag) pair is entered at most once per tree position of the tag
+    repeated = {key: n for key, n in visits.items() if n > positions[key[1]]}
+    assert not repeated, f"{len(repeated)} (function, tag) pairs entered more than once a position"
+    # one conformance visit and one walk visit per position, plus the two entry calls
+    assert sum(visits.values()) <= 2 * sum(positions.values()) + 2
 
 
 def build_chain(values, preorder=TRIVIAL):
