@@ -17,9 +17,10 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional, Union
 
 from . import mutants
-from .errors import ImmutableWrite, PurityViolation
+from .errors import BoundaryViolation, ImmutableWrite, PurityViolation
 from .heap import AddrMap
 from .labels import World
+from .programs import ENDED_RUN
 from .values import TypeTag, Value, VInl, VInr, VPair, conforms
 
 
@@ -208,9 +209,16 @@ def export(spec: InterfaceSpec, v: Any, env) -> Any:
 
 
 def _export_arrow(spec: ArrowS, f, env):
+    """The raw side may keep the wrapper, so it reaches the run state only
+    through the run's one CtxOps, and refuses once the run has ended."""
+    from .linker import run_ops
     with_either = arrow_export_uses_either(spec)
+    ops = run_ops(env)
 
     def wrapped(x):
+        env = ops._state
+        if env is ENDED_RUN:
+            raise BoundaryViolation("context capability used after its run ended")
         if spec.pre is not None:
             err = _run_check(env, spec.pre.check, x, env.world)
             if err is not None:

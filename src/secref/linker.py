@@ -182,6 +182,9 @@ class CtxOps:
     `RunState._after_step`, exactly like a tree-node step; in fast mode a
     step makes no monitor call at all.  A fast alloc or read reaches no
     labeled or heap operation; a write goes through `labels.lr_write`.
+
+    A run has one handle, `run_ops(state)`.  When `beh` returns, `RunState.end`
+    points it at `programs.ENDED_RUN`, whose meter refuses every later step.
     """
 
     def __init__(self, state: RunState):
@@ -198,6 +201,12 @@ class CtxOps:
     alloc = ctx_alloc
     read = ctx_read
     write = ctx_write
+
+
+def run_ops(state: RunState) -> CtxOps:
+    if state.ops is None:
+        state.ops = CtxOps(state)
+    return state.ops
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +233,7 @@ def _monitored_span(state: RunState, name: str, run: Callable[[], Any]) -> Any:
 def _instantiate(context: TargetContext, state: RunState):
     """Build the raw context value against the live world, monitored.  Also
     returns the span monitor its imported arrows run each call under."""
-    raw = _monitored_span(state, f"build:{context.name}", lambda: context.builder(CtxOps(state)))
+    raw = _monitored_span(state, f"build:{context.name}", lambda: context.builder(run_ops(state)))
     return raw, partial(_monitored_span, state, context.name)
 
 
@@ -337,7 +346,8 @@ def beh(run: Callable[[RunState], Any], cfg: Optional[RunConfig] = None,
         state: Optional[RunState] = None) -> BehaviorRecord:
     """Run a linked program deterministically from the initial world;
     expected runtime failures become part of the record, monitor alarms
-    propagate."""
+    propagate.  However the run stops, it ends: the context's handle and
+    every arrow exported to it refuse any later step."""
     state = state if state is not None else RunState(config=cfg)
     try:
         result = run(state)
@@ -349,6 +359,8 @@ def beh(run: Callable[[RunState], Any], cfg: Optional[RunConfig] = None,
             outcome = ("ok", str(result))
     except RunFailure as failure:
         outcome = ("err", failure.code, str(failure))
+    finally:
+        state.end()
     return BehaviorRecord(outcome=outcome, dump=render_world(state.world))
 
 

@@ -22,6 +22,7 @@ from typing import Any, Callable, Optional, Union
 from . import heap as hp
 from . import labels as lb
 from .errors import (
+    BoundaryViolation,
     InvariantViolation,
     OutOfFuel,
     RecallUnwitnessed,
@@ -278,6 +279,17 @@ class TraceLog:
     steps: int = 0
 
 
+class _EndedRun:
+    """An ended run: no fuel, so a step's meter calls `_tick`, which refuses."""
+    fuel = 0
+
+    def _tick(self) -> None:
+        raise BoundaryViolation("context capability used after its run ended")
+
+
+ENDED_RUN = _EndedRun()
+
+
 class RunState:
     """Mutable interpreter state: current world, witnessed set, fuel.
 
@@ -298,6 +310,12 @@ class RunState:
         self._paranoid = self._config.paranoid
         self.trace = trace if trace is not None else TraceLog()
         self._validated: Optional[World] = None  # last world lr_inv passed on
+        self.ops = None  # the context's one linker.CtxOps, made on first use
+
+    def end(self) -> None:
+        """Revoke the context's handle: from now on it steps on ENDED_RUN."""
+        if self.ops is not None:
+            self.ops._state = ENDED_RUN
 
     @property
     def config(self) -> RunConfig:

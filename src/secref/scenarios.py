@@ -37,6 +37,7 @@ from .linker import (
     beh,
     compile_program,
     link_target,
+    run_ops,
 )
 from .programs import (
     RunConfig,
@@ -702,7 +703,7 @@ def yielding_task(yields: int, write_value: Optional[int] = None):
             remaining[0] -= 1
             return VInr(me())
 
-        # weak, so the run state step holds is not in a cycle with step
+        # weak, so step is not in a cycle with itself and dies with its last use
         me = weakref.ref(step)
         return step
 
@@ -758,8 +759,8 @@ def _sched_append(state: RunState, task_id: int, next_task: int, inact: int, tai
 
 
 def run_scheduler(task_builders, shared_init: int = 0, cfg: Optional[RunConfig] = None) -> SchedulerRun:
-    """Round-robin the tasks to completion, recording history in a private,
-    prefix-monotone counter cell."""
+    """Round-robin the tasks to completion as a `beh` run, which ends their
+    CtxOps, recording history in a private, prefix-monotone counter cell."""
     state = RunState(config=cfg)
     w0 = state.world
     k = len(task_builders)
@@ -768,14 +769,14 @@ def run_scheduler(task_builders, shared_init: int = 0, cfg: Optional[RunConfig] 
     )
     shared = state.op_alloc(INT, TRIVIAL, VInt(shared_init))
     state.op_label_shareable(shared)
-    ops = CtxOps(state)
+    ops = run_ops(state)
     shared_ref = VRef(shared, INT)
 
-    steps = []
-    outcome = ("ok", 0)
     hist: list[int] = []
     finished_at: dict[int, int] = {}
-    try:
+
+    def schedule(state: RunState) -> int:
+        steps = []
         for i, make in enumerate(task_builders):
             span_start = state.world
             steps.append(make(ops, shared_ref))
@@ -802,12 +803,9 @@ def run_scheduler(task_builders, shared_init: int = 0, cfg: Optional[RunConfig] 
             else:
                 steps[nxt] = out.payload
             nxt = following
-        outcome = ("ok", inact)
-    except RunFailure as failure:
-        outcome = ("err", failure.code, str(failure))
-    from .linker import render_world
+        return inact
 
-    record = BehaviorRecord(outcome=outcome, dump=render_world(state.world))
+    record = beh(schedule, state=state)
     return SchedulerRun(
         hist=hist,
         finished_at=finished_at,

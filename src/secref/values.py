@@ -63,6 +63,10 @@ class _Tag:
                 object.__setattr__(tag, name, x)
         return tag
 
+    def __reduce__(self):
+        # copy and pickle rebuild through __new__, so each returns the interned tag
+        return type(self), tuple(getattr(self, name) for name in self.__dataclass_fields__)
+
 
 # frozen slotted tag classes, whose instances `_Tag.__new__` builds and interns
 _tag_class = dataclass(frozen=True, slots=True, eq=False, init=False)

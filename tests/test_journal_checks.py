@@ -24,6 +24,7 @@ from secref.scenarios import (
     GUESSES_ADDR,
     SCHED_COUNTER_ADDR,
     SCHED_HISTORY,
+    TASK_DONE,
     HistoryFollower,
     chain_history,
     fairness,
@@ -35,7 +36,7 @@ from secref.scenarios import (
     value_changes,
     yielding_task,
 )
-from secref.values import V_NIL, VInt, VLLCons, VPair
+from secref.values import V_NIL, VInr, VInt, VLLCons, VPair
 
 PARANOID = RunConfig(check_level="paranoid")
 HEAD = 1  # the scheduler's counter cell, the guess history and the prng counter
@@ -542,16 +543,37 @@ def test_scheduler_checks_fail_a_history_appended_into_a_cycle():
     assert checks["counter_private"] and checks["fairness"]
 
 
+def self_closing_task(yields: int):
+    """A task whose step closes over itself and its ops: a cycle that only
+    the cyclic collector frees."""
+
+    def make(ops, shared):
+        left = [yields]
+
+        def step():
+            ops.write(shared, VInt(left[0]))
+            if left[0] <= 0:
+                return TASK_DONE
+            left[0] -= 1
+            return VInr(step)
+
+        return step
+
+    return make
+
+
 def test_a_finished_scheduler_run_is_freed_by_reference_counting():
-    # a task that closed over itself would hold the run state, and with it
-    # every world the paranoid journal recorded, until the cyclic collector ran
+    # the run's end revokes the tasks' ops, so a task that closed over itself
+    # holds neither the run state nor every world the paranoid journal recorded
     gc.collect()
     gc.disable()
     try:
-        run = run_scheduler([yielding_task(3, write_value=7), yielding_task(2)], cfg=PARANOID)
-        assert run.record.outcome == ("ok", 2) and len(run.state.trace.worlds) > 0
-        state = weakref.ref(run.state)
-        del run
-        assert state() is None
+        for tasks in ([yielding_task(3, write_value=7), yielding_task(2)],
+                      [self_closing_task(3), self_closing_task(2)]):
+            run = run_scheduler(tasks, cfg=PARANOID)
+            assert run.record.outcome == ("ok", 2) and len(run.state.trace.worlds) > 0
+            state = weakref.ref(run.state)
+            del run
+            assert state() is None
     finally:
         gc.enable()

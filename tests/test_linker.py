@@ -1,5 +1,7 @@
+import gc
 import random
 import sys
+import weakref
 from contextlib import nullcontext
 from pathlib import Path
 
@@ -50,6 +52,7 @@ from secref.linker import (
     link_source,
     link_target,
     render_world,
+    run_ops,
 )
 from secref.programs import (
     RunConfig,
@@ -62,7 +65,7 @@ from secref.programs import (
     write_op,
 )
 from secref.sampling import sample_tag, sample_value
-from secref.scenarios import all_scenarios, counter_callback, run_scenario
+from secref.scenarios import TASK_DONE, all_scenarios, counter_callback, run_scenario, run_scheduler
 from secref.target_lang import elaborate, gen_random_context, parse
 from secref.values import (
     BOOL,
@@ -943,3 +946,136 @@ def test_render_world_matches_the_per_address_dump_on_every_shipped_context():
         for name in sorted(scenario.contexts):
             result = run_scenario(scenario, name)
             assert render_world(result.w1) == reference_render_world(result.w1), (scenario.name, name)
+
+
+# -- a run's end revokes the context's capabilities
+
+
+ENDED = r"context capability used after its run ended"
+
+
+def _stashing_context(stash: list) -> TargetContext:
+    """A host context that keeps its ops and a cell it allocated."""
+
+    def builder(ops):
+        stash.append((ops, ops.alloc(INT, VInt(1))))
+        return lambda x: x
+
+    return TargetContext(name="stasher", builder=builder)
+
+
+def _stashing_run(how: str, stash: list) -> RunState:
+    if how == "beh":
+        state = RunState()
+        run = link_target(compile_program(doubler_program(), doubler_interface()),
+                          _stashing_context(stash))
+        assert beh(run, state=state).outcome == ("ok", 47)
+        return state
+
+    def make(ops, shared):
+        stash.append((ops, shared))
+        return lambda: TASK_DONE
+
+    run = run_scheduler([make])
+    assert run.record.outcome == ("ok", 1)
+    return run.state
+
+
+@pytest.mark.parametrize("how", ["beh", "run_scheduler"])
+def test_a_stashed_handle_refuses_every_step_after_its_run(how):
+    stash = []
+    state = _stashing_run(how, stash)
+    [(ops, ref)] = stash
+    assert ops is run_ops(state)
+    world = state.world
+    for step in (lambda: ops.alloc(INT, VInt(5)), lambda: ops.read(ref),
+                 lambda: ops.write(ref, VInt(5)), ops.tick):
+        with pytest.raises(BoundaryViolation, match=ENDED):
+            step()
+    assert state.world is world
+
+
+def test_a_handle_from_an_ended_run_fails_the_run_that_uses_it():
+    stash = []
+    state_a = _stashing_run("beh", stash)
+    world_a = state_a.world
+    [(ops_a, ref_a)] = stash
+
+    def builder(ops):
+        ops_a.write(ref_a, VInt(9))
+        return lambda x: x
+
+    run_b = link_target(compile_program(doubler_program(), doubler_interface()),
+                        TargetContext(name="borrower", builder=builder))
+    outcome = beh(run_b).outcome
+    assert outcome[:2] == ("err", "BoundaryViolation") and "run ended" in outcome[2]
+    assert state_a.world is world_a
+
+
+def test_one_run_builds_one_handle_for_its_context_and_its_exports():
+    state = RunState(config=RunConfig(check_level="paranoid"))
+    counter = state.op_alloc(INT, INT_LEQ, VInt(0))
+    state.op_label_encapsulated(counter)
+    seen = []
+
+    def builder(ops):
+        seen.append(ops)
+        return lambda cb: cb(V_UNIT)
+
+    dual = DualProgram(name="counter", setup=lambda _: counter_callback(counter, 7),
+                       spec=CALLBACK_SPEC)
+    beh(link_dual(dual, TargetContext(name="caller", builder=builder)), state=state)
+    assert seen == [state.ops]
+
+
+def _freed_after(make_run) -> bool:
+    """Whether the run state `make_run(state)` ran on is freed by reference
+    counting alone once the run's result is dropped."""
+    gc.collect()
+    gc.disable()
+    try:
+        state = RunState(config=RunConfig(check_level="paranoid"))
+        make_run(state)
+        freed = weakref.ref(state)
+        del state
+        return freed() is None
+    finally:
+        gc.enable()
+
+
+def test_a_self_referencing_context_arrow_does_not_keep_its_run():
+    def builder(ops):
+        def f(x):
+            assert f is not None  # f is in its own closure: a cycle
+            return ops.read(ops.alloc(INT, x))
+
+        return f
+
+    ctx = TargetContext(name="cyclic", builder=builder)
+    run = link_target(compile_program(doubler_program(), doubler_interface()), ctx)
+    assert _freed_after(lambda state: beh(run, state=state))
+
+
+def test_a_dual_context_that_keeps_its_callback_in_a_cycle_does_not_keep_its_run():
+    kept = []
+
+    def builder(ops):
+        def main(cb):
+            box = [cb]
+            box.append(box)
+            kept.append(cb)
+            return cb(V_UNIT)
+
+        return main
+
+    def setup(state):
+        counter = state.op_alloc(INT, INT_LEQ, VInt(0))
+        state.op_label_encapsulated(counter)
+        return counter_callback(counter, 7)
+
+    dual = DualProgram(name="counter", setup=setup, spec=CALLBACK_SPEC)
+    ctx = TargetContext(name="keeper", builder=builder)
+    assert _freed_after(lambda state: beh(link_dual(dual, ctx), state=state))
+    [cb] = kept
+    with pytest.raises(BoundaryViolation, match=ENDED):
+        cb(V_UNIT)

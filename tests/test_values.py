@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import sys
 from collections import Counter
@@ -99,6 +101,15 @@ def test_a_tag_is_equal_only_to_itself():
     assert Unit() is UNIT and Int() is INT and Bool() is BOOL
     assert Pair(Int(), Ref(LList(Bool()))) is Pair(INT, Ref(LList(BOOL)))
     assert Sum(INT, UNIT) is not Sum(UNIT, INT) and Sum(INT, UNIT) != Pair(INT, UNIT)
+
+
+def test_copy_deepcopy_and_pickle_return_the_interned_tag():
+    composite = {Sum: (INT, UNIT), Pair: (INT, BOOL), Ref: (LList(INT),),
+                 LList: (Pair(INT, Ref(INT)),), Arrow: (Ref(INT), Sum(BOOL, UNIT))}
+    for cls in TAG_CLASSES:
+        tag = cls(*composite.get(cls, ()))
+        for same in (copy.copy, copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))):
+            assert same(tag) is tag, (cls, same)
 
 
 def test_the_same_type_built_twice_is_the_same_object():
