@@ -255,10 +255,14 @@ class Heap:
 EMPTY_HEAP = Heap(EMPTY_MAP, 1)
 
 
-def alloc(h: Heap, tag: TypeTag, rel: Preorder, init: Value) -> tuple[Addr, Heap]:
+# `conformed` says the caller has already checked the stored value against
+# the cell's tag: the labeled layer walks it, and `ref_entries` checks
+# conformance on the way, so a labeled store walks the value once.
+def alloc(h: Heap, tag: TypeTag, rel: Preorder, init: Value,
+          conformed: bool = False) -> tuple[Addr, Heap]:
     if not tag.storable:
         raise TypeMismatch(f"{tag} is not a storable type")
-    if not conforms(init, tag):
+    if not conformed and not conforms(init, tag):
         raise TypeMismatch(f"initial value {init!r} does not conform to {tag}")
     addr = h.next_addr
     return addr, Heap(h.cells.set(addr, HeapCell(addr, tag, rel, init)), addr + 1)
@@ -268,11 +272,11 @@ def read(h: Heap, r: Addr) -> Value:
     return h.cell(r).value
 
 
-def write(h: Heap, r: Addr, v: Value) -> Heap:
+def write(h: Heap, r: Addr, v: Value, conformed: bool = False) -> Heap:
     cell = h.cell(r)
-    if not conforms(v, cell.tag):
+    if not conformed and not conforms(v, cell.tag):
         raise TypeMismatch(f"value {v!r} does not conform to {cell.tag} at {r}")
-    if not cell.preorder.holds(cell.value, v):
+    if not cell.preorder.relation(cell.value, v):
         raise PreorderViolation(r, cell.preorder.name, cell.value, v)
     return Heap(h.cells.set(r, HeapCell(r, cell.tag, cell.preorder, v)), h.next_addr)
 

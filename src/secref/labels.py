@@ -94,10 +94,12 @@ def is_encapsulated(w: World, r: Addr) -> bool:
 
 def _check_embedded_contained(w: World, entries: list, who: str) -> None:
     """Each embedded (address, tag) entry is contained and of the expected tag."""
+    cells = w.heap.cells
     for addr, expected in entries:
-        if not w.heap.contains(addr):
+        cell = cells.get(addr)
+        if cell is None:
             raise DanglingInit(f"{who}: embedded address {addr} not in heap")
-        actual = w.heap.cell(addr).tag
+        actual = cell.tag
         if actual is not expected:
             raise TypeMismatch(
                 f"{who}: embedded ref {addr} expects cell of {expected}, found {actual}"
@@ -108,15 +110,16 @@ def _private_embedded(w: World, entries: list) -> frozenset[Addr]:
     return frozenset(a for a, _ in entries if not is_shareable(w, a))
 
 
-def _cell_ok(w: World, addr: Addr, cell) -> bool:
-    """Conjuncts (a) and (b) of lr_inv for one cell."""
-    cells = w.heap.cells
-    shareable = is_shareable(w, addr)
-    for sub, expected in ref_entries(cell.tag, cell.value):
+def _entries_ok(w: World, addr: Addr, entries: list) -> bool:
+    """Conjuncts (a) and (b) of lr_inv for the cell at addr, given the
+    `ref_entries` of its value."""
+    cells, label_of = w.heap.cells, w.label_of
+    shareable = label_of(addr) is SHAREABLE
+    for sub, expected in entries:
         target = cells.get(sub)
         if target is None or target.tag is not expected:
             return False
-        if shareable and not is_shareable(w, sub):
+        if shareable and label_of(sub) is not SHAREABLE:
             return False
     return True
 
@@ -131,7 +134,8 @@ def lr_inv(w: World) -> bool:
     """
     h = w.heap
     for addr, cell in h.cells.items():
-        if not _cell_ok(w, addr, cell):
+        entries = ref_entries(cell.tag, cell.value)
+        if entries and not _entries_ok(w, addr, entries):
             return False
     for addr, label in w.labels.items():
         if addr >= h.next_addr and label is not PRIVATE:
@@ -139,7 +143,7 @@ def lr_inv(w: World) -> bool:
     return is_private(w, LABEL_MAP_MARKER)
 
 
-def lr_inv_at(w: World, r: Addr) -> bool:
+def lr_inv_at(w: World, r: Addr, walk: Optional[tuple] = None) -> bool:
     """lr_inv on w, given that it held before a step that changed only the
     cell and label of address r.
 
@@ -149,18 +153,37 @@ def lr_inv_at(w: World, r: Addr) -> bool:
     shareable cell reaching r, already needed r contained, correctly typed
     and shareable.
     What is left to check is (a) and (b) for r's cell, (c) for r, and (d).
+
+    `walk`, when given, is the step's walk of the value it stored:
+    (tag, value, entries), entries being `ref_entries(tag, value)`.  They
+    stand for the walk of r's cell only when that cell holds those very tag
+    and value objects; otherwise the cell is walked here.  Either way each
+    entry is checked against w.
     """
     cell = w.heap.cells.get(r)
-    if cell is not None and not _cell_ok(w, r, cell):
+    if cell is not None:
+        if walk is not None and walk[0] is cell.tag and walk[1] is cell.value:
+            entries = walk[2]
+        else:
+            entries = ref_entries(cell.tag, cell.value)
+        if entries and not _entries_ok(w, r, entries):
+            return False
+    if r >= w.heap.next_addr and w.label_of(r) is not PRIVATE:
         return False
-    if r >= w.heap.next_addr and not is_private(w, r):
-        return False
-    return is_private(w, LABEL_MAP_MARKER)
+    return w.label_of(LABEL_MAP_MARKER) is PRIVATE
 
 
-def lr_alloc(w: World, tag: TypeTag, rel: Preorder, init: Value) -> tuple[Addr, World]:
-    _check_embedded_contained(w, ref_entries(tag, init), "alloc")
-    addr, h1 = hp.alloc(w.heap, tag, rel, init)
+# `entries`, when given, are `ref_entries` of the stored value at the cell's
+# tag, which the caller walked; `lr_alloc` and `lr_write` then check them
+# instead of walking the value again, and tell the heap layer that the value
+# conforms.  Either way the value is walked once per store.
+def lr_alloc(w: World, tag: TypeTag, rel: Preorder, init: Value,
+             entries: Optional[list] = None) -> tuple[Addr, World]:
+    if entries is None:
+        entries = ref_entries(tag, init)
+    if entries:
+        _check_embedded_contained(w, entries, "alloc")
+    addr, h1 = hp.alloc(w.heap, tag, rel, init, conformed=True)
     return addr, World(h1, w.labels)
 
 
@@ -168,21 +191,22 @@ def lr_read(w: World, r: Addr) -> Value:
     return hp.read(w.heap, r)
 
 
-# `entries`, when given, are the written value's `ref_entries`: a context write
-# passes those its boundary walk found, so the value is walked once.
 def lr_write(w: World, r: Addr, v: Value, entries: Optional[list] = None) -> World:
+    """Write v to the cell at r: the marker refusal, then conformance to the
+    cell's tag (the walk), containment of the embedded addresses, ShareLeak
+    for a shareable cell, and the heap write's preorder check.  Given
+    `entries`, r's cell was found by the caller and is not looked up here."""
     if r == LABEL_MAP_MARKER:
         raise Uncontained(r, "the label-map marker is not writable")
-    cell = w.heap.cell(r)
     if entries is None:
-        entries = ref_entries(cell.tag, v)
-    _check_embedded_contained(w, entries, "write")
-    if is_shareable(w, r):
-        leaked = _private_embedded(w, entries)
-        if leaked and not mutants.is_active("lr_write_share_unchecked"):
-            raise ShareLeak(r, v, leaked)
-    h1 = hp.write(w.heap, r, v)
-    return World(h1, w.labels)
+        entries = ref_entries(w.heap.cell(r).tag, v)
+    if entries:
+        _check_embedded_contained(w, entries, "write")
+        if w.label_of(r) is SHAREABLE:
+            leaked = _private_embedded(w, entries)
+            if leaked and not mutants.is_active("lr_write_share_unchecked"):
+                raise ShareLeak(r, v, leaked)
+    return World(hp.write(w.heap, r, v, conformed=True), w.labels)
 
 
 def label_shareable(w: World, r: Addr) -> World:

@@ -30,18 +30,20 @@ from .contracts import Inr, InterfaceSpec, export, import_value
 from .errors import (
     AlreadyLabeled,
     BoundaryViolation,
+    PreorderViolation,
     RunFailure,
+    ShareLeak,
     TypeMismatch,
     Uncontained,
     UniversalViolation,
 )
-from .heap import HOLES, MASK, SHIFT, TRIVIAL, Heap, HeapCell
+from .heap import HOLES, LABEL_MAP_MARKER, MASK, SHIFT, TRIVIAL, Heap, HeapCell
 from .labels import (
     PRIVATE,
     SHAREABLE,
     World,
     _check_embedded_contained,
-    lr_write,
+    _private_embedded,
     modif_only_shareable_and_encaps,
     same_labels,
 )
@@ -70,16 +72,15 @@ class TargetContext:
 # ---------------------------------------------------------------------------
 # the three context-facing operations
 
-def _embeds_only_shareable(w: World, tag: TypeTag, v: Value, what: str) -> list:
-    """The boundary walk of a context store: v conforms to tag, and every
-    address it embeds is shareable unless the operation's mutant,
-    `ctx_<what>_unchecked`, is on.  Returns the walk's entries, which the
-    rest of the rule checks instead of walking v again."""
-    entries = ref_entries(tag, v)
+def _check_stored_entries(w: World, entries: list, what: str) -> None:
+    """The embedded addresses of a context store, as its one walk of the
+    value found them: each is shareable unless the operation's mutant,
+    `ctx_<what>_unchecked`, is on (BoundaryViolation), then each is
+    contained at its tag (DanglingInit, TypeMismatch)."""
     for sub, _ in entries:
         if w.label_of(sub) is not SHAREABLE and not mutants.is_active(f"ctx_{what}_unchecked"):
             raise BoundaryViolation(f"context {what} embeds non-shareable address {sub}")
-    return entries
+    _check_embedded_contained(w, entries, what)
 
 
 def ctx_alloc(ops: CtxOps, tag: TypeTag, init: Value) -> VRef:
@@ -98,9 +99,9 @@ def ctx_alloc(ops: CtxOps, tag: TypeTag, init: Value) -> VRef:
     st.fuel -= 1
     st.trace.steps += 1
     w = st.world
-    entries = _embeds_only_shareable(w, tag, init, "alloc")
+    entries = ref_entries(tag, init)
     if entries:
-        _check_embedded_contained(w, entries, "alloc")
+        _check_stored_entries(w, entries, "alloc")
     if not tag.storable:
         raise TypeMismatch(f"{tag} is not a storable type")
     h, labels = w.heap, w.labels
@@ -113,7 +114,7 @@ def ctx_alloc(ops: CtxOps, tag: TypeTag, init: Value) -> VRef:
     cells = h.cells.set(addr, HeapCell(addr, tag, TRIVIAL, init))
     st.world = World(Heap(cells, addr + 1), labels.set(addr, SHAREABLE))
     if ops._paranoid:
-        st._after_step(w, addr)
+        st._after_step(w, addr, (tag, init, entries))
     return VRef(addr, tag)
 
 
@@ -146,10 +147,19 @@ def ctx_read(ops: CtxOps, ref: Value) -> Value:
 
 
 def ctx_write(ops: CtxOps, ref: Value, v: Value) -> None:
-    """The context write step: the fuel meter, then ref must be a reference
-    whose address is labeled shareable, v must conform to its cell's tag and
-    embed only shareable addresses, and `labels.lr_write` makes the rest of
-    the checks and the write."""
+    """The context write step, whole: the fuel meter, then the boundary
+    checks and `labels.lr_write`'s checks and write, with the label and the
+    cell looked up once in the chunks of the two maps, v walked once, and
+    one `set` on the cell map.  It refuses in this order: BoundaryViolation
+    for a ref that is not a reference or whose address is not labeled
+    shareable; Uncontained for the label-map marker or an address with no
+    cell; TypeMismatch for a v that does not conform to the cell's tag;
+    BoundaryViolation for an embedded address that is not shareable;
+    DanglingInit or TypeMismatch for one that is not contained at its tag;
+    ShareLeak for a private one; PreorderViolation.  ShareLeak can fire only
+    under `ctx_write_unchecked` or `lr_write_share_unchecked`: otherwise the
+    boundary test has already refused every non-shareable address.  A
+    mutant is looked up only when its check fails."""
     st = ops._state
     if st.fuel <= 0:
         st._tick()
@@ -158,17 +168,33 @@ def ctx_write(ops: CtxOps, ref: Value, v: Value) -> None:
     if not isinstance(ref, VRef):
         raise BoundaryViolation(f"context write to a non-reference: {ref}")
     r = ref.addr
-    w0 = st.world
-    entries = None
-    if not mutants.is_active("ctx_write_unchecked"):
-        if w0.label_of(r) is not SHAREABLE:
-            raise BoundaryViolation(f"context write to non-shareable address {r}")
-        cell = w0.heap.cells.get(r)
-        if cell is not None:
-            entries = _embeds_only_shareable(w0, cell.tag, v, "write")
-    st.world = lr_write(w0, r, v, entries)
+    hi, lo = r >> SHIFT, r & MASK
+    w = st.world
+    labels = w.labels.chunks
+    shareable = 0 <= hi < len(labels) and labels[hi][lo] is SHAREABLE
+    if not shareable and not mutants.is_active("ctx_write_unchecked"):
+        raise BoundaryViolation(f"context write to non-shareable address {r}")
+    if r == LABEL_MAP_MARKER:
+        raise Uncontained(r, "the label-map marker is not writable")
+    h = w.heap
+    cells = h.cells
+    chunks = cells.chunks
+    cell = chunks[hi][lo] if 0 <= hi < len(chunks) else None
+    if cell is None:
+        raise Uncontained(r)
+    tag, preorder = cell.tag, cell.preorder
+    entries = ref_entries(tag, v)
+    if entries:
+        _check_stored_entries(w, entries, "write")
+        if shareable:
+            leaked = _private_embedded(w, entries)
+            if leaked and not mutants.is_active("lr_write_share_unchecked"):
+                raise ShareLeak(r, v, leaked)
+    if not preorder.relation(cell.value, v):
+        raise PreorderViolation(r, preorder.name, cell.value, v)
+    st.world = World(Heap(cells.set(r, HeapCell(r, tag, preorder, v)), h.next_addr), w.labels)
     if ops._paranoid:
-        st._after_step(w0, r)
+        st._after_step(w, r, (tag, v, entries))
 
 
 class CtxOps:
@@ -180,8 +206,10 @@ class CtxOps:
     inline and calls it only to raise `OutOfFuel`.  The check level is read
     once, here: in paranoid mode each step then runs the per-step monitors,
     `RunState._after_step`, exactly like a tree-node step; in fast mode a
-    step makes no monitor call at all.  A fast alloc or read reaches no
-    labeled or heap operation; a write goes through `labels.lr_write`.
+    step makes no monitor call at all.  No step reaches a labeled or heap
+    operation: each makes its rule's checks and builds its world itself.
+    A paranoid alloc or write hands the monitor its walk of the stored
+    value, so the value is walked once either way.
 
     A run has one handle, `run_ops(state)`.  When `beh` returns, `RunState.end`
     points it at `programs.ENDED_RUN`, whose meter refuses every later step.

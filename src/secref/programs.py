@@ -31,7 +31,7 @@ from .errors import (
 )
 from .heap import Heap, Preorder, changed
 from .labels import World
-from .values import Addr, TypeTag, Value
+from .values import Addr, TypeTag, Value, ref_entries
 
 
 @dataclass(frozen=True)
@@ -331,16 +331,19 @@ class RunState:
         self.fuel -= 1
         self.trace.steps += 1
 
-    def _after_step(self, before: World, touched: Optional[Addr] = None) -> None:
+    def _after_step(self, before: World, touched: Optional[Addr] = None,
+                    walk: Optional[tuple] = None) -> None:
         """Paranoid monitors for a step from `before` to the current world
-        that changed at most the cell and label of `touched`."""
+        that changed at most the cell and label of `touched`.  A store step
+        passes its walk of the stored value, (tag, value, entries), which
+        `labels.lr_inv_at` uses instead of walking the value again."""
         if not self._paranoid:
             return
         w = self.world
         if before is not self._validated:
             ok = lb.lr_inv(w)
         else:
-            ok = touched is None or lb.lr_inv_at(w, touched)
+            ok = touched is None or lb.lr_inv_at(w, touched, walk)
         if not ok:
             raise InvariantViolation(f"lr_inv broken after step {self.trace.steps}")
         self._validated = w
@@ -357,17 +360,26 @@ class RunState:
         self._after_step(self.world)
         return v
 
+    # A store step walks its value once, here, and hands the walk to the
+    # labeled operation and to the monitor.  The marker and an address with
+    # no cell are left to `lr_write` to refuse, before any walk.
     def op_write(self, addr: Addr, v: Value) -> None:
         self._tick()
         w0 = self.world
-        self.world = lb.lr_write(w0, addr, v)
-        self._after_step(w0, addr)
+        cell = w0.heap.cells.get(addr) if addr != hp.LABEL_MAP_MARKER else None
+        entries = walk = None
+        if cell is not None:
+            entries = ref_entries(cell.tag, v)
+            walk = (cell.tag, v, entries)
+        self.world = lb.lr_write(w0, addr, v, entries)
+        self._after_step(w0, addr, walk)
 
     def op_alloc(self, tag: TypeTag, rel: Preorder, init: Value) -> Addr:
         self._tick()
         w0 = self.world
-        addr, self.world = lb.lr_alloc(w0, tag, rel, init)
-        self._after_step(w0, addr)
+        entries = ref_entries(tag, init)
+        addr, self.world = lb.lr_alloc(w0, tag, rel, init, entries)
+        self._after_step(w0, addr, (tag, init, entries))
         return addr
 
     def op_witness(self, pred: StablePredicate) -> None:

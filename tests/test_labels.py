@@ -34,7 +34,7 @@ from secref.labels import (
     same_labels,
 )
 from secref.linker import CtxOps
-from secref.programs import RunState
+from secref.programs import RunConfig, RunState
 from secref.values import INT, Pair, Ref, VInt, VPair, VRef
 
 
@@ -285,42 +285,40 @@ def conforms_calls(monkeypatch):
     return calls
 
 
+def _conforms_per_step(conforms_calls, step) -> int:
+    conforms_calls.clear()
+    step()
+    return len(conforms_calls)
+
+
 def test_one_write_walks_the_written_value_once_per_layer(conforms_calls):
     tag = Pair(INT, Ref(INT))
-    state = RunState()
-    p = state.op_alloc(INT, TRIVIAL, VInt(0))
-    state.op_label_shareable(p)
-    shared = state.op_alloc(tag, TRIVIAL, VPair(VInt(0), VRef(p, INT)))
-    state.op_label_shareable(shared)
-    private = state.op_alloc(tag, TRIVIAL, VPair(VInt(0), VRef(p, INT)))
-    v = VPair(VInt(1), VRef(p, INT))
-
-    def counted(write):
-        conforms_calls.clear()
-        write()
-        return len(conforms_calls)
-
-    # linker.ctx_write's boundary walk, whose entries lr_write takes, then
-    # heap.write; a checked write: lr_write's one walk, then heap.write
-    assert counted(lambda: CtxOps(state).write(VRef(shared, tag), v)) == 2
-    assert counted(lambda: state.op_write(shared, v)) == 2
-    assert counted(lambda: state.op_write(private, v)) == 2
+    for level in ("fast", "paranoid"):
+        state = RunState(config=RunConfig(check_level=level))
+        p = state.op_alloc(INT, TRIVIAL, VInt(0))
+        state.op_label_shareable(p)
+        shared = state.op_alloc(tag, TRIVIAL, VPair(VInt(0), VRef(p, INT)))
+        state.op_label_shareable(shared)
+        private = state.op_alloc(tag, TRIVIAL, VPair(VInt(0), VRef(p, INT)))
+        v = VPair(VInt(1), VRef(p, INT))
+        # one walk per store step: linker.ctx_write's, or RunState.op_write's,
+        # whose entries lr_write and the paranoid monitor take; heap.write
+        # does not check conformance again
+        for write in (lambda: CtxOps(state).write(VRef(shared, tag), v),
+                      lambda: state.op_write(shared, v),
+                      lambda: state.op_write(private, v)):
+            assert _conforms_per_step(conforms_calls, write) == 1, level
 
 
 def test_one_alloc_walks_the_initial_value_once_per_layer(conforms_calls):
     tag = Pair(INT, Ref(INT))
-    state = RunState()
-    ops = CtxOps(state)
-    p = ops.alloc(INT, VInt(0))
-    init = VPair(VInt(1), p)
-
-    def counted(alloc):
-        conforms_calls.clear()
-        alloc()
-        return len(conforms_calls)
-
-    # a context alloc: linker.ctx_alloc's one boundary walk, whose entries
-    # the rest of its rule checks; a checked alloc: lr_alloc's one walk,
-    # then heap.alloc
-    assert counted(lambda: ops.alloc(tag, init)) == 1
-    assert counted(lambda: state.op_alloc(tag, TRIVIAL, init)) == 2
+    for level in ("fast", "paranoid"):
+        state = RunState(config=RunConfig(check_level=level))
+        ops = CtxOps(state)
+        init = VPair(VInt(1), ops.alloc(INT, VInt(0)))
+        # one walk per store step: linker.ctx_alloc's, whose entries the rest
+        # of its rule checks, or RunState.op_alloc's, whose entries lr_alloc
+        # takes; either hands it to the paranoid monitor
+        for alloc in (lambda: ops.alloc(tag, init),
+                      lambda: state.op_alloc(tag, TRIVIAL, init)):
+            assert _conforms_per_step(conforms_calls, alloc) == 1, level

@@ -188,8 +188,8 @@ def test_journal_replays_worlds_installed_between_steps(eager_worlds):
     assert [w.label_of(q) for w in journal][-1] is Label.ENCAPSULATED
 
 
-def _monitor_ref_entries_per_write(cells: int, monkeypatch) -> int:
-    """values.ref_entries calls the paranoid step monitor makes for one
+def _monitor_entries_per_write(cells: int, monkeypatch) -> int:
+    """Embedded-address entries the paranoid step monitor checks for one
     write step on a heap of `cells` cells."""
     fast = RunState()
     p = fast.op_alloc(INT, TRIVIAL, VInt(0))
@@ -198,13 +198,13 @@ def _monitor_ref_entries_per_write(cells: int, monkeypatch) -> int:
     state = RunState(world=fast.world, config=PARANOID)
     state.op_write(cells, VRef(p, INT))  # the run's base scan
 
-    calls = [0]
+    checked = [0]
     monitoring = [False]
-    ref_entries = values.ref_entries
+    entries_ok = lb._entries_ok
 
-    def counted(*args):
-        calls[0] += monitoring[0]
-        return ref_entries(*args)
+    def counted(w, addr, entries):
+        checked[0] += monitoring[0] * len(entries)
+        return entries_ok(w, addr, entries)
 
     real = RunState._after_step
 
@@ -216,17 +216,16 @@ def _monitor_ref_entries_per_write(cells: int, monkeypatch) -> int:
             monitoring[0] = False
 
     with monkeypatch.context() as patch:
-        patch.setattr(values, "ref_entries", counted)
-        patch.setattr(lb, "ref_entries", counted)
+        patch.setattr(lb, "_entries_ok", counted)
         patch.setattr(RunState, "_after_step", after_step)
         state.op_write(cells, VRef(p, INT))
     assert len(state.world.heap.cells) == cells
-    return calls[0]
+    return checked[0]
 
 
 def test_paranoid_monitor_work_per_write_does_not_grow_with_the_heap(monkeypatch):
-    small = _monitor_ref_entries_per_write(250, monkeypatch)
-    large = _monitor_ref_entries_per_write(4000, monkeypatch)
+    small = _monitor_entries_per_write(250, monkeypatch)
+    large = _monitor_entries_per_write(4000, monkeypatch)
     assert small == large > 0
 
 

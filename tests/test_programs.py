@@ -4,9 +4,14 @@ import pytest
 
 from secref import heap as hp
 from secref.errors import (
+    DanglingInit,
     OutOfFuel,
+    PreorderViolation,
     RecallUnwitnessed,
+    ShareLeak,
     StabilityViolation,
+    TypeMismatch,
+    Uncontained,
     WitnessFalse,
 )
 from secref.heap import EMPTY_HEAP, INT_LEQ, TRIVIAL, alloc
@@ -31,7 +36,7 @@ from secref.programs import (
     witness_op,
     write_op,
 )
-from secref.values import INT, VInt
+from secref.values import BOOL, INT, V_TRUE, Arrow, Pair, Ref, Sum, VInl, VInt, VPair, VRef
 
 
 def nonempty_pred():
@@ -273,3 +278,91 @@ def test_private_pred_is_not_stable_negative_control():
 
     with pytest.raises(StabilityViolation):
         run_closed(do(gen))
+
+
+# -- the checked store rules' refusals, in order
+
+
+def store_rule_refs(config=None):
+    """A run state and the references the checked store tables write to or
+    store: a shareable int cell, a shareable `(pair (ref int) (ref int))`
+    cell, a private int cell, an `int_leq` counter, a shareable reference
+    whose cell holds a bool, and an address no cell has."""
+    state = RunState(config=config)
+    shareable = state.op_alloc(INT, TRIVIAL, VInt(0))
+    state.op_label_shareable(shareable)
+    shareable_bool = state.op_alloc(BOOL, TRIVIAL, V_TRUE)
+    state.op_label_shareable(shareable_bool)
+    refs = {"shareable": VRef(shareable, INT), "mistyped": VRef(shareable_bool, INT),
+            "unallocated": VRef(999, INT)}
+    pair = state.op_alloc(REFS, TRIVIAL, VPair(refs["shareable"], refs["shareable"]))
+    state.op_label_shareable(pair)
+    refs["pair"] = VRef(pair, REFS)
+    refs["private"] = VRef(state.op_alloc(INT, TRIVIAL, VInt(42)), INT)
+    refs["counter"] = VRef(state.op_alloc(INT, INT_LEQ, VInt(5)), INT)
+    return state, refs
+
+
+REFS = Pair(Ref(INT), Ref(INT))
+NOT_STORABLE = Sum(Ref(INT), Arrow(INT, INT))  # an inl still conforms to it
+
+# row: (the target address and the value written, both built from the
+# refs; refusal, its message), in the order `RunState.op_write` checks them.
+# A row whose value breaks two checks is refused by the earlier one.
+OP_WRITE_REFUSALS = {
+    "marker": (lambda r: 0, lambda r: VInt(1),
+               Uncontained, "address 0 not in heap: the label-map marker is not writable$"),
+    "unallocated": (lambda r: 999, lambda r: VInt(1), Uncontained, "address 999 not in heap$"),
+    "not_conforming": (lambda r: r["pair"].addr, lambda r: VPair(r["shareable"], VInt(1)),
+                       TypeMismatch, "does not conform"),
+    "embeds_unallocated": (lambda r: r["pair"].addr,
+                           lambda r: VPair(r["shareable"], r["unallocated"]),
+                           DanglingInit, "write: embedded address 999 not in heap$"),
+    "embeds_mistyped": (lambda r: r["pair"].addr, lambda r: VPair(r["mistyped"], r["shareable"]),
+                        TypeMismatch, "expects cell of int, found bool$"),
+    "embeds_private_then_unallocated": (lambda r: r["pair"].addr,
+                                        lambda r: VPair(r["private"], r["unallocated"]),
+                                        DanglingInit, "embedded address 999 not in heap$"),
+    "embeds_private": (lambda r: r["pair"].addr, lambda r: VPair(r["shareable"], r["private"]),
+                       ShareLeak, r"private address\(es\) \[4\] reachable"),
+    "preorder": (lambda r: r["counter"].addr, lambda r: VInt(4),
+                 PreorderViolation, "violates preorder int_leq"),
+}
+
+# row: (tag, initial value built from the refs, refusal, its message), in
+# the order `RunState.op_alloc` checks them
+OP_ALLOC_REFUSALS = {
+    "not_conforming": (INT, lambda r: V_TRUE, TypeMismatch, "does not conform"),
+    "not_conforming_to_a_non_storable_tag": (Arrow(INT, INT), lambda r: VInt(1),
+                                             TypeMismatch, "does not conform"),
+    "embeds_unallocated": (REFS, lambda r: VPair(r["shareable"], r["unallocated"]),
+                           DanglingInit, "alloc: embedded address 999 not in heap$"),
+    "embeds_mistyped": (REFS, lambda r: VPair(r["mistyped"], r["shareable"]),
+                        TypeMismatch, "expects cell of int, found bool$"),
+    "embeds_unallocated_at_a_non_storable_tag": (NOT_STORABLE, lambda r: VInl(r["unallocated"]),
+                                                 DanglingInit, "embedded address 999 not in heap$"),
+    "not_storable": (NOT_STORABLE, lambda r: VInl(r["shareable"]),
+                     TypeMismatch, "is not a storable type$"),
+}
+
+
+@pytest.mark.parametrize("level", ["fast", "paranoid"])
+@pytest.mark.parametrize("row", OP_WRITE_REFUSALS)
+def test_checked_write_refusals_keep_their_order(row, level):
+    state, refs = store_rule_refs(RunConfig(check_level=level))
+    target, value, error, message = OP_WRITE_REFUSALS[row]
+    before = state.world
+    with pytest.raises(error, match=message):
+        state.op_write(target(refs), value(refs))
+    assert state.world is before
+
+
+@pytest.mark.parametrize("level", ["fast", "paranoid"])
+@pytest.mark.parametrize("row", OP_ALLOC_REFUSALS)
+def test_checked_alloc_refusals_keep_their_order(row, level):
+    state, refs = store_rule_refs(RunConfig(check_level=level))
+    tag, init, error, message = OP_ALLOC_REFUSALS[row]
+    before = state.world
+    with pytest.raises(error, match=message):
+        state.op_alloc(tag, TRIVIAL, init(refs))
+    assert state.world is before
