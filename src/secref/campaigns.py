@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import random
 import sys
-from dataclasses import dataclass, field
 from typing import Optional
 
 from . import heap as hp
@@ -45,7 +44,7 @@ from .scenarios import (
     yielding_task,
 )
 from .target_lang import Expr, elaborate, gen_random_context
-from .values import INT, Ref, VInt, VRef
+from .values import INT, Ref, VInt, VRef, record
 
 FUZZ_FUEL = 1500
 _MIN_RECURSION = 30_000
@@ -56,7 +55,7 @@ def _ensure_recursion_headroom():
         sys.setrecursionlimit(_MIN_RECURSION)
 
 
-@dataclass
+@record
 class Check:
     name: str
     ok: bool
@@ -68,11 +67,11 @@ class Check:
         return f"[{mark}] {self.name}{suffix}"
 
 
-@dataclass
 class Report:
-    title: str
-    checks: list = field(default_factory=list)
-    stats: dict = field(default_factory=dict)
+    __slots__ = ("title", "checks", "stats")
+
+    def __init__(self, title: str):
+        self.title, self.checks, self.stats = title, [], {}
 
     @property
     def ok(self) -> bool:

@@ -13,7 +13,6 @@ that around every check invocation.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Any, Callable, Optional, Union
 
 from . import mutants
@@ -21,7 +20,7 @@ from .errors import BoundaryViolation, ImmutableWrite, PurityViolation
 from .heap import AddrMap
 from .labels import World
 from .programs import ENDED_RUN
-from .values import TypeTag, Value, VInl, VInr, VPair, conforms
+from .values import TypeTag, Value, VInl, VInr, VPair, conforms, record
 
 
 class ErrCode(enum.Enum):
@@ -31,7 +30,7 @@ class ErrCode(enum.Enum):
     IMPORT_FAILURE = "ImportFailure"
 
 
-@dataclass(frozen=True)
+@record
 class Err:
     code: ErrCode
     message: str
@@ -40,7 +39,7 @@ class Err:
         return f"{self.code.value}: {self.message}"
 
 
-@dataclass(frozen=True)
+@record
 class Inl:
     value: Any
 
@@ -48,7 +47,7 @@ class Inl:
         return f"Inl({self.value})"
 
 
-@dataclass(frozen=True)
+@record
 class Inr:
     error: Err
 
@@ -63,35 +62,35 @@ Either = Union[Inl, Inr]
 # interface descriptions
 
 
-@dataclass(frozen=True)
+@record
 class BaseS:
     tag: TypeTag
 
 
-@dataclass(frozen=True)
+@record
 class PairS:
     first: "InterfaceSpec"
     second: "InterfaceSpec"
 
 
-@dataclass(frozen=True)
+@record
 class SumS:
     left: "InterfaceSpec"
     right: "InterfaceSpec"
 
 
-@dataclass(frozen=True)
+@record
 class ExecPre:
     check: Callable[[Value, World], Optional[Err]]
 
 
-@dataclass(frozen=True)
+@record
 class ExecPost:
     select: Callable[[Value, World], Any]
     verify: Callable[[Any, Any, World], Optional[Err]]
 
 
-@dataclass(frozen=True)
+@record
 class ArrowS:
     arg: "InterfaceSpec"
     res: "InterfaceSpec"
@@ -99,7 +98,7 @@ class ArrowS:
     post: Optional[ExecPost] = None
 
 
-@dataclass(frozen=True)
+@record
 class RefinedS:
     base: "InterfaceSpec"  # non-arrow: behavioral checks belong on arrows
     name: str

@@ -29,6 +29,10 @@ class ImmutableWrite(TypeError):
     attempts one is reported as a PurityViolation."""
 
 
+class FrozenRecordError(AttributeError):
+    """An assignment to, or deletion of, an attribute of a `values.Record`."""
+
+
 class Uncontained(RunFailure):
     code = "Uncontained"
 

@@ -12,14 +12,13 @@ label map's identity marker and is never allocated.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain, compress, count, repeat
 from operator import is_not
 from typing import Callable, Optional
 
 from .errors import ImmutableWrite, PreorderViolation, TypeMismatch, Uncontained
-from .values import Addr, TypeTag, Value, VInl, VInt, VLLNil, VPair, conforms, frozen_record
+from .values import Addr, TypeTag, Value, VInl, VInt, VLLNil, VPair, conforms, record
 
 LABEL_MAP_MARKER: Addr = 0
 
@@ -167,7 +166,7 @@ def changed(a: AddrMap, b: AddrMap, within: Optional[AddrMap] = None):
         yield from _changed_in(ca[hi], cb[hi], hi << SHIFT)
 
 
-@dataclass(frozen=True)
+@record
 class Preorder:
     """A named, executable binary relation over cell values.
 
@@ -217,7 +216,7 @@ PREORDERS: dict[str, Preorder] = {
 }
 
 
-@frozen_record
+@record
 class HeapCell:
     addr: Addr
     tag: TypeTag
@@ -225,7 +224,7 @@ class HeapCell:
     value: Value
 
 
-@frozen_record
+@record
 class Heap:
     cells: AddrMap  # Addr -> HeapCell
     next_addr: Addr
@@ -257,7 +256,9 @@ EMPTY_HEAP = Heap(EMPTY_MAP, 1)
 
 # `conformed` says the caller has already checked the stored value against
 # the cell's tag: the labeled layer walks it, and `ref_entries` checks
-# conformance on the way, so a labeled store walks the value once.
+# conformance on the way, so a labeled store walks the value once.  A write
+# is given the cell instead: r's cell as the caller found it, against whose
+# tag the caller checked v, so the cell is not looked up again either.
 def alloc(h: Heap, tag: TypeTag, rel: Preorder, init: Value,
           conformed: bool = False) -> tuple[Addr, Heap]:
     if not tag.storable:
@@ -272,10 +273,11 @@ def read(h: Heap, r: Addr) -> Value:
     return h.cell(r).value
 
 
-def write(h: Heap, r: Addr, v: Value, conformed: bool = False) -> Heap:
-    cell = h.cell(r)
-    if not conformed and not conforms(v, cell.tag):
-        raise TypeMismatch(f"value {v!r} does not conform to {cell.tag} at {r}")
+def write(h: Heap, r: Addr, v: Value, cell: Optional[HeapCell] = None) -> Heap:
+    if cell is None:
+        cell = h.cell(r)
+        if not conforms(v, cell.tag):
+            raise TypeMismatch(f"value {v!r} does not conform to {cell.tag} at {r}")
     if not cell.preorder.relation(cell.value, v):
         raise PreorderViolation(r, cell.preorder.name, cell.value, v)
     return Heap(h.cells.set(r, HeapCell(r, cell.tag, cell.preorder, v)), h.next_addr)

@@ -5,8 +5,8 @@ Private).  The global invariant ties the two together: shareable cells may
 only reach shareable cells, and nothing past the allocation frontier carries
 a label other than Private.  Both maps are persistent `AddrMap`s, so a world
 never changes once built, and a labeling copies one chunk of the label map.
-`World`, like `heap.Heap`, is a `values.frozen_record`: its one constructor
-takes the heap and an `AddrMap` of labels as they are.
+`World`, like `heap.Heap`, is a `values.Record`: its one constructor takes
+the heap and an `AddrMap` of labels as they are.
 
 The two-world footprint predicates diff the maps with `heap.changed`: they
 visit only the addresses whose cell or label differs between the worlds, so
@@ -27,8 +27,8 @@ from .errors import (
     TypeMismatch,
     Uncontained,
 )
-from .heap import EMPTY_MAP, LABEL_MAP_MARKER, MASK, SHIFT, AddrMap, Heap, Preorder, changed
-from .values import Addr, TypeTag, Value, frozen_record, ref_entries
+from .heap import EMPTY_MAP, LABEL_MAP_MARKER, MASK, SHIFT, AddrMap, Heap, HeapCell, Preorder, changed
+from .values import Addr, TypeTag, Value, record, ref_entries
 
 
 class Label(enum.Enum):
@@ -50,7 +50,7 @@ def label_leq(l0: Label, l1: Label) -> bool:
     return l0 is l1
 
 
-@frozen_record
+@record
 class World:
     heap: Heap
     labels: AddrMap  # Addr -> Label; absent means Private
@@ -143,7 +143,8 @@ def lr_inv(w: World) -> bool:
     return is_private(w, LABEL_MAP_MARKER)
 
 
-def lr_inv_at(w: World, r: Addr, walk: Optional[tuple] = None) -> bool:
+def lr_inv_at(w: World, r: Addr, walk: Optional[tuple] = None,
+              cell: Optional[HeapCell] = None) -> bool:
     """lr_inv on w, given that it held before a step that changed only the
     cell and label of address r.
 
@@ -158,9 +159,11 @@ def lr_inv_at(w: World, r: Addr, walk: Optional[tuple] = None) -> bool:
     (tag, value, entries), entries being `ref_entries(tag, value)`.  They
     stand for the walk of r's cell only when that cell holds those very tag
     and value objects; otherwise the cell is walked here.  Either way each
-    entry is checked against w.
+    entry is checked against w.  `cell`, when given, is r's cell in w as the
+    caller found it; otherwise it is looked up here.
     """
-    cell = w.heap.cells.get(r)
+    if cell is None:
+        cell = w.heap.cells.get(r)
     if cell is not None:
         if walk is not None and walk[0] is cell.tag and walk[1] is cell.value:
             entries = walk[2]
@@ -191,25 +194,34 @@ def lr_read(w: World, r: Addr) -> Value:
     return hp.read(w.heap, r)
 
 
-def lr_write(w: World, r: Addr, v: Value, entries: Optional[list] = None) -> World:
+def lr_write(w: World, r: Addr, v: Value, entries: Optional[list] = None,
+             cell: Optional[HeapCell] = None) -> World:
     """Write v to the cell at r: the marker refusal, then conformance to the
     cell's tag (the walk), containment of the embedded addresses, ShareLeak
     for a shareable cell, and the heap write's preorder check.  Given
-    `entries`, r's cell was found by the caller and is not looked up here."""
+    `cell`, r's cell as the caller found it, neither this layer nor the heap
+    looks it up again."""
     if r == LABEL_MAP_MARKER:
         raise Uncontained(r, "the label-map marker is not writable")
+    if cell is None:
+        cell = w.heap.cell(r)
     if entries is None:
-        entries = ref_entries(w.heap.cell(r).tag, v)
+        entries = ref_entries(cell.tag, v)
     if entries:
         _check_embedded_contained(w, entries, "write")
         if w.label_of(r) is SHAREABLE:
             leaked = _private_embedded(w, entries)
             if leaked and not mutants.is_active("lr_write_share_unchecked"):
                 raise ShareLeak(r, v, leaked)
-    return World(hp.write(w.heap, r, v, conformed=True), w.labels)
+    return World(hp.write(w.heap, r, v, cell), w.labels)
 
 
-def label_shareable(w: World, r: Addr) -> World:
+def label_shareable(w: World, r: Addr, walk: Optional[list] = None) -> World:
+    """Label r Shareable: it must be contained, Private, under the trivial
+    preorder and, unless `label_share_unchecked` is on, embed only
+    shareable addresses (ShareLeak).  `walk`, when a list, receives that
+    test's walk of r's value, (tag, value, entries), for the paranoid
+    monitor; with the test off there is no walk to hand on."""
     cell = w.heap.cell(r)
     if not is_private(w, r):
         raise AlreadyLabeled(f"{r} is already {w.label_of(r).value}")
@@ -218,9 +230,12 @@ def label_shareable(w: World, r: Addr) -> World:
             f"cannot share {r}: carries preorder {cell.preorder.name}"
         )
     if not mutants.is_active("label_share_unchecked"):
-        leaked = _private_embedded(w, ref_entries(cell.tag, cell.value))
+        entries = ref_entries(cell.tag, cell.value)
+        leaked = _private_embedded(w, entries)
         if leaked:
             raise ShareLeak(r, cell.value, leaked)
+        if walk is not None:
+            walk.append((cell.tag, cell.value, entries))
     return World(w.heap, w.labels.set(r, SHAREABLE))
 
 

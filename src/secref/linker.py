@@ -11,7 +11,8 @@ every context execution a monitor snapshots the world and asserts the
 universal property: only shareable and encapsulated cells changed, and no
 existing cell changed label.
 
-A linked program is its `run(state)` function, and `beh` runs it.  All
+A linked program is its `run(state)` function, and `beh` runs it to a
+`BehaviorRecord`, which renders the final world only when read.  All
 three links, `link_target`, `link_source` (through `back_translate`) and
 `link_dual`, build their context through `_instantiate`: the builder runs
 against the live world under a `build:<name>` span, and every later call
@@ -20,7 +21,6 @@ span checked for the same universal property.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import zip_longest
 from typing import Any, Callable, Optional
@@ -48,22 +48,22 @@ from .labels import (
     same_labels,
 )
 from .programs import Program, Return, RunConfig, RunState
-from .values import TypeTag, Value, VRef, ref_entries
+from .values import TypeTag, Value, VRef, record, ref_entries
 
 
-@dataclass(frozen=True)
+@record
 class SourceInterface:
     spec: InterfaceSpec
     psi: Callable[[World, Any, World], bool]
 
 
-@dataclass(frozen=True)
+@record
 class SourceProgram:
     name: str
     body: Callable[[Any], Program]  # context value -> program returning int
 
 
-@dataclass(frozen=True)
+@record
 class TargetContext:
     name: str
     builder: Callable[["CtxOps"], Any]  # may allocate at build time
@@ -318,7 +318,7 @@ def link_source(program: SourceProgram, ctx_factory) -> Callable[[RunState], Any
 # dual direction: the context has initial control
 
 
-@dataclass(frozen=True)
+@record
 class DualProgram:
     name: str
     setup: Callable[[RunState], Any]  # allocate program state, return the value
@@ -339,10 +339,31 @@ def link_dual(dual: DualProgram, context: TargetContext) -> Callable[[RunState],
 # behavior
 
 
-@dataclass(frozen=True)
+@record
 class BehaviorRecord:
+    """A run's outcome and its final world as `render_world` lines, `dump`.
+    Built from the world, the record renders it on the first read of `dump`
+    and then lets the world go."""
+
+    __slots__ = ("_world",)
     outcome: tuple
     dump: tuple
+
+    def __init__(self, outcome: tuple, dump: Optional[tuple] = None,
+                 world: Optional[World] = None):
+        object.__setattr__(self, "outcome", outcome)
+        object.__setattr__(self, "_world", world)
+        if dump is not None:
+            object.__setattr__(self, "dump", dump)
+
+    def __getattr__(self, name):
+        # reached only when a slot is unset: `dump` before its first read
+        if name != "dump" or self._world is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        dump = render_world(self._world)
+        object.__setattr__(self, "dump", dump)
+        object.__setattr__(self, "_world", None)
+        return dump
 
     def lines(self):
         yield f"outcome: {self.outcome}"
@@ -389,7 +410,7 @@ def beh(run: Callable[[RunState], Any], cfg: Optional[RunConfig] = None,
         outcome = ("err", failure.code, str(failure))
     finally:
         state.end()
-    return BehaviorRecord(outcome=outcome, dump=render_world(state.world))
+    return BehaviorRecord(outcome, world=state.world)
 
 
 def beh_equal(b0: BehaviorRecord, b1: BehaviorRecord) -> bool:

@@ -15,7 +15,6 @@ same run state (and the same fuel meter) as the tree nodes themselves.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain
 from typing import Any, Callable, Optional, Union
 
@@ -29,12 +28,12 @@ from .errors import (
     StabilityViolation,
     WitnessFalse,
 )
-from .heap import Heap, Preorder, changed
+from .heap import Heap, HeapCell, Preorder, changed
 from .labels import World
-from .values import Addr, TypeTag, Value, ref_entries
+from .values import Addr, TypeTag, Value, record, ref_entries
 
 
-@dataclass(frozen=True)
+@record
 class StablePredicate:
     """A world predicate intended to be stable under every heap transition.
 
@@ -87,12 +86,12 @@ def contains_pred(addr: Addr) -> StablePredicate:
 # program trees
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Return:
     value: Any
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Call:
     """One operation step: `RunState.<op>(*args)`, then `cont` on its result.
 
@@ -181,7 +180,7 @@ def do(make_gen: Callable[[], Any]) -> Program:
 # run state and interpreter
 
 
-@dataclass(frozen=True)
+@record
 class RunConfig:
     check_level: str = "fast"  # "fast" | "paranoid"
     fuel: int = 1_000_000
@@ -215,7 +214,10 @@ class WorldJournal:
         self._start: Optional[World] = None
         self._last: Optional[World] = None
 
-    def record(self, before: World, after: World, touched: Optional[Addr]) -> None:
+    def record(self, before: World, after: World, touched: Optional[Addr],
+               cell: Optional[HeapCell] = None) -> None:
+        """Record the step from before to after; `cell`, when given, is the
+        touched address's cell in after, as the caller found it."""
         last = self._last
         if last is None:
             self._start = last = before
@@ -223,7 +225,9 @@ class WorldJournal:
         if after is last:
             entry = None
         elif before is last and touched is not None:
-            entry = (after.heap.next_addr, touched, cells.get(touched), labels.get(touched))
+            if cell is None:
+                cell = cells.get(touched)
+            entry = (after.heap.next_addr, touched, cell, labels.get(touched))
         else:
             addrs = sorted({*changed(last.heap.cells, cells), *changed(last.labels, labels)})
             entry = (after.heap.next_addr,
@@ -268,15 +272,15 @@ class WorldJournal:
             yield w
 
 
-@dataclass
 class TraceLog:
     """Per-run observations consumed by the property campaigns."""
 
-    worlds: WorldJournal = field(default_factory=WorldJournal)  # paranoid steps
-    context_spans: list = field(default_factory=list)  # (name, w_before, w_after)
-    contract_checks: int = 0
-    purity_failures: int = 0
-    steps: int = 0
+    __slots__ = ("worlds", "context_spans", "contract_checks", "purity_failures", "steps")
+
+    def __init__(self):
+        self.worlds = WorldJournal()  # paranoid steps
+        self.context_spans: list = []  # (name, w_before, w_after)
+        self.contract_checks = self.purity_failures = self.steps = 0
 
 
 class _EndedRun:
@@ -335,15 +339,18 @@ class RunState:
                     walk: Optional[tuple] = None) -> None:
         """Paranoid monitors for a step from `before` to the current world
         that changed at most the cell and label of `touched`.  A store step
-        passes its walk of the stored value, (tag, value, entries), which
-        `labels.lr_inv_at` uses instead of walking the value again."""
+        passes its walk of the stored value, and a label step its walk of
+        the labeled value, (tag, value, entries), which `labels.lr_inv_at`
+        uses instead of walking the value again.  The touched cell is looked
+        up once, for the invariant and the journal."""
         if not self._paranoid:
             return
         w = self.world
+        cell = None if touched is None else w.heap.cells.get(touched)
         if before is not self._validated:
             ok = lb.lr_inv(w)
         else:
-            ok = touched is None or lb.lr_inv_at(w, touched, walk)
+            ok = touched is None or lb.lr_inv_at(w, touched, walk, cell)
         if not ok:
             raise InvariantViolation(f"lr_inv broken after step {self.trace.steps}")
         self._validated = w
@@ -352,7 +359,7 @@ class RunState:
                 raise StabilityViolation(
                     f"witnessed predicate {pred.name} no longer holds"
                 )
-        self.trace.worlds.record(before, w, touched)
+        self.trace.worlds.record(before, w, touched, cell)
 
     def op_read(self, addr: Addr) -> Value:
         self._tick()
@@ -361,8 +368,9 @@ class RunState:
         return v
 
     # A store step walks its value once, here, and hands the walk to the
-    # labeled operation and to the monitor.  The marker and an address with
-    # no cell are left to `lr_write` to refuse, before any walk.
+    # labeled operation and to the monitor; a write also hands down the cell
+    # it found.  The marker and an address with no cell are left to
+    # `lr_write` to refuse, before any walk.
     def op_write(self, addr: Addr, v: Value) -> None:
         self._tick()
         w0 = self.world
@@ -371,7 +379,7 @@ class RunState:
         if cell is not None:
             entries = ref_entries(cell.tag, v)
             walk = (cell.tag, v, entries)
-        self.world = lb.lr_write(w0, addr, v, entries)
+        self.world = lb.lr_write(w0, addr, v, entries, cell)
         self._after_step(w0, addr, walk)
 
     def op_alloc(self, tag: TypeTag, rel: Preorder, init: Value) -> Addr:
@@ -402,8 +410,9 @@ class RunState:
     def op_label_shareable(self, addr: Addr) -> None:
         self._tick()
         w0 = self.world
-        self.world = lb.label_shareable(w0, addr)
-        self._after_step(w0, addr)
+        walk: list = []
+        self.world = lb.label_shareable(w0, addr, walk)
+        self._after_step(w0, addr, walk[0] if walk else None)
 
     def op_label_encapsulated(self, addr: Addr) -> None:
         self._tick()

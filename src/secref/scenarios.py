@@ -10,7 +10,6 @@ from __future__ import annotations
 import importlib.resources
 import weakref
 from collections import Counter
-from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Any, Callable, Optional
 
@@ -72,6 +71,7 @@ from .values import (
     VRef,
     llist_collect,
     llist_sorted,
+    record,
 )
 
 
@@ -86,16 +86,19 @@ def _sref(name: str) -> str:
     return text
 
 
-@dataclass
 class Scenario:
-    name: str
-    interface: SourceInterface
-    program: SourceProgram
-    contexts: dict
-    check: Callable[["ScenarioResult"], dict]
+    """A source program, its interface, its contexts by name and the check
+    of a run's result; `check` may be rebound, to time or trace it."""
+
+    __slots__ = ("name", "interface", "program", "contexts", "check")
+
+    def __init__(self, name: str, interface: SourceInterface, program: SourceProgram,
+                 contexts: dict, check: Callable[["ScenarioResult"], dict]):
+        self.name, self.interface, self.program = name, interface, program
+        self.contexts, self.check = contexts, check
 
 
-@dataclass
+@record
 class ScenarioResult:
     scenario: str
     context: str
@@ -103,7 +106,7 @@ class ScenarioResult:
     w0: World
     w1: World
     state: RunState
-    checks: dict = field(default_factory=dict)
+    checks: dict  # filled in by the scenario's check
 
     @property
     def ok(self) -> bool:
@@ -129,7 +132,7 @@ def run_scenario(scenario: Scenario, context, cfg: Optional[RunConfig] = None) -
         state=state,
         checks={},
     )
-    result.checks = scenario.check(result)
+    result.checks.update(scenario.check(result))
     return result
 
 
@@ -710,7 +713,7 @@ def yielding_task(yields: int, write_value: Optional[int] = None):
     return make
 
 
-@dataclass
+@record
 class SchedulerRun:
     hist: list
     finished_at: dict

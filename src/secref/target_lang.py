@@ -47,7 +47,6 @@ import operator
 import random
 import re
 import weakref
-from dataclasses import dataclass
 from typing import Any, Callable, Optional, Union
 
 from .contracts import ArrowS, BaseS, InterfaceSpec, PairS, RefinedS, SumS, arrow_export_uses_either
@@ -78,6 +77,7 @@ from .values import (
     VLLNil,
     VPair,
     VRef,
+    record,
 )
 
 # ---------------------------------------------------------------------------
@@ -116,19 +116,19 @@ def spec_type(spec: InterfaceSpec, received: bool = False) -> TypeTag:
 # expressions
 
 
-@dataclass(frozen=True)
+@record
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class Lam:
     param: str
     param_ty: TypeTag
     body: "Expr"
 
 
-@dataclass(frozen=True)
+@record
 class Fix:
     fname: str
     param: str
@@ -137,77 +137,77 @@ class Fix:
     body: "Expr"
 
 
-@dataclass(frozen=True)
+@record
 class App:
     fn: "Expr"
     arg: "Expr"
 
 
-@dataclass(frozen=True)
+@record
 class Let:
     name: str
     bound: "Expr"
     body: "Expr"
 
 
-@dataclass(frozen=True)
+@record
 class LitUnit:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class LitInt:
     value: int
 
 
-@dataclass(frozen=True)
+@record
 class LitBool:
     value: bool
 
 
-@dataclass(frozen=True)
+@record
 class BinOp:
     op: str  # + - * = < <=
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
+@record
 class If:
     cond: "Expr"
     then: "Expr"
     other: "Expr"
 
 
-@dataclass(frozen=True)
+@record
 class PairE:
     first: "Expr"
     second: "Expr"
 
 
-@dataclass(frozen=True)
+@record
 class Fst:
     pair: "Expr"
 
 
-@dataclass(frozen=True)
+@record
 class Snd:
     pair: "Expr"
 
 
-@dataclass(frozen=True)
+@record
 class InlE:
     right_ty: TypeTag
     payload: "Expr"
 
 
-@dataclass(frozen=True)
+@record
 class InrE:
     left_ty: TypeTag
     payload: "Expr"
 
 
-@dataclass(frozen=True)
+@record
 class Case:
     scrut: "Expr"
     lname: str
@@ -216,34 +216,34 @@ class Case:
     rbranch: "Expr"
 
 
-@dataclass(frozen=True)
+@record
 class AllocE:
     init: "Expr"
 
 
-@dataclass(frozen=True)
+@record
 class DerefE:
     ref: "Expr"
 
 
-@dataclass(frozen=True)
+@record
 class AssignE:
     ref: "Expr"
     value: "Expr"
 
 
-@dataclass(frozen=True)
+@record
 class LLNilE:
     elem_ty: TypeTag
 
 
-@dataclass(frozen=True)
+@record
 class LLConsE:
     head: "Expr"
     tail: "Expr"
 
 
-@dataclass(frozen=True)
+@record
 class CaseLL:
     scrut: "Expr"
     nil_branch: "Expr"

@@ -9,18 +9,96 @@ target language and the boundary have but no cell may hold and no value
 conforms to.  A tag's `storable` fact tells the two kinds of tag apart.
 Tags are hash-consed, so two tags are equal exactly when they are the same
 object.
+
+Every record of the package, value, tag, cell, world, term or spec, is made
+by `record`: a frozen slotted `Record` whose fields are its annotations.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import TYPE_CHECKING, Optional, Union
 
-from .errors import TypeMismatch, Uncontained
+from .errors import FrozenRecordError, TypeMismatch, Uncontained
 
 if TYPE_CHECKING:
     from .heap import Heap
 
 Addr = int
+
+
+# ---------------------------------------------------------------------------
+# records
+
+
+class Record:
+    """The shared methods of every record class; see `record`."""
+
+    __slots__ = ()
+    _fields: tuple = ()
+    _values = staticmethod(lambda record: ())
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            values = self._values
+            return self is other or values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        shown = ", ".join([f"{n}={v!r}" for n, v in zip(self._fields, self._values(self))])
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __reduce__(self):
+        return self.__class__, self._values(self)
+
+    def __setattr__(self, name, value):
+        raise FrozenRecordError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenRecordError(f"cannot delete field {name!r}")
+
+
+def record(cls):
+    """cls as a frozen slotted `Record` whose fields are its annotations, in
+    order, with their values in the body as defaults; a `__slots__` in the
+    body adds slots that are not fields.  The one code generated is an
+    `__init__` that sets each slot through its descriptor in one frame, then
+    calls any `__post_init__`; a class with no fields, or its own `__init__`
+    or `__new__` (tags: `_Tag.__new__`), gets none.  `Record`'s methods give
+    the rest as a frozen dataclass would.  No metaclass: `isinstance`
+    against a record class keeps the interpreter's fast path."""
+    ns = dict(cls.__dict__)
+    names = tuple(ns.get("__annotations__", ()))
+    given = [n for n in names if n in ns]
+    if given != list(names[len(names) - len(given):]):
+        raise TypeError(f"{cls.__name__}: a field without a default follows one with a default")
+    defaults = tuple(ns.pop(n) for n in given)
+    extra = tuple(ns.get("__slots__", ()))
+    for n in ("__dict__", "__weakref__", *extra):
+        ns.pop(n, None)
+    ns["__slots__"], ns["__qualname__"] = names + extra, cls.__qualname__
+    if "__eq__" in ns and ns.get("__hash__") is None:
+        ns["__hash__"] = Record.__hash__  # as a frozen dataclass hashes
+    bases = tuple(b for b in cls.__bases__ if b is not object)
+    cls = type(cls.__name__, bases if issubclass(cls, Record) else (*bases, Record), ns)
+    cls._fields = names
+    if len(names) > 1:
+        cls._values = staticmethod(attrgetter(*names))
+    elif names:
+        get = attrgetter(names[0])
+        cls._values = staticmethod(lambda record: (get(record),))
+    if names and cls.__init__ is object.__init__ and cls.__new__ is object.__new__:
+        setters = {f"_set_{n}": getattr(cls, n).__set__ for n in names}
+        body = "".join(f"\n    _set_{n}(self, {n})" for n in names)
+        if hasattr(cls, "__post_init__"):
+            body += "\n    self.__post_init__()"
+        exec(f"def __init__(self, {', '.join(names)}):{body}", setters)
+        init = cls.__init__ = setters["__init__"]
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        init.__defaults__ = defaults or None
+    return cls
 
 
 # ---------------------------------------------------------------------------
@@ -42,14 +120,17 @@ Addr = int
 _TAGS: dict = {}
 
 
-class _Tag:
+class _Tag(Record):
     __slots__ = ("storable", "well_formed", "depth", "size")
+    # interned: equal exactly when the same object, and copy and pickle
+    # rebuild through __new__, so each returns the interned tag
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __new__(cls, *kids):
         key = (cls, *kids)
         tag = _TAGS.get(key)
         if tag is None:
-            names = cls.__dataclass_fields__
+            names = cls._fields
             if len(kids) != len(names):
                 raise TypeError(f"{cls.__name__} takes {len(names)} children, not {len(kids)}")
             storable = all(getattr(k, "storable", False) for k in kids)
@@ -63,16 +144,8 @@ class _Tag:
                 object.__setattr__(tag, name, x)
         return tag
 
-    def __reduce__(self):
-        # copy and pickle rebuild through __new__, so each returns the interned tag
-        return type(self), tuple(getattr(self, name) for name in self.__dataclass_fields__)
 
-
-# frozen slotted tag classes, whose instances `_Tag.__new__` builds and interns
-_tag_class = dataclass(frozen=True, slots=True, eq=False, init=False)
-
-
-@_tag_class
+@record
 class Unit(_Tag):
     def __str__(self):
         return "unit"
@@ -84,7 +157,7 @@ class Unit(_Tag):
         pass
 
 
-@_tag_class
+@record
 class Int(_Tag):
     def __str__(self):
         return "int"
@@ -96,7 +169,7 @@ class Int(_Tag):
         pass
 
 
-@_tag_class
+@record
 class Bool(_Tag):
     def __str__(self):
         return "bool"
@@ -108,7 +181,7 @@ class Bool(_Tag):
         pass
 
 
-@_tag_class
+@record
 class Sum(_Tag):
     left: "TypeTag"
     right: "TypeTag"
@@ -127,7 +200,7 @@ class Sum(_Tag):
         (self.left if isinstance(v, VInl) else self.right)._refs(v.payload, out)
 
 
-@_tag_class
+@record
 class Pair(_Tag):
     first: "TypeTag"
     second: "TypeTag"
@@ -147,7 +220,7 @@ class Pair(_Tag):
         self.second._refs(v.second, out)
 
 
-@_tag_class
+@record
 class Ref(_Tag):
     target: "TypeTag"
 
@@ -161,7 +234,7 @@ class Ref(_Tag):
         out.append((v.addr, self.target))
 
 
-@_tag_class
+@record
 class LList(_Tag):
     elem: "TypeTag"
 
@@ -179,7 +252,7 @@ class LList(_Tag):
             out.append((v.tail, self))
 
 
-@_tag_class
+@record
 class Arrow(_Tag):
     arg: "TypeTag"
     res: "TypeTag"
@@ -205,29 +278,13 @@ BOOL = Bool()
 # values
 
 
-def frozen_record(cls):
-    """cls as a frozen slotted dataclass whose `__init__` sets each slot
-    through its descriptor, written straight-line the way `dataclasses`
-    writes its own.  The frozen dataclass `__init__` goes through
-    `object.__setattr__` per field, which makes a record cost about half as
-    much again; assignment and deletion are refused all the same."""
-    cls = dataclass(frozen=True, slots=True, init=False)(cls)
-    names = [f.name for f in fields(cls)]
-    namespace = {f"_set_{name}": getattr(cls, name).__set__ for name in names}
-    body = "".join(f"\n    _set_{name}(self, {name})" for name in names)
-    exec(f"def __init__(self, {', '.join(names)}):{body}", namespace)
-    cls.__init__ = namespace["__init__"]
-    cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
-    return cls
-
-
-@dataclass(frozen=True, slots=True)
+@record
 class VUnit:
     def __str__(self):
         return "()"
 
 
-@frozen_record
+@record
 class VInt:
     value: int
 
@@ -235,7 +292,7 @@ class VInt:
         return str(self.value)
 
 
-@frozen_record
+@record
 class VBool:
     value: bool
 
@@ -243,7 +300,7 @@ class VBool:
         return "true" if self.value else "false"
 
 
-@frozen_record
+@record
 class VInl:
     payload: "Value"
 
@@ -251,7 +308,7 @@ class VInl:
         return f"inl({self.payload})"
 
 
-@frozen_record
+@record
 class VInr:
     payload: "Value"
 
@@ -259,7 +316,7 @@ class VInr:
         return f"inr({self.payload})"
 
 
-@frozen_record
+@record
 class VPair:
     first: "Value"
     second: "Value"
@@ -268,7 +325,7 @@ class VPair:
         return f"({self.first}, {self.second})"
 
 
-@frozen_record
+@record
 class VRef:
     addr: Addr
     target: TypeTag
@@ -277,13 +334,13 @@ class VRef:
         return f"ref@{self.addr}"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class VLLNil:
     def __str__(self):
         return "llnil"
 
 
-@frozen_record
+@record
 class VLLCons:
     head: "Value"
     tail: Addr

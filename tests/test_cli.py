@@ -6,6 +6,7 @@ import pytest
 
 from secref import campaigns
 from secref.cli import main
+from secref.values import Record
 
 
 def run_cli(args, tmp_path, monkeypatch):
@@ -172,9 +173,9 @@ def test_shrinker_finds_a_minimal_term():
 
     def nodes(e):
         total = 1
-        for fname in getattr(e, "__dataclass_fields__", {}):
+        for fname in e._fields:
             sub = getattr(e, fname)
-            if hasattr(sub, "__dataclass_fields__"):
+            if isinstance(sub, Record):
                 total += nodes(sub)
         return total
 

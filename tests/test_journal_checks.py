@@ -7,7 +7,6 @@ re-walk the history in each with `chain_history`; they stay here as the
 oracles, and the two must agree on honest runs, on generated-context runs
 and on journals corrupted by hand.
 """
-import dataclasses
 import gc
 import random
 import weakref
@@ -148,10 +147,16 @@ def families_agree(journal: WorldJournal, addr: int) -> list:
     ]
 
 
+def replaced(record, **changes):
+    """A copy of record with the named fields changed."""
+    return type(record)(**{name: changes[name] if name in changes else getattr(record, name)
+                           for name in record._fields})
+
+
 def rebind(w: World, addr: int, value) -> World:
     """w with the cell at addr holding value, or unbound when value is None."""
     cells = w.heap.cells
-    cell = None if value is None else dataclasses.replace(cells[addr], value=value)
+    cell = None if value is None else replaced(cells[addr], value=value)
     return World(Heap(cells.set(addr, cell), w.heap.next_addr), w.labels)
 
 
@@ -537,7 +542,7 @@ def test_scheduler_checks_fail_a_history_appended_into_a_cycle():
     nodes = chain(w, "sched")
     # a checked-side write that the nil end's nil-then-fixed preorder allows
     run.state.op_write(w.heap.cell(nodes[-1]).value.tail, VLLCons(VInt(0), nodes[0]))
-    checks = scheduler_checks(dataclasses.replace(run, w1=run.state.world), 2)
+    checks = scheduler_checks(replaced(run, w1=run.state.world), 2)
     assert checks["history_prefix_monotone"] is False
     assert checks["recorded_history_matches"] is False
     assert checks["counter_private"] and checks["fairness"]

@@ -2,17 +2,18 @@ import sys
 
 import pytest
 
-from secref import values
+from secref import mutants, values
 from secref.errors import (
     AlreadyLabeled,
     DanglingInit,
     ImmutableWrite,
+    InvariantViolation,
     MonotonicRefShare,
     ShareLeak,
     TypeMismatch,
     Uncontained,
 )
-from secref.heap import INT_LEQ, LABEL_MAP_MARKER, TRIVIAL, AddrMap
+from secref.heap import INT_LEQ, LABEL_MAP_MARKER, TRIVIAL, AddrMap, Heap
 from secref.labels import (
     Label,
     World,
@@ -308,6 +309,53 @@ def test_one_write_walks_the_written_value_once_per_layer(conforms_calls):
                       lambda: state.op_write(shared, v),
                       lambda: state.op_write(private, v)):
             assert _conforms_per_step(conforms_calls, write) == 1, level
+
+
+def test_one_label_step_walks_the_labeled_value_once(conforms_calls):
+    tag = Pair(INT, Ref(INT))
+    for level in ("fast", "paranoid"):
+        state = RunState(config=RunConfig(check_level=level))
+        p = state.op_alloc(INT, TRIVIAL, VInt(0))
+        state.op_label_shareable(p)
+        cell = state.op_alloc(tag, TRIVIAL, VPair(VInt(0), VRef(p, INT)))
+        # the ShareLeak test's walk, which the paranoid monitor takes
+        assert _conforms_per_step(conforms_calls, lambda: state.op_label_shareable(cell)) == 1, level
+
+
+def test_an_unchecked_label_step_leaves_its_walk_to_the_monitor(conforms_calls):
+    tag = Pair(INT, Ref(INT))
+    with mutants.enabled("label_share_unchecked"):
+        for level, walks in (("fast", 0), ("paranoid", 1)):
+            state = RunState(config=RunConfig(check_level=level))
+            private = state.op_alloc(INT, TRIVIAL, VInt(0))
+            cell = state.op_alloc(tag, TRIVIAL, VPair(VInt(0), VRef(private, INT)))
+            conforms_calls.clear()
+            if level == "fast":
+                state.op_label_shareable(cell)
+            else:  # the monitor's own walk finds the private address
+                with pytest.raises(InvariantViolation):
+                    state.op_label_shareable(cell)
+            assert len(conforms_calls) == walks, level
+
+
+def test_a_checked_write_looks_its_cell_up_once_per_world(monkeypatch):
+    lookups, cell_calls = [], []
+    get, cell = AddrMap.get, Heap.cell
+    monkeypatch.setattr(AddrMap, "get", lambda m, *args: lookups.append(m) or get(m, *args))
+    monkeypatch.setattr(Heap, "cell", lambda h, r: cell_calls.append(r) or cell(h, r))
+    for level, after in (("fast", 0), ("paranoid", 1)):
+        state = RunState(config=RunConfig(check_level=level))
+        r = state.op_alloc(INT, INT_LEQ, VInt(0))
+        w0 = state.world
+        lookups.clear()
+        cell_calls.clear()
+        state.op_write(r, VInt(1))
+        w1 = state.world
+        # op_write's lookup serves lr_write and heap.write; the monitor's
+        # serves lr_inv_at and the journal
+        assert sum(m is w0.heap.cells for m in lookups) == 1, level
+        assert sum(m is w1.heap.cells for m in lookups) == after, level
+        assert cell_calls == [], level
 
 
 def test_one_alloc_walks_the_initial_value_once_per_layer(conforms_calls):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from secref import heap as hp
-from secref import mutants
+from secref import linker, mutants
 from secref.contracts import ArrowS, BaseS, Inl, Inr, PairS, SumS
 from secref.errors import (
     AlreadyLabeled,
@@ -36,6 +36,7 @@ from secref.labels import (
     same_labels,
 )
 from secref.linker import (
+    BehaviorRecord,
     CtxOps,
     DualProgram,
     SourceInterface,
@@ -658,6 +659,30 @@ def test_beh_of_pure_return():
     record = beh(lambda state: 7)
     assert record.outcome == ("ok", 7)
     assert record.dump == ()
+
+
+def test_a_behaviour_record_renders_its_world_on_first_read(monkeypatch):
+    rendered = []
+    monkeypatch.setattr(linker, "render_world",
+                        lambda w: rendered.append(w) or render_world(w))
+
+    def run(state):
+        state.op_alloc(INT, TRIVIAL, VInt(3))
+        return 7
+
+    record, again = beh(run), beh(run)
+    assert rendered == []
+    dump = ("1: int [Private] = 3",)
+    assert record.dump == dump and len(rendered) == 1
+    assert record.dump is record.dump and len(rendered) == 1
+    assert record._world is None  # the world is let go once rendered
+    assert record == again and len(rendered) == 2
+    built = BehaviorRecord(("ok", 7), dump)
+    assert record == built and hash(record) == hash(built)
+    assert repr(record) == repr(built) == f"BehaviorRecord(outcome=('ok', 7), dump={dump!r})"
+    assert list(beh(run).lines()) == ["outcome: ('ok', 7)", *dump]
+    with pytest.raises(AttributeError, match="has no attribute 'dumps'"):
+        record.dumps
 
 
 def test_linking_is_effect_free():

@@ -7,14 +7,14 @@ the full scans live here as oracles.
 """
 import itertools
 import sys
-from dataclasses import fields, make_dataclass, replace
+from dataclasses import make_dataclass
 
 import pytest
 
 from secref import campaigns
 from secref import heap as hp
 from secref import labels as lb
-from secref.errors import ImmutableWrite
+from secref.errors import FrozenRecordError, ImmutableWrite
 from secref.heap import (
     TRIVIAL,
     WIDTH,
@@ -37,10 +37,27 @@ from secref.labels import (
     modif_shareable_and,
     same_labels,
 )
-from secref.linker import CtxOps
-from secref.programs import RunState
+from secref.linker import BehaviorRecord, CtxOps
+from secref.programs import RunConfig, RunState
 from secref.scenarios import TASK_DONE, run_scheduler, yielding_task
-from secref.values import INT, V_UNIT, Ref, VBool, VInl, VInr, VInt, VLLCons, VPair, VRef
+from secref.values import (
+    BOOL,
+    INT,
+    UNIT,
+    V_UNIT,
+    Record,
+    Ref,
+    Sum,
+    Unit,
+    VBool,
+    VInl,
+    VInr,
+    VInt,
+    VLLCons,
+    VPair,
+    VRef,
+    _Tag,
+)
 
 # ---------------------------------------------------------------------------
 # full-scan oracles of the footprint predicates and of `changed`
@@ -358,59 +375,124 @@ def test_the_records_a_step_builds_are_frozen_and_slotted():
     assert {type(r) for r in records} == {World, Heap, *SLOT_BUILT}
     for record in records:
         assert not hasattr(record, "__dict__")
-        before = [getattr(record, f.name) for f in fields(record)]
-        for f in fields(record):
-            with pytest.raises(AttributeError):
-                setattr(record, f.name, None)
-            with pytest.raises(AttributeError):
-                delattr(record, f.name)
-        # the generated __setattr__ refuses a new name with TypeError on
-        # Python 3.11: it calls super() with the class from before slots
-        with pytest.raises((AttributeError, TypeError)):
+        before = [getattr(record, name) for name in record._fields]
+        for name in record._fields:
+            with pytest.raises(FrozenRecordError, match=f"cannot assign to field '{name}'"):
+                setattr(record, name, None)
+            with pytest.raises(FrozenRecordError, match=f"cannot delete field '{name}'"):
+                delattr(record, name)
+        with pytest.raises(FrozenRecordError):
             record.extra = 1
         with pytest.raises(AttributeError):
             object.__setattr__(record, "extra", 1)
-        assert [getattr(record, f.name) for f in fields(record)] == before
+        assert [getattr(record, name) for name in record._fields] == before
+
+
+def _record_classes() -> list:
+    """Every record class of the package, tags included, by module and name:
+    the `Record` subclasses a module binds under their own names (`record`
+    rebuilds each class it is given, so a tag class's first build is also a
+    `Record` subclass, but nothing binds it)."""
+    found, todo = set(), [Record]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if getattr(sys.modules[sub.__module__], sub.__name__, None) is sub:
+                found.add(sub)
+    found = {cls for cls in found if cls.__module__.startswith("secref.")}
+    return sorted(found - {_Tag}, key=lambda cls: (cls.__module__, cls.__name__))
+
+
+RECORD_CLASSES = _record_classes()
+
+
+def _sample(cls) -> list:
+    """Field values to build one record of cls with."""
+    if issubclass(cls, _Tag):
+        return [INT, BOOL][:len(cls._fields)]
+    if cls is RunConfig:
+        return ["paranoid", 7]
+    if cls is World:  # World.__eq__ diffs label maps
+        return [hp.EMPTY_HEAP, AddrMap({1: Label.SHAREABLE})]
+    return [VInt(i) for i in range(len(cls._fields))]
+
+
+def _marker(cls, value):
+    """A value for a field of cls that holds value, unequal to it."""
+    if isinstance(value, AddrMap):
+        return AddrMap({99: VInt(-7)})
+    if issubclass(cls, _Tag):
+        return UNIT
+    return "fast" if cls is RunConfig and value == "paranoid" else VInt(-7)
 
 
 def _twin(cls):
     """cls as a plain frozen slotted dataclass: the same name and fields,
-    built by the __init__ `dataclasses` writes."""
-    return make_dataclass(cls.__name__, [(f.name, f.type) for f in fields(cls)],
-                          frozen=True, slots=True)
+    built by the __init__ `dataclasses` writes; a tag's twin, like the tag,
+    compares by identity."""
+    return make_dataclass(cls.__name__, cls._fields, frozen=True, slots=True,
+                          eq=not issubclass(cls, _Tag))
+
+
+def _hash_or_error(x):
+    try:
+        return hash(x)
+    except TypeError as err:  # a record holding an AddrMap
+        return str(err)
+
+
+def test_every_record_class_of_the_package_is_listed():
+    names = [cls.__name__ for cls in RECORD_CLASSES]
+    assert len(names) == len(set(names)) == 65
+    assert {World, Heap, RunConfig, BehaviorRecord, Unit, Sum, *SLOT_BUILT} <= set(RECORD_CLASSES)
 
 
 def test_slot_built_records_agree_with_their_plain_frozen_twins():
-    # World.__eq__ diffs label maps, so a map field gets a map marker
-    value_marker, map_marker = VInt(-7), AddrMap({99: VInt(-7)})
-    for record in _step_records():
-        cls = type(record)
-        if cls not in SLOT_BUILT:
-            continue
-        twin = _twin(cls)
-        names = [f.name for f in fields(cls)]
-        values = [getattr(record, name) for name in names]
-        mirror = twin(*values)
-        assert repr(record) == repr(mirror)
-        if cls not in (Heap, World):  # an AddrMap is unhashable
-            assert hash(record) == hash(mirror) == hash(cls(*values))
+    for cls in RECORD_CLASSES:
+        _agrees_with_its_twin(cls)
+
+
+def _agrees_with_its_twin(cls):
+    names, values = cls._fields, _sample(cls)
+    record, twin = cls(*values), _twin(cls)
+    mirror = twin(*values)
+    assert not hasattr(record, "__dict__")
+    assert [getattr(record, name) for name in names] == values
+    assert repr(record) == repr(mirror)
+    if issubclass(cls, _Tag):
+        assert hash(record) == object.__hash__(record)
+    else:
+        assert _hash_or_error(record) == _hash_or_error(mirror) == _hash_or_error(cls(*values))
+    if issubclass(cls, _Tag):  # built by _Tag.__new__ and interned
+        assert cls(*values) is record
+    else:
         by_name = cls(**dict(zip(names, values)))
         assert type(by_name) is cls and by_name == record and by_name is not record
-        for name in names:
-            is_map = isinstance(getattr(record, name), AddrMap)
-            marker = map_marker if is_map else value_marker
-            other = replace(record, **{name: marker})
-            assert type(other) is cls and getattr(other, name) is marker
-            assert repr(other) == repr(replace(mirror, **{name: marker}))
-            assert (other == record) is (replace(mirror, **{name: marker}) == mirror) is False
-        assert record != mirror and mirror != record
-        # the __init__ reads nothing but its slot setters: no __setattr__
-        assert set(cls.__init__.__code__.co_names) == {f"_set_{name}" for name in names}
+    for i, name in enumerate(names):
+        marker = _marker(cls, values[i])
+        changed_values = [*values[:i], marker, *values[i + 1:]]
+        other, other_mirror = cls(*changed_values), twin(*changed_values)
+        assert type(other) is cls and getattr(other, name) is marker
+        assert repr(other) == repr(other_mirror)
+        assert (other == record) is (other_mirror == mirror) is False
+        with pytest.raises(FrozenRecordError, match=f"cannot assign to field '{name}'"):
+            setattr(record, name, marker)
+        with pytest.raises(FrozenRecordError, match=f"cannot delete field '{name}'"):
+            delattr(record, name)
+    with pytest.raises(FrozenRecordError, match="cannot assign to field 'extra'"):
+        record.extra = 1
+    assert record != mirror and mirror != record
+    assert [getattr(record, name) for name in names] == values
 
 
-@pytest.mark.parametrize("cls", SLOT_BUILT, ids=lambda cls: cls.__name__)
+# the one record with fields that writes its own __init__: it keeps the final
+# world until its dump is first read
+OWN_INIT = {BehaviorRecord}
+
+
+@pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda cls: cls.__name__)
 def test_a_slot_built_record_is_built_in_one_python_frame(cls):
-    args = [VInt(1)] * len(fields(cls))
+    args = _sample(cls)
     entered = []
 
     def profile(frame, event, arg):
@@ -422,5 +504,15 @@ def test_a_slot_built_record_is_built_in_one_python_frame(cls):
         record = cls(*args)
     finally:
         sys.setprofile(None)
-    assert entered == ["__init__"]
-    assert [getattr(record, f.name) for f in fields(cls)] == args
+    assert [getattr(record, name) for name in cls._fields] == args
+    if issubclass(cls, _Tag):
+        assert entered == ["__new__"]  # tags are built and interned by _Tag.__new__
+    elif not cls._fields:
+        assert entered == [] and cls.__init__ is object.__init__
+    else:
+        post = ["__post_init__"] if hasattr(cls, "__post_init__") else []
+        assert entered == ["__init__", *post]
+        if cls not in OWN_INIT:
+            # the __init__ reads nothing but its slot setters: no __setattr__
+            setters = {f"_set_{name}" for name in cls._fields}
+            assert set(cls.__init__.__code__.co_names) == setters | set(post)

@@ -1,10 +1,10 @@
-import dataclasses
 
 import pytest
 
 from secref import heap as hp
 from secref.errors import (
     DanglingInit,
+    FrozenRecordError,
     OutOfFuel,
     PreorderViolation,
     RecallUnwitnessed,
@@ -123,9 +123,9 @@ def test_interpret_rejects_a_non_node():
 
 def test_run_config_is_frozen():
     cfg = RunConfig(check_level="paranoid", fuel=10)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(FrozenRecordError):
         cfg.fuel = 11
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(FrozenRecordError):
         cfg.check_level = "fast"
     assert (cfg.check_level, cfg.fuel) == ("paranoid", 10)
 

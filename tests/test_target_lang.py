@@ -1,4 +1,3 @@
-import dataclasses
 import sys
 
 import pytest
@@ -31,6 +30,7 @@ from secref.values import (
     UNIT,
     Arrow,
     LList,
+    Record,
     Ref,
     V_FALSE,
     V_NIL,
@@ -351,8 +351,8 @@ def _count_ref_stashes(e) -> int:
         node = stack.pop()
         if isinstance(node, AllocE) and isinstance(node.init, (DerefE, Var)):
             total += 1
-        subs = (getattr(node, f.name) for f in dataclasses.fields(node))
-        stack.extend(sub for sub in subs if hasattr(sub, "__dataclass_fields__"))
+        subs = (getattr(node, name) for name in node._fields)
+        stack.extend(sub for sub in subs if isinstance(sub, Record))
     return total
 
 
