@@ -43,43 +43,27 @@ class StablePredicate:
 
     name: str
     test: Callable[[World], bool]
-    stability_hint: str = ""
 
     def holds(self, w: World) -> bool:
         return bool(self.test(w))
 
 
 def shareable_pred(addr: Addr) -> StablePredicate:
-    return StablePredicate(
-        name=f"is_shareable@{addr}",
-        test=lambda w: lb.is_shareable(w, addr),
-        stability_hint="labels only evolve along the label preorder",
-    )
+    return StablePredicate(f"is_shareable@{addr}", lambda w: lb.is_shareable(w, addr))
 
 
 def encapsulated_pred(addr: Addr) -> StablePredicate:
-    return StablePredicate(
-        name=f"is_encapsulated@{addr}",
-        test=lambda w: lb.is_encapsulated(w, addr),
-        stability_hint="labels only evolve along the label preorder",
-    )
+    return StablePredicate(f"is_encapsulated@{addr}", lambda w: lb.is_encapsulated(w, addr))
 
 
 def private_pred(addr: Addr) -> StablePredicate:
-    # deliberately unstable: private references can be relabeled
-    return StablePredicate(
-        name=f"is_private@{addr}",
-        test=lambda w: lb.is_private(w, addr),
-        stability_hint="NOT stable; negative control for the stability suite",
-    )
+    # NOT stable; negative control for the stability suite: private
+    # references can be relabeled
+    return StablePredicate(f"is_private@{addr}", lambda w: lb.is_private(w, addr))
 
 
 def contains_pred(addr: Addr) -> StablePredicate:
-    return StablePredicate(
-        name=f"contains@{addr}",
-        test=lambda w: w.heap.contains(addr),
-        stability_hint="cells are never deallocated",
-    )
+    return StablePredicate(f"contains@{addr}", lambda w: w.heap.contains(addr))
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,6 @@ from .values import (
     Value,
 )
 
-BASE_TAGS: tuple[TypeTag, ...] = (UNIT, INT, BOOL)
-
 
 def sample_tag(rng: random.Random, depth: int = 2, with_refs: bool = True) -> TypeTag:
     choices = ["unit", "int", "bool"]

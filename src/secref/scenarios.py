@@ -7,10 +7,10 @@ named boolean checks; the post-condition is always among them.
 """
 from __future__ import annotations
 
-import importlib.resources
 import weakref
 from collections import Counter
 from operator import attrgetter
+from pathlib import Path
 from typing import Any, Callable, Optional
 
 from .contracts import (
@@ -75,13 +75,14 @@ from .values import (
 )
 
 
+CONTEXTS = Path(__file__).with_name("contexts")  # the shipped .sref contexts
 _SREF_TEXTS: dict[str, str] = {}  # shipped context file -> its text, read on first use
 
 
 def _sref(name: str) -> str:
     text = _SREF_TEXTS.get(name)
     if text is None:
-        text = (importlib.resources.files("secref") / "contexts" / name).read_text()
+        text = (CONTEXTS / name).read_text(encoding="utf-8")
         _SREF_TEXTS[name] = text
     return text
 
@@ -761,7 +762,7 @@ def _sched_append(state: RunState, task_id: int, next_task: int, inact: int, tai
     return fresh
 
 
-def run_scheduler(task_builders, shared_init: int = 0, cfg: Optional[RunConfig] = None) -> SchedulerRun:
+def run_scheduler(task_builders, cfg: Optional[RunConfig] = None) -> SchedulerRun:
     """Round-robin the tasks to completion as a `beh` run, which ends their
     CtxOps, recording history in a private, prefix-monotone counter cell."""
     state = RunState(config=cfg)
@@ -770,7 +771,7 @@ def run_scheduler(task_builders, shared_init: int = 0, cfg: Optional[RunConfig] 
     counter = state.op_alloc(
         SCHED_COUNTER_TAG, HIST_PREFIX, VPair(V_NIL, VPair(VInt(0), VInt(0)))
     )
-    shared = state.op_alloc(INT, TRIVIAL, VInt(shared_init))
+    shared = state.op_alloc(INT, TRIVIAL, VInt(0))
     state.op_label_shareable(shared)
     ops = run_ops(state)
     shared_ref = VRef(shared, INT)

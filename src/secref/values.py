@@ -112,10 +112,11 @@ def record(cls):
 # node count as a tree).  A hashable child that is not a tag is accepted;
 # `conforms` refuses it when a value reaches it.
 #
-# Each tag checks its own values: `_conforms(v)` is structural conformance,
-# and `_refs(v, out)` appends the embedded (addr, tag) entries of a value
-# already known to conform, without checking it again.  The value classes
-# they test are defined below; the names resolve when a method runs.
+# Each tag walks its own values: `_walk(v, out)` checks structural
+# conformance and appends the embedded (addr, tag) entries to out, in value
+# order, in the same pass.  On a value that does not conform it returns
+# False and out holds the entries met before the mismatch.  The value
+# classes it tests are defined below; the names resolve when it runs.
 
 _TAGS: dict = {}
 
@@ -150,11 +151,8 @@ class Unit(_Tag):
     def __str__(self):
         return "unit"
 
-    def _conforms(self, v) -> bool:
+    def _walk(self, v, out: list) -> bool:
         return isinstance(v, VUnit)
-
-    def _refs(self, v, out: list) -> None:
-        pass
 
 
 @record
@@ -162,11 +160,8 @@ class Int(_Tag):
     def __str__(self):
         return "int"
 
-    def _conforms(self, v) -> bool:
+    def _walk(self, v, out: list) -> bool:
         return isinstance(v, VInt)
-
-    def _refs(self, v, out: list) -> None:
-        pass
 
 
 @record
@@ -174,11 +169,8 @@ class Bool(_Tag):
     def __str__(self):
         return "bool"
 
-    def _conforms(self, v) -> bool:
+    def _walk(self, v, out: list) -> bool:
         return isinstance(v, VBool)
-
-    def _refs(self, v, out: list) -> None:
-        pass
 
 
 @record
@@ -189,15 +181,12 @@ class Sum(_Tag):
     def __str__(self):
         return f"(sum {self.left} {self.right})"
 
-    def _conforms(self, v) -> bool:
+    def _walk(self, v, out: list) -> bool:
         if isinstance(v, VInl):
-            return self.left._conforms(v.payload)
+            return self.left._walk(v.payload, out)
         if isinstance(v, VInr):
-            return self.right._conforms(v.payload)
+            return self.right._walk(v.payload, out)
         return False
-
-    def _refs(self, v, out: list) -> None:
-        (self.left if isinstance(v, VInl) else self.right)._refs(v.payload, out)
 
 
 @record
@@ -208,16 +197,12 @@ class Pair(_Tag):
     def __str__(self):
         return f"(pair {self.first} {self.second})"
 
-    def _conforms(self, v) -> bool:
+    def _walk(self, v, out: list) -> bool:
         return (
             isinstance(v, VPair)
-            and self.first._conforms(v.first)
-            and self.second._conforms(v.second)
+            and self.first._walk(v.first, out)
+            and self.second._walk(v.second, out)
         )
-
-    def _refs(self, v, out: list) -> None:
-        self.first._refs(v.first, out)
-        self.second._refs(v.second, out)
 
 
 @record
@@ -227,11 +212,11 @@ class Ref(_Tag):
     def __str__(self):
         return f"(ref {self.target})"
 
-    def _conforms(self, v) -> bool:
-        return isinstance(v, VRef) and v.target is self.target
-
-    def _refs(self, v, out: list) -> None:
-        out.append((v.addr, self.target))
+    def _walk(self, v, out: list) -> bool:
+        if isinstance(v, VRef) and v.target is self.target:
+            out.append((v.addr, self.target))
+            return True
+        return False
 
 
 @record
@@ -241,15 +226,13 @@ class LList(_Tag):
     def __str__(self):
         return f"(llist {self.elem})"
 
-    def _conforms(self, v) -> bool:
+    def _walk(self, v, out: list) -> bool:
         if isinstance(v, VLLNil):
             return True
-        return isinstance(v, VLLCons) and self.elem._conforms(v.head)
-
-    def _refs(self, v, out: list) -> None:
-        if isinstance(v, VLLCons):
-            self.elem._refs(v.head, out)
+        if isinstance(v, VLLCons) and self.elem._walk(v.head, out):
             out.append((v.tail, self))
+            return True
+        return False
 
 
 @record
@@ -260,11 +243,8 @@ class Arrow(_Tag):
     def __str__(self):
         return f"(-> {self.arg} {self.res})"
 
-    def _conforms(self, v) -> bool:
+    def _walk(self, v, out: list) -> bool:
         return False
-
-    def _refs(self, v, out: list) -> None:
-        raise TypeMismatch(f"no value conforms to {self}")
 
 
 TypeTag = Union[Unit, Int, Bool, Sum, Pair, Ref, LList, Arrow]
@@ -358,10 +338,14 @@ V_TRUE = VBool(True)
 V_FALSE = VBool(False)
 
 
-def conforms(v: Value, t: TypeTag) -> bool:
-    """Structural conformance of a value to a type tag."""
+def conforms(v: Value, t: TypeTag, out: Optional[list] = None) -> bool:
+    """Structural conformance of a value to a type tag.  The walk that
+    checks it also collects the embedded (addr, tag) entries, into out when
+    given: `ref_entries` passes its list, so a store step walks its value
+    once, and a caller that wants only the answer (`import_value`, the bare
+    heap steps) passes none.  The list changes no answer."""
     try:
-        return t._conforms(v)
+        return t._walk(v, [] if out is None else out)
     except AttributeError as err:
         # reached a node, at any depth, that is not a type tag
         raise TypeMismatch(f"unknown type tag {err.obj!r}") from None
@@ -373,11 +357,10 @@ def conforms(v: Value, t: TypeTag) -> bool:
 
 def ref_entries(t: TypeTag, v: Value) -> list[tuple[Addr, TypeTag]]:
     """Each embedded address with the type tag its cell must carry, in
-    value order.  The value is checked against t once, then walked."""
-    if not conforms(v, t):
-        raise TypeMismatch(f"value {v!r} does not conform to {t}")
+    value order, from the one walk that checks v against t."""
     out: list = []
-    t._refs(v, out)
+    if not conforms(v, t, out):
+        raise TypeMismatch(f"value {v!r} does not conform to {t}")
     return out
 
 

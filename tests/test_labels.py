@@ -274,9 +274,9 @@ def conforms_calls(monkeypatch):
     calls = []
     original = values.conforms
 
-    def counted(v, t):
+    def counted(v, t, out=None):
         calls.append(t)
-        return original(v, t)
+        return original(v, t, out)
 
     for name, module in list(sys.modules.items()):
         if name == "secref" or name.startswith("secref."):

@@ -1,9 +1,9 @@
-import importlib.resources
+import pathlib
 import random
 
 import pytest
 
-from secref import campaigns, mutants, target_lang
+from secref import campaigns, mutants, scenarios, target_lang
 from secref.errors import InvariantViolation, ShareLeak
 from secref.labels import is_encapsulated, is_private, is_shareable
 from secref.programs import RunConfig
@@ -80,8 +80,7 @@ def test_a_forged_alloc_of_the_secret_ends_the_run():
 
 
 def test_shipped_contexts_are_read_once_per_process_and_parsed_per_build(monkeypatch):
-    shipped = [f for f in (importlib.resources.files("secref") / "contexts").iterdir()
-               if f.name.endswith(".sref")]
+    shipped = list(scenarios.CONTEXTS.glob("*.sref"))
     for factory in all_scenarios().values():
         factory()
 
@@ -90,7 +89,7 @@ def test_shipped_contexts_are_read_once_per_process_and_parsed_per_build(monkeyp
 
     parses = []
     parse = target_lang.parse
-    monkeypatch.setattr(importlib.resources, "files", refuse)
+    monkeypatch.setattr(pathlib.Path, "read_text", refuse)
     monkeypatch.setattr(target_lang, "parse", lambda text: parses.append(text) or parse(text))
     for factory in all_scenarios().values():
         factory()

@@ -1,5 +1,6 @@
-"""Step lemmas over every world of at most two cells, and a differential of
-the context write rule against its layered statement.
+"""Step lemmas over every world of at most two cells and over a reduced
+three-cell scope, and a differential of the context write rule against its
+layered statement.
 
 Worlds are built from a small universe of cells: an int under the trivial
 or the `int_leq` preorder, a bool, a reference to an int, and a pair of two
@@ -8,7 +9,9 @@ world: the three `CtxOps` steps and the checked `op_write`, `op_alloc`,
 `op_label_shareable` and `op_label_encapsulated`, with targets from the
 label-map marker to one past the last cell and stored values from the same
 universe, at both check levels.  A paranoid run starts from a world the
-monitor has validated, so each step runs the incremental monitor.
+monitor has validated, so each step runs the incremental monitor.  The
+three-cell scope holds only int and `(ref int)` cells under the trivial
+preorder, and runs only the checked write.
 
 From every world, a successful step evolves every cell along its preorder
 (`heap_leq`) and every label along the label order (`labels_monotone`),
@@ -69,11 +72,10 @@ TAGS = (INT, BOOL, REF, PAIR)
 TARGETS = (LABEL_MAP_MARKER, 1, 2, 3)
 
 
-def worlds():
-    """Every world of at most two cells, smallest first."""
-    yield World(Heap(AddrMap(), 1), AddrMap())
-    for n in (1, 2):
-        for cells in product(product(CELLS, LABELS), repeat=n):
+def worlds(universe=CELLS, sizes=(0, 1, 2)):
+    """Every world of cells from the universe, of each size in turn."""
+    for n in sizes:
+        for cells in product(product(universe, LABELS), repeat=n):
             heap = {a: HeapCell(a, tag, pre, v) for a, ((tag, pre, v), _) in enumerate(cells, 1)}
             labels = {a: label for a, (_, label) in enumerate(cells, 1)
                       if label is not Label.PRIVATE}
@@ -152,14 +154,14 @@ def run_step(state, ops, w0, valid, run):
     return None, touched
 
 
-def first_counterexample(config=FAST):
+def first_counterexample(config=FAST, worlds=WORLDS, steps=STEPS):
     """The first (world, step, lemma) in enumeration order where a step
     breaks a lemma."""
     state = RunState(config=config, trace=TraceLog())
     ops = CtxOps(state)
-    for w0 in WORLDS:
+    for w0 in worlds:
         valid = lr_inv(w0)
-        for name, side, run in STEPS:
+        for name, side, run in steps:
             failure, touched = run_step(state, ops, w0, valid, run)
             lemma = broken_lemma(w0, valid, side, failure, state.world, touched)
             if lemma is not None:
@@ -167,23 +169,29 @@ def first_counterexample(config=FAST):
     return None
 
 
-@pytest.mark.parametrize("config", [FAST, PARANOID], ids=["fast", "paranoid"])
-def test_every_step_keeps_the_lemmas_in_every_world_of_two_cells(config):
+def every_step_keeps_the_lemmas(config, worlds, steps):
+    """Run each step from each world and require every lemma; the counts
+    of (lemma-checked successes, refusals)."""
     state = RunState(config=config)
     ops = CtxOps(state)
     ok = refused = 0
-    for w0 in WORLDS:
+    for w0 in worlds:
         valid = lr_inv(w0)
         state.trace = TraceLog()
-        for name, side, run in STEPS:
+        for name, side, run in steps:
             failure, touched = run_step(state, ops, w0, valid, run)
             lemma = broken_lemma(w0, valid, side, failure, state.world, touched)
             assert lemma is None, (render_world(w0), name, lemma, failure)
             ok += valid and failure is None
             refused += isinstance(failure, RunFailure)
+    return ok, refused
+
+
+@pytest.mark.parametrize("config", [FAST, PARANOID], ids=["fast", "paranoid"])
+def test_every_step_keeps_the_lemmas_in_every_world_of_two_cells(config):
     # the same steps succeed and are refused at both check levels
     assert (len(WORLDS), len(STEPS)) == (1 + 24 + 24 * 24, 181)
-    assert (ok, refused) == (5972, 98749)
+    assert every_step_keeps_the_lemmas(config, WORLDS, STEPS) == (5972, 98749)
 
 
 # (mutant, the first counterexample: world, step, broken lemma)
@@ -201,6 +209,35 @@ def test_each_step_rule_mutant_has_a_named_first_counterexample(mutant):
     # with no mutant there is none: the lemma test above
     with mutants.enabled(mutant):
         assert first_counterexample() == COUNTEREXAMPLES[mutant]
+
+
+# -- a reduced three-cell scope: int and (ref int) cells under the trivial
+# preorder, holding 0 or a reference to one of the three addresses, and
+# every checked write of those values.  No two-cell world kills
+# `lr_write_share_unchecked`: a shareable reference cell must point at a
+# shareable int, so the leak needs a third cell, a private int, whose
+# address the write stores.
+
+CELLS_3 = ((INT, TRIVIAL, VInt(0)), *((REF, TRIVIAL, r) for r in (R1, R2, R3)))
+WORLDS_3 = list(worlds(CELLS_3, sizes=(3,)))
+WRITES_3 = [(f"op_write({a}, {v})", "checked", lambda s, o, a=a, v=v: s.op_write(a, v) or a)
+            for a in (*TARGETS, 4) for v in (VInt(0), R1, R2, R3)]
+
+
+@pytest.mark.parametrize("config", [FAST, PARANOID], ids=["fast", "paranoid"])
+def test_every_checked_write_keeps_the_lemmas_in_the_reduced_three_cell_scope(config):
+    assert (len(WORLDS_3), len(WRITES_3)) == (12 ** 3, 20)
+    assert every_step_keeps_the_lemmas(config, WORLDS_3, WRITES_3) == (726, 31752)
+
+
+def test_lr_write_share_unchecked_needs_the_third_cell():
+    with mutants.enabled("lr_write_share_unchecked"):
+        assert first_counterexample() is None
+        # the shareable reference cell 3 is given the address of the
+        # private int in cell 1
+        assert first_counterexample(worlds=WORLDS_3, steps=WRITES_3) == (
+            "1: int [Private] = 0 | 2: int [Shareable] = 0 | 3: (ref int) [Shareable] = ref@2",
+            "op_write(3, ref@1)", "lr_inv")
 
 
 # -- the context write rule before it was fused: the label check, then the

@@ -48,12 +48,14 @@ from secref.values import (
 )
 
 
-def test_importing_the_cli_and_campaigns_loads_neither_dataclasses_nor_inspect():
+def test_importing_the_cli_and_campaigns_loads_no_dataclasses_inspect_or_importlib_resources():
     # records are made by values.record, which generates one __init__ per
-    # class and nothing else
+    # class and nothing else; shipped contexts are found beside the package,
+    # without importlib.resources and the tempfile and shutil it pulls in
     src = os.path.dirname(os.path.dirname(values.__file__))
+    unwanted = {"dataclasses", "inspect", "importlib.resources", "tempfile", "shutil"}
     probe = ("import sys, secref.cli, secref.campaigns; "
-             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+             f"print(sorted({unwanted!r} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True)
     assert out.stdout.strip() == "[]"
@@ -281,7 +283,7 @@ def old_conforms(v, t) -> bool:
             and old_conforms(v.second, t.second)
         )
     if isinstance(t, Ref):
-        return isinstance(v, VRef) and v.target == t.target
+        return isinstance(v, VRef) and v.target is t.target
     if isinstance(t, LList):
         if isinstance(v, VLLNil):
             return True
@@ -409,6 +411,65 @@ def test_an_unknown_tag_at_any_depth_raises_type_mismatch():
     assert not conforms(VInt(1), Pair(INT, junk))
 
 
+def _walk_cases(rng):
+    """(tag, value) pairs: sampled pairs, values sampled for another tag, a
+    list node whose head embeds addresses, arrows at the top and inside,
+    and tags with a child that is not a tag."""
+    junk = NotATag("junk")
+    for _ in range(1500):
+        t, other = sample_tag(rng, depth=3), sample_tag(rng, depth=3)
+        v = sample_value(t, rng)
+        yield t, v
+        yield t, sample_value(other, rng)
+        yield LList(t), VLLCons(v, 4)
+        yield Arrow(t, other), v
+        yield Pair(t, Arrow(other, t)), VPair(v, v)
+        yield Sum(Arrow(t, t), t), rng.choice((VInl(v), VInr(v)))
+        with_junk = rng.choice((Pair(t, junk), Pair(junk, t), Sum(junk, t), LList(junk), Ref(junk)))
+        yield with_junk, rng.choice((VPair(v, v), VInl(v), VInr(v), VLLCons(v, 1), V_NIL,
+                                     VRef(1, junk)))
+
+
+def test_the_one_walk_agrees_with_the_two_pass_rule_on_sampled_values():
+    # the oracles above are the rule the one walk replaced: conformance,
+    # then the entries of a conforming value
+    rng = random.Random(2029)
+    seen = Counter()
+    for t, v in _walk_cases(rng):
+        got, want = _outcome(conforms, v, t), _outcome(old_conforms, v, t)
+        assert got == want, (t, v)
+        got, want = _outcome(ref_entries, t, v), _outcome(old_ref_entries, t, v)
+        assert got == want, (t, v)  # the entries in order, or the error and its message
+        seen[want[0], bool(want[1]) if want[0] == "ok" else "unknown" in want[1]] += 1
+    # no refs, some refs, refused, and an unknown tag all occurred
+    assert min(seen[key] for key in (("ok", False), ("ok", True), ("TypeMismatch", False),
+                                     ("TypeMismatch", True))) > 100, seen
+
+
+def test_one_walk_enters_each_tag_node_it_reaches_once():
+    t = Pair(LList(INT), Pair(INT, INT))
+    v = VPair(VLLCons(VInt(1), 5), VPair(VInt(2), VInt(3)))
+    calls = []
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if (event == "call" and code.co_filename == values.__file__
+                and code.co_varnames[:1] == ("self",)
+                and isinstance(frame.f_locals["self"], values._Tag)):
+            calls.append((code.co_name, frame.f_locals["self"]))
+
+    sys.setprofile(profile)
+    try:
+        entries = ref_entries(t, v)
+    finally:
+        sys.setprofile(None)
+    assert entries == [(5, LList(INT))]
+    # one call per tag node: the pair, the list, its int, the inner pair and
+    # its two ints; the two-pass rule made 12, a check and a walk per node
+    assert calls == [("_walk", t), ("_walk", t.first), ("_walk", INT), ("_walk", t.second),
+                     ("_walk", INT), ("_walk", INT)]
+
+
 def _nested(depth):
     """A tag `depth` constructors deep around a reference, with a value that
     reaches the reference."""
@@ -467,8 +528,8 @@ def test_ref_entries_visits_each_tag_node_once(depth):
     # a (function, tag) pair is entered at most once per tree position of the tag
     repeated = {key: n for key, n in visits.items() if n > positions[key[1]]}
     assert not repeated, f"{len(repeated)} (function, tag) pairs entered more than once a position"
-    # one conformance visit and one walk visit per position, plus the two entry calls
-    assert sum(visits.values()) <= 2 * sum(positions.values()) + 2
+    # one walk visit per position, plus the two entry calls
+    assert sum(visits.values()) <= sum(positions.values()) + 2
 
 
 def build_chain(values, preorder=TRIVIAL):
