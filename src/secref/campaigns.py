@@ -7,14 +7,25 @@ from __future__ import annotations
 
 import random
 import sys
+from collections import Counter
 from typing import Optional
 
 from . import heap as hp
 from . import mutants
+from .contracts import ArrowS, BaseS
 from .errors import MonitorAlarm, RecallUnwitnessed, ShareLeak
 from .heap import PREORDERS, TRIVIAL
-from .labels import initial_world, labels_monotone, lr_inv
-from .linker import back_translate, beh, beh_equal, compile_program, link_source, link_target
+from .labels import initial_world, labels_monotone, lr_inv, modif_only_shareable_and_encaps
+from .linker import (
+    DualProgram,
+    back_translate,
+    beh,
+    beh_equal,
+    compile_program,
+    link_dual,
+    link_source,
+    link_target,
+)
 from .programs import (
     RunConfig,
     RunState,
@@ -44,7 +55,7 @@ from .scenarios import (
     yielding_task,
 )
 from .target_lang import Expr, elaborate, gen_random_context
-from .values import INT, Ref, VInt, VRef, record
+from .values import INT, UNIT, Ref, VInt, VRef, record
 
 FUZZ_FUEL = 1500
 _MIN_RECURSION = 30_000
@@ -119,33 +130,26 @@ def _fuzz_targets():
     )
 
 
-def _generated_context(scenario: Scenario, seed: int, size: int = 35):
-    expr = gen_random_context(scenario.interface.spec, seed=seed, size=size)
+def _generated_trials(rng: random.Random, trials: int):
+    """Draw the generated trials of a campaign from rng, cycling through the
+    families: yields (index, family, factory, scenario, context seed)."""
+    targets = _fuzz_targets()
+    for i in range(trials):
+        name, factory = targets[i % len(targets)]
+        scenario = factory(rng)
+        yield i, name, factory, scenario, rng.randint(0, 2**31)
+
+
+def _generated_context(scenario: Scenario, seed: int):
+    expr = gen_random_context(scenario.interface.spec, seed=seed, size=35)
     return expr, elaborate(expr, scenario.interface.spec, name=f"gen{seed}")
 
 
-def shrink_generated_context(target_name: str, ctx_seed: int, still_fails,
-                             sizes=(28, 20, 14, 9, 5)) -> Optional[Expr]:
-    """Regenerate a failing context at decreasing size budgets and keep the
-    smallest term for which still_fails(scenario, ctx, expr) remains true."""
-    factory = dict(_fuzz_targets())[target_name]
-    smallest = None
-    for size in sizes:
-        rng = random.Random(ctx_seed)
-        scenario = factory(rng)
-        expr, ctx = _generated_context(scenario, ctx_seed, size=size)
-        if still_fails(scenario, ctx, expr):
-            smallest = expr
-    return smallest
-
-
-def recheck_universal_failure(scenario: Scenario, ctx, expr=None,
-                              fuel: int = FUZZ_FUEL) -> bool:
-    try:
-        run_scenario(scenario, ctx, RunConfig(check_level="paranoid", fuel=fuel))
-        return False
-    except MonitorAlarm:
-        return True
+def generated_term(family: str, ctx_seed: int) -> Expr:
+    """The term that a generated trial of family ran with ctx_seed.  It reads
+    only the family's interface spec, which no scenario parameter changes."""
+    scenario = dict(_fuzz_targets())[family](random.Random(ctx_seed))
+    return _generated_context(scenario, ctx_seed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -182,36 +186,25 @@ def campaign_universal(seed: int = 0, trials: int = 1000, fuel: int = FUZZ_FUEL)
     _ensure_recursion_headroom()
     report = Report(title=f"universal+invariant+purity (seed={seed}, trials={trials})")
     rng = random.Random(seed)
-    targets = _fuzz_targets()
     cfg = RunConfig(check_level="paranoid", fuel=fuel)
-
-    spans = steps = checks_run = purity_failures = 0
-    aborted = 0
-    completed = 0
-    violations = []
-    failing_seed = None
-    failing_target = None
-
+    tally = Counter()
     abort_codes = set()
-    non_monotone = 0
+    violations = []
+    failing_seed = failing_target = None
 
     def one(scenario: Scenario, ctx) -> None:
-        nonlocal spans, steps, checks_run, purity_failures, aborted, completed
-        nonlocal non_monotone
         result = run_scenario(scenario, ctx, cfg)
-        spans += len(result.state.trace.context_spans)
-        steps += result.state.trace.steps
-        checks_run += result.state.trace.contract_checks
-        purity_failures += result.state.trace.purity_failures
-        if not hp.heap_leq(result.w0.heap, result.w1.heap):
-            non_monotone += 1
+        trace = result.state.trace
+        tally.update(spans=len(trace.context_spans), steps=trace.steps,
+                     checks=trace.contract_checks, purity_failures=trace.purity_failures,
+                     non_monotone=int(not hp.heap_leq(result.w0.heap, result.w1.heap)))
         if result.record.outcome[0] == "err":
-            aborted += 1
+            tally["aborted"] += 1
             abort_codes.add(result.record.outcome[1])
         else:
-            completed += 1
+            tally["completed"] += 1
 
-    for name, factory in targets:
+    for name, factory in _fuzz_targets():
         scenario = factory(rng)
         for ctx_name in scenario.contexts:
             try:
@@ -219,18 +212,14 @@ def campaign_universal(seed: int = 0, trials: int = 1000, fuel: int = FUZZ_FUEL)
             except MonitorAlarm as alarm:
                 violations.append(f"{name}/{ctx_name}: {alarm}")
 
-    for i in range(trials):
-        name, factory = targets[i % len(targets)]
-        scenario = factory(rng)
-        ctx_seed = rng.randint(0, 2**31)
+    for _, name, _, scenario, ctx_seed in _generated_trials(rng, trials):
         try:
             _, ctx = _generated_context(scenario, ctx_seed)
             one(scenario, ctx)
         except MonitorAlarm as alarm:
             violations.append(f"{name}/gen{ctx_seed}: {alarm}")
             if failing_seed is None:
-                failing_seed = ctx_seed
-                failing_target = name
+                failing_seed, failing_target = ctx_seed, name
 
     probe = _label_share_probe()
     report.add("label_share_points_to_check", probe is None, probe or "")
@@ -240,19 +229,19 @@ def campaign_universal(seed: int = 0, trials: int = 1000, fuel: int = FUZZ_FUEL)
     # refusal from their own allocations, never a heap type error
     report.add("aborts_are_fuel_only", abort_codes <= {"OutOfFuel"},
                ",".join(sorted(abort_codes)))
-    report.add("heap_monotone_across_runs", non_monotone == 0,
-               f"{non_monotone} runs regressed")
-    report.add("invariant_checked_every_step", steps > 0 and not violations,
-               f"{steps} steps monitored")
-    report.add("contract_purity_zero_violations", purity_failures == 0,
-               f"{checks_run} checks monitored")
+    report.add("heap_monotone_across_runs", tally["non_monotone"] == 0,
+               f"{tally['non_monotone']} runs regressed")
+    report.add("invariant_checked_every_step", tally["steps"] > 0 and not violations,
+               f"{tally['steps']} steps monitored")
+    report.add("contract_purity_zero_violations", tally["purity_failures"] == 0,
+               f"{tally['checks']} checks monitored")
     report.stats.update(
         trials=trials,
-        context_spans_checked=spans,
-        interpreter_steps_monitored=steps,
-        contract_checks_monitored=checks_run,
-        aborted_runs=aborted,
-        completed_runs=completed,
+        context_spans_checked=tally["spans"],
+        interpreter_steps_monitored=tally["steps"],
+        contract_checks_monitored=tally["checks"],
+        aborted_runs=tally["aborted"],
+        completed_runs=tally["completed"],
         failing_seed=failing_seed,
         failing_target=failing_target,
     )
@@ -276,18 +265,13 @@ def campaign_inversion(seed: int = 0, trials: int = 500, paranoid: bool = False,
     _ensure_recursion_headroom()
     report = Report(title=f"inversion+soundness (seed={seed}, trials={trials})")
     rng = random.Random(seed)
-    targets = _fuzz_targets()
     cfg = RunConfig(check_level="paranoid" if paranoid else "fast", fuel=fuel)
-
-    mismatches = []
-    psi_failures = []
-    aborted = 0
-    completed = 0
-    replayed = 0
+    problems = {"behavior_records_identical": [], "psi_holds_on_completed_runs": []}
+    tally = Counter()
     failing_seed = None
 
-    def compare_once(scenario, expr, ctx_seed, label):
-        nonlocal aborted, completed, failing_seed
+    def compare(scenario, expr, ctx_seed, label):
+        """Link one context both ways; returns (check, problem) or None."""
         ctx = elaborate(expr, scenario.interface.spec, name=f"gen{ctx_seed}")
         t_state = RunState(config=cfg)
         t_w0 = t_state.world
@@ -295,48 +279,41 @@ def campaign_inversion(seed: int = 0, trials: int = 500, paranoid: bool = False,
             t_rec = beh(link_target(compile_program(scenario.program, scenario.interface), ctx),
                         state=t_state)
         except MonitorAlarm as alarm:
-            mismatches.append(f"{label}: target side alarm {alarm}")
-            failing_seed = failing_seed if failing_seed is not None else ctx_seed
-            return
+            return "behavior_records_identical", f"{label}: target side alarm {alarm}"
         ctx2 = elaborate(expr, scenario.interface.spec, name=ctx.name)
         s_state = RunState(config=cfg)
         try:
             s_rec = beh(link_source(scenario.program, back_translate(ctx2, scenario.interface)),
                         state=s_state)
         except MonitorAlarm as alarm:
-            mismatches.append(f"{label}: source side alarm {alarm}")
-            failing_seed = failing_seed if failing_seed is not None else ctx_seed
-            return
+            return "behavior_records_identical", f"{label}: source side alarm {alarm}"
         if not beh_equal(t_rec, s_rec):
-            mismatches.append(f"{label}: {t_rec.outcome} vs {s_rec.outcome}")
-            failing_seed = failing_seed if failing_seed is not None else ctx_seed
-            return
-        if t_rec.outcome[0] == "ok":
-            completed += 1
-            if not scenario.interface.psi(t_w0, t_rec.outcome[1], t_state.world):
-                psi_failures.append(label)
-                failing_seed = failing_seed if failing_seed is not None else ctx_seed
-        else:
-            aborted += 1
+            return "behavior_records_identical", f"{label}: {t_rec.outcome} vs {s_rec.outcome}"
+        if t_rec.outcome[0] != "ok":
+            tally["aborted"] += 1
+            return None
+        tally["completed"] += 1
+        if not scenario.interface.psi(t_w0, t_rec.outcome[1], t_state.world):
+            return "psi_holds_on_completed_runs", label
+        return None
 
-    for i in range(trials):
-        name, factory = targets[i % len(targets)]
-        scenario = factory(rng)
-        ctx_seed = rng.randint(0, 2**31)
+    for i, name, factory, scenario, ctx_seed in _generated_trials(rng, trials):
         expr = gen_random_context(scenario.interface.spec, seed=ctx_seed, size=35)
-        compare_once(scenario, expr, ctx_seed, f"{name}/gen{ctx_seed}")
-        if i % 7 == 0:
-            other = factory(rng)  # same family, fresh parameters
-            compare_once(other, expr, ctx_seed, f"{name}/gen{ctx_seed}/replay")
-            replayed += 1
+        found = [compare(scenario, expr, ctx_seed, f"{name}/gen{ctx_seed}")]
+        if i % 7 == 0:  # the same context against fresh parameters of the family
+            found.append(compare(factory(rng), expr, ctx_seed, f"{name}/gen{ctx_seed}/replay"))
+            tally["replayed"] += 1
+        for check, problem in filter(None, found):
+            problems[check].append(problem)
+            failing_seed = failing_seed if failing_seed is not None else ctx_seed
 
-    report.add("behavior_records_identical", not mismatches, "; ".join(mismatches[:3]))
-    report.add("psi_holds_on_completed_runs", not psi_failures, "; ".join(psi_failures[:3]))
+    for check, details in problems.items():
+        report.add(check, not details, "; ".join(details[:3]))
     report.stats.update(
         trials=trials,
-        completed_runs=completed,
-        aborted_runs=aborted,
-        same_context_replays=replayed,
+        completed_runs=tally["completed"],
+        aborted_runs=tally["aborted"],
+        same_context_replays=tally["replayed"],
         failing_seed=failing_seed,
     )
     return report
@@ -345,21 +322,17 @@ def campaign_inversion(seed: int = 0, trials: int = 500, paranoid: bool = False,
 # ---------------------------------------------------------------------------
 # criterion 7: dual direction (context has initial control)
 
+_DUAL_CALLBACK_SPEC = ArrowS(BaseS(UNIT), BaseS(INT))
+_DUAL_MAIN_SPEC = ArrowS(_DUAL_CALLBACK_SPEC, BaseS(INT))
+
 
 def campaign_dual(seed: int = 0, trials: int = 200, fuel: int = FUZZ_FUEL) -> Report:
     """Hand an exported program value to generated context-main functions
     and assert the final world only differs at shareable or encapsulated
     cells."""
     _ensure_recursion_headroom()
-    from .contracts import ArrowS, BaseS
-    from .labels import modif_only_shareable_and_encaps
-    from .linker import DualProgram, link_dual
-    from .values import UNIT
-
     report = Report(title=f"dual-direction (seed={seed}, trials={trials})")
     rng = random.Random(seed)
-    cb_spec = ArrowS(BaseS(UNIT), BaseS(INT))
-    main_spec = ArrowS(cb_spec, BaseS(INT))
 
     def make_dual(mix_seed: int) -> DualProgram:
         def setup(state: RunState):
@@ -367,14 +340,14 @@ def campaign_dual(seed: int = 0, trials: int = 200, fuel: int = FUZZ_FUEL) -> Re
             state.op_label_encapsulated(counter)
             return counter_callback(counter, mix_seed)
 
-        return DualProgram(name="dual_counter", setup=setup, spec=cb_spec)
+        return DualProgram(name="dual_counter", setup=setup, spec=_DUAL_CALLBACK_SPEC)
 
     violations = []
     aborted = 0
     for i in range(trials):
         ctx_seed = rng.randint(0, 2**31)
-        expr = gen_random_context(main_spec, seed=ctx_seed, size=30)
-        ctx = elaborate(expr, main_spec, name=f"dualgen{ctx_seed}")
+        expr = gen_random_context(_DUAL_MAIN_SPEC, seed=ctx_seed, size=30)
+        ctx = elaborate(expr, _DUAL_MAIN_SPEC, name=f"dualgen{ctx_seed}")
         dual = make_dual(rng.randint(0, 2**31))
         state = RunState(config=RunConfig(check_level="paranoid", fuel=fuel))
         w0 = state.world
@@ -414,14 +387,10 @@ def stability_suite(transitions, preds) -> dict:
 
 def _collect_transitions(seed: int, runs: int = 24):
     _ensure_recursion_headroom()
-    rng = random.Random(seed)
-    targets = _fuzz_targets()
     cfg = RunConfig(check_level="paranoid", fuel=FUZZ_FUEL)
     transitions = []
-    for i in range(runs):
-        name, factory = targets[i % len(targets)]
-        scenario = factory(rng)
-        _, ctx = _generated_context(scenario, rng.randint(0, 2**31))
+    for _, _, _, scenario, ctx_seed in _generated_trials(random.Random(seed), runs):
+        _, ctx = _generated_context(scenario, ctx_seed)
         result = run_scenario(scenario, ctx, cfg)
         worlds = [initial_world(), *result.state.trace.worlds]
         transitions.extend(zip(worlds, worlds[1:]))

@@ -12,7 +12,6 @@ default seed.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -105,10 +104,7 @@ def cmd_check(args) -> int:
     try:
         expr = parse(text)
         inferred = typecheck(expr)
-    except SrefParseError as err:
-        print(f"FAIL {args.file}: {err}")
-        return 1
-    except TargetTypeError as err:
+    except (SrefParseError, TargetTypeError) as err:
         print(f"FAIL {args.file}: {err}")
         return 1
     print(f"OK {args.file}: {inferred}")
@@ -125,17 +121,11 @@ def cmd_fuzz(args) -> int:
         campaigns.campaign_dual(seed=args.seed, trials=max(1, args.trials // 2), fuel=args.fuel),
     ]
 
-    universal = reports[0]
-    if universal.stats.get("failing_seed") is not None:
-        expr = campaigns.shrink_generated_context(
-            universal.stats["failing_target"],
-            universal.stats["failing_seed"],
-            functools.partial(campaigns.recheck_universal_failure, fuel=args.fuel),
-        )
-        if expr is not None:
-            repro = Path(args.repro)
-            repro.write_text(repr(expr) + "\n")
-            print(f"minimal failing context written to {repro}")
+    failing_seed = reports[0].stats["failing_seed"]
+    if failing_seed is not None:
+        expr = campaigns.generated_term(reports[0].stats["failing_target"], failing_seed)
+        Path(args.repro).write_text(repr(expr) + "\n")
+        print(f"failing context written to {args.repro}")
 
     return _emit(reports, args.json, {"command": "fuzz", **global_cfg})
 

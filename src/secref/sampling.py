@@ -51,8 +51,8 @@ def sample_tag(rng: random.Random, depth: int = 2, with_refs: bool = True) -> Ty
     if pick == "pair":
         return Pair(sample_tag(rng, depth - 1, with_refs), sample_tag(rng, depth - 1, with_refs))
     if pick == "ref":
-        return Ref(sample_tag(rng, depth - 1, with_refs=False))
-    return LList(sample_tag(rng, depth - 1, with_refs=False))
+        return Ref(sample_tag(rng, depth - 1, with_refs))
+    return LList(sample_tag(rng, depth - 1, with_refs))
 
 
 def sample_value(tag: TypeTag, rng: random.Random, addr_pool=(1, 2, 3)) -> Value:

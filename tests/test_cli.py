@@ -6,7 +6,7 @@ import pytest
 
 from secref import campaigns
 from secref.cli import main
-from secref.values import Record
+from secref.errors import UniversalViolation
 
 
 def run_cli(args, tmp_path, monkeypatch):
@@ -168,32 +168,43 @@ def test_props_exits_zero(tmp_path, monkeypatch):
     assert code == 0
 
 
-def test_shrinker_finds_a_minimal_term():
-    from secref.campaigns import shrink_generated_context
+@pytest.mark.parametrize("keyed_on", ["name", "term"])
+def test_fuzz_repro_is_the_term_the_failing_trial_ran(keyed_on, tmp_path, monkeypatch):
+    # a planted fault in the third generated universal trial: keyed on the
+    # context's name, every term elaborated under that name trips it; keyed
+    # on the term, only the size-35 term that the trial ran does
+    terms, ran = [], []
+    gen, run = campaigns.gen_random_context, campaigns.run_scenario
 
-    def nodes(e):
-        total = 1
-        for fname in e._fields:
-            sub = getattr(e, fname)
-            if isinstance(sub, Record):
-                total += nodes(sub)
-        return total
+    def recording_gen(spec, seed, size):
+        terms.append(gen(spec, seed=seed, size=size))
+        return terms[-1]
 
-    # a synthetic always-failing predicate exercises the regeneration ladder
-    expr = shrink_generated_context("autograder", 1234, lambda s, c, e: True)
-    assert expr is not None
-    big = shrink_generated_context("autograder", 1234, lambda s, c, e: True,
-                                   sizes=(28,))
-    assert nodes(expr) <= nodes(big)
+    def faulty_run(scenario, ctx, cfg):
+        if not isinstance(ctx, str):
+            ran.append({"name": ctx.name, "term": terms[-1]})
+            if len(ran) >= 3 and ran[-1][keyed_on] == ran[2][keyed_on]:
+                raise UniversalViolation(f"planted fault in {ctx.name}")
+        return run(scenario, ctx, cfg)
+
+    monkeypatch.setattr(campaigns, "gen_random_context", recording_gen)
+    monkeypatch.setattr(campaigns, "run_scenario", faulty_run)
+    repro = tmp_path / "repro.txt"
+    code = run_cli(["fuzz", "--seed", "7", "--trials", "8", "--json", str(tmp_path / "f.json"),
+                    "--repro", str(repro)], tmp_path, monkeypatch)
+    assert code == 1
+    universal = json.loads((tmp_path / "f.json").read_text())["reports"][0]
+    assert ran[2]["name"] == f"gen{universal['stats']['failing_seed']}"
+    assert repro.read_text() == repr(ran[2]["term"]) + "\n"
 
 
-def test_shrinker_lets_a_generator_error_propagate(monkeypatch):
+def test_a_generator_error_propagates_out_of_the_universal_campaign(monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("generator bug")
 
     monkeypatch.setattr(campaigns, "gen_random_context", broken)
     with pytest.raises(RuntimeError, match="generator bug"):
-        campaigns.shrink_generated_context("autograder", 1234, lambda s, c, e: True)
+        campaigns.campaign_universal(seed=1234, trials=2)
 
 
 def test_fuzz_fuel_does_not_leak_into_later_campaigns(tmp_path, monkeypatch):
