@@ -11,7 +11,6 @@ from collections import Counter
 from typing import Optional
 
 from . import heap as hp
-from . import mutants
 from .contracts import ArrowS, BaseS
 from .errors import MonitorAlarm, RecallUnwitnessed, ShareLeak
 from .heap import PREORDERS, TRIVIAL
@@ -591,27 +590,3 @@ def campaign_autograder(seed: int = 0, honest_runs: int = 50, adversary_runs: in
                "; ".join(sorted_failures[:3]))
     report.stats.update(honest_runs=honest_runs, adversary_runs=runs)
     return report
-
-
-# ---------------------------------------------------------------------------
-# criterion 11: mutation sensitivity
-
-
-def mutation_detected(name: str) -> bool:
-    """Enable one seeded fault and re-run the acceptance check it must break."""
-    # under ctx_alloc_unchecked the forged alloc stores the secret's address
-    # in a shareable cell, and the paranoid monitor's lr_inv_at alarms
-    if name in ("ctx_alloc_unchecked", "ctx_read_unchecked", "ctx_write_unchecked",
-                "lr_write_share_unchecked"):
-        with mutants.enabled(name):
-            report = campaign_intro()
-        return not report.ok
-    if name == "label_share_unchecked":
-        with mutants.enabled(name):
-            report = campaign_universal(seed=1, trials=4)
-        return not report.ok
-    if name == "import_no_post":
-        with mutants.enabled(name):
-            report = campaign_autograder(seed=1, honest_runs=2, adversary_runs=2)
-        return not report.ok
-    raise ValueError(f"unknown mutant {name!r}")

@@ -122,9 +122,11 @@ def cmd_fuzz(args) -> int:
     ]
 
     failing_seed = reports[0].stats["failing_seed"]
+    repro = Path(args.repro)
+    repro.unlink(missing_ok=True)  # no older repro outlives a passing run
     if failing_seed is not None:
         expr = campaigns.generated_term(reports[0].stats["failing_target"], failing_seed)
-        Path(args.repro).write_text(repr(expr) + "\n")
+        repro.write_text(repr(expr) + "\n")
         print(f"failing context written to {args.repro}")
 
     return _emit(reports, args.json, {"command": "fuzz", **global_cfg})

@@ -15,7 +15,6 @@ from __future__ import annotations
 import enum
 from typing import Any, Callable, Optional, Union
 
-from . import mutants
 from .errors import BoundaryViolation, ImmutableWrite, PurityViolation
 from .heap import AddrMap
 from .labels import World
@@ -296,7 +295,7 @@ def _import_arrow(spec: ArrowS, f, env, monitor):
         back = import_value(spec.res, raw, env, monitor)
         if isinstance(back, Inr):
             return back
-        if spec.post is not None and not mutants.is_active("import_no_post"):
+        if spec.post is not None:
             err = _run_check(env, spec.post.verify, captured, back.value, env.world)
             if err is not None:
                 return Inr(err)

@@ -18,7 +18,6 @@ import enum
 from typing import Optional
 
 from . import heap as hp
-from . import mutants
 from .errors import (
     AlreadyLabeled,
     DanglingInit,
@@ -211,17 +210,16 @@ def lr_write(w: World, r: Addr, v: Value, entries: Optional[list] = None,
         _check_embedded_contained(w, entries, "write")
         if w.label_of(r) is SHAREABLE:
             leaked = _private_embedded(w, entries)
-            if leaked and not mutants.is_active("lr_write_share_unchecked"):
+            if leaked:
                 raise ShareLeak(r, v, leaked)
     return World(hp.write(w.heap, r, v, cell), w.labels)
 
 
 def label_shareable(w: World, r: Addr, walk: Optional[list] = None) -> World:
     """Label r Shareable: it must be contained, Private, under the trivial
-    preorder and, unless `label_share_unchecked` is on, embed only
-    shareable addresses (ShareLeak).  `walk`, when a list, receives that
-    test's walk of r's value, (tag, value, entries), for the paranoid
-    monitor; with the test off there is no walk to hand on."""
+    preorder and embed only shareable addresses (ShareLeak).  `walk`, when a
+    list, receives that test's walk of r's value, (tag, value, entries), for
+    the paranoid monitor."""
     cell = w.heap.cell(r)
     if not is_private(w, r):
         raise AlreadyLabeled(f"{r} is already {w.label_of(r).value}")
@@ -229,13 +227,12 @@ def label_shareable(w: World, r: Addr, walk: Optional[list] = None) -> World:
         raise MonotonicRefShare(
             f"cannot share {r}: carries preorder {cell.preorder.name}"
         )
-    if not mutants.is_active("label_share_unchecked"):
-        entries = ref_entries(cell.tag, cell.value)
-        leaked = _private_embedded(w, entries)
-        if leaked:
-            raise ShareLeak(r, cell.value, leaked)
-        if walk is not None:
-            walk.append((cell.tag, cell.value, entries))
+    entries = ref_entries(cell.tag, cell.value)
+    leaked = _private_embedded(w, entries)
+    if leaked:
+        raise ShareLeak(r, cell.value, leaked)
+    if walk is not None:
+        walk.append((cell.tag, cell.value, entries))
     return World(w.heap, w.labels.set(r, SHAREABLE))
 
 

@@ -25,7 +25,6 @@ from functools import partial
 from itertools import zip_longest
 from typing import Any, Callable, Optional
 
-from . import mutants
 from .contracts import Inr, InterfaceSpec, export, import_value
 from .errors import (
     AlreadyLabeled,
@@ -72,17 +71,6 @@ class TargetContext:
 # ---------------------------------------------------------------------------
 # the three context-facing operations
 
-def _check_stored_entries(w: World, entries: list, what: str) -> None:
-    """The embedded addresses of a context store, as its one walk of the
-    value found them: each is shareable unless the operation's mutant,
-    `ctx_<what>_unchecked`, is on (BoundaryViolation), then each is
-    contained at its tag (DanglingInit, TypeMismatch)."""
-    for sub, _ in entries:
-        if w.label_of(sub) is not SHAREABLE and not mutants.is_active(f"ctx_{what}_unchecked"):
-            raise BoundaryViolation(f"context {what} embeds non-shareable address {sub}")
-    _check_embedded_contained(w, entries, what)
-
-
 def ctx_alloc(ops: CtxOps, tag: TypeTag, init: Value) -> VRef:
     """The context alloc step, whole: the fuel meter, then a fresh cell of
     the trivial preorder holding init, labeled shareable.  It is
@@ -101,7 +89,10 @@ def ctx_alloc(ops: CtxOps, tag: TypeTag, init: Value) -> VRef:
     w = st.world
     entries = ref_entries(tag, init)
     if entries:
-        _check_stored_entries(w, entries, "alloc")
+        for sub, _ in entries:
+            if w.label_of(sub) is not SHAREABLE:
+                raise BoundaryViolation(f"context alloc embeds non-shareable address {sub}")
+        _check_embedded_contained(w, entries, "alloc")
     if not tag.storable:
         raise TypeMismatch(f"{tag} is not a storable type")
     h, labels = w.heap, w.labels
@@ -120,23 +111,22 @@ def ctx_alloc(ops: CtxOps, tag: TypeTag, init: Value) -> VRef:
 
 def ctx_read(ops: CtxOps, ref: Value) -> Value:
     """The context read step, whole: the fuel meter, then ref must be a
-    reference whose address is labeled shareable, and the step reads as
-    `heap.read` does.  It looks the label and the cell up in the chunks of
-    the two maps itself, so a context read is this one call."""
+    reference with an int address that is labeled shareable, and the step
+    reads as `heap.read` does.  It looks the label and the cell up in the
+    chunks of the two maps itself, so a context read is this one call."""
     st = ops._state
     if st.fuel <= 0:
         st._tick()
     st.fuel -= 1
     st.trace.steps += 1
-    if not isinstance(ref, VRef):
+    if not isinstance(ref, VRef) or type(ref.addr) is not int:
         raise BoundaryViolation(f"context read of a non-reference: {ref}")
     r = ref.addr
     hi, lo = r >> SHIFT, r & MASK
     w = st.world
     labels = w.labels.chunks
     if not (0 <= hi < len(labels) and labels[hi][lo] is SHAREABLE):
-        if not mutants.is_active("ctx_read_unchecked"):
-            raise BoundaryViolation(f"context read of non-shareable address {r}")
+        raise BoundaryViolation(f"context read of non-shareable address {r}")
     cells = w.heap.cells.chunks
     cell = cells[hi][lo] if 0 <= hi < len(cells) else None
     if cell is None:
@@ -151,28 +141,27 @@ def ctx_write(ops: CtxOps, ref: Value, v: Value) -> None:
     checks and `labels.lr_write`'s checks and write, with the label and the
     cell looked up once in the chunks of the two maps, v walked once, and
     one `set` on the cell map.  It refuses in this order: BoundaryViolation
-    for a ref that is not a reference or whose address is not labeled
-    shareable; Uncontained for the label-map marker or an address with no
-    cell; TypeMismatch for a v that does not conform to the cell's tag;
-    BoundaryViolation for an embedded address that is not shareable;
-    DanglingInit or TypeMismatch for one that is not contained at its tag;
-    ShareLeak for a private one; PreorderViolation.  ShareLeak can fire only
-    under `ctx_write_unchecked` or `lr_write_share_unchecked`: otherwise the
-    boundary test has already refused every non-shareable address.  A
-    mutant is looked up only when its check fails."""
+    for a ref that is not a reference with an int address, or whose address
+    is not labeled shareable; Uncontained for the label-map marker or an
+    address with no cell; TypeMismatch for a v that does not conform to the
+    cell's tag; BoundaryViolation for an embedded address that is not
+    shareable; DanglingInit or TypeMismatch for one that is not contained at
+    its tag; ShareLeak for a private one; PreorderViolation.  The ShareLeak
+    check is the labeled rule's, kept as safety code: once the boundary walk
+    passes, no embedded address is private, so it never fires."""
     st = ops._state
     if st.fuel <= 0:
         st._tick()
     st.fuel -= 1
     st.trace.steps += 1
-    if not isinstance(ref, VRef):
+    if not isinstance(ref, VRef) or type(ref.addr) is not int:
         raise BoundaryViolation(f"context write to a non-reference: {ref}")
     r = ref.addr
     hi, lo = r >> SHIFT, r & MASK
     w = st.world
     labels = w.labels.chunks
     shareable = 0 <= hi < len(labels) and labels[hi][lo] is SHAREABLE
-    if not shareable and not mutants.is_active("ctx_write_unchecked"):
+    if not shareable:
         raise BoundaryViolation(f"context write to non-shareable address {r}")
     if r == LABEL_MAP_MARKER:
         raise Uncontained(r, "the label-map marker is not writable")
@@ -185,10 +174,13 @@ def ctx_write(ops: CtxOps, ref: Value, v: Value) -> None:
     tag, preorder = cell.tag, cell.preorder
     entries = ref_entries(tag, v)
     if entries:
-        _check_stored_entries(w, entries, "write")
+        for sub, _ in entries:
+            if w.label_of(sub) is not SHAREABLE:
+                raise BoundaryViolation(f"context write embeds non-shareable address {sub}")
+        _check_embedded_contained(w, entries, "write")
         if shareable:
             leaked = _private_embedded(w, entries)
-            if leaked and not mutants.is_active("lr_write_share_unchecked"):
+            if leaked:
                 raise ShareLeak(r, v, leaked)
     if not preorder.relation(cell.value, v):
         raise PreorderViolation(r, preorder.name, cell.value, v)

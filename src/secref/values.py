@@ -113,10 +113,12 @@ def record(cls):
 # `conforms` refuses it when a value reaches it.
 #
 # Each tag walks its own values: `_walk(v, out)` checks structural
-# conformance and appends the embedded (addr, tag) entries to out, in value
-# order, in the same pass.  On a value that does not conform it returns
-# False and out holds the entries met before the mismatch.  The value
-# classes it tests are defined below; the names resolve when it runs.
+# conformance, down to the host type of each payload (an int payload,
+# address or list tail is exactly an `int`, so not a `bool`), and appends
+# the embedded (addr, tag) entries to out, in value order, in the same pass.
+# On a value that does not conform it returns False and out holds the
+# entries met before the mismatch.  The value classes it tests are defined
+# below; the names resolve when it runs.
 
 _TAGS: dict = {}
 
@@ -161,7 +163,7 @@ class Int(_Tag):
         return "int"
 
     def _walk(self, v, out: list) -> bool:
-        return isinstance(v, VInt)
+        return isinstance(v, VInt) and type(v.value) is int
 
 
 @record
@@ -170,7 +172,7 @@ class Bool(_Tag):
         return "bool"
 
     def _walk(self, v, out: list) -> bool:
-        return isinstance(v, VBool)
+        return isinstance(v, VBool) and type(v.value) is bool
 
 
 @record
@@ -213,7 +215,7 @@ class Ref(_Tag):
         return f"(ref {self.target})"
 
     def _walk(self, v, out: list) -> bool:
-        if isinstance(v, VRef) and v.target is self.target:
+        if isinstance(v, VRef) and v.target is self.target and type(v.addr) is int:
             out.append((v.addr, self.target))
             return True
         return False
@@ -229,7 +231,7 @@ class LList(_Tag):
     def _walk(self, v, out: list) -> bool:
         if isinstance(v, VLLNil):
             return True
-        if isinstance(v, VLLCons) and self.elem._walk(v.head, out):
+        if isinstance(v, VLLCons) and type(v.tail) is int and self.elem._walk(v.head, out):
             out.append((v.tail, self))
             return True
         return False

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from secref import mutants
+import mutate
 from secref.campaigns import (
     campaign_autograder,
     campaign_dual,
@@ -16,7 +16,6 @@ from secref.campaigns import (
     campaign_scheduler,
     campaign_universal,
     campaign_witness,
-    mutation_detected,
 )
 
 SEED = 2026
@@ -115,9 +114,22 @@ def test_criterion_10_scheduler():
     _verdict(10, "scheduler fairness on 100 task sets", report.ok, elapsed, 10.0)
 
 
+def mutation_detected(name: str) -> bool:
+    """Run, under the named mutant, the acceptance check it must break."""
+    # the intro campaign catches the boundary and ShareLeak mutants; under
+    # ctx_alloc_unchecked the forged alloc stores the secret's address in a
+    # shareable cell, and the paranoid monitor's lr_inv_at alarms
+    campaign = {
+        "label_share_unchecked": lambda: campaign_universal(seed=1, trials=4),
+        "import_no_post": lambda: campaign_autograder(seed=1, honest_runs=2, adversary_runs=2),
+    }.get(name, campaign_intro)
+    with mutate.enabled(name):
+        return not campaign().ok
+
+
 def test_criterion_11_mutation_sensitivity():
     names = ("ctx_alloc_unchecked", "ctx_read_unchecked", "ctx_write_unchecked",
              "label_share_unchecked", "lr_write_share_unchecked", "import_no_post")
-    assert set(names) == mutants.KNOWN
+    assert set(names) == set(mutate.KNOWN)
     results = {name: mutation_detected(name) for name in names}
     _verdict(11, f"seeded mutants detected: {sorted(results)}", all(results.values()))

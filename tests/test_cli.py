@@ -198,6 +198,14 @@ def test_fuzz_repro_is_the_term_the_failing_trial_ran(keyed_on, tmp_path, monkey
     assert repro.read_text() == repr(ran[2]["term"]) + "\n"
 
 
+def test_a_passing_fuzz_run_removes_an_older_repro(tmp_path, monkeypatch):
+    repro = tmp_path / "secref-repro.txt"
+    repro.write_text("stale\n")
+    assert run_cli(["fuzz", "--seed", "3", "--trials", "8", "--json", str(tmp_path / "f.json"),
+                    "--repro", str(repro)], tmp_path, monkeypatch) == 0
+    assert not repro.exists()
+
+
 def test_a_generator_error_propagates_out_of_the_universal_campaign(monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("generator bug")

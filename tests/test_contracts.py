@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+import mutate
 from secref.contracts import (
     ArrowS,
     BaseS,
@@ -19,7 +20,6 @@ from secref.contracts import (
     export,
     import_value,
 )
-from secref import mutants
 from secref.errors import PurityViolation
 from secref.heap import TRIVIAL, HeapCell
 from secref.labels import Label, initial_world, is_private
@@ -368,8 +368,9 @@ def test_arrow_returned_by_an_imported_arrow_checks_its_own_post():
     inner = outer(V_UNIT).value
     out = inner(VInt(4))
     assert isinstance(out, Inr) and out.error.code is ErrCode.POST_VIOLATION
-    with mutants.enabled("import_no_post"):
-        assert inner(VInt(4)) == Inl(VInt(6))
+    # the inner arrow is imported again, under the mutant
+    with mutate.enabled("import_no_post"):
+        assert outer(V_UNIT).value(VInt(4)) == Inl(VInt(6))
 
     honest = import_value(spec, lambda _: (lambda v: VInt(v.value + 1)), state).value
     assert honest(V_UNIT).value(VInt(4)) == Inl(VInt(5))

@@ -2,7 +2,8 @@ import sys
 
 import pytest
 
-from secref import mutants, values
+import mutate
+from secref import values
 from secref.errors import (
     AlreadyLabeled,
     DanglingInit,
@@ -324,7 +325,7 @@ def test_one_label_step_walks_the_labeled_value_once(conforms_calls):
 
 def test_an_unchecked_label_step_leaves_its_walk_to_the_monitor(conforms_calls):
     tag = Pair(INT, Ref(INT))
-    with mutants.enabled("label_share_unchecked"):
+    with mutate.enabled("label_share_unchecked"):
         for level, walks in (("fast", 0), ("paranoid", 1)):
             state = RunState(config=RunConfig(check_level=level))
             private = state.op_alloc(INT, TRIVIAL, VInt(0))

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
+import mutate
 from secref import heap as hp
-from secref import linker, mutants
+from secref import linker
 from secref.contracts import ArrowS, BaseS, Inl, Inr, PairS, SumS
 from secref.errors import (
     AlreadyLabeled,
@@ -76,6 +77,7 @@ from secref.values import (
     V_TRUE,
     V_UNIT,
     Arrow,
+    LList,
     Pair,
     Ref,
     Sum,
@@ -83,6 +85,7 @@ from secref.values import (
     VInl,
     VInr,
     VInt,
+    VLLCons,
     VPair,
     VRef,
 )
@@ -176,7 +179,7 @@ def test_a_context_read_of_a_non_reference_is_a_boundary_violation(value):
 @pytest.mark.parametrize("row", UNCHECKED)
 def test_an_unchecked_context_read_reads_what_the_heap_holds(row):
     state, ops, refs = read_rule_refs()
-    with mutants.enabled("ctx_read_unchecked"):
+    with mutate.enabled("ctx_read_unchecked"):
         if UNCHECKED[row] is Uncontained:
             with pytest.raises(Uncontained):
                 ops.read(refs[row])
@@ -310,7 +313,7 @@ def test_the_alloc_mutant_skips_only_the_boundary_refusal(row, mutant):
     if mutant == "ctx_alloc_unchecked":
         error, message = UNCHECKED_ALLOC.get(row, (error, message))
     before = state.world
-    with mutants.enabled(mutant), pytest.raises(error, match=message):
+    with mutate.enabled(mutant), pytest.raises(error, match=message):
         ops.alloc(tag, init(refs))
     assert state.world is before
 
@@ -319,7 +322,7 @@ def test_an_unchecked_context_alloc_stores_a_non_shareable_address():
     state = RunState()
     private = VRef(state.op_alloc(INT, TRIVIAL, VInt(42)), INT)
     ops = CtxOps(state)
-    with mutants.enabled("ctx_alloc_unchecked"):
+    with mutate.enabled("ctx_alloc_unchecked"):
         stash = ops.alloc(Ref(INT), private)
     assert is_shareable(state.world, stash.addr)
     assert state.world.heap.cell(stash.addr).value == private
@@ -330,7 +333,7 @@ def test_a_paranoid_step_monitor_catches_an_unchecked_context_alloc():
     state = RunState(config=RunConfig(check_level="paranoid"))
     private = VRef(state.op_alloc(INT, TRIVIAL, VInt(42)), INT)
     ops = CtxOps(state)
-    with mutants.enabled("ctx_alloc_unchecked"), pytest.raises(InvariantViolation):
+    with mutate.enabled("ctx_alloc_unchecked"), pytest.raises(InvariantViolation):
         ops.alloc(Ref(INT), private)
 
 
@@ -444,7 +447,7 @@ def test_context_write_refusals_keep_their_order(row, mutant):
     if mutant == "ctx_write_unchecked":
         outcome = UNCHECKED_WRITE.get(row, outcome)
     before = state.world
-    with mutants.enabled(mutant) if mutant else nullcontext():
+    with mutate.enabled(mutant) if mutant else nullcontext():
         if outcome is None:
             ops.write(target, value)
         else:
@@ -458,6 +461,42 @@ def test_context_write_refusals_keep_their_order(row, mutant):
     assert [a for a in before.heap.addresses()
             if before.heap.cell(a) != state.world.heap.cell(a)] == [target.addr]
     assert modif_only_shareable_and_encaps(before, state.world) == (row == "encapsulated")
+
+
+# -- payloads of the wrong host type, as a host context can build them: a
+# store refuses them as not conforming, and a step on an address that is
+# not an int refuses it as not a reference
+
+
+@pytest.mark.parametrize("value", [VInt("a"), VInt(1.5), VInt(True)], ids=["str", "float", "bool"])
+def test_a_context_write_of_an_int_cell_refuses_a_non_int_payload(value):
+    state, ops, refs = write_rule_refs()
+    before = state.world
+    with pytest.raises(TypeMismatch, match="does not conform to int$"):
+        ops.write(refs["shareable"], value)
+    assert state.world is before
+
+
+@pytest.mark.parametrize("tag, value", [
+    (Ref(INT), VRef(1.0, INT)), (Ref(INT), VRef(True, INT)), (LList(INT), VLLCons(VInt(1), "x")),
+    (BOOL, VBool(1)),
+], ids=["float_address", "bool_address", "str_tail", "int_bool"])
+def test_a_context_alloc_refuses_a_payload_of_the_wrong_host_type(tag, value):
+    state, ops, _ = write_rule_refs()
+    before = state.world
+    with pytest.raises(TypeMismatch, match="does not conform"):
+        ops.alloc(tag, value)
+    assert state.world is before
+
+
+@pytest.mark.parametrize("step", ["read", "write"])
+@pytest.mark.parametrize("addr", ["x", True, 1.0], ids=["str", "bool", "float"])
+def test_a_context_step_on_a_non_int_address_is_a_boundary_violation(step, addr):
+    state, ops, _ = write_rule_refs()
+    before = state.world
+    with pytest.raises(BoundaryViolation, match=f"{step} (to|of) a non-reference"):
+        ops.read(VRef(addr, INT)) if step == "read" else ops.write(VRef(addr, INT), VInt(1))
+    assert state.world is before
 
 
 def test_a_context_writes_a_shareable_cell():
@@ -542,7 +581,7 @@ def test_context_store_errors_keep_their_order():
         ops.alloc(tag, VPair(mistyped, shared_int))
     with pytest.raises(TypeMismatch, match="does not conform"):
         ops.write(cell, VInt(0))
-    with mutants.enabled("ctx_write_unchecked"):
+    with mutate.enabled("ctx_write_unchecked"):
         with pytest.raises(DanglingInit):
             ops.write(cell, VPair(shared_int, VRef(999, INT)))
         with pytest.raises(ShareLeak):
@@ -743,7 +782,7 @@ def test_universal_monitor_catches_an_unchecked_boundary_write():
     record = beh(whole)
     assert record.outcome == ("ok", 42 + 0)
 
-    with mutants.enabled("ctx_write_unchecked"):
+    with mutate.enabled("ctx_write_unchecked"):
         with pytest.raises(UniversalViolation):
             beh(link_target(compile_program(program, iface), ctx))
 
@@ -899,7 +938,7 @@ def test_nested_context_arrows_run_under_the_context_span(link, arrow):
         returned = value.second.payload(V_FALSE)
         assert isinstance(returned, Inl)
         call = lambda: returned.value(V_UNIT)
-    with mutants.enabled("ctx_write_unchecked"):
+    with mutate.enabled("ctx_write_unchecked"):
         with pytest.raises(UniversalViolation, match=r"\(nested\)"):
             call()
     assert _span_names(state)[0] == "build:nested"

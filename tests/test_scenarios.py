@@ -3,9 +3,11 @@ import random
 
 import pytest
 
-from secref import campaigns, mutants, scenarios, target_lang
+import mutate
+from secref import campaigns, scenarios, target_lang
 from secref.errors import InvariantViolation, ShareLeak
 from secref.labels import is_encapsulated, is_private, is_shareable
+from secref.linker import TargetContext
 from secref.programs import RunConfig
 from secref.scenarios import (
     COUNTER_ADDR,
@@ -31,7 +33,7 @@ from secref.scenarios import (
     scheduler_checks,
     yielding_task,
 )
-from secref.values import V_NIL, VInr, VInt, VPair, VRef
+from secref.values import V_NIL, V_UNIT, VInr, VInt, VLLCons, VPair, VRef
 
 PARANOID = RunConfig(check_level="paranoid")
 
@@ -61,7 +63,7 @@ def test_a_forged_read_of_the_secret_ends_the_run():
     assert result.record.outcome[:2] == ("err", "BoundaryViolation")
     assert result.checks["psi_secret_42"] and result.checks["secret_private"]
     # with the read's shareable check gone, the library reads the secret
-    with mutants.enabled("ctx_read_unchecked"):
+    with mutate.enabled("ctx_read_unchecked"):
         result = run_scenario(scenario_safe_prog(), SECRET_SNOOP, PARANOID)
         assert result.record.outcome == ("ok", 42)
         assert not campaigns.campaign_intro().ok
@@ -73,10 +75,32 @@ def test_a_forged_alloc_of_the_secret_ends_the_run():
     assert result.checks["psi_secret_42"] and result.checks["secret_private"]
     # with the alloc's embedded-shareable check gone, a shareable cell holds
     # the secret's address, and the paranoid step monitor alarms
-    with mutants.enabled("ctx_alloc_unchecked"):
+    with mutate.enabled("ctx_alloc_unchecked"):
         with pytest.raises(InvariantViolation):
             run_scenario(scenario_safe_prog(), SECRET_STASH, PARANOID)
         assert not campaigns.campaign_intro().ok
+
+
+def _homework_writing_head(head):
+    """A host homework that writes head over the list's first node."""
+    def build(ops):
+        def homework(ll):
+            ops.write(ll, VLLCons(head, ops.read(ll).tail))
+            return V_UNIT
+
+        return homework
+
+    return TargetContext(name="ill_typed_head", builder=build)
+
+
+@pytest.mark.parametrize("cfg", [RunConfig(), PARANOID], ids=["fast", "paranoid"])
+@pytest.mark.parametrize("head", ["a", -0.5])
+def test_a_homework_writing_an_ill_typed_list_head_ends_in_a_type_mismatch(head, cfg):
+    # a str head used to crash the sorting post with a host TypeError, and
+    # a float one to be graded 0
+    result = run_scenario(scenario_autograder(), _homework_writing_head(VInt(head)), cfg)
+    assert result.record.outcome[:2] == ("err", "TypeMismatch")
+    assert "does not conform to (llist int)" in result.record.outcome[2]
 
 
 def test_shipped_contexts_are_read_once_per_process_and_parsed_per_build(monkeypatch):

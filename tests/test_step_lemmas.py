@@ -23,11 +23,12 @@ that satisfies `lr_inv`:
 - after a step that touched one address, `lr_inv_at` agrees with `lr_inv`.
 """
 from contextlib import nullcontext
+from functools import partial
 from itertools import product
 
 import pytest
 
-from secref import mutants
+import mutate
 from secref.errors import (
     BoundaryViolation,
     DanglingInit,
@@ -42,6 +43,7 @@ from secref.heap import INT_LEQ, LABEL_MAP_MARKER, TRIVIAL, AddrMap, Heap, HeapC
 from secref.labels import (
     Label,
     World,
+    _private_embedded,
     labels_monotone,
     lr_inv,
     lr_inv_at,
@@ -207,7 +209,7 @@ COUNTEREXAMPLES = {
 @pytest.mark.parametrize("mutant", sorted(COUNTEREXAMPLES))
 def test_each_step_rule_mutant_has_a_named_first_counterexample(mutant):
     # with no mutant there is none: the lemma test above
-    with mutants.enabled(mutant):
+    with mutate.enabled(mutant):
         assert first_counterexample() == COUNTEREXAMPLES[mutant]
 
 
@@ -231,7 +233,7 @@ def test_every_checked_write_keeps_the_lemmas_in_the_reduced_three_cell_scope(co
 
 
 def test_lr_write_share_unchecked_needs_the_third_cell():
-    with mutants.enabled("lr_write_share_unchecked"):
+    with mutate.enabled("lr_write_share_unchecked"):
         assert first_counterexample() is None
         # the shareable reference cell 3 is given the address of the
         # private int in cell 1
@@ -240,11 +242,60 @@ def test_lr_write_share_unchecked_needs_the_third_cell():
             "op_write(3, ref@1)", "lr_inv")
 
 
+# -- ctx_write's ShareLeak check is dominated by its boundary walk: once the
+# target and every embedded address are shareable, no embedded address is
+# private, so the check never fires.  It stays, as the labeled rule's own
+# safety code; this is why deleting it is an equivalent mutant.
+
+SCOPES = {
+    "two_cells": (WORLDS, TARGETS, VALUES),
+    "three_cells": (WORLDS_3, (*TARGETS, 4), (VInt(0), R1, R2, R3)),
+}
+
+
+# the writes past the boundary walk that embed an address
+@pytest.mark.parametrize("scope, embedding", [("two_cells", 162), ("three_cells", 2160)])
+def test_a_context_write_past_its_boundary_walk_embeds_nothing_private(scope, embedding):
+    worlds, targets, values = SCOPES[scope]
+    state = RunState()
+    ops = CtxOps(state)
+    outcomes, past_walk = [], 0
+    for w0 in worlds:
+        for a, v in product(targets, values):
+            _start(state, w0, False)
+            try:
+                ops.write(VRef(a, INT), v)
+                outcomes.append(None)
+            except RunFailure as failure:
+                outcomes.append((type(failure), str(failure)))
+                if isinstance(failure, (BoundaryViolation, Uncontained)):
+                    continue  # refused before or by the boundary walk
+            cell = w0.heap.cells[a]
+            if conforms(v, cell.tag):
+                entries = ref_entries(cell.tag, v)
+                assert not _private_embedded(w0, entries), (render_world(w0), a, v)
+                past_walk += bool(entries)
+    assert ShareLeak not in {o and o[0] for o in outcomes}
+    assert past_walk == embedding
+    # deleting the check changes no outcome
+    with mutate.mutant(mutate.Site("linker", "ctx_write", "raise ShareLeak")):
+        for i, (w0, (a, v)) in enumerate(product(worlds, product(targets, values))):
+            _start(state, w0, False)
+            try:
+                ops.write(VRef(a, INT), v)
+                assert outcomes[i] is None
+            except RunFailure as failure:
+                assert outcomes[i] == (type(failure), str(failure))
+
+
 # -- the context write rule before it was fused: the label check, then the
 # boundary walk, then `labels.lr_write` and `heap.write`, transcribed
 
 
-def layered_ctx_write(ops: CtxOps, ref, v) -> None:
+def layered_ctx_write(ops: CtxOps, ref, v, boundary=True, share_leak=True) -> None:
+    """The transcription; `boundary` and `share_leak` switch its checks off
+    as the named mutants `ctx_write_unchecked` and `lr_write_share_unchecked`
+    switch off the fused rule's."""
     st = ops._state
     if st.fuel <= 0:
         st._tick()
@@ -255,7 +306,7 @@ def layered_ctx_write(ops: CtxOps, ref, v) -> None:
     r = ref.addr
     w0 = st.world
     entries = None
-    if not mutants.is_active("ctx_write_unchecked"):
+    if boundary:
         if w0.label_of(r) is not Label.SHAREABLE:
             raise BoundaryViolation(f"context write to non-shareable address {r}")
         cell = w0.heap.cells.get(r)
@@ -279,7 +330,7 @@ def layered_ctx_write(ops: CtxOps, ref, v) -> None:
                                f"found {actual}")
     if w0.label_of(r) is Label.SHAREABLE:
         leaked = frozenset(a for a, _ in entries if w0.label_of(a) is not Label.SHAREABLE)
-        if leaked and not mutants.is_active("lr_write_share_unchecked"):
+        if leaked and share_leak:
             raise ShareLeak(r, v, leaked)
     # heap.write
     if not conforms(v, cell.tag):
@@ -309,14 +360,16 @@ def test_the_fused_context_write_agrees_with_the_layered_rule(config, mutant):
     state = RunState(config=config)
     ops = CtxOps(state)
     writes = [(ref, v) for ref in (VInt(0), *(VRef(a, INT) for a in TARGETS)) for v in VALUES]
+    layered_write = partial(layered_ctx_write, boundary=mutant != "ctx_write_unchecked",
+                            share_leak=mutant != "lr_write_share_unchecked")
     outcomes = set()
-    with mutants.enabled(mutant) if mutant else nullcontext():
+    with mutate.enabled(mutant) if mutant else nullcontext():
         for w0 in WORLDS:
             valid = lr_inv(w0)
             state.trace = TraceLog()
             for ref, v in writes:
                 fused = _write_outcome(state, ops, CtxOps.write, w0, valid, ref, v)
-                layered = _write_outcome(state, ops, layered_ctx_write, w0, valid, ref, v)
+                layered = _write_outcome(state, ops, layered_write, w0, valid, ref, v)
                 assert fused == layered, (render_world(w0), ref, v)
                 outcomes.add(fused[0])
     assert {None, BoundaryViolation, TypeMismatch} <= outcomes

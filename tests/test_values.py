@@ -97,6 +97,19 @@ def test_conforms_rejects_wrong_shape():
     assert not conforms(VBool(True), UNIT)
 
 
+@pytest.mark.parametrize("v, t", [
+    (VInt(True), INT), (VInt(1.5), INT), (VInt("a"), INT), (VBool(1), BOOL),
+    (VRef(True, INT), Ref(INT)), (VRef("x", INT), Ref(INT)),
+    (VLLCons(VInt(1), "x"), LList(INT)), (VLLCons(VInt(1), True), LList(INT)),
+    (VLLCons(VInt("a"), 1), LList(INT)), (VPair(VInt(0), VRef(1.0, INT)), Pair(INT, Ref(INT))),
+], ids=repr)
+def test_a_payload_of_the_wrong_host_type_does_not_conform(v, t):
+    # a bool is an int to Python, but not an int payload or address here
+    assert not conforms(v, t)
+    with pytest.raises(TypeMismatch, match="does not conform"):
+        ref_entries(t, v)
+
+
 def test_no_value_conforms_to_an_arrow():
     fn = Arrow(INT, INT)
     for v in (VInt(1), V_UNIT, VRef(1, INT), VPair(VInt(1), VInt(2))):
@@ -267,9 +280,9 @@ def old_conforms(v, t) -> bool:
     if isinstance(t, Unit):
         return isinstance(v, VUnit)
     if isinstance(t, Int):
-        return isinstance(v, VInt)
+        return isinstance(v, VInt) and type(v.value) is int
     if isinstance(t, Bool):
-        return isinstance(v, VBool)
+        return isinstance(v, VBool) and type(v.value) is bool
     if isinstance(t, Sum):
         if isinstance(v, VInl):
             return old_conforms(v.payload, t.left)
@@ -283,11 +296,11 @@ def old_conforms(v, t) -> bool:
             and old_conforms(v.second, t.second)
         )
     if isinstance(t, Ref):
-        return isinstance(v, VRef) and v.target is t.target
+        return isinstance(v, VRef) and v.target is t.target and type(v.addr) is int
     if isinstance(t, LList):
         if isinstance(v, VLLNil):
             return True
-        return isinstance(v, VLLCons) and old_conforms(v.head, t.elem)
+        return isinstance(v, VLLCons) and type(v.tail) is int and old_conforms(v.head, t.elem)
     if isinstance(t, Arrow):
         return False
     raise TypeMismatch(f"unknown type tag {t!r}")
