@@ -18,7 +18,7 @@ from operator import is_not
 from typing import Callable, Optional
 
 from .errors import ImmutableWrite, PreorderViolation, TypeMismatch, Uncontained
-from .values import Addr, TypeTag, Value, VInl, VInt, VLLNil, VPair, conforms, record
+from .values import Addr, TypeTag, Value, VInl, VInt, VLLNil, VPair, record
 
 LABEL_MAP_MARKER: Addr = 0
 
@@ -254,17 +254,13 @@ class Heap:
 EMPTY_HEAP = Heap(EMPTY_MAP, 1)
 
 
-# `conformed` says the caller has already checked the stored value against
-# the cell's tag: the labeled layer walks it, and `ref_entries` checks
-# conformance on the way, so a labeled store walks the value once.  A write
-# is given the cell instead: r's cell as the caller found it, against whose
-# tag the caller checked v, so the cell is not looked up again either.
-def alloc(h: Heap, tag: TypeTag, rel: Preorder, init: Value,
-          conformed: bool = False) -> tuple[Addr, Heap]:
+# The heap layer does not check that a stored value conforms to its cell's
+# tag: the caller has, once per store, with the `ref_entries` walk of the
+# labeled layer or of the context rule.  A write is given r's cell as the
+# caller found it, so the cell is not looked up again either.
+def alloc(h: Heap, tag: TypeTag, rel: Preorder, init: Value) -> tuple[Addr, Heap]:
     if not tag.storable:
         raise TypeMismatch(f"{tag} is not a storable type")
-    if not conformed and not conforms(init, tag):
-        raise TypeMismatch(f"initial value {init!r} does not conform to {tag}")
     addr = h.next_addr
     return addr, Heap(h.cells.set(addr, HeapCell(addr, tag, rel, init)), addr + 1)
 
@@ -273,11 +269,7 @@ def read(h: Heap, r: Addr) -> Value:
     return h.cell(r).value
 
 
-def write(h: Heap, r: Addr, v: Value, cell: Optional[HeapCell] = None) -> Heap:
-    if cell is None:
-        cell = h.cell(r)
-        if not conforms(v, cell.tag):
-            raise TypeMismatch(f"value {v!r} does not conform to {cell.tag} at {r}")
+def write(h: Heap, r: Addr, v: Value, cell: HeapCell) -> Heap:
     if not cell.preorder.relation(cell.value, v):
         raise PreorderViolation(r, cell.preorder.name, cell.value, v)
     return Heap(h.cells.set(r, HeapCell(r, cell.tag, cell.preorder, v)), h.next_addr)

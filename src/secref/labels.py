@@ -142,8 +142,8 @@ def lr_inv(w: World) -> bool:
     return is_private(w, LABEL_MAP_MARKER)
 
 
-def lr_inv_at(w: World, r: Addr, walk: Optional[tuple] = None,
-              cell: Optional[HeapCell] = None) -> bool:
+def lr_inv_at(w: World, r: Addr, walk: Optional[tuple],
+              cell: Optional[HeapCell]) -> bool:
     """lr_inv on w, given that it held before a step that changed only the
     cell and label of address r.
 
@@ -154,15 +154,13 @@ def lr_inv_at(w: World, r: Addr, walk: Optional[tuple] = None,
     and shareable.
     What is left to check is (a) and (b) for r's cell, (c) for r, and (d).
 
-    `walk`, when given, is the step's walk of the value it stored:
+    `walk`, when not None, is the step's walk of the value it stored:
     (tag, value, entries), entries being `ref_entries(tag, value)`.  They
     stand for the walk of r's cell only when that cell holds those very tag
     and value objects; otherwise the cell is walked here.  Either way each
-    entry is checked against w.  `cell`, when given, is r's cell in w as the
-    caller found it; otherwise it is looked up here.
+    entry is checked against w.  `cell` is r's cell in w as the caller found
+    it, None when r has none.
     """
-    if cell is None:
-        cell = w.heap.cells.get(r)
     if cell is not None:
         if walk is not None and walk[0] is cell.tag and walk[1] is cell.value:
             entries = walk[2]
@@ -177,15 +175,15 @@ def lr_inv_at(w: World, r: Addr, walk: Optional[tuple] = None,
 
 # `entries`, when given, are `ref_entries` of the stored value at the cell's
 # tag, which the caller walked; `lr_alloc` and `lr_write` then check them
-# instead of walking the value again, and tell the heap layer that the value
-# conforms.  Either way the value is walked once per store.
+# instead of walking the value again.  Either way the value is walked once
+# per store, and that walk is the store's conformance check.
 def lr_alloc(w: World, tag: TypeTag, rel: Preorder, init: Value,
              entries: Optional[list] = None) -> tuple[Addr, World]:
     if entries is None:
         entries = ref_entries(tag, init)
     if entries:
         _check_embedded_contained(w, entries, "alloc")
-    addr, h1 = hp.alloc(w.heap, tag, rel, init, conformed=True)
+    addr, h1 = hp.alloc(w.heap, tag, rel, init)
     return addr, World(h1, w.labels)
 
 

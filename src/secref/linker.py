@@ -46,7 +46,7 @@ from .labels import (
     modif_only_shareable_and_encaps,
     same_labels,
 )
-from .programs import Program, Return, RunConfig, RunState
+from .programs import Program, Return, RunState
 from .values import TypeTag, Value, VRef, record, ref_entries
 
 
@@ -383,13 +383,11 @@ def render_world(w: World) -> tuple:
     return tuple(out)
 
 
-def beh(run: Callable[[RunState], Any], cfg: Optional[RunConfig] = None,
-        state: Optional[RunState] = None) -> BehaviorRecord:
-    """Run a linked program deterministically from the initial world;
-    expected runtime failures become part of the record, monitor alarms
-    propagate.  However the run stops, it ends: the context's handle and
-    every arrow exported to it refuse any later step."""
-    state = state if state is not None else RunState(config=cfg)
+def beh(run: Callable[[RunState], Any], state: RunState) -> BehaviorRecord:
+    """Run a linked program deterministically on state, made fresh by the
+    caller; expected runtime failures become part of the record, monitor
+    alarms propagate.  However the run stops, it ends: the context's handle
+    and every arrow exported to it refuse any later step."""
     try:
         result = run(state)
         if isinstance(result, Inr):

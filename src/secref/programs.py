@@ -18,7 +18,6 @@ from __future__ import annotations
 from itertools import chain
 from typing import Any, Callable, Optional, Union
 
-from . import heap as hp
 from . import labels as lb
 from .errors import (
     BoundaryViolation,
@@ -199,9 +198,10 @@ class WorldJournal:
         self._last: Optional[World] = None
 
     def record(self, before: World, after: World, touched: Optional[Addr],
-               cell: Optional[HeapCell] = None) -> None:
-        """Record the step from before to after; `cell`, when given, is the
-        touched address's cell in after, as the caller found it."""
+               cell: Optional[HeapCell]) -> None:
+        """Record the step from before to after; `cell` is the touched
+        address's cell in after, as the caller found it, None when there is
+        none."""
         last = self._last
         if last is None:
             self._start = last = before
@@ -209,8 +209,6 @@ class WorldJournal:
         if after is last:
             entry = None
         elif before is last and touched is not None:
-            if cell is None:
-                cell = cells.get(touched)
             entry = (after.heap.next_addr, touched, cell, labels.get(touched))
         else:
             addrs = sorted({*changed(last.heap.cells, cells), *changed(last.labels, labels)})
@@ -353,12 +351,12 @@ class RunState:
 
     # A store step walks its value once, here, and hands the walk to the
     # labeled operation and to the monitor; a write also hands down the cell
-    # it found.  The marker and an address with no cell are left to
-    # `lr_write` to refuse, before any walk.
+    # it found.  The marker, which never holds a cell, and an address with no
+    # cell are left to `lr_write` to refuse, before any walk.
     def op_write(self, addr: Addr, v: Value) -> None:
         self._tick()
         w0 = self.world
-        cell = w0.heap.cells.get(addr) if addr != hp.LABEL_MAP_MARKER else None
+        cell = w0.heap.cells.get(addr)
         entries = walk = None
         if cell is not None:
             entries = ref_entries(cell.tag, v)
@@ -415,28 +413,8 @@ class RunState:
         raise TypeError(f"not a program node: {node!r}")
 
 
-def run(
-    m: Program,
-    h0: Heap,
-    w0: Optional[dict] = None,
-    cfg: Optional[RunConfig] = None,
-) -> tuple[Any, Heap, dict]:
-    """Interpret m from heap h0 with the witnessed set w0 (name -> predicate).
-
-    Every predicate in w0 must hold on h0.  Returns the result, the final
-    heap, and the final witnessed set.
-    """
-    world = World(heap=h0, labels=lb.NO_LABELS)
-    witnesses = dict(w0 or {})
-    for pred in witnesses.values():
-        if not pred.holds(world):
-            raise WitnessFalse(f"precondition: {pred.name} false on the initial heap")
-    state = RunState(world=world, witnesses=witnesses, config=cfg)
-    result = state.interpret(m)
-    return result, state.world.heap, dict(state.witnesses)
-
-
 def run_closed(m: Program, cfg: Optional[RunConfig] = None) -> tuple[Any, Heap]:
-    """Run a closed program from the canonical initial heap, nothing witnessed."""
-    result, h1, _ = run(m, hp.EMPTY_HEAP, {}, cfg)
-    return result, h1
+    """Run a closed program from the initial world, nothing witnessed; the
+    result and the final heap."""
+    state = RunState(config=cfg)
+    return state.interpret(m), state.world.heap

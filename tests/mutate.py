@@ -221,25 +221,31 @@ KILLED = frozenset({
 CAMPAIGN_BUDGET = 30
 
 
-def raise_sites(name: str) -> list:
-    """One site per `raise` statement of the module, in source order, each
-    counted in the function or method that holds it."""
-    def functions(body, prefix):
-        for node in body:
-            if isinstance(node, ast.ClassDef):
-                yield from functions(node.body, f"{prefix}{node.name}.")
-            elif isinstance(node, ast.FunctionDef):
-                yield prefix + node.name, node
+def _functions(body, prefix: str = ""):
+    """(qualified name, definition) for each function and method of a
+    module body."""
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            yield from _functions(node.body, f"{prefix}{node.name}.")
+        elif isinstance(node, ast.FunctionDef):
+            yield prefix + node.name, node
 
-    sites = []
-    for qualname, node in functions(ast.parse(inspect.getsource(_module(name))).body, ""):
+
+def statement_sites(name: str):
+    """(site, statement) for each statement of each function and method of
+    the module, in source order, each counted in the function or method that
+    holds it and named by its source up to the first parenthesis."""
+    for qualname, node in _functions(ast.parse(inspect.getsource(_module(name))).body):
         statements = _statements(node)
         for i, (stmt, head) in enumerate(statements):
-            if isinstance(stmt, ast.Raise):
-                text = head.split("(", 1)[0]
-                ordinal = sum(_starts(h, text) for _, h in statements[:i + 1])
-                sites.append(Site(name, qualname, text, ordinal))
-    return sites
+            text = head.split("(", 1)[0]
+            ordinal = sum(_starts(h, text) for _, h in statements[:i + 1])
+            yield Site(name, qualname, text, ordinal), stmt
+
+
+def raise_sites(name: str) -> list:
+    """One site per `raise` statement of the module."""
+    return [site for site, stmt in statement_sites(name) if isinstance(stmt, ast.Raise)]
 
 
 # the reduced campaign set, by name

@@ -8,6 +8,7 @@ import time
 import pytest
 
 import mutate
+from secref import campaigns
 from secref.campaigns import (
     campaign_autograder,
     campaign_dual,
@@ -17,6 +18,9 @@ from secref.campaigns import (
     campaign_universal,
     campaign_witness,
 )
+from secref.heap import Heap
+from secref.labels import World, is_private
+from secref.values import VInt
 
 SEED = 2026
 
@@ -133,3 +137,52 @@ def test_criterion_11_mutation_sensitivity():
     assert set(names) == set(mutate.KNOWN)
     results = {name: mutation_detected(name) for name in names}
     _verdict(11, f"seeded mutants detected: {sorted(results)}", all(results.values()))
+
+
+# ---------------------------------------------------------------------------
+# the footprint checks compare worlds a run went through, so each can fail
+
+
+def _check(report, name):
+    return next(c for c in report.checks if c.name == name)
+
+
+def test_a_context_span_that_drops_a_cell_fails_the_monotone_heap_check(monkeypatch):
+    real, dropped = campaigns.run_scenario, []
+
+    def dropping(scenario, ctx, cfg):
+        # the first span that starts with a cell ends without it
+        result = real(scenario, ctx, cfg)
+        spans = result.state.trace.context_spans
+        for i, (name, w0, w1) in enumerate(spans):
+            if w0.heap.cells and not dropped:
+                addr = next(iter(w0.heap.cells))
+                heap = Heap(w1.heap.cells.set(addr, None), w1.heap.next_addr)
+                spans[i] = (name, w0, World(heap, w1.labels))
+                dropped.append(addr)
+        return result
+
+    monkeypatch.setattr(campaigns, "run_scenario", dropping)
+    check = _check(campaign_universal(seed=SEED, trials=4), "heap_monotone_across_runs")
+    assert dropped and not check.ok and check.detail == "1 runs regressed"
+
+
+def test_a_host_write_to_a_private_cell_after_the_context_returns_fails_the_dual_check(
+        monkeypatch):
+    real = campaigns.link_dual
+
+    def then_write(dual, ctx):
+        run = real(dual, ctx)
+
+        def wrote(state):
+            out = run(state)
+            w = state.world
+            state.op_write(next(a for a in w.heap.addresses() if is_private(w, a)), VInt(1))
+            return out
+
+        return wrote
+
+    monkeypatch.setattr(campaigns, "link_dual", then_write)
+    check = _check(campaign_dual(seed=SEED, trials=4),
+                   "final_world_modifies_only_shareable_and_encaps")
+    assert not check.ok and "private cell changed" in check.detail

@@ -300,19 +300,40 @@ HAND_WRITTEN = {
                     ((let (u (:= r 9)) (lam (z int) (* z (! r))))
                      (let (u (:= r 10)) (! r)))))))))))))
     """,
+    # no `fix`, so the closure backend compiles it: if, case, inl/inr, pairs
+    # and both boolean literals, none of which a generated term or a
+    # shipped context without a `fix` contains
+    "branches": """
+    (lam (x int)
+      (let (s (if (< x 0) (inl bool x) (inr int (<= x 2))))
+        (case s
+          (a (- (snd (pair a 0)) (fst (pair a x))))
+          (b (if b
+                 (if true 10 20)
+                 (if false 30
+                     (let (r (alloc (inr int (= x 4))))
+                       (case (! r) (n n) (c (if c 40 50))))))))))
+    """,
 }
+# the hand-written terms without a `fix`, which take the closure backend
+CLOSURE_BACKEND = {"branches", "operand_order"}
 
 
 @pytest.mark.parametrize("name", sorted(HAND_WRITTEN))
 def test_hand_written_terms_match_the_reference(name):
     expr = parse(HAND_WRITTEN[name])
-    for arg in (-6, -3, 0, 4):
+    for arg in (-6, -3, 0, 3, 4):
         results = []
         for make in EVALUATORS:
             state, log = RunState(config=RunConfig(fuel=200)), []
             fn = make(expr, INT_TO_INT)(RecordingOps(CtxOps(state), log))
             results.append((fn(VInt(arg)), log, state.trace.steps))
         assert results[0] == results[1] == results[2]
+    # the backend elaborate chose: only Python code has an `<sref:...>` file
+    types: dict = {}
+    typecheck(expr, {}, types)
+    filename = compile_term(expr, types, name).__code__.co_filename
+    assert (filename != f"<sref:{name}>") == (name in CLOSURE_BACKEND)
 
 
 # ---------------------------------------------------------------------------

@@ -129,7 +129,8 @@ def journal_of(worlds) -> WorldJournal:
     for before, after in zip(worlds, worlds[1:]):
         touched = {*changed(before.heap.cells, after.heap.cells),
                    *changed(before.labels, after.labels)}
-        journal.record(before, after, touched.pop() if len(touched) == 1 else None)
+        addr = touched.pop() if len(touched) == 1 else None
+        journal.record(before, after, addr, None if addr is None else after.heap.cells.get(addr))
     assert journal.start is worlds[0] and list(journal) == worlds[1:]
     return journal
 

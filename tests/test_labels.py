@@ -79,21 +79,21 @@ def test_lr_inv_rejects_shareable_pointing_to_private():
     # force the bad labeling directly; label_shareable would refuse it
     bad = World(heap=w.heap, labels=AddrMap({q: Label.SHAREABLE}))
     assert not lr_inv(bad)
-    assert not lr_inv_at(bad, q)
+    assert not lr_inv_at(bad, q, None, bad.heap.cells.get(q))
 
 
 def test_lr_inv_rejects_labels_past_frontier():
     w = initial_world()
     bad = World(heap=w.heap, labels=AddrMap({5: Label.SHAREABLE}))
     assert not lr_inv(bad)
-    assert not lr_inv_at(bad, 5)
+    assert not lr_inv_at(bad, 5, None, None)
 
 
 def test_lr_inv_rejects_relabeled_marker():
     w = initial_world()
     bad = World(heap=w.heap, labels=AddrMap({LABEL_MAP_MARKER: Label.SHAREABLE}))
     assert not lr_inv(bad)
-    assert not lr_inv_at(bad, LABEL_MAP_MARKER)
+    assert not lr_inv_at(bad, LABEL_MAP_MARKER, None, None)
 
 
 def test_lr_alloc_private_and_label_preserving():

@@ -682,7 +682,7 @@ def test_compile_link_run():
     program = doubler_program()
     ctx = elaborate(parse("(lam (x int) (* x 2))"), iface.spec, name="times2")
     whole = link_target(compile_program(program, iface), ctx)
-    record = beh(whole)
+    record = beh(whole, RunState())
     assert record.outcome == ("ok", 52)
 
 
@@ -691,11 +691,11 @@ def test_beh_is_deterministic():
     program = doubler_program()
     ctx = elaborate(parse("(lam (x int) (+ x 1))"), iface.spec, name="succ")
     whole = link_target(compile_program(program, iface), ctx)
-    assert beh(whole) == beh(whole)
+    assert beh(whole, RunState()) == beh(whole, RunState())
 
 
 def test_beh_of_pure_return():
-    record = beh(lambda state: 7)
+    record = beh(lambda state: 7, RunState())
     assert record.outcome == ("ok", 7)
     assert record.dump == ()
 
@@ -709,7 +709,7 @@ def test_a_behaviour_record_renders_its_world_on_first_read(monkeypatch):
         state.op_alloc(INT, TRIVIAL, VInt(3))
         return 7
 
-    record, again = beh(run), beh(run)
+    record, again = beh(run, RunState()), beh(run, RunState())
     assert rendered == []
     dump = ("1: int [Private] = 3",)
     assert record.dump == dump and len(rendered) == 1
@@ -719,7 +719,7 @@ def test_a_behaviour_record_renders_its_world_on_first_read(monkeypatch):
     built = BehaviorRecord(("ok", 7), dump)
     assert record == built and hash(record) == hash(built)
     assert repr(record) == repr(built) == f"BehaviorRecord(outcome=('ok', 7), dump={dump!r})"
-    assert list(beh(run).lines()) == ["outcome: ('ok', 7)", *dump]
+    assert list(beh(run, RunState()).lines()) == ["outcome: ('ok', 7)", *dump]
     with pytest.raises(AttributeError, match="has no attribute 'dumps'"):
         record.dumps
 
@@ -742,10 +742,10 @@ def test_syntactic_inversion_on_generated_contexts():
         expr = gen_random_context(iface.spec, seed=seed, size=30)
         ctx = elaborate(expr, iface.spec, name=f"gen{seed}")
         target_side = beh(link_target(compile_program(program, iface), ctx),
-                          RunConfig(fuel=2000))
+                          RunState(config=RunConfig(fuel=2000)))
         ctx2 = elaborate(expr, iface.spec, name=f"gen{seed}")
         source_side = beh(link_source(program, back_translate(ctx2, iface)),
-                          RunConfig(fuel=2000))
+                          RunState(config=RunConfig(fuel=2000)))
         assert beh_equal(target_side, source_side), f"seed {seed}"
 
 
@@ -779,12 +779,12 @@ def test_universal_monitor_catches_an_unchecked_boundary_write():
     program = doubler_program()
     ctx = TargetContext(name="prober", builder=prober)
     whole = link_target(compile_program(program, iface), ctx)
-    record = beh(whole)
+    record = beh(whole, RunState())
     assert record.outcome == ("ok", 42 + 0)
 
     with mutate.enabled("ctx_write_unchecked"):
         with pytest.raises(UniversalViolation):
-            beh(link_target(compile_program(program, iface), ctx))
+            beh(link_target(compile_program(program, iface), ctx), RunState())
 
 
 def test_concrete_three_predicate_instantiation():
@@ -1071,7 +1071,7 @@ def test_a_handle_from_an_ended_run_fails_the_run_that_uses_it():
 
     run_b = link_target(compile_program(doubler_program(), doubler_interface()),
                         TargetContext(name="borrower", builder=builder))
-    outcome = beh(run_b).outcome
+    outcome = beh(run_b, RunState()).outcome
     assert outcome[:2] == ("err", "BoundaryViolation") and "run ended" in outcome[2]
     assert state_a.world is world_a
 

@@ -16,7 +16,7 @@ from secref.errors import InvariantViolation, UniversalViolation
 from secref.heap import TRIVIAL, AddrMap, Heap, HeapCell
 from secref.labels import Label, World, lr_inv, lr_inv_at
 from secref.linker import CtxOps
-from secref.programs import RunConfig, RunState, alloc_op, do, read_op, run
+from secref.programs import RunConfig, RunState, alloc_op, do, read_op
 from secref.scenarios import (
     run_scenario,
     run_scheduler,
@@ -59,11 +59,11 @@ def test_delta_check_agrees_with_full_scan_on_the_campaign_corpus():
         touched = _touched(w0, w1)
         assert len(touched) <= 1, touched
         for r in touched:
-            assert lr_inv_at(w1, r) == lr_inv(w1)
+            assert lr_inv_at(w1, r, None, w1.heap.cells.get(r)) == lr_inv(w1)
             for bad in _corruptions(w1, r):
                 corrupted += 1
                 assert not lr_inv(bad)
-                assert not lr_inv_at(bad, r)
+                assert not lr_inv_at(bad, r, None, bad.heap.cells.get(r))
     assert corrupted > 150
 
 
@@ -74,13 +74,16 @@ def test_paranoid_run_from_a_heap_with_a_dangling_ref_fails_its_first_step():
         yield alloc_op(INT, TRIVIAL, VInt(0))
         return 0
 
+    def run(program, config):
+        return RunState(world=World(h0, lb.NO_LABELS), config=config).interpret(program)
+
     with pytest.raises(InvariantViolation, match="after step 1"):
-        run(do(gen), h0, {}, PARANOID)
+        run(do(gen), PARANOID)
     # a read changes nothing, but the first step still scans the whole heap
     with pytest.raises(InvariantViolation, match="after step 1"):
-        run(read_op(1), h0, {}, PARANOID)
+        run(read_op(1), PARANOID)
     # fast mode never looks
-    assert run(read_op(1), h0, {}, RunConfig())[0] == VRef(7, INT)
+    assert run(read_op(1), RunConfig()) == VRef(7, INT)
 
 
 def test_a_world_installed_from_outside_is_scanned_in_full():

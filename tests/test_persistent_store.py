@@ -361,7 +361,7 @@ def _step_records() -> list:
     hp.write and a context alloc, then a value record of each kind."""
     addr, w1 = lr_alloc(initial_world(), INT, TRIVIAL, VInt(1))
     w1 = lb.label_shareable(w1, addr)
-    h2 = hp.write(w1.heap, addr, VInt(2))
+    h2 = hp.write(w1.heap, addr, VInt(2), w1.heap.cell(addr))
     state = RunState(world=w1)
     shared = CtxOps(state).alloc(Ref(INT), VRef(addr, INT))
     w3 = state.world

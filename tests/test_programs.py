@@ -15,7 +15,7 @@ from secref.errors import (
     WitnessFalse,
 )
 from secref.heap import EMPTY_HEAP, INT_LEQ, TRIVIAL, alloc
-from secref.labels import initial_world, is_shareable, lr_alloc
+from secref.labels import NO_LABELS, World, initial_world, is_shareable, lr_alloc
 from secref.programs import (
     Call,
     Return,
@@ -30,7 +30,6 @@ from secref.programs import (
     private_pred,
     read_op,
     recall_op,
-    run,
     run_closed,
     shareable_pred,
     witness_op,
@@ -136,26 +135,32 @@ def test_run_config_refuses_an_unknown_check_level(level):
         RunConfig(check_level=level)
 
 
+def _from_heap(h, witnesses=None) -> RunState:
+    """A run state on heap h, nothing labeled."""
+    return RunState(world=World(h, NO_LABELS), witnesses=witnesses)
+
+
 def test_run_return_leaves_heap_alone():
-    result, h1, ws = run(Return(7), EMPTY_HEAP)
-    assert (result, h1, ws) == (7, EMPTY_HEAP, {})
+    state = RunState()
+    assert state.interpret(Return(7)) == 7
+    assert (state.world.heap, state.witnesses) == (EMPTY_HEAP, {})
 
 
 def test_witness_then_recall():
     a, h = alloc(EMPTY_HEAP, INT, TRIVIAL, VInt(5))
     p = nonempty_pred()
     prog = bind(witness_op(p), lambda _: bind(recall_op(p), lambda _: Return(1)))
-    result, h1, ws = run(prog, h)
-    assert result == 1
-    assert h1 == h
-    assert set(ws) == {"heap_nonempty"}
+    state = _from_heap(h)
+    assert state.interpret(prog) == 1
+    assert state.world.heap == h
+    assert set(state.witnesses) == {"heap_nonempty"}
 
 
 def test_bare_recall_is_refused():
     a, h = alloc(EMPTY_HEAP, INT, TRIVIAL, VInt(5))
     prog = bind(recall_op(nonempty_pred()), lambda _: Return(1))
     with pytest.raises(RecallUnwitnessed):
-        run(prog, h)
+        _from_heap(h).interpret(prog)
 
 
 def test_closed_witness_then_recall_succeeds():
@@ -184,17 +189,10 @@ def test_witness_false_predicate():
         run_closed(witness_op(nonempty_pred()))
 
 
-def test_run_precondition_checks_initial_witnesses():
-    p = nonempty_pred()
-    with pytest.raises(WitnessFalse):
-        run(Return(1), EMPTY_HEAP, {p.name: p})
-
-
 def test_recall_from_provided_witness_set():
     a, h = alloc(EMPTY_HEAP, INT, TRIVIAL, VInt(5))
     p = nonempty_pred()
-    result, _, _ = run(bind(recall_op(p), lambda _: Return(2)), h, {p.name: p})
-    assert result == 2
+    assert _from_heap(h, {p.name: p}).interpret(bind(recall_op(p), lambda _: Return(2))) == 2
 
 
 def test_unstable_predicate_is_caught_on_recall():
@@ -264,8 +262,9 @@ def test_heap_monotone_across_whole_run():
         return 0
 
     a, h0 = alloc(EMPTY_HEAP, INT, TRIVIAL, VInt(9))
-    _, h1, _ = run(do(gen), h0)
-    assert hp.heap_leq(h0, h1)
+    state = _from_heap(h0)
+    state.interpret(do(gen))
+    assert hp.heap_leq(h0, state.world.heap)
 
 
 def test_private_pred_is_not_stable_negative_control():

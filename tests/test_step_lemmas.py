@@ -142,7 +142,7 @@ def broken_lemma(w0: World, valid: bool, side: str, outcome, w1: World, touched)
     if side == "context" and not (modif_only_shareable_and_encaps(w0, w1)
                                   and same_labels(w0, w1)):
         return "modif_only_shareable_and_encaps and same_labels"
-    if touched is not None and lr_inv_at(w1, touched) != inv:
+    if touched is not None and lr_inv_at(w1, touched, None, w1.heap.cells.get(touched)) != inv:
         return "lr_inv_at"
     return None
 

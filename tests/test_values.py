@@ -561,7 +561,7 @@ def test_llist_collect_in_order():
 
 def test_llist_collect_cycle():
     addr, h = alloc(EMPTY_HEAP, LList(INT), TRIVIAL, V_NIL)
-    h = write(h, addr, VLLCons(VInt(1), addr))
+    h = write(h, addr, VLLCons(VInt(1), addr), h.cell(addr))
     assert llist_collect(h, addr) is None
 
 
@@ -585,7 +585,7 @@ def test_llist_sorted():
 
 def test_llist_sorted_false_on_cycle():
     addr, h = alloc(EMPTY_HEAP, LList(INT), TRIVIAL, V_NIL)
-    h = write(h, addr, VLLCons(VInt(1), addr))
+    h = write(h, addr, VLLCons(VInt(1), addr), h.cell(addr))
     assert not llist_sorted(h, addr)
 
 
@@ -598,7 +598,7 @@ def test_collection_terminates_on_dense_heaps():
             a, h = alloc(h, LList(INT), TRIVIAL, V_NIL)
             addrs.append(a)
         for a in addrs:
-            h = write(h, a, VLLCons(VInt(rng.randint(0, 9)), rng.choice(addrs)))
+            h = write(h, a, VLLCons(VInt(rng.randint(0, 9)), rng.choice(addrs)), h.cell(a))
         # every walk ends: either a cycle is reported or a nil is reached
         result = llist_collect(h, addrs[0])
         assert result is None or isinstance(result, list)
