@@ -189,9 +189,10 @@ def campaign_universal(seed: int = 0, trials: int = 1000, fuel: int = FUZZ_FUEL)
     tally = Counter()
     abort_codes = set()
     violations = []
+    failed_checks = []  # "family/context: key" of each false scenario check
     failing_seed = failing_target = None
 
-    def one(scenario: Scenario, ctx) -> None:
+    def one(name: str, scenario: Scenario, ctx) -> None:
         result = run_scenario(scenario, ctx, cfg)
         trace = result.state.trace
         monotone = all(hp.heap_leq(w0.heap, w1.heap) for _, w0, w1 in trace.context_spans)
@@ -203,19 +204,21 @@ def campaign_universal(seed: int = 0, trials: int = 1000, fuel: int = FUZZ_FUEL)
             abort_codes.add(result.record.outcome[1])
         else:
             tally["completed"] += 1
+            failed_checks.extend(f"{name}/{result.context}: {key}"
+                                 for key, ok in result.checks.items() if not ok)
 
     for name, factory in _fuzz_targets():
         scenario = factory(rng)
         for ctx_name in scenario.contexts:
             try:
-                one(scenario, ctx_name)
+                one(name, scenario, ctx_name)
             except MonitorAlarm as alarm:
                 violations.append(f"{name}/{ctx_name}: {alarm}")
 
     for _, name, _, scenario, ctx_seed in _generated_trials(rng, trials):
         try:
             _, ctx = _generated_context(scenario, ctx_seed)
-            one(scenario, ctx)
+            one(name, scenario, ctx)
         except MonitorAlarm as alarm:
             violations.append(f"{name}/gen{ctx_seed}: {alarm}")
             if failing_seed is None:
@@ -231,6 +234,8 @@ def campaign_universal(seed: int = 0, trials: int = 1000, fuel: int = FUZZ_FUEL)
                ",".join(sorted(abort_codes)))
     report.add("heap_monotone_across_runs", tally["non_monotone"] == 0,
                f"{tally['non_monotone']} runs regressed")
+    report.add("scenario_checks_hold_on_completed_runs", not failed_checks,
+               failed_checks[0] if failed_checks else "")
     report.add("invariant_checked_every_step", tally["steps"] > 0 and not violations,
                f"{tally['steps']} steps monitored")
     report.add("contract_purity_zero_violations", tally["purity_failures"] == 0,

@@ -152,7 +152,7 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="link one scenario with one context and run it")
     p_run.add_argument("scenario")
     p_run.add_argument("context", help="a named context or a path to a .sref file")
-    p_run.add_argument("--fuel", type=int, default=1_000_000)
+    p_run.add_argument("--fuel", type=int, default=RunConfig().fuel)
     p_run.add_argument("--paranoid", action="store_true")
     p_run.add_argument("--json", default="secref-report.json")
     p_run.set_defaults(fn=cmd_run)
@@ -164,7 +164,7 @@ def main(argv=None) -> int:
     p_fuzz = sub.add_parser("fuzz", help="differential and universal-property campaigns")
     p_fuzz.add_argument("--seed", type=int, default=seed)
     p_fuzz.add_argument("--trials", type=int, default=200)
-    p_fuzz.add_argument("--fuel", type=int, default=1500)
+    p_fuzz.add_argument("--fuel", type=int, default=campaigns.FUZZ_FUEL)
     p_fuzz.add_argument("--paranoid", action="store_true")
     p_fuzz.add_argument("--json", default="secref-report.json")
     p_fuzz.add_argument("--repro", default="secref-repro.txt")

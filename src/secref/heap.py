@@ -51,19 +51,9 @@ class AddrMap(Mapping):
     __slots__ = ("chunks", "_len")
     refused = 0
 
-    def __new__(cls, entries=()):
-        """A map holding the entries of a mapping; the mapping is copied."""
-        spine: list = []
-        n = 0
-        for key, value in dict(entries).items():
-            if not isinstance(key, int) or key < 0:
-                raise TypeError(f"addresses are non-negative ints, not {key!r}")
-            hi = key >> SHIFT
-            while len(spine) <= hi:
-                spine.append([None] * WIDTH)
-            n += value is not None
-            spine[hi][key & MASK] = value
-        return _make(tuple(map(tuple, spine)), n)
+    def __new__(cls):
+        """The empty map: every map is built from it with `set`."""
+        return EMPTY_MAP
 
     def get(self, key, default=None):
         chunks, hi = self.chunks, key >> SHIFT
@@ -78,9 +68,6 @@ class AddrMap(Mapping):
         if value is None:
             raise KeyError(key)
         return value
-
-    def __contains__(self, key) -> bool:
-        return self.get(key) is not None
 
     def __len__(self) -> int:
         return self._len
@@ -105,15 +92,6 @@ class AddrMap(Mapping):
         chunk[lo] = value
         spine[hi] = tuple(chunk)
         return _make(tuple(spine), self._len + (value is not None) - (old is not None))
-
-    def __eq__(self, other):
-        if isinstance(other, AddrMap):
-            return self._len == other._len and all(
-                self.get(k) == other.get(k) for k in changed(self, other)
-            )
-        if isinstance(other, Mapping):
-            return dict(self.items()) == dict(other.items())
-        return NotImplemented
 
     def __repr__(self) -> str:
         return f"AddrMap({dict(self.items())!r})"
@@ -243,20 +221,13 @@ class Heap:
     def addresses(self):
         return self.cells.keys()
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Heap)
-            and self.next_addr == other.next_addr
-            and self.cells == other.cells
-        )
-
 
 EMPTY_HEAP = Heap(EMPTY_MAP, 1)
 
 
 # The heap layer does not check that a stored value conforms to its cell's
 # tag: the caller has, once per store, with the `ref_entries` walk of the
-# labeled layer or of the context rule.  A write is given r's cell as the
+# checked store step or of the context rule.  A write is given r's cell as the
 # caller found it, so the cell is not looked up again either.
 def alloc(h: Heap, tag: TypeTag, rel: Preorder, init: Value) -> tuple[Addr, Heap]:
     if not tag.storable:

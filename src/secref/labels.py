@@ -173,14 +173,12 @@ def lr_inv_at(w: World, r: Addr, walk: Optional[tuple],
     return w.label_of(LABEL_MAP_MARKER) is PRIVATE
 
 
-# `entries`, when given, are `ref_entries` of the stored value at the cell's
-# tag, which the caller walked; `lr_alloc` and `lr_write` then check them
-# instead of walking the value again.  Either way the value is walked once
-# per store, and that walk is the store's conformance check.
+# `entries` are `ref_entries` of the stored value at the cell's tag, which
+# the caller walked: that walk, once per store, is the store's conformance
+# check, and `lr_alloc` and `lr_write` check its entries without walking the
+# value again.
 def lr_alloc(w: World, tag: TypeTag, rel: Preorder, init: Value,
-             entries: Optional[list] = None) -> tuple[Addr, World]:
-    if entries is None:
-        entries = ref_entries(tag, init)
+             entries: list) -> tuple[Addr, World]:
     if entries:
         _check_embedded_contained(w, entries, "alloc")
     addr, h1 = hp.alloc(w.heap, tag, rel, init)
@@ -191,19 +189,11 @@ def lr_read(w: World, r: Addr) -> Value:
     return hp.read(w.heap, r)
 
 
-def lr_write(w: World, r: Addr, v: Value, entries: Optional[list] = None,
-             cell: Optional[HeapCell] = None) -> World:
-    """Write v to the cell at r: the marker refusal, then conformance to the
-    cell's tag (the walk), containment of the embedded addresses, ShareLeak
-    for a shareable cell, and the heap write's preorder check.  Given
-    `cell`, r's cell as the caller found it, neither this layer nor the heap
-    looks it up again."""
-    if r == LABEL_MAP_MARKER:
-        raise Uncontained(r, "the label-map marker is not writable")
-    if cell is None:
-        cell = w.heap.cell(r)
-    if entries is None:
-        entries = ref_entries(cell.tag, v)
+def lr_write(w: World, r: Addr, v: Value, entries: list, cell: HeapCell) -> World:
+    """Write v to the cell at r, `cell` as the caller found it: containment
+    of the embedded addresses, ShareLeak for a shareable cell, and the heap
+    write's preorder check.  The caller refuses an address with no cell,
+    the label-map marker among them."""
     if entries:
         _check_embedded_contained(w, entries, "write")
         if w.label_of(r) is SHAREABLE:

@@ -25,9 +25,10 @@ from .errors import (
     OutOfFuel,
     RecallUnwitnessed,
     StabilityViolation,
+    Uncontained,
     WitnessFalse,
 )
-from .heap import Heap, HeapCell, Preorder, changed
+from .heap import LABEL_MAP_MARKER, Heap, HeapCell, Preorder, changed
 from .labels import World
 from .values import Addr, TypeTag, Value, record, ref_entries
 
@@ -125,9 +126,13 @@ def label_encapsulated_op(addr: Addr) -> Program:
 
 
 def bind(m: Program, k: Callable[[Any], Program]) -> Program:
-    """Graft k onto every leaf of m."""
+    """Graft k onto every leaf of m.  A primitive op node, whose
+    continuation is `Return`, takes k as its continuation: by the left-unit
+    law, `bind(Return(x), k)` is `k(x)`."""
     if isinstance(m, Return):
         return k(m.value)
+    if m.cont is Return:
+        return Call(m.op, m.args, k)
     return Call(m.op, m.args, lambda x, c=m.cont: bind(c(x), k))
 
 
@@ -351,18 +356,18 @@ class RunState:
 
     # A store step walks its value once, here, and hands the walk to the
     # labeled operation and to the monitor; a write also hands down the cell
-    # it found.  The marker, which never holds a cell, and an address with no
-    # cell are left to `lr_write` to refuse, before any walk.
+    # it found.  A write to an address with no cell, the label-map marker
+    # among them, is refused here, before any walk.
     def op_write(self, addr: Addr, v: Value) -> None:
         self._tick()
         w0 = self.world
         cell = w0.heap.cells.get(addr)
-        entries = walk = None
-        if cell is not None:
-            entries = ref_entries(cell.tag, v)
-            walk = (cell.tag, v, entries)
+        if cell is None:
+            raise Uncontained(addr, "the label-map marker is not writable"
+                              if addr == LABEL_MAP_MARKER else "")
+        entries = ref_entries(cell.tag, v)
         self.world = lb.lr_write(w0, addr, v, entries, cell)
-        self._after_step(w0, addr, walk)
+        self._after_step(w0, addr, (cell.tag, v, entries))
 
     def op_alloc(self, tag: TypeTag, rel: Preorder, init: Value) -> Addr:
         self._tick()

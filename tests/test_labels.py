@@ -3,6 +3,7 @@ import sys
 import pytest
 
 import mutate
+from stores import addr_map, alloc_walked, write_walked
 from secref import values
 from secref.errors import (
     AlreadyLabeled,
@@ -26,11 +27,9 @@ from secref.labels import (
     label_leq,
     label_shareable,
     labels_monotone,
-    lr_alloc,
     lr_inv,
     lr_inv_at,
     lr_read,
-    lr_write,
     modif_only_shareable_and_encaps,
     modif_shareable_and,
     same_labels,
@@ -62,7 +61,7 @@ def test_marker_is_private():
 
 
 def test_label_shareable_then_queries():
-    a, w = lr_alloc(initial_world(), INT, TRIVIAL, VInt(1))
+    a, w = alloc_walked(initial_world(), INT, TRIVIAL, VInt(1))
     w = label_shareable(w, a)
     assert is_shareable(w, a)
     assert not is_private(w, a)
@@ -74,102 +73,102 @@ def test_lr_inv_initial_world():
 
 
 def test_lr_inv_rejects_shareable_pointing_to_private():
-    p, w = lr_alloc(initial_world(), INT, TRIVIAL, VInt(0))
-    q, w = lr_alloc(w, Ref(INT), TRIVIAL, VRef(p, INT))
+    p, w = alloc_walked(initial_world(), INT, TRIVIAL, VInt(0))
+    q, w = alloc_walked(w, Ref(INT), TRIVIAL, VRef(p, INT))
     # force the bad labeling directly; label_shareable would refuse it
-    bad = World(heap=w.heap, labels=AddrMap({q: Label.SHAREABLE}))
+    bad = World(heap=w.heap, labels=addr_map({q: Label.SHAREABLE}))
     assert not lr_inv(bad)
     assert not lr_inv_at(bad, q, None, bad.heap.cells.get(q))
 
 
 def test_lr_inv_rejects_labels_past_frontier():
     w = initial_world()
-    bad = World(heap=w.heap, labels=AddrMap({5: Label.SHAREABLE}))
+    bad = World(heap=w.heap, labels=addr_map({5: Label.SHAREABLE}))
     assert not lr_inv(bad)
     assert not lr_inv_at(bad, 5, None, None)
 
 
 def test_lr_inv_rejects_relabeled_marker():
     w = initial_world()
-    bad = World(heap=w.heap, labels=AddrMap({LABEL_MAP_MARKER: Label.SHAREABLE}))
+    bad = World(heap=w.heap, labels=addr_map({LABEL_MAP_MARKER: Label.SHAREABLE}))
     assert not lr_inv(bad)
     assert not lr_inv_at(bad, LABEL_MAP_MARKER, None, None)
 
 
 def test_lr_alloc_private_and_label_preserving():
-    a, w = lr_alloc(initial_world(), INT, TRIVIAL, VInt(42))
+    a, w = alloc_walked(initial_world(), INT, TRIVIAL, VInt(42))
     assert is_private(w, a)
     assert lr_inv(w)
-    b, w2 = lr_alloc(w, INT, TRIVIAL, VInt(0))
+    b, w2 = alloc_walked(w, INT, TRIVIAL, VInt(0))
     assert all(w.label_of(k) is w2.label_of(k) for k in w.heap.addresses())
 
 
 def test_lr_alloc_dangling_init():
     with pytest.raises(DanglingInit):
-        lr_alloc(initial_world(), Ref(INT), TRIVIAL, VRef(9, INT))
+        alloc_walked(initial_world(), Ref(INT), TRIVIAL, VRef(9, INT))
 
 
 def test_lr_alloc_embedded_tag_mismatch():
-    a, w = lr_alloc(initial_world(), INT, TRIVIAL, VInt(0))
+    a, w = alloc_walked(initial_world(), INT, TRIVIAL, VInt(0))
     with pytest.raises(TypeMismatch):
-        lr_alloc(w, Ref(Ref(INT)), TRIVIAL, VRef(a, Ref(INT)))
+        alloc_walked(w, Ref(Ref(INT)), TRIVIAL, VRef(a, Ref(INT)))
 
 
 def test_lr_write_share_leak():
-    p, w = lr_alloc(initial_world(), INT, TRIVIAL, VInt(0))
-    r, w = lr_alloc(w, Ref(INT), TRIVIAL, VRef(p, INT))
+    p, w = alloc_walked(initial_world(), INT, TRIVIAL, VInt(0))
+    r, w = alloc_walked(w, Ref(INT), TRIVIAL, VRef(p, INT))
     w = label_shareable(w, p)
     w = label_shareable(w, r)
-    fresh_private, w = lr_alloc(w, INT, TRIVIAL, VInt(1))
+    fresh_private, w = alloc_walked(w, INT, TRIVIAL, VInt(1))
     with pytest.raises(ShareLeak):
-        lr_write(w, r, VRef(fresh_private, INT))
+        write_walked(w, r, VRef(fresh_private, INT))
 
 
 def test_lr_write_private_target_is_unrestricted():
-    p, w = lr_alloc(initial_world(), INT, TRIVIAL, VInt(0))
-    r, w = lr_alloc(w, Ref(INT), TRIVIAL, VRef(p, INT))
-    q, w = lr_alloc(w, INT, TRIVIAL, VInt(5))
-    w2 = lr_write(w, r, VRef(q, INT))
+    p, w = alloc_walked(initial_world(), INT, TRIVIAL, VInt(0))
+    r, w = alloc_walked(w, Ref(INT), TRIVIAL, VRef(p, INT))
+    q, w = alloc_walked(w, INT, TRIVIAL, VInt(5))
+    w2 = write_walked(w, r, VRef(q, INT))
     assert lr_read(w2, r) == VRef(q, INT)
     assert lr_inv(w2)
 
 
 def test_lr_write_base_value_into_shareable():
-    a, w = lr_alloc(initial_world(), INT, TRIVIAL, VInt(0))
+    a, w = alloc_walked(initial_world(), INT, TRIVIAL, VInt(0))
     w = label_shareable(w, a)
-    w2 = lr_write(w, a, VInt(5))
+    w2 = write_walked(w, a, VInt(5))
     assert lr_read(w2, a) == VInt(5)
 
 
 def test_label_shareable_points_to_private_leaks():
-    p, w = lr_alloc(initial_world(), INT, TRIVIAL, VInt(0))
-    r, w = lr_alloc(w, Ref(INT), TRIVIAL, VRef(p, INT))
+    p, w = alloc_walked(initial_world(), INT, TRIVIAL, VInt(0))
+    r, w = alloc_walked(w, Ref(INT), TRIVIAL, VRef(p, INT))
     with pytest.raises(ShareLeak):
         label_shareable(w, r)
 
 
 def test_label_shareable_monotonic_ref_refused():
-    c, w = lr_alloc(initial_world(), INT, INT_LEQ, VInt(0))
+    c, w = alloc_walked(initial_world(), INT, INT_LEQ, VInt(0))
     with pytest.raises(MonotonicRefShare):
         label_shareable(w, c)
 
 
 def test_label_shareable_twice_refused():
-    a, w = lr_alloc(initial_world(), INT, TRIVIAL, VInt(0))
+    a, w = alloc_walked(initial_world(), INT, TRIVIAL, VInt(0))
     w = label_shareable(w, a)
     with pytest.raises(AlreadyLabeled):
         label_shareable(w, a)
 
 
 def test_label_encapsulated_counter():
-    c, w = lr_alloc(initial_world(), INT, INT_LEQ, VInt(0))
+    c, w = alloc_walked(initial_world(), INT, INT_LEQ, VInt(0))
     w = label_encapsulated(w, c)
     assert is_encapsulated(w, c)
     assert lr_inv(w)
 
 
 def test_label_encapsulated_shareable_refused():
-    a, w = lr_alloc(initial_world(), INT, TRIVIAL, VInt(0))
+    a, w = alloc_walked(initial_world(), INT, TRIVIAL, VInt(0))
     w = label_shareable(w, a)
     with pytest.raises(AlreadyLabeled):
         label_encapsulated(w, a)
@@ -182,8 +181,8 @@ def test_label_encapsulated_marker_refused():
 
 
 def _two_cell_world():
-    a, w = lr_alloc(initial_world(), INT, TRIVIAL, VInt(1))
-    b, w = lr_alloc(w, INT, TRIVIAL, VInt(2))
+    a, w = alloc_walked(initial_world(), INT, TRIVIAL, VInt(1))
+    b, w = alloc_walked(w, INT, TRIVIAL, VInt(2))
     w = label_shareable(w, b)
     return a, b, w
 
@@ -197,34 +196,34 @@ def test_modif_predicates_identity():
 
 def test_modif_only_shareable_changed():
     a, b, w = _two_cell_world()
-    w2 = lr_write(w, b, VInt(9))
+    w2 = write_walked(w, b, VInt(9))
     assert modif_only_shareable_and_encaps(w, w2)
     assert same_labels(w, w2)
 
 
 def test_modif_private_changed_detected():
     a, b, w = _two_cell_world()
-    w2 = lr_write(w, a, VInt(9))
+    w2 = write_walked(w, a, VInt(9))
     assert not modif_only_shareable_and_encaps(w, w2)
     assert modif_shareable_and(w, w2, frozenset({a}))
     assert not modif_shareable_and(w, w2, frozenset())
 
 
 def test_encapsulated_changes_allowed_by_hrel():
-    c, w = lr_alloc(initial_world(), INT, INT_LEQ, VInt(0))
+    c, w = alloc_walked(initial_world(), INT, INT_LEQ, VInt(0))
     w = label_encapsulated(w, c)
-    w2 = lr_write(w, c, VInt(3))
+    w2 = write_walked(w, c, VInt(3))
     # the relation a context execution must respect
     assert modif_only_shareable_and_encaps(w, w2) and same_labels(w, w2)
-    p, w3 = lr_alloc(w2, INT, TRIVIAL, VInt(0))
-    w4 = lr_write(w3, p, VInt(1))
+    p, w3 = alloc_walked(w2, INT, TRIVIAL, VInt(0))
+    w4 = write_walked(w3, p, VInt(1))
     assert not modif_only_shareable_and_encaps(w3, w4)
 
 
 def test_same_labels_scans_initial_domain_only():
     a, b, w = _two_cell_world()
     # labeling a cell allocated later does not disturb the old domain scan
-    c, w2 = lr_alloc(w, INT, TRIVIAL, VInt(0))
+    c, w2 = alloc_walked(w, INT, TRIVIAL, VInt(0))
     w3 = label_shareable(w2, c)
     assert same_labels(w, w3)
     assert not same_labels(w2, World(heap=w3.heap, labels=w3.labels.set(a, Label.SHAREABLE)))
@@ -244,9 +243,7 @@ def test_world_labels_refuse_in_place_writes():
         w2.labels[b] = Label.SHAREABLE
     with pytest.raises(ImmutableWrite):
         del w2.labels[a]
-    plain = {a: Label.ENCAPSULATED}
-    w3 = World(heap=w.heap, labels=AddrMap(plain))
-    plain[b] = Label.SHAREABLE
+    w3 = World(heap=w.heap, labels=addr_map({a: Label.ENCAPSULATED}))
     assert is_encapsulated(w3, a) and is_private(w3, b)
     with pytest.raises(ImmutableWrite):
         w3.labels.update({b: Label.SHAREABLE})
@@ -254,18 +251,18 @@ def test_world_labels_refuse_in_place_writes():
 
 def test_lr_write_checks_containment_before_share_leak():
     # the value embeds a private address first, then a dangling one
-    p, w = lr_alloc(initial_world(), INT, TRIVIAL, VInt(0))
-    r, w = lr_alloc(w, Pair(Ref(INT), Ref(INT)), TRIVIAL, VPair(VRef(p, INT), VRef(p, INT)))
+    p, w = alloc_walked(initial_world(), INT, TRIVIAL, VInt(0))
+    r, w = alloc_walked(w, Pair(Ref(INT), Ref(INT)), TRIVIAL, VPair(VRef(p, INT), VRef(p, INT)))
     w = label_shareable(label_shareable(w, p), r)
-    q, w = lr_alloc(w, INT, TRIVIAL, VInt(1))
+    q, w = alloc_walked(w, INT, TRIVIAL, VInt(1))
     with pytest.raises(DanglingInit):
-        lr_write(w, r, VPair(VRef(q, INT), VRef(99, INT)))
+        write_walked(w, r, VPair(VRef(q, INT), VRef(99, INT)))
     with pytest.raises(ShareLeak) as err:
-        lr_write(w, r, VPair(VRef(q, INT), VRef(p, INT)))
+        write_walked(w, r, VPair(VRef(q, INT), VRef(p, INT)))
     assert err.value.leaked == frozenset({q})
-    q2, w = lr_alloc(w, INT, TRIVIAL, VInt(2))
+    q2, w = alloc_walked(w, INT, TRIVIAL, VInt(2))
     with pytest.raises(ShareLeak) as err:
-        lr_write(w, r, VPair(VRef(q2, INT), VRef(q, INT)))
+        write_walked(w, r, VPair(VRef(q2, INT), VRef(q, INT)))
     assert err.value.leaked == frozenset({q, q2})
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import mutate
+from stores import alloc_walked
 from secref import heap as hp
 from secref import linker
 from secref.contracts import ArrowS, BaseS, Inl, Inr, PairS, SumS
@@ -31,7 +32,6 @@ from secref.labels import (
     initial_world,
     is_shareable,
     label_shareable,
-    lr_alloc,
     lr_inv,
     modif_only_shareable_and_encaps,
     same_labels,
@@ -640,7 +640,7 @@ def test_ctx_alloc_labels_as_lr_alloc_then_label_shareable_would():
     for tag, init in ((INT, VInt(3)), (Ref(INT), inner)):
         direct = RunState(world=w)
         ref = CtxOps(direct).alloc(tag, init)
-        fresh, w1 = lr_alloc(w, tag, TRIVIAL, init)
+        fresh, w1 = alloc_walked(w, tag, TRIVIAL, init)
         assert (ref, direct.world) == (VRef(fresh, tag), label_shareable(w1, fresh))
         assert lr_inv(direct.world)
 

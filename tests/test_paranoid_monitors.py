@@ -8,12 +8,13 @@ checks that read it step by step are compared with replay in
 """
 import pytest
 
+from stores import addr_map
 from secref import campaigns
 from secref import labels as lb
 from secref import values
 from secref.campaigns import _collect_transitions
 from secref.errors import InvariantViolation, UniversalViolation
-from secref.heap import TRIVIAL, AddrMap, Heap, HeapCell
+from secref.heap import TRIVIAL, Heap, HeapCell
 from secref.labels import Label, World, lr_inv, lr_inv_at
 from secref.linker import CtxOps
 from secref.programs import RunConfig, RunState, alloc_op, do, read_op
@@ -68,7 +69,7 @@ def test_delta_check_agrees_with_full_scan_on_the_campaign_corpus():
 
 
 def test_paranoid_run_from_a_heap_with_a_dangling_ref_fails_its_first_step():
-    h0 = Heap(cells=AddrMap({1: HeapCell(1, Ref(INT), TRIVIAL, VRef(7, INT))}), next_addr=2)
+    h0 = Heap(cells=addr_map({1: HeapCell(1, Ref(INT), TRIVIAL, VRef(7, INT))}), next_addr=2)
 
     def gen():
         yield alloc_op(INT, TRIVIAL, VInt(0))
@@ -90,7 +91,7 @@ def test_a_world_installed_from_outside_is_scanned_in_full():
     state = RunState(config=PARANOID)
     p = state.op_alloc(INT, TRIVIAL, VInt(0))
     q = state.op_alloc(Ref(INT), TRIVIAL, VRef(p, INT))
-    state.world = World(state.world.heap, AddrMap({q: Label.SHAREABLE}))
+    state.world = World(state.world.heap, addr_map({q: Label.SHAREABLE}))
     with pytest.raises(InvariantViolation):
         state.op_read(p)
 
@@ -180,11 +181,11 @@ def test_journal_replays_worlds_installed_between_steps(eager_worlds):
     q = state.op_alloc(INT, TRIVIAL, VInt(1))
     # a world built elsewhere, sharing no chunk: one cell rewritten, one relabeled
     cells = {**state.world.heap.cells, q: HeapCell(q, INT, TRIVIAL, VInt(3))}
-    state.world = World(Heap(AddrMap(cells), state.world.heap.next_addr),
-                        AddrMap({p: Label.SHAREABLE}))
+    state.world = World(Heap(addr_map(cells), state.world.heap.next_addr),
+                        addr_map({p: Label.SHAREABLE}))
     state.op_write(q, VInt(5))
     state.op_read(p)
-    state.world = World(state.world.heap, AddrMap({p: Label.SHAREABLE, q: Label.ENCAPSULATED}))
+    state.world = World(state.world.heap, addr_map({p: Label.SHAREABLE, q: Label.ENCAPSULATED}))
     state.op_read(q)
     journal = state.trace.worlds
     assert len(journal) == 5 and list(journal) == eager_worlds

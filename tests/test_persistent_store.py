@@ -11,6 +11,7 @@ from dataclasses import make_dataclass
 
 import pytest
 
+from stores import addr_map, alloc_walked
 from secref import campaigns
 from secref import heap as hp
 from secref import labels as lb
@@ -32,7 +33,6 @@ from secref.labels import (
     initial_world,
     label_leq,
     labels_monotone,
-    lr_alloc,
     modif_only_shareable_and_encaps,
     modif_shareable_and,
     same_labels,
@@ -216,9 +216,9 @@ def test_diff_predicates_agree_on_a_large_scheduler_run():
 def test_diff_predicates_agree_on_worlds_that_share_no_chunk():
     w = initial_world()
     for i in range(3 * WIDTH):
-        _, w = lr_alloc(w, INT, TRIVIAL, VInt(i))
-    w = World(w.heap, AddrMap({a: Label.SHAREABLE for a in range(2, 3 * WIDTH, 3)}))
-    twin = World(Heap(AddrMap(w.heap.cells), w.heap.next_addr), AddrMap(w.labels))
+        _, w = alloc_walked(w, INT, TRIVIAL, VInt(i))
+    w = World(w.heap, addr_map({a: Label.SHAREABLE for a in range(2, 3 * WIDTH, 3)}))
+    twin = World(Heap(addr_map(w.heap.cells), w.heap.next_addr), addr_map(w.labels))
     assert not any(x is y for x, y in zip(w.heap.cells.chunks, twin.heap.cells.chunks))
     assert twin == w and list(changed(w.heap.cells, twin.heap.cells)) == full_changed(
         w.heap.cells, twin.heap.cells)
@@ -307,27 +307,26 @@ def test_a_one_write_span_check_visits_the_same_entries_at_any_heap_size(monkeyp
 
 
 def test_addr_map_reads_like_a_mapping():
-    m = AddrMap({3: "c", 1: "a", 40: "z"})
+    m = addr_map({3: "c", 1: "a", 40: "z"})
     assert len(m) == 3 and list(m) == [1, 3, 40] and list(m.keys()) == [1, 3, 40]
     assert m.get(3) == "c" and m.get(2) is None and m.get(10_000, "d") == "d"
     assert m.get(-1) is None and -1 not in m and 40 in m and m[1] == "a"
     with pytest.raises(KeyError):
         m[2]
-    assert (m.keys() | AddrMap({2: "b"}).keys()) == {1, 2, 3, 40}
+    assert (m.keys() | addr_map({2: "b"}).keys()) == {1, 2, 3, 40}
     assert dict(m) == {**m} == {1: "a", 3: "c", 40: "z"} and m == {1: "a", 3: "c", 40: "z"}
     m2 = m.set(2, "b").set(3, None)
     assert list(m2.items()) == [(1, "a"), (2, "b"), (40, "z")] and len(m2) == 3
     assert len(m) == 3 and m.get(3) == "c"  # the original is unchanged
     assert m2.chunks[1] is m.chunks[1]
     assert list(changed(m, m2)) == [2, 3] and m != m2
-    with pytest.raises(TypeError):
-        AddrMap({"x": 1})
+    assert AddrMap() is hp.EMPTY_MAP  # a bare constructor gives the empty map
     with pytest.raises(TypeError):
         m.set(-1, "n")
 
 
 def test_addr_map_refuses_and_counts_every_in_place_write():
-    m = AddrMap({1: "a"})
+    m = addr_map({1: "a"})
     writes = (
         lambda: m.__setitem__(1, "b"),
         lambda: m.__delitem__(1),
@@ -359,7 +358,7 @@ SLOT_BUILT = (VInt, VBool, VInl, VInr, VPair, VRef, VLLCons, HeapCell, Heap, Wor
 def _step_records() -> list:
     """The cells, heaps and worlds built by lr_alloc, label_shareable,
     hp.write and a context alloc, then a value record of each kind."""
-    addr, w1 = lr_alloc(initial_world(), INT, TRIVIAL, VInt(1))
+    addr, w1 = alloc_walked(initial_world(), INT, TRIVIAL, VInt(1))
     w1 = lb.label_shareable(w1, addr)
     h2 = hp.write(w1.heap, addr, VInt(2), w1.heap.cell(addr))
     state = RunState(world=w1)
@@ -413,14 +412,14 @@ def _sample(cls) -> list:
     if cls is RunConfig:
         return ["paranoid", 7]
     if cls is World:  # World.__eq__ diffs label maps
-        return [hp.EMPTY_HEAP, AddrMap({1: Label.SHAREABLE})]
+        return [hp.EMPTY_HEAP, addr_map({1: Label.SHAREABLE})]
     return [VInt(i) for i in range(len(cls._fields))]
 
 
 def _marker(cls, value):
     """A value for a field of cls that holds value, unequal to it."""
     if isinstance(value, AddrMap):
-        return AddrMap({99: VInt(-7)})
+        return addr_map({99: VInt(-7)})
     if issubclass(cls, _Tag):
         return UNIT
     return "fast" if cls is RunConfig and value == "paranoid" else VInt(-7)

@@ -1,6 +1,7 @@
 
 import pytest
 
+from stores import alloc_walked
 from secref import heap as hp
 from secref.errors import (
     DanglingInit,
@@ -15,7 +16,7 @@ from secref.errors import (
     WitnessFalse,
 )
 from secref.heap import EMPTY_HEAP, INT_LEQ, TRIVIAL, alloc
-from secref.labels import NO_LABELS, World, initial_world, is_shareable, lr_alloc
+from secref.labels import NO_LABELS, World, initial_world, is_shareable
 from secref.programs import (
     Call,
     Return,
@@ -56,7 +57,7 @@ OPS = {
 
 
 def law_start():
-    a, w = lr_alloc(initial_world(), INT, TRIVIAL, VInt(5))
+    a, w = alloc_walked(initial_world(), INT, TRIVIAL, VInt(5))
     return a, nonempty_pred(), w
 
 
@@ -89,6 +90,27 @@ def test_bind_associativity():
         lhs = bind(bind(make(a, p), f), g)
         rhs = bind(make(a, p), lambda x: bind(f(x), g))
         assert observe_state(lhs, w, p) == observe_state(rhs, w, p), name
+
+
+def test_a_do_step_is_one_call_whose_continuation_is_its_stepper():
+    # an op node's continuation is Return, so bind hands it k itself: by the
+    # left-unit law nothing is grafted
+    k = lambda v: Return((v, v))
+    assert bind(read_op(1), k).cont is k
+
+    def steps():
+        x = yield read_op(1)
+        yield write_op(1, x)
+        return x
+
+    first = do(steps)
+    stepper = first.cont.__self__
+    assert (type(first), first.op, first.args) == (Call, "op_read", (1,))
+    assert first.cont == stepper.step
+    second = first.cont(VInt(4))
+    assert (type(second), second.op, second.args) == (Call, "op_write", (1, VInt(4)))
+    assert second.cont == stepper.step
+    assert second.cont(None) == Return(VInt(4))
 
 
 def test_op_wrapper_installed_after_build_sees_every_step(monkeypatch):

@@ -140,16 +140,17 @@ def test_unlabeled_variant_fails_with_share_leak_at_that_write():
 
 def test_unlabeled_share_leak_is_raised_by_the_exact_write():
     from secref.heap import TRIVIAL
-    from secref.labels import initial_world, label_shareable, lr_alloc, lr_write
+    from secref.labels import initial_world, label_shareable
+    from stores import alloc_walked, write_walked
     from secref.values import INT, Ref, VRef
 
-    p, w = lr_alloc(initial_world(), INT, TRIVIAL, VInt(0))
-    r, w = lr_alloc(w, Ref(INT), TRIVIAL, VRef(p, INT))
+    p, w = alloc_walked(initial_world(), INT, TRIVIAL, VInt(0))
+    r, w = alloc_walked(w, Ref(INT), TRIVIAL, VRef(p, INT))
     w = label_shareable(w, p)
     w = label_shareable(w, r)
-    v, w = lr_alloc(w, INT, TRIVIAL, VInt(1))
+    v, w = alloc_walked(w, INT, TRIVIAL, VInt(1))
     with pytest.raises(ShareLeak) as leak:
-        lr_write(w, r, VRef(v, INT))
+        write_walked(w, r, VRef(v, INT))
     assert leak.value.addr == r
     assert leak.value.leaked == {v}
 

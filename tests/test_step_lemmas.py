@@ -29,6 +29,7 @@ from itertools import product
 import pytest
 
 import mutate
+from stores import addr_map
 from secref.errors import (
     BoundaryViolation,
     DanglingInit,
@@ -39,7 +40,7 @@ from secref.errors import (
     TypeMismatch,
     Uncontained,
 )
-from secref.heap import INT_LEQ, LABEL_MAP_MARKER, TRIVIAL, AddrMap, Heap, HeapCell, heap_leq
+from secref.heap import INT_LEQ, LABEL_MAP_MARKER, TRIVIAL, Heap, HeapCell, heap_leq
 from secref.labels import (
     Label,
     World,
@@ -81,7 +82,7 @@ def worlds(universe=CELLS, sizes=(0, 1, 2)):
             heap = {a: HeapCell(a, tag, pre, v) for a, ((tag, pre, v), _) in enumerate(cells, 1)}
             labels = {a: label for a, (_, label) in enumerate(cells, 1)
                       if label is not Label.PRIVATE}
-            yield World(Heap(AddrMap(heap), n + 1), AddrMap(labels))
+            yield World(Heap(addr_map(heap), n + 1), addr_map(labels))
 
 
 # a step: (description, side, run), where run(state, ops) makes the step and
