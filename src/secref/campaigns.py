@@ -12,7 +12,7 @@ from typing import Optional
 
 from . import heap as hp
 from .contracts import ArrowS, BaseS
-from .errors import MonitorAlarm, RecallUnwitnessed, ShareLeak
+from .errors import MonitorAlarm, RecallUnwitnessed, SecrefError, ShareLeak
 from .heap import PREORDERS, TRIVIAL
 from .labels import initial_world, labels_monotone, lr_inv, modif_only_shareable_and_encaps
 from .linker import (
@@ -37,6 +37,8 @@ from .programs import (
     recall_op,
     run_closed,
     shareable_pred,
+    witness_op,
+    write_op,
 )
 from .sampling import preorder_laws
 from .scenarios import (
@@ -430,6 +432,22 @@ def campaign_witness(seed: int = 0, recall_cases: int = 50) -> Report:
         refused == recall_cases,
         f"{refused}/{recall_cases}",
     )
+
+    # the positive control: predicates witnessed and still true are recalled
+    def witnessed():
+        a = yield alloc_op(INT, TRIVIAL, VInt(0))
+        yield label_shareable_op(a)
+        preds = (shareable_pred(a), contains_pred(a))
+        for op in (*map(witness_op, preds), alloc_op(INT, TRIVIAL, VInt(1)),
+                   write_op(a, VInt(2)), *map(recall_op, preds)):
+            yield op
+
+    try:
+        run_closed(do(witnessed), RunConfig(check_level="paranoid"))
+        refused = ""
+    except SecrefError as err:
+        refused = f"{type(err).__name__}: {err}"
+    report.add("witnessed_recall_succeeds", not refused, refused)
 
     transitions = _collect_transitions(seed)
     report.stats["transitions_observed"] = len(transitions)

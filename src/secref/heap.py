@@ -6,8 +6,7 @@ a write copies one chunk of WIDTH cells and the spine of chunk pointers, not
 the heap, and an in-place write raises instead of silently changing a
 snapshot other code still holds.  `changed` lists the addresses two maps
 differ at by skipping the chunks they share, so comparing two heaps costs
-what separates them.  Addresses start at 1.  Address 0 is reserved as the
-label map's identity marker and is never allocated.
+what separates them.  Addresses start at 1 and are never freed.
 """
 from __future__ import annotations
 
@@ -19,8 +18,6 @@ from typing import Callable, Optional
 
 from .errors import ImmutableWrite, PreorderViolation, TypeMismatch, Uncontained
 from .values import Addr, TypeTag, Value, VInl, VInt, VLLNil, VPair, record
-
-LABEL_MAP_MARKER: Addr = 0
 
 # an AddrMap chunk holds WIDTH consecutive addresses
 SHIFT = 5
@@ -196,7 +193,6 @@ PREORDERS: dict[str, Preorder] = {
 
 @record
 class HeapCell:
-    addr: Addr
     tag: TypeTag
     preorder: Preorder
     value: Value
@@ -233,7 +229,7 @@ def alloc(h: Heap, tag: TypeTag, rel: Preorder, init: Value) -> tuple[Addr, Heap
     if not tag.storable:
         raise TypeMismatch(f"{tag} is not a storable type")
     addr = h.next_addr
-    return addr, Heap(h.cells.set(addr, HeapCell(addr, tag, rel, init)), addr + 1)
+    return addr, Heap(h.cells.set(addr, HeapCell(tag, rel, init)), addr + 1)
 
 
 def read(h: Heap, r: Addr) -> Value:
@@ -243,7 +239,7 @@ def read(h: Heap, r: Addr) -> Value:
 def write(h: Heap, r: Addr, v: Value, cell: HeapCell) -> Heap:
     if not cell.preorder.relation(cell.value, v):
         raise PreorderViolation(r, cell.preorder.name, cell.value, v)
-    return Heap(h.cells.set(r, HeapCell(r, cell.tag, cell.preorder, v)), h.next_addr)
+    return Heap(h.cells.set(r, HeapCell(cell.tag, cell.preorder, v)), h.next_addr)
 
 
 def heap_leq(h0: Heap, h1: Heap) -> bool:

@@ -2,8 +2,8 @@
 
 A world pairs a heap with a total label assignment (absent entries read as
 Private).  The global invariant ties the two together: shareable cells may
-only reach shareable cells, and nothing past the allocation frontier carries
-a label other than Private.  Both maps are persistent `AddrMap`s, so a world
+only reach shareable cells, and only an address with a cell carries a label
+other than Private.  Both maps are persistent `AddrMap`s, so a world
 never changes once built, and a labeling copies one chunk of the label map.
 `World`, like `heap.Heap`, is a `values.Record`: its one constructor takes
 the heap and an `AddrMap` of labels as they are.
@@ -24,9 +24,8 @@ from .errors import (
     MonotonicRefShare,
     ShareLeak,
     TypeMismatch,
-    Uncontained,
 )
-from .heap import EMPTY_MAP, LABEL_MAP_MARKER, MASK, SHIFT, AddrMap, Heap, HeapCell, Preorder, changed
+from .heap import EMPTY_MAP, MASK, SHIFT, AddrMap, Heap, HeapCell, Preorder, changed
 from .values import Addr, TypeTag, Value, record, ref_entries
 
 
@@ -128,18 +127,14 @@ def lr_inv(w: World) -> bool:
 
     (a) stored values embed only contained, correctly-typed addresses;
     (b) shareable cells embed only shareable addresses;
-    (c) no address at or past the allocation frontier carries a label;
-    (d) the label-map marker stays private.
+    (c) only an address with a cell carries a label other than Private.
     """
-    h = w.heap
-    for addr, cell in h.cells.items():
+    cells = w.heap.cells
+    for addr, cell in cells.items():
         entries = ref_entries(cell.tag, cell.value)
         if entries and not _entries_ok(w, addr, entries):
             return False
-    for addr, label in w.labels.items():
-        if addr >= h.next_addr and label is not PRIVATE:
-            return False
-    return is_private(w, LABEL_MAP_MARKER)
+    return all(label is PRIVATE or cells.get(addr) is not None for addr, label in w.labels.items())
 
 
 def lr_inv_at(w: World, r: Addr, walk: Optional[tuple],
@@ -152,7 +147,7 @@ def lr_inv_at(w: World, r: Addr, walk: Optional[tuple],
     at r cannot break another cell's conjuncts: a cell embedding r, or a
     shareable cell reaching r, already needed r contained, correctly typed
     and shareable.
-    What is left to check is (a) and (b) for r's cell, (c) for r, and (d).
+    What is left to check is (a) and (b) for r's cell, and (c) for r.
 
     `walk`, when not None, is the step's walk of the value it stored:
     (tag, value, entries), entries being `ref_entries(tag, value)`.  They
@@ -168,9 +163,7 @@ def lr_inv_at(w: World, r: Addr, walk: Optional[tuple],
             entries = ref_entries(cell.tag, cell.value)
         if entries and not _entries_ok(w, r, entries):
             return False
-    if r >= w.heap.next_addr and w.label_of(r) is not PRIVATE:
-        return False
-    return w.label_of(LABEL_MAP_MARKER) is PRIVATE
+    return cell is not None or w.label_of(r) is PRIVATE
 
 
 # `entries` are `ref_entries` of the stored value at the cell's tag, which
@@ -192,8 +185,7 @@ def lr_read(w: World, r: Addr) -> Value:
 def lr_write(w: World, r: Addr, v: Value, entries: list, cell: HeapCell) -> World:
     """Write v to the cell at r, `cell` as the caller found it: containment
     of the embedded addresses, ShareLeak for a shareable cell, and the heap
-    write's preorder check.  The caller refuses an address with no cell,
-    the label-map marker among them."""
+    write's preorder check.  The caller refuses an address with no cell."""
     if entries:
         _check_embedded_contained(w, entries, "write")
         if w.label_of(r) is SHAREABLE:
@@ -225,8 +217,6 @@ def label_shareable(w: World, r: Addr, walk: Optional[list] = None) -> World:
 
 
 def label_encapsulated(w: World, r: Addr) -> World:
-    if r == LABEL_MAP_MARKER:
-        raise Uncontained(r, "the label-map marker cannot be relabeled")
     w.heap.cell(r)
     if not is_private(w, r):
         raise AlreadyLabeled(f"{r} is already {w.label_of(r).value}")

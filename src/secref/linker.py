@@ -22,8 +22,8 @@ span checked for the same universal property.
 from __future__ import annotations
 
 from functools import partial
-from itertools import zip_longest
-from typing import Any, Callable, Optional
+from itertools import count, zip_longest
+from typing import Any, Callable
 
 from .contracts import Inr, InterfaceSpec, export, import_value
 from .errors import (
@@ -36,7 +36,7 @@ from .errors import (
     Uncontained,
     UniversalViolation,
 )
-from .heap import HOLES, LABEL_MAP_MARKER, MASK, SHIFT, TRIVIAL, Heap, HeapCell
+from .heap import HOLES, MASK, SHIFT, TRIVIAL, WIDTH, Heap, HeapCell
 from .labels import (
     PRIVATE,
     SHAREABLE,
@@ -102,7 +102,7 @@ def ctx_alloc(ops: CtxOps, tag: TypeTag, init: Value) -> VRef:
         label = chunks[hi][addr & MASK]
         if label is not None and label is not PRIVATE:
             raise AlreadyLabeled(f"fresh cell {addr} is already {label.value}")
-    cells = h.cells.set(addr, HeapCell(addr, tag, TRIVIAL, init))
+    cells = h.cells.set(addr, HeapCell(tag, TRIVIAL, init))
     st.world = World(Heap(cells, addr + 1), labels.set(addr, SHAREABLE))
     if ops._paranoid:
         st._after_step(w, addr, (tag, init, entries))
@@ -142,11 +142,11 @@ def ctx_write(ops: CtxOps, ref: Value, v: Value) -> None:
     cell looked up once in the chunks of the two maps, v walked once, and
     one `set` on the cell map.  It refuses in this order: BoundaryViolation
     for a ref that is not a reference with an int address, or whose address
-    is not labeled shareable; Uncontained for the label-map marker or an
-    address with no cell; TypeMismatch for a v that does not conform to the
-    cell's tag; BoundaryViolation for an embedded address that is not
-    shareable; DanglingInit or TypeMismatch for one that is not contained at
-    its tag; ShareLeak for a private one; PreorderViolation.  The ShareLeak
+    is not labeled shareable; Uncontained for an address with no cell;
+    TypeMismatch for a v that does not conform to the cell's tag;
+    BoundaryViolation for an embedded address that is not shareable;
+    DanglingInit or TypeMismatch for one that is not contained at its tag;
+    ShareLeak for a private one; PreorderViolation.  The ShareLeak
     check is the labeled rule's, kept as safety code: once the boundary walk
     passes, no embedded address is private, so it never fires."""
     st = ops._state
@@ -163,8 +163,6 @@ def ctx_write(ops: CtxOps, ref: Value, v: Value) -> None:
     shareable = 0 <= hi < len(labels) and labels[hi][lo] is SHAREABLE
     if not shareable:
         raise BoundaryViolation(f"context write to non-shareable address {r}")
-    if r == LABEL_MAP_MARKER:
-        raise Uncontained(r, "the label-map marker is not writable")
     h = w.heap
     cells = h.cells
     chunks = cells.chunks
@@ -184,7 +182,7 @@ def ctx_write(ops: CtxOps, ref: Value, v: Value) -> None:
                 raise ShareLeak(r, v, leaked)
     if not preorder.relation(cell.value, v):
         raise PreorderViolation(r, preorder.name, cell.value, v)
-    st.world = World(Heap(cells.set(r, HeapCell(r, tag, preorder, v)), h.next_addr), w.labels)
+    st.world = World(Heap(cells.set(r, HeapCell(tag, preorder, v)), h.next_addr), w.labels)
     if ops._paranoid:
         st._after_step(w, r, (tag, v, entries))
 
@@ -341,16 +339,13 @@ class BehaviorRecord:
     outcome: tuple
     dump: tuple
 
-    def __init__(self, outcome: tuple, dump: Optional[tuple] = None,
-                 world: Optional[World] = None):
+    def __init__(self, outcome: tuple, world: World):
         object.__setattr__(self, "outcome", outcome)
         object.__setattr__(self, "_world", world)
-        if dump is not None:
-            object.__setattr__(self, "dump", dump)
 
     def __getattr__(self, name):
         # reached only when a slot is unset: `dump` before its first read
-        if name != "dump" or self._world is None:
+        if name != "dump":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         dump = render_world(self._world)
         object.__setattr__(self, "dump", dump)
@@ -365,12 +360,14 @@ class BehaviorRecord:
 
 def render_world(w: World) -> tuple:
     """One line per cell, by address: `addr: tag [label] = value`.  One pass
-    over the cell and label chunks side by side; the text between address
-    and value is made once per tag and label."""
+    over the cell and label chunks side by side, an address being its
+    chunk's base plus its slot; the text between address and value is made
+    once per tag and label."""
     out = []
     heads = {}
-    for cells, labels in zip_longest(w.heap.cells.chunks, w.labels.chunks, fillvalue=HOLES):
-        for cell, label in zip(cells, labels):
+    chunks = zip_longest(w.heap.cells.chunks, w.labels.chunks, fillvalue=HOLES)
+    for base, (cells, labels) in zip(count(0, WIDTH), chunks):
+        for addr, cell, label in zip(count(base), cells, labels):
             if cell is None:
                 continue
             tag = cell.tag
@@ -379,7 +376,7 @@ def render_world(w: World) -> tuple:
             head = heads.get(key)
             if head is None:
                 head = heads[key] = f": {tag} [{(label or PRIVATE).value}] = "
-            out.append(f"{cell.addr}{head}{cell.value}")
+            out.append(f"{addr}{head}{cell.value}")
     return tuple(out)
 
 
@@ -400,7 +397,7 @@ def beh(run: Callable[[RunState], Any], state: RunState) -> BehaviorRecord:
         outcome = ("err", failure.code, str(failure))
     finally:
         state.end()
-    return BehaviorRecord(outcome, world=state.world)
+    return BehaviorRecord(outcome, state.world)
 
 
 def beh_equal(b0: BehaviorRecord, b1: BehaviorRecord) -> bool:

@@ -28,7 +28,7 @@ from .errors import (
     Uncontained,
     WitnessFalse,
 )
-from .heap import LABEL_MAP_MARKER, Heap, HeapCell, Preorder, changed
+from .heap import Heap, HeapCell, Preorder, changed
 from .labels import World
 from .values import Addr, TypeTag, Value, record, ref_entries
 
@@ -356,15 +356,14 @@ class RunState:
 
     # A store step walks its value once, here, and hands the walk to the
     # labeled operation and to the monitor; a write also hands down the cell
-    # it found.  A write to an address with no cell, the label-map marker
-    # among them, is refused here, before any walk.
+    # it found.  A write to an address with no cell is refused here, before
+    # any walk.
     def op_write(self, addr: Addr, v: Value) -> None:
         self._tick()
         w0 = self.world
         cell = w0.heap.cells.get(addr)
         if cell is None:
-            raise Uncontained(addr, "the label-map marker is not writable"
-                              if addr == LABEL_MAP_MARKER else "")
+            raise Uncontained(addr)
         entries = ref_entries(cell.tag, v)
         self.world = lb.lr_write(w0, addr, v, entries, cell)
         self._after_step(w0, addr, (cell.tag, v, entries))

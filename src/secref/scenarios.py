@@ -719,7 +719,6 @@ class SchedulerRun:
     hist: list
     finished_at: dict
     state: RunState
-    w0: World
     w1: World
     record: BehaviorRecord
 
@@ -766,7 +765,6 @@ def run_scheduler(task_builders, cfg: Optional[RunConfig] = None) -> SchedulerRu
     """Round-robin the tasks to completion as a `beh` run, which ends their
     CtxOps, recording history in a private, prefix-monotone counter cell."""
     state = RunState(config=cfg)
-    w0 = state.world
     k = len(task_builders)
     counter = state.op_alloc(
         SCHED_COUNTER_TAG, HIST_PREFIX, VPair(V_NIL, VPair(VInt(0), VInt(0)))
@@ -814,7 +812,6 @@ def run_scheduler(task_builders, cfg: Optional[RunConfig] = None) -> SchedulerRu
         hist=hist,
         finished_at=finished_at,
         state=state,
-        w0=w0,
         w1=state.world,
         record=record,
     )

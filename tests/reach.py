@@ -48,7 +48,7 @@ BENCH_TRIALS = {"fuzz": 5, "sort_fast": 1, "sched_paranoid": 1, "sched_fast_larg
 
 # the statements other than `raise` that the traffic leaves unreached; a
 # change that leaves more unreached fails the census
-UNREACHED_MAX = 229
+UNREACHED_MAX = 225
 
 _SKIPPED = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Import, ast.ImportFrom,
             ast.Global, ast.Nonlocal)

@@ -18,8 +18,10 @@ from secref.campaigns import (
     campaign_universal,
     campaign_witness,
 )
+from secref.errors import StabilityViolation
 from secref.heap import Heap
 from secref.labels import World, is_private
+from secref.programs import RunState
 from secref.values import VInt
 
 SEED = 2026
@@ -181,6 +183,22 @@ def test_a_false_scenario_check_on_a_completed_run_fails_the_universal_campaign(
     monkeypatch.setattr(campaigns, "run_scenario", failing)
     check = _check(campaign_universal(seed=SEED, trials=4), "scenario_checks_hold_on_completed_runs")
     assert forced and not check.ok and check.detail == forced[0]
+
+
+def test_a_refused_recall_of_a_witnessed_predicate_fails_the_witness_campaign(monkeypatch):
+    assert _check(campaign_witness(seed=SEED, recall_cases=2), "witnessed_recall_succeeds").ok
+    real = RunState.op_recall
+
+    def refusing(state, pred):
+        if pred.name in state.witnesses:
+            raise StabilityViolation(f"recalled {pred.name} refused")
+        return real(state, pred)
+
+    monkeypatch.setattr(RunState, "op_recall", refusing)
+    report = campaign_witness(seed=SEED, recall_cases=2)
+    check = _check(report, "witnessed_recall_succeeds")
+    assert not check.ok and check.detail == "StabilityViolation: recalled is_shareable@1 refused"
+    assert _check(report, "bare_recall_always_refused").ok
 
 
 def test_a_host_write_to_a_private_cell_after_the_context_returns_fails_the_dual_check(

@@ -232,7 +232,7 @@ PINNED_REPORTS = {
     "fuzz": (["fuzz", "--seed", "7", "--trials", "200", "--fuel", "1500", "--paranoid"],
              "7d9ee106a39ff80a5daa6cc9fd7a31ff8222e462b456f5e3769ea02c188ceef2"),
     "props": (["props", "--seed", "7"],
-              "84a912fcd37532ec5f6bd5cc96d3c68a897430ecac131dd998ee25cbd1278d5d"),
+              "c4a11f73bcadad93ff7e34d01a48493a1b69516ade2d953170c8c874f86a067d"),
 }
 
 

@@ -254,7 +254,7 @@ def test_purity_monitor_fires_on_an_in_place_rewrite(swallow):
 
     def rewrite(v, w):
         for attempt in (
-            lambda: w.heap.cells.__setitem__(secret, HeapCell(secret, INT, TRIVIAL, VInt(0))),
+            lambda: w.heap.cells.__setitem__(secret, HeapCell(INT, TRIVIAL, VInt(0))),
             lambda: w.labels.__setitem__(secret, Label.SHAREABLE),
         ):
             try:

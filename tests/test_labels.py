@@ -15,7 +15,7 @@ from secref.errors import (
     TypeMismatch,
     Uncontained,
 )
-from secref.heap import INT_LEQ, LABEL_MAP_MARKER, TRIVIAL, AddrMap, Heap
+from secref.heap import INT_LEQ, TRIVIAL, AddrMap, Heap, HeapCell
 from secref.labels import (
     Label,
     World,
@@ -57,7 +57,8 @@ def test_fresh_addr_is_private():
 
 
 def test_marker_is_private():
-    assert is_private(initial_world(), LABEL_MAP_MARKER)
+    # address 0 is never allocated, so it never gets a cell or a label
+    assert is_private(initial_world(), 0)
 
 
 def test_label_shareable_then_queries():
@@ -90,9 +91,19 @@ def test_lr_inv_rejects_labels_past_frontier():
 
 def test_lr_inv_rejects_relabeled_marker():
     w = initial_world()
-    bad = World(heap=w.heap, labels=addr_map({LABEL_MAP_MARKER: Label.SHAREABLE}))
+    bad = World(heap=w.heap, labels=addr_map({0: Label.SHAREABLE}))
     assert not lr_inv(bad)
-    assert not lr_inv_at(bad, LABEL_MAP_MARKER, None, None)
+    assert not lr_inv_at(bad, 0, None, None)
+
+
+def test_lr_inv_rejects_a_label_on_an_address_with_no_cell_below_the_frontier():
+    # cells at 1 and 3, none at 2: a frontier test alone would accept the label
+    cell = HeapCell(INT, TRIVIAL, VInt(0))
+    heap = Heap(cells=addr_map({1: cell, 3: cell}), next_addr=4)
+    bad = World(heap=heap, labels=addr_map({2: Label.SHAREABLE}))
+    assert not lr_inv(bad)
+    assert not lr_inv_at(bad, 2, None, None)
+    assert lr_inv(World(heap=heap, labels=addr_map({1: Label.SHAREABLE, 3: Label.ENCAPSULATED})))
 
 
 def test_lr_alloc_private_and_label_preserving():
@@ -177,7 +188,7 @@ def test_label_encapsulated_shareable_refused():
 def test_label_encapsulated_marker_refused():
     w = initial_world()
     with pytest.raises(Uncontained):
-        label_encapsulated(w, LABEL_MAP_MARKER)
+        label_encapsulated(w, 0)
 
 
 def _two_cell_world():

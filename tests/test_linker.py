@@ -125,8 +125,8 @@ def test_ctx_read_of_private_is_a_boundary_violation():
 
 def read_rule_refs(config=None):
     """A run state, a CtxOps on it, and one reference per row of the read
-    rule's matrix: a cell of each label, addresses no cell has, and the
-    label-map marker."""
+    rule's matrix: a cell of each label, and addresses no cell has, address
+    0 among them."""
     state = RunState(config=config)
     ops = CtxOps(state)
     shareable = ops.alloc(INT, VInt(7))
@@ -716,7 +716,9 @@ def test_a_behaviour_record_renders_its_world_on_first_read(monkeypatch):
     assert record.dump is record.dump and len(rendered) == 1
     assert record._world is None  # the world is let go once rendered
     assert record == again and len(rendered) == 2
-    built = BehaviorRecord(("ok", 7), dump)
+    built_state = RunState()
+    built_state.op_alloc(INT, TRIVIAL, VInt(3))
+    built = BehaviorRecord(("ok", 7), built_state.world)
     assert record == built and hash(record) == hash(built)
     assert repr(record) == repr(built) == f"BehaviorRecord(outcome=('ok', 7), dump={dump!r})"
     assert list(beh(run, RunState()).lines()) == ["outcome: ('ok', 7)", *dump]

@@ -42,7 +42,7 @@ def _touched(w0: World, w1: World) -> set:
 def _corruptions(w: World, r: int):
     """Worlds that differ from w only at r and break lr_inv there."""
     h = w.heap
-    dangling = HeapCell(r, Ref(INT), TRIVIAL, VRef(h.next_addr, INT))
+    dangling = HeapCell(Ref(INT), TRIVIAL, VRef(h.next_addr, INT))
     yield World(Heap(h.cells.set(r, dangling), h.next_addr), w.labels)
     cell = h.cells[r]
     if not lb.is_shareable(w, r) and any(
@@ -69,7 +69,7 @@ def test_delta_check_agrees_with_full_scan_on_the_campaign_corpus():
 
 
 def test_paranoid_run_from_a_heap_with_a_dangling_ref_fails_its_first_step():
-    h0 = Heap(cells=addr_map({1: HeapCell(1, Ref(INT), TRIVIAL, VRef(7, INT))}), next_addr=2)
+    h0 = Heap(cells=addr_map({1: HeapCell(Ref(INT), TRIVIAL, VRef(7, INT))}), next_addr=2)
 
     def gen():
         yield alloc_op(INT, TRIVIAL, VInt(0))
@@ -100,7 +100,7 @@ def _forged(state: RunState) -> World:
     """The state's world plus a cell that embeds a dangling address."""
     h = state.world.heap
     a = h.next_addr
-    bad = HeapCell(a, Ref(INT), TRIVIAL, VRef(a + 5, INT))
+    bad = HeapCell(Ref(INT), TRIVIAL, VRef(a + 5, INT))
     return World(Heap(h.cells.set(a, bad), a + 1), state.world.labels)
 
 
@@ -180,7 +180,7 @@ def test_journal_replays_worlds_installed_between_steps(eager_worlds):
     p = state.op_alloc(INT, TRIVIAL, VInt(0))
     q = state.op_alloc(INT, TRIVIAL, VInt(1))
     # a world built elsewhere, sharing no chunk: one cell rewritten, one relabeled
-    cells = {**state.world.heap.cells, q: HeapCell(q, INT, TRIVIAL, VInt(3))}
+    cells = {**state.world.heap.cells, q: HeapCell(INT, TRIVIAL, VInt(3))}
     state.world = World(Heap(addr_map(cells), state.world.heap.next_addr),
                         addr_map({p: Label.SHAREABLE}))
     state.op_write(q, VInt(5))

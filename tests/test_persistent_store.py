@@ -37,7 +37,7 @@ from secref.labels import (
     modif_shareable_and,
     same_labels,
 )
-from secref.linker import BehaviorRecord, CtxOps
+from secref.linker import BehaviorRecord, CtxOps, render_world
 from secref.programs import RunConfig, RunState
 from secref.scenarios import TASK_DONE, run_scheduler, yielding_task
 from secref.values import (
@@ -139,7 +139,7 @@ def corruptions(w0: World, w1: World):
         a = private[-1]
         cell = cells0[a]
         other = VInt(0) if cell.value != VInt(0) else VInt(1)
-        rewritten = HeapCell(a, cell.tag, cell.preorder, other)
+        rewritten = HeapCell(cell.tag, cell.preorder, other)
         yield World(Heap(cells1.set(a, rewritten), w1.heap.next_addr), w1.labels), \
             modif_only_shareable_and_encaps
         yield World(Heap(cells1.set(a, None), w1.heap.next_addr), w1.labels), \
@@ -406,7 +406,10 @@ RECORD_CLASSES = _record_classes()
 
 
 def _sample(cls) -> list:
-    """Field values to build one record of cls with."""
+    """Arguments to build one record of cls with: its field values, except
+    for a behaviour record, which is built from an outcome and a world."""
+    if cls is BehaviorRecord:
+        return [("ok", 1), _one_cell_world(VInt(3))]
     if issubclass(cls, _Tag):
         return [INT, BOOL][:len(cls._fields)]
     if cls is RunConfig:
@@ -416,8 +419,22 @@ def _sample(cls) -> list:
     return [VInt(i) for i in range(len(cls._fields))]
 
 
+def _one_cell_world(value) -> World:
+    return alloc_walked(initial_world(), INT, TRIVIAL, value)[1]
+
+
+def _held(cls, args) -> list:
+    """The field values of `cls(*args)`: the arguments, except that a
+    behaviour record holds its world's render as its dump."""
+    if cls is BehaviorRecord:
+        return [args[0], render_world(args[1])]
+    return list(args)
+
+
 def _marker(cls, value):
-    """A value for a field of cls that holds value, unequal to it."""
+    """An argument for a field of cls in place of value, unequal to it."""
+    if isinstance(value, World):
+        return _one_cell_world(VInt(-7))
     if isinstance(value, AddrMap):
         return addr_map({99: VInt(-7)})
     if issubclass(cls, _Tag):
@@ -453,10 +470,11 @@ def test_slot_built_records_agree_with_their_plain_frozen_twins():
 
 def _agrees_with_its_twin(cls):
     names, values = cls._fields, _sample(cls)
+    held = _held(cls, values)
     record, twin = cls(*values), _twin(cls)
-    mirror = twin(*values)
+    mirror = twin(*held)
     assert not hasattr(record, "__dict__")
-    assert [getattr(record, name) for name in names] == values
+    assert [getattr(record, name) for name in names] == held
     assert repr(record) == repr(mirror)
     if issubclass(cls, _Tag):
         assert hash(record) == object.__hash__(record)
@@ -465,13 +483,16 @@ def _agrees_with_its_twin(cls):
     if issubclass(cls, _Tag):  # built by _Tag.__new__ and interned
         assert cls(*values) is record
     else:
-        by_name = cls(**dict(zip(names, values)))
+        params = ("outcome", "world") if cls is BehaviorRecord else names
+        by_name = cls(**dict(zip(params, values)))
         assert type(by_name) is cls and by_name == record and by_name is not record
     for i, name in enumerate(names):
         marker = _marker(cls, values[i])
         changed_values = [*values[:i], marker, *values[i + 1:]]
-        other, other_mirror = cls(*changed_values), twin(*changed_values)
-        assert type(other) is cls and getattr(other, name) is marker
+        changed_held = _held(cls, changed_values)
+        other, other_mirror = cls(*changed_values), twin(*changed_held)
+        assert type(other) is cls and [getattr(other, n) for n in names] == changed_held
+        assert getattr(other, name) is marker or cls is BehaviorRecord
         assert repr(other) == repr(other_mirror)
         assert (other == record) is (other_mirror == mirror) is False
         with pytest.raises(FrozenRecordError, match=f"cannot assign to field '{name}'"):
@@ -481,7 +502,7 @@ def _agrees_with_its_twin(cls):
     with pytest.raises(FrozenRecordError, match="cannot assign to field 'extra'"):
         record.extra = 1
     assert record != mirror and mirror != record
-    assert [getattr(record, name) for name in names] == values
+    assert [getattr(record, name) for name in names] == held
 
 
 # the one record with fields that writes its own __init__: it keeps the final
@@ -503,7 +524,7 @@ def test_a_slot_built_record_is_built_in_one_python_frame(cls):
         record = cls(*args)
     finally:
         sys.setprofile(None)
-    assert [getattr(record, name) for name in cls._fields] == args
+    assert [getattr(record, name) for name in cls._fields] == _held(cls, args)
     if issubclass(cls, _Tag):
         assert entered == ["__new__"]  # tags are built and interned by _Tag.__new__
     elif not cls._fields:

@@ -14,7 +14,7 @@ from secref.contracts import (
 )
 from secref.errors import BoundaryViolation
 from secref.heap import INT_LEQ
-from secref.labels import is_shareable
+from secref.labels import initial_world, is_shareable
 from secref.linker import (
     CtxOps,
     TargetContext,
@@ -102,8 +102,8 @@ def test_back_translate_build_time_allocation_hits_the_live_world():
 
 
 def test_beh_equal_detects_differences():
-    a = BehaviorRecord(outcome=("ok", 1), dump=())
-    b = BehaviorRecord(outcome=("ok", 2), dump=())
+    a = BehaviorRecord(outcome=("ok", 1), world=initial_world())
+    b = BehaviorRecord(outcome=("ok", 2), world=initial_world())
     assert beh_equal(a, a)
     assert not beh_equal(a, b)
 

@@ -332,7 +332,7 @@ NOT_STORABLE = Sum(Ref(INT), Arrow(INT, INT))  # an inl still conforms to it
 # A row whose value breaks two checks is refused by the earlier one.
 OP_WRITE_REFUSALS = {
     "marker": (lambda r: 0, lambda r: VInt(1),
-               Uncontained, "address 0 not in heap: the label-map marker is not writable$"),
+               Uncontained, "address 0 not in heap$"),
     "unallocated": (lambda r: 999, lambda r: VInt(1), Uncontained, "address 999 not in heap$"),
     "not_conforming": (lambda r: r["pair"].addr, lambda r: VPair(r["shareable"], VInt(1)),
                        TypeMismatch, "does not conform"),

@@ -6,8 +6,8 @@ Worlds are built from a small universe of cells: an int under the trivial
 or the `int_leq` preorder, a bool, a reference to an int, and a pair of two
 int references, each under every label.  Every step runs from every such
 world: the three `CtxOps` steps and the checked `op_write`, `op_alloc`,
-`op_label_shareable` and `op_label_encapsulated`, with targets from the
-label-map marker to one past the last cell and stored values from the same
+`op_label_shareable` and `op_label_encapsulated`, with targets from
+address 0 to one past the last cell and stored values from the same
 universe, at both check levels.  A paranoid run starts from a world the
 monitor has validated, so each step runs the incremental monitor.  The
 three-cell scope holds only int and `(ref int)` cells under the trivial
@@ -40,7 +40,7 @@ from secref.errors import (
     TypeMismatch,
     Uncontained,
 )
-from secref.heap import INT_LEQ, LABEL_MAP_MARKER, TRIVIAL, Heap, HeapCell, heap_leq
+from secref.heap import INT_LEQ, TRIVIAL, Heap, HeapCell, heap_leq
 from secref.labels import (
     Label,
     World,
@@ -72,14 +72,14 @@ CELLS = (
 # and one past it, and both orders of a pair of references
 VALUES = (VInt(0), VInt(1), V_TRUE, R1, R2, R3, VPair(R1, R2), VPair(R2, R1))
 TAGS = (INT, BOOL, REF, PAIR)
-TARGETS = (LABEL_MAP_MARKER, 1, 2, 3)
+TARGETS = (0, 1, 2, 3)
 
 
 def worlds(universe=CELLS, sizes=(0, 1, 2)):
     """Every world of cells from the universe, of each size in turn."""
     for n in sizes:
         for cells in product(product(universe, LABELS), repeat=n):
-            heap = {a: HeapCell(a, tag, pre, v) for a, ((tag, pre, v), _) in enumerate(cells, 1)}
+            heap = {a: HeapCell(tag, pre, v) for a, ((tag, pre, v), _) in enumerate(cells, 1)}
             labels = {a: label for a, (_, label) in enumerate(cells, 1)
                       if label is not Label.PRIVATE}
             yield World(Heap(addr_map(heap), n + 1), addr_map(labels))
@@ -317,8 +317,6 @@ def layered_ctx_write(ops: CtxOps, ref, v, boundary=True, share_leak=True) -> No
                 if w0.label_of(sub) is not Label.SHAREABLE:
                     raise BoundaryViolation(f"context write embeds non-shareable address {sub}")
     # labels.lr_write
-    if r == LABEL_MAP_MARKER:
-        raise Uncontained(r, "the label-map marker is not writable")
     cell = w0.heap.cell(r)
     if entries is None:
         entries = ref_entries(cell.tag, v)
@@ -338,7 +336,7 @@ def layered_ctx_write(ops: CtxOps, ref, v, boundary=True, share_leak=True) -> No
         raise TypeMismatch(f"value {v!r} does not conform to {cell.tag} at {r}")
     if not cell.preorder.holds(cell.value, v):
         raise PreorderViolation(r, cell.preorder.name, cell.value, v)
-    cells = w0.heap.cells.set(r, HeapCell(r, cell.tag, cell.preorder, v))
+    cells = w0.heap.cells.set(r, HeapCell(cell.tag, cell.preorder, v))
     st.world = World(Heap(cells, w0.heap.next_addr), w0.labels)
     st._after_step(w0, r)
 
