@@ -12,7 +12,7 @@ from typing import Optional
 
 from . import heap as hp
 from .contracts import ArrowS, BaseS
-from .errors import MonitorAlarm, RecallUnwitnessed, SecrefError, ShareLeak
+from .errors import MonitorAlarm, PurityViolation, RecallUnwitnessed, SecrefError, ShareLeak
 from .heap import PREORDERS, TRIVIAL
 from .labels import initial_world, labels_monotone, lr_inv, modif_only_shareable_and_encaps
 from .linker import (
@@ -190,7 +190,7 @@ def campaign_universal(seed: int = 0, trials: int = 1000, fuel: int = FUZZ_FUEL)
     cfg = RunConfig(check_level="paranoid", fuel=fuel)
     tally = Counter()
     abort_codes = set()
-    violations = []
+    violations = []  # (family/context, alarm) of each run that raised one
     failed_checks = []  # "family/context: key" of each false scenario check
     failing_seed = failing_target = None
 
@@ -199,8 +199,7 @@ def campaign_universal(seed: int = 0, trials: int = 1000, fuel: int = FUZZ_FUEL)
         trace = result.state.trace
         monotone = all(hp.heap_leq(w0.heap, w1.heap) for _, w0, w1 in trace.context_spans)
         tally.update(spans=len(trace.context_spans), steps=trace.steps,
-                     checks=trace.contract_checks, purity_failures=trace.purity_failures,
-                     non_monotone=int(not monotone))
+                     checks=trace.contract_checks, non_monotone=int(not monotone))
         if result.record.outcome[0] == "err":
             tally["aborted"] += 1
             abort_codes.add(result.record.outcome[1])
@@ -215,21 +214,21 @@ def campaign_universal(seed: int = 0, trials: int = 1000, fuel: int = FUZZ_FUEL)
             try:
                 one(name, scenario, ctx_name)
             except MonitorAlarm as alarm:
-                violations.append(f"{name}/{ctx_name}: {alarm}")
+                violations.append((f"{name}/{ctx_name}", alarm))
 
     for _, name, _, scenario, ctx_seed in _generated_trials(rng, trials):
         try:
             _, ctx = _generated_context(scenario, ctx_seed)
             one(name, scenario, ctx)
         except MonitorAlarm as alarm:
-            violations.append(f"{name}/gen{ctx_seed}: {alarm}")
+            violations.append((f"{name}/gen{ctx_seed}", alarm))
             if failing_seed is None:
                 failing_seed, failing_target = ctx_seed, name
 
     probe = _label_share_probe()
     report.add("label_share_points_to_check", probe is None, probe or "")
     report.add("universal_property_zero_violations", not violations,
-               "; ".join(violations[:3]))
+               "; ".join(f"{where}: {alarm}" for where, alarm in violations[:3]))
     # well-typed contexts can only ever die of fuel: never a boundary
     # refusal from their own allocations, never a heap type error
     report.add("aborts_are_fuel_only", abort_codes <= {"OutOfFuel"},
@@ -240,8 +239,10 @@ def campaign_universal(seed: int = 0, trials: int = 1000, fuel: int = FUZZ_FUEL)
                failed_checks[0] if failed_checks else "")
     report.add("invariant_checked_every_step", tally["steps"] > 0 and not violations,
                f"{tally['steps']} steps monitored")
-    report.add("contract_purity_zero_violations", tally["purity_failures"] == 0,
-               f"{tally['checks']} checks monitored")
+    impure = [f"{where}: {alarm}" for where, alarm in violations
+              if isinstance(alarm, PurityViolation)]
+    report.add("contract_purity_zero_violations", not impure,
+               "; ".join(impure[:3]) or f"{tally['checks']} checks monitored")
     report.stats.update(
         trials=trials,
         context_spans_checked=tally["spans"],

@@ -16,7 +16,6 @@ import enum
 from typing import Any, Callable, Optional, Union
 
 from .errors import BoundaryViolation, ImmutableWrite, PurityViolation
-from .heap import AddrMap
 from .labels import World
 from .programs import ENDED_RUN
 from .values import TypeTag, Value, VInl, VInr, VPair, conforms, record
@@ -141,16 +140,16 @@ def _run_check(env, fn, *args):
 
     Worlds never change in place, so the check was pure exactly when the
     current world is still the one it started on and it attempted no
-    in-place write, even one whose error it caught itself.
+    in-place write to a map or a record, even one whose error it caught
+    itself: `ImmutableWrite.refused` counts every one.
     """
-    before, refused = env.world, AddrMap.refused
+    before, refused = env.world, ImmutableWrite.refused
     try:
         out = fn(*args)
     except ImmutableWrite:
-        out = None  # counted in AddrMap.refused and reported below
+        out = None  # counted in ImmutableWrite.refused and reported below
     env.trace.contract_checks += 1
-    if env.world is not before or AddrMap.refused != refused:
-        env.trace.purity_failures += 1
+    if env.world is not before or ImmutableWrite.refused != refused:
         raise PurityViolation("a contract check modified the world")
     return out
 

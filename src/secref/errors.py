@@ -25,11 +25,19 @@ class MonitorAlarm(SecrefError):
 
 
 class ImmutableWrite(TypeError):
-    """An in-place write to a heap or label snapshot.  A contract check that
-    attempts one is reported as a PurityViolation."""
+    """A refused in-place write to snapshot data, a map's entry or a
+    record's field.  Each one made is counted in `ImmutableWrite.refused`,
+    so a contract check that attempts one, even one it swallows, is
+    reported as a PurityViolation."""
+
+    refused = 0
+
+    def __init__(self, *args):
+        ImmutableWrite.refused += 1
+        super().__init__(*args)
 
 
-class FrozenRecordError(AttributeError):
+class FrozenRecordError(ImmutableWrite, AttributeError):
     """An assignment to, or deletion of, an attribute of a `values.Record`."""
 
 
@@ -37,7 +45,6 @@ class Uncontained(RunFailure):
     code = "Uncontained"
 
     def __init__(self, addr, why=""):
-        self.addr = addr
         super().__init__(f"address {addr} not in heap{': ' + why if why else ''}")
 
 
@@ -49,10 +56,6 @@ class PreorderViolation(RunFailure):
     code = "PreorderViolation"
 
     def __init__(self, addr, preorder_name, old, new):
-        self.addr = addr
-        self.preorder_name = preorder_name
-        self.old = old
-        self.new = new
         super().__init__(
             f"write to {addr} violates preorder {preorder_name}: {old!r} -/-> {new!r}"
         )
@@ -70,7 +73,6 @@ class ShareLeak(RunFailure):
 
     def __init__(self, addr, value, leaked):
         self.addr = addr
-        self.value = value
         self.leaked = leaked
         super().__init__(
             f"operation on {addr} would make private address(es) {sorted(leaked)} "
@@ -128,11 +130,10 @@ class PurityViolation(MonitorAlarm):
 
 
 class SrefParseError(SecrefError):
-    def __init__(self, msg, line=None, col=None):
+    def __init__(self, msg, line, col):
         self.line = line
         self.col = col
-        where = f" at {line}:{col}" if line is not None else ""
-        super().__init__(f"parse error{where}: {msg}")
+        super().__init__(f"parse error at {line}:{col}: {msg}")
 
 
 class TargetTypeError(SecrefError):

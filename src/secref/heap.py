@@ -40,13 +40,12 @@ class AddrMap(Mapping):
     Sarnak, Sleator and Tarjan, "Making Data Structures Persistent"), so
     `changed` can skip shared chunks without looking inside them.
 
-    Every in-place mutator raises ImmutableWrite and is counted in
-    `AddrMap.refused`, so a monitor can tell that one was attempted even
-    when the caller swallowed the error.
+    Every in-place mutator raises ImmutableWrite, which counts the refusal,
+    so a monitor can tell that one was attempted even when the caller
+    swallowed the error.
     """
 
     __slots__ = ("chunks", "_len")
-    refused = 0
 
     def __new__(cls):
         """The empty map: every map is built from it with `set`."""
@@ -94,7 +93,6 @@ class AddrMap(Mapping):
         return f"AddrMap({dict(self.items())!r})"
 
     def _refuse(self, *args, **kwargs):
-        AddrMap.refused += 1
         raise ImmutableWrite("snapshot maps are immutable; build a new one with set()")
 
     __setitem__ = __delitem__ = __ior__ = __setattr__ = __delattr__ = _refuse

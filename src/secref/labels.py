@@ -195,11 +195,11 @@ def lr_write(w: World, r: Addr, v: Value, entries: list, cell: HeapCell) -> Worl
     return World(hp.write(w.heap, r, v, cell), w.labels)
 
 
-def label_shareable(w: World, r: Addr, walk: Optional[list] = None) -> World:
+def label_shareable(w: World, r: Addr, walk: list) -> World:
     """Label r Shareable: it must be contained, Private, under the trivial
-    preorder and embed only shareable addresses (ShareLeak).  `walk`, when a
-    list, receives that test's walk of r's value, (tag, value, entries), for
-    the paranoid monitor."""
+    preorder and embed only shareable addresses (ShareLeak).  `walk`
+    receives that test's walk of r's value, (tag, value, entries), for the
+    paranoid monitor."""
     cell = w.heap.cell(r)
     if not is_private(w, r):
         raise AlreadyLabeled(f"{r} is already {w.label_of(r).value}")
@@ -211,8 +211,7 @@ def label_shareable(w: World, r: Addr, walk: Optional[list] = None) -> World:
     leaked = _private_embedded(w, entries)
     if leaked:
         raise ShareLeak(r, cell.value, leaked)
-    if walk is not None:
-        walk.append((cell.tag, cell.value, entries))
+    walk.append((cell.tag, cell.value, entries))
     return World(w.heap, w.labels.set(r, SHAREABLE))
 
 

@@ -21,6 +21,7 @@ span checked for the same universal property.
 """
 from __future__ import annotations
 
+import copyreg
 from functools import partial
 from itertools import count, zip_longest
 from typing import Any, Callable
@@ -351,6 +352,15 @@ class BehaviorRecord:
         object.__setattr__(self, "dump", dump)
         object.__setattr__(self, "_world", None)
         return dump
+
+    def __reduce__(self):
+        # copy and pickle rebuild a record from its two fields, reading the
+        # dump first: the world it renders from is let go once it is read
+        return copyreg.__newobj__, (BehaviorRecord,), (self.outcome, self.dump)
+
+    def __setstate__(self, fields):
+        object.__setattr__(self, "outcome", fields[0])
+        object.__setattr__(self, "dump", fields[1])
 
     def lines(self):
         yield f"outcome: {self.outcome}"

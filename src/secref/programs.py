@@ -262,12 +262,12 @@ class WorldJournal:
 class TraceLog:
     """Per-run observations consumed by the property campaigns."""
 
-    __slots__ = ("worlds", "context_spans", "contract_checks", "purity_failures", "steps")
+    __slots__ = ("worlds", "context_spans", "contract_checks", "steps")
 
     def __init__(self):
         self.worlds = WorldJournal()  # paranoid steps
         self.context_spans: list = []  # (name, w_before, w_after)
-        self.contract_checks = self.purity_failures = self.steps = 0
+        self.contract_checks = self.steps = 0
 
 
 class _EndedRun:
@@ -282,24 +282,17 @@ ENDED_RUN = _EndedRun()
 
 
 class RunState:
-    """Mutable interpreter state: current world, witnessed set, fuel.
+    """Mutable interpreter state: current world (at first the initial
+    world), witnessed set (at first empty), fuel.  The config is fixed at
+    construction, and its check level is read once."""
 
-    The config is fixed at construction, and its check level is read once.
-    """
-
-    def __init__(
-        self,
-        world: Optional[World] = None,
-        witnesses: Optional[dict] = None,
-        config: Optional[RunConfig] = None,
-        trace: Optional[TraceLog] = None,
-    ):
-        self.world = world if world is not None else lb.initial_world()
-        self.witnesses: dict[str, StablePredicate] = dict(witnesses or {})
+    def __init__(self, config: Optional[RunConfig] = None):
+        self.world = lb.initial_world()
+        self.witnesses: dict[str, StablePredicate] = {}
         self._config = config or RunConfig()
         self.fuel = self._config.fuel
         self._paranoid = self._config.paranoid
-        self.trace = trace if trace is not None else TraceLog()
+        self.trace = TraceLog()
         self._validated: Optional[World] = None  # last world lr_inv passed on
         self.ops = None  # the context's one linker.CtxOps, made on first use
 

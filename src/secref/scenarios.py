@@ -91,11 +91,11 @@ class Scenario:
     """A source program, its interface, its contexts by name and the check
     of a run's result; `check` may be rebound, to time or trace it."""
 
-    __slots__ = ("name", "interface", "program", "contexts", "check")
+    __slots__ = ("interface", "program", "contexts", "check")
 
-    def __init__(self, name: str, interface: SourceInterface, program: SourceProgram,
+    def __init__(self, interface: SourceInterface, program: SourceProgram,
                  contexts: dict, check: Callable[["ScenarioResult"], dict]):
-        self.name, self.interface, self.program = name, interface, program
+        self.interface, self.program = interface, program
         self.contexts, self.check = contexts, check
 
 
@@ -125,7 +125,7 @@ def run_scenario(scenario: Scenario, context, cfg: Optional[RunConfig] = None) -
     whole = link_target(compile_program(scenario.program, scenario.interface), ctx)
     record = beh(whole, state=state)
     result = ScenarioResult(
-        scenario=scenario.name,
+        scenario=scenario.program.name,
         context=ctx.name,
         record=record,
         w0=w0,
@@ -256,7 +256,6 @@ def scenario_safe_prog(labeled: bool = True) -> Scenario:
         "forger": TargetContext(name="forger", builder=_forger_builder),
     }
     return Scenario(
-        name=program.name,
         interface=iface,
         program=program,
         contexts=contexts,
@@ -360,7 +359,6 @@ def scenario_autograder(tests=(4, 1, 3)) -> Scenario:
         "lazy": load_sref(_sref("autograder_lazy.sref"), HW_SPEC, "lazy"),
     }
     return Scenario(
-        name="autograder",
         interface=iface,
         program=program,
         contexts=contexts,
@@ -576,7 +574,6 @@ def scenario_prng(seed: int = 2024) -> Scenario:
         "counter_snoop": TargetContext(name="counter_snoop", builder=_prng_forger),
     }
     return Scenario(
-        name="prng",
         interface=iface,
         program=program,
         contexts=contexts,
@@ -672,7 +669,6 @@ def scenario_guess(lo: int = 0, hi: int = 100, pick: int = 42) -> Scenario:
         "no_calls": load_sref(_sref("guess_no_calls.sref"), GUESS_SPEC, "no_calls"),
     }
     return Scenario(
-        name="guess",
         interface=iface,
         program=program,
         contexts=contexts,

@@ -466,8 +466,8 @@ def parse(text: str) -> Expr:
 # typechecker
 
 
-def typecheck(e: Expr, env: Optional[dict] = None, types: Optional[dict] = None) -> TypeTag:
-    """Infer the type of e, raising TargetTypeError with a reason on failure.
+def typecheck(e: Expr, types: Optional[dict] = None) -> TypeTag:
+    """Infer the type of the closed term e, raising TargetTypeError with a reason on failure.
 
     When a `types` dict is supplied it is filled with id(node) -> type for
     every subexpression, and with `Fix` -> True if the term has a `fix`; the
@@ -476,7 +476,6 @@ def typecheck(e: Expr, env: Optional[dict] = None, types: Optional[dict] = None)
     An inferred type past either bound, or not well formed, is refused; that
     test also catches a function type that an annotation or `alloc` stores.
     """
-    env = env or {}
     types = types if types is not None else {}
 
     def expect(t, want, what):
@@ -583,7 +582,7 @@ def typecheck(e: Expr, env: Optional[dict] = None, types: Optional[dict] = None)
         return t
 
     try:
-        return go(e, env)
+        return go(e, {})
     finally:
         go = None  # go's cell holds go; unbound, refcounting frees the walk
 
@@ -917,7 +916,7 @@ def elaborate(e: Expr, spec: InterfaceSpec, name: str = "ctx") -> TargetContext:
     The term compiles on the context's first build, so a context that is
     loaded but never run costs only its typecheck."""
     types: dict = {}
-    inferred = typecheck(e, {}, types)
+    inferred = typecheck(e, types)
     wanted = spec_type(spec)
     if inferred is not wanted:
         raise InterfaceMismatch(f"context has type {inferred}, interface wants {wanted}")

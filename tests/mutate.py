@@ -185,7 +185,7 @@ KNOWN = {
     "label_share_unchecked": (Site("labels", "label_shareable", "entries ="),
                               Site("labels", "label_shareable", "leaked ="),
                               Site("labels", "label_shareable", "if leaked"),
-                              Site("labels", "label_shareable", "if walk is not None")),
+                              Site("labels", "label_shareable", "walk.append")),
     # the labeled write's ShareLeak check, in lr_write and in the fused
     # context write
     "lr_write_share_unchecked": (Site("labels", "lr_write", "raise ShareLeak"),

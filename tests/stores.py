@@ -1,8 +1,10 @@
 """The store as tests build and step it: address maps built as the model
-builds every map, from `heap.EMPTY_MAP` with one `set` per entry, and the
-labeled alloc and write called as a store step calls them."""
+builds every map, from `heap.EMPTY_MAP` with one `set` per entry, the
+labeled alloc, write and shareable labeling called as a step calls them,
+and run states moved to a given world."""
 from secref.heap import EMPTY_MAP, AddrMap
-from secref.labels import World, lr_alloc, lr_write
+from secref.labels import World, label_shareable, lr_alloc, lr_write
+from secref.programs import RunState
 from secref.values import ref_entries
 
 
@@ -27,3 +29,18 @@ def write_walked(w: World, r, v) -> World:
     `RunState.op_write` gives them; `Heap.cell` refuses an r with no cell."""
     cell = w.heap.cell(r)
     return lr_write(w, r, v, ref_entries(cell.tag, v), cell)
+
+
+def share(w: World, r) -> World:
+    """`label_shareable`, handed a walk list as `RunState.op_label_shareable`
+    hands it, which is then dropped."""
+    return label_shareable(w, r, [])
+
+
+def state_at(world: World, config=None, witnesses=()) -> RunState:
+    """A fresh `RunState` for config, moved to world with the predicates in
+    witnesses witnessed, as if its run had reached them."""
+    state = RunState(config=config)
+    state.world = world
+    state.witnesses.update((pred.name, pred) for pred in witnesses)
+    return state

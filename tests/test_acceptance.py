@@ -8,7 +8,7 @@ import time
 import pytest
 
 import mutate
-from secref import campaigns
+from secref import campaigns, scenarios
 from secref.campaigns import (
     campaign_autograder,
     campaign_dual,
@@ -177,12 +177,31 @@ def test_a_false_scenario_check_on_a_completed_run_fails_the_universal_campaign(
         result = real(scenario, ctx, cfg)
         if result.record.outcome[0] == "ok" and not forced:
             result.checks["forced"] = False
-            forced.append(f"{scenario.name}/{result.context}: forced")
+            forced.append(f"{scenario.program.name}/{result.context}: forced")
         return result
 
     monkeypatch.setattr(campaigns, "run_scenario", failing)
     check = _check(campaign_universal(seed=SEED, trials=4), "scenario_checks_hold_on_completed_runs")
     assert forced and not check.ok and check.detail == forced[0]
+
+
+def test_an_impure_contract_check_fails_the_purity_check(monkeypatch):
+    assert _check(campaign_universal(seed=SEED, trials=4), "contract_purity_zero_violations").ok
+    real = scenarios.llist_collect
+
+    def impure(heap, head, *rest):
+        # the autograder's post contract reads chains through this; each
+        # read first attempts an in-place write and swallows the refusal
+        try:
+            heap.cells.__setitem__(head, None)
+        except TypeError:
+            pass
+        return real(heap, head, *rest)
+
+    monkeypatch.setattr(scenarios, "llist_collect", impure)
+    check = _check(campaign_universal(seed=SEED, trials=4), "contract_purity_zero_violations")
+    assert not check.ok
+    assert check.detail.startswith("autograder/") and "a contract check modified the world" in check.detail
 
 
 def test_a_refused_recall_of_a_witnessed_predicate_fails_the_witness_campaign(monkeypatch):

@@ -197,7 +197,7 @@ def compiled_builder(expr, spec):
 def backend_builder(backend):
     def make(expr, spec):
         types: dict = {}
-        typecheck(expr, {}, types)
+        typecheck(expr, types)
         return backend(expr, types)
 
     return make
@@ -256,7 +256,7 @@ def test_shipped_contexts_match_the_reference_evaluator(path):
         assert_same_runs(family, seed, expr)
     # the backend the file takes: only Python code has an `<sref:...>` file
     types: dict = {}
-    typecheck(expr, {}, types)
+    typecheck(expr, types)
     filename = compile_term(expr, types, path.stem).__code__.co_filename
     assert (filename == f"<sref:{path.stem}>") == (path.stem in HAVE_FIX)
 
@@ -331,7 +331,7 @@ def test_hand_written_terms_match_the_reference(name):
         assert results[0] == results[1] == results[2]
     # the backend elaborate chose: only Python code has an `<sref:...>` file
     types: dict = {}
-    typecheck(expr, {}, types)
+    typecheck(expr, types)
     filename = compile_term(expr, types, name).__code__.co_filename
     assert (filename != f"<sref:{name}>") == (name in CLOSURE_BACKEND)
 

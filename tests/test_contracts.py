@@ -22,7 +22,8 @@ from secref.contracts import (
 )
 from secref.errors import PurityViolation
 from secref.heap import TRIVIAL, HeapCell
-from secref.labels import Label, initial_world, is_private
+from secref.labels import Label, is_private
+from secref.linker import beh
 from secref.programs import Return, RunState, alloc_op, do, read_op
 from secref.sampling import sample_value
 from secref.values import (
@@ -53,21 +54,21 @@ def fresh_env():
 
 
 def test_export_base_identity():
-    assert export(INT_S, VInt(5), RunState(world=initial_world())) == VInt(5)
+    assert export(INT_S, VInt(5), RunState()) == VInt(5)
 
 
 def test_export_ref_identity():
     spec = BaseS(Ref(INT))
     v = VRef(4, INT)
-    assert export(spec, v, RunState(world=initial_world())) == v
+    assert export(spec, v, RunState()) == v
 
 
 def test_import_base():
-    assert import_value(INT_S, VInt(5), RunState(world=initial_world())) == Inl(VInt(5))
+    assert import_value(INT_S, VInt(5), RunState()) == Inl(VInt(5))
 
 
 def test_import_base_shape_mismatch():
-    out = import_value(INT_S, V_UNIT, RunState(world=initial_world()))
+    out = import_value(INT_S, V_UNIT, RunState())
     assert isinstance(out, Inr)
     assert out.error.code is ErrCode.IMPORT_FAILURE
 
@@ -76,7 +77,7 @@ def test_import_base_shape_mismatch():
                          ids=["ref_int", "ref_llist"])
 def test_import_reference_leaf(target, other):
     spec = BaseS(Ref(target))
-    env = RunState(world=initial_world())
+    env = RunState()
     assert import_value(spec, VRef(3, target), env) == Inl(VRef(3, target))
     for bad in (VRef(3, other), VInt(3), lambda x: x):
         out = import_value(spec, bad, env)
@@ -84,19 +85,19 @@ def test_import_reference_leaf(target, other):
 
 
 def test_import_refinement_violation():
-    out = import_value(POSITIVE, VInt(-3), RunState(world=initial_world()))
+    out = import_value(POSITIVE, VInt(-3), RunState())
     assert isinstance(out, Inr)
     assert out.error.code is ErrCode.REFINEMENT_VIOLATION
 
 
 def test_import_refinement_pass():
-    out = import_value(POSITIVE, VInt(3), RunState(world=initial_world()))
+    out = import_value(POSITIVE, VInt(3), RunState())
     assert out == Inl(VInt(3))
 
 
 def test_import_pair_and_sum_recurse():
     spec = PairS(POSITIVE, SumS(INT_S, POSITIVE))
-    env = RunState(world=initial_world())
+    env = RunState()
     ok = import_value(spec, VPair(VInt(1), VInr(VInt(2))), env)
     assert ok == Inl(VPair(VInt(1), VInr(VInt(2))))
     bad = import_value(spec, VPair(VInt(1), VInr(VInt(-2))), env)
@@ -224,9 +225,9 @@ def test_contract_checks_are_counted_and_pure():
     spec = hw_spec()
     imported = import_value(spec, lambda r: V_UNIT, state)
     before = state.trace.contract_checks
-    imported.value(VRef(head, LList(INT)))
+    out = imported.value(VRef(head, LList(INT)))  # no PurityViolation raised
     assert state.trace.contract_checks == before + 2  # select + verify
-    assert state.trace.purity_failures == 0
+    assert out == Inl(V_UNIT)
 
 
 def test_purity_monitor_fires_on_a_mutating_check():
@@ -266,12 +267,37 @@ def test_purity_monitor_fires_on_an_in_place_rewrite(swallow):
 
     spec = ArrowS(INT_S, INT_S, pre=ExecPre(rewrite))
     wrapped = export(spec, lambda v: Return(v), state)
-    with pytest.raises(PurityViolation):
+    with pytest.raises(PurityViolation) as alarm:
         wrapped(VInt(1))
-    assert state.trace.purity_failures == 1
+    assert str(alarm.value) == "a contract check modified the world"
     assert state.world is before
     assert state.world.heap.cell(secret).value == VInt(42)
     assert is_private(state.world, secret)
+
+
+def _post_select_run(select):
+    """A run that imports the identity under a post contract with `select`
+    and calls it once."""
+    spec = ArrowS(INT_S, INT_S, post=ExecPost(select, lambda captured, out, w: None))
+    return lambda state: import_value(spec, lambda x: x, state).value(VInt(1))
+
+
+@pytest.mark.parametrize("swallow", [False, True])
+def test_purity_monitor_fires_on_a_record_write(swallow):
+    """A post-condition select that assigns a field of the world it is
+    given.  The record refuses the write, and the run ends in a
+    PurityViolation, neither a host error nor an ok outcome, even when the
+    select swallows the refusal."""
+    def select(v, w):
+        try:
+            w.heap = None
+        except AttributeError:
+            if not swallow:
+                raise
+
+    assert beh(_post_select_run(lambda v, w: None), RunState()).outcome == ("ok", "Inl(1)")
+    with pytest.raises(PurityViolation):
+        beh(_post_select_run(select), RunState())
 
 
 def _random_first_order_spec(rng, depth=2):
@@ -305,7 +331,7 @@ def _spec_value(spec, rng):
 
 def test_round_trip_on_first_order_data():
     rng = random.Random(404)
-    env = RunState(world=initial_world())
+    env = RunState()
     for _ in range(300):
         spec = _random_first_order_spec(rng)
         v = _spec_value(spec, rng)
@@ -318,7 +344,7 @@ def test_preserves_refs_on_data():
     # wrapping data hands every address through at its own position
     spec = PairS(BaseS(Ref(INT)), BaseS(INT))
     v = VPair(VRef(3, INT), VInt(1))
-    env = RunState(world=initial_world())
+    env = RunState()
     exported = export(spec, v, env)
     imported = import_value(spec, exported, env)
     for out in (exported, imported.value):

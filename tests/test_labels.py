@@ -3,7 +3,7 @@ import sys
 import pytest
 
 import mutate
-from stores import addr_map, alloc_walked, write_walked
+from stores import addr_map, alloc_walked, share, write_walked
 from secref import values
 from secref.errors import (
     AlreadyLabeled,
@@ -25,7 +25,6 @@ from secref.labels import (
     is_shareable,
     label_encapsulated,
     label_leq,
-    label_shareable,
     labels_monotone,
     lr_inv,
     lr_inv_at,
@@ -63,7 +62,7 @@ def test_marker_is_private():
 
 def test_label_shareable_then_queries():
     a, w = alloc_walked(initial_world(), INT, TRIVIAL, VInt(1))
-    w = label_shareable(w, a)
+    w = share(w, a)
     assert is_shareable(w, a)
     assert not is_private(w, a)
     assert not is_encapsulated(w, a)
@@ -128,8 +127,8 @@ def test_lr_alloc_embedded_tag_mismatch():
 def test_lr_write_share_leak():
     p, w = alloc_walked(initial_world(), INT, TRIVIAL, VInt(0))
     r, w = alloc_walked(w, Ref(INT), TRIVIAL, VRef(p, INT))
-    w = label_shareable(w, p)
-    w = label_shareable(w, r)
+    w = share(w, p)
+    w = share(w, r)
     fresh_private, w = alloc_walked(w, INT, TRIVIAL, VInt(1))
     with pytest.raises(ShareLeak):
         write_walked(w, r, VRef(fresh_private, INT))
@@ -146,7 +145,7 @@ def test_lr_write_private_target_is_unrestricted():
 
 def test_lr_write_base_value_into_shareable():
     a, w = alloc_walked(initial_world(), INT, TRIVIAL, VInt(0))
-    w = label_shareable(w, a)
+    w = share(w, a)
     w2 = write_walked(w, a, VInt(5))
     assert lr_read(w2, a) == VInt(5)
 
@@ -155,20 +154,20 @@ def test_label_shareable_points_to_private_leaks():
     p, w = alloc_walked(initial_world(), INT, TRIVIAL, VInt(0))
     r, w = alloc_walked(w, Ref(INT), TRIVIAL, VRef(p, INT))
     with pytest.raises(ShareLeak):
-        label_shareable(w, r)
+        share(w, r)
 
 
 def test_label_shareable_monotonic_ref_refused():
     c, w = alloc_walked(initial_world(), INT, INT_LEQ, VInt(0))
     with pytest.raises(MonotonicRefShare):
-        label_shareable(w, c)
+        share(w, c)
 
 
 def test_label_shareable_twice_refused():
     a, w = alloc_walked(initial_world(), INT, TRIVIAL, VInt(0))
-    w = label_shareable(w, a)
+    w = share(w, a)
     with pytest.raises(AlreadyLabeled):
-        label_shareable(w, a)
+        share(w, a)
 
 
 def test_label_encapsulated_counter():
@@ -180,7 +179,7 @@ def test_label_encapsulated_counter():
 
 def test_label_encapsulated_shareable_refused():
     a, w = alloc_walked(initial_world(), INT, TRIVIAL, VInt(0))
-    w = label_shareable(w, a)
+    w = share(w, a)
     with pytest.raises(AlreadyLabeled):
         label_encapsulated(w, a)
 
@@ -194,7 +193,7 @@ def test_label_encapsulated_marker_refused():
 def _two_cell_world():
     a, w = alloc_walked(initial_world(), INT, TRIVIAL, VInt(1))
     b, w = alloc_walked(w, INT, TRIVIAL, VInt(2))
-    w = label_shareable(w, b)
+    w = share(w, b)
     return a, b, w
 
 
@@ -235,7 +234,7 @@ def test_same_labels_scans_initial_domain_only():
     a, b, w = _two_cell_world()
     # labeling a cell allocated later does not disturb the old domain scan
     c, w2 = alloc_walked(w, INT, TRIVIAL, VInt(0))
-    w3 = label_shareable(w2, c)
+    w3 = share(w2, c)
     assert same_labels(w, w3)
     assert not same_labels(w2, World(heap=w3.heap, labels=w3.labels.set(a, Label.SHAREABLE)))
 
@@ -249,7 +248,7 @@ def test_labels_monotone():
 
 def test_world_labels_refuse_in_place_writes():
     a, b, w = _two_cell_world()
-    w2 = label_shareable(w, a)
+    w2 = share(w, a)
     with pytest.raises(ImmutableWrite):
         w2.labels[b] = Label.SHAREABLE
     with pytest.raises(ImmutableWrite):
@@ -264,7 +263,7 @@ def test_lr_write_checks_containment_before_share_leak():
     # the value embeds a private address first, then a dangling one
     p, w = alloc_walked(initial_world(), INT, TRIVIAL, VInt(0))
     r, w = alloc_walked(w, Pair(Ref(INT), Ref(INT)), TRIVIAL, VPair(VRef(p, INT), VRef(p, INT)))
-    w = label_shareable(label_shareable(w, p), r)
+    w = share(share(w, p), r)
     q, w = alloc_walked(w, INT, TRIVIAL, VInt(1))
     with pytest.raises(DanglingInit):
         write_walked(w, r, VPair(VRef(q, INT), VRef(99, INT)))

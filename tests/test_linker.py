@@ -1,4 +1,6 @@
+import copy
 import gc
+import pickle
 import random
 import sys
 import weakref
@@ -8,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import mutate
-from stores import alloc_walked
+from stores import alloc_walked, share, state_at
 from secref import heap as hp
 from secref import linker
 from secref.contracts import ArrowS, BaseS, Inl, Inr, PairS, SumS
@@ -16,6 +18,7 @@ from secref.errors import (
     AlreadyLabeled,
     BoundaryViolation,
     DanglingInit,
+    FrozenRecordError,
     InvariantViolation,
     OutOfFuel,
     RunFailure,
@@ -31,7 +34,6 @@ from secref.labels import (
     World,
     initial_world,
     is_shareable,
-    label_shareable,
     lr_inv,
     modif_only_shareable_and_encaps,
     same_labels,
@@ -638,10 +640,10 @@ def test_ctx_alloc_labels_as_lr_alloc_then_label_shareable_would():
     inner = CtxOps(state).alloc(INT, VInt(1))
     w = state.world
     for tag, init in ((INT, VInt(3)), (Ref(INT), inner)):
-        direct = RunState(world=w)
+        direct = state_at(w)
         ref = CtxOps(direct).alloc(tag, init)
         fresh, w1 = alloc_walked(w, tag, TRIVIAL, init)
-        assert (ref, direct.world) == (VRef(fresh, tag), label_shareable(w1, fresh))
+        assert (ref, direct.world) == (VRef(fresh, tag), share(w1, fresh))
         assert lr_inv(direct.world)
 
 
@@ -649,7 +651,7 @@ def test_ctx_alloc_refuses_a_fresh_address_that_already_carries_a_label():
     w = initial_world()
     broken = World(heap=w.heap, labels=w.labels.set(w.heap.next_addr, Label.ENCAPSULATED))
     with pytest.raises(AlreadyLabeled):
-        CtxOps(RunState(world=broken)).alloc(INT, VInt(0))
+        CtxOps(state_at(broken)).alloc(INT, VInt(0))
 
 
 # -- a miniature interface: the context is an int -> int function
@@ -724,6 +726,24 @@ def test_a_behaviour_record_renders_its_world_on_first_read(monkeypatch):
     assert list(beh(run, RunState()).lines()) == ["outcome: ('ok', 7)", *dump]
     with pytest.raises(AttributeError, match="has no attribute 'dumps'"):
         record.dumps
+
+
+@pytest.mark.parametrize("read_first", [False, True], ids=["unread", "read"])
+def test_a_behaviour_record_copies_and_pickles_to_an_equal_record(read_first):
+    def run(state):
+        state.op_alloc(INT, TRIVIAL, VInt(3))
+        return 7
+
+    record = beh(run, RunState())
+    if read_first:
+        assert record.dump == ("1: int [Private] = 3",)
+    copies = copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))
+    for twin in copies:
+        assert type(twin) is BehaviorRecord
+        assert (twin.outcome, twin.dump) == (("ok", 7), ("1: int [Private] = 3",))
+        assert twin == record and hash(twin) == hash(record) and repr(twin) == repr(record)
+        with pytest.raises(FrozenRecordError):
+            twin.outcome = ("ok", 8)
 
 
 def test_linking_is_effect_free():
@@ -818,8 +838,8 @@ def test_every_shipped_context_is_instantiated_once_and_monitored_by_name():
         for name, ctx in sorted(scenario.contexts.items()):
             result = run_scenario(scenario, name, RunConfig(check_level="paranoid"))
             names = _span_names(result.state)
-            assert names[0] == f"build:{ctx.name}", (scenario.name, name)
-            assert names[1:] and set(names[1:]) == {ctx.name}, (scenario.name, name, names)
+            assert names[0] == f"build:{ctx.name}", (scenario.program.name, name)
+            assert names[1:] and set(names[1:]) == {ctx.name}, (scenario.program.name, name, names)
 
 
 def test_target_and_source_links_record_the_same_spans():
@@ -1011,7 +1031,7 @@ def test_render_world_matches_the_per_address_dump_on_every_shipped_context():
         scenario = factory()
         for name in sorted(scenario.contexts):
             result = run_scenario(scenario, name)
-            assert render_world(result.w1) == reference_render_world(result.w1), (scenario.name, name)
+            assert render_world(result.w1) == reference_render_world(result.w1), (scenario.program.name, name)
 
 
 # -- a run's end revokes the context's capabilities

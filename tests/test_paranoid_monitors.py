@@ -8,7 +8,7 @@ checks that read it step by step are compared with replay in
 """
 import pytest
 
-from stores import addr_map
+from stores import addr_map, state_at
 from secref import campaigns
 from secref import labels as lb
 from secref import values
@@ -76,7 +76,7 @@ def test_paranoid_run_from_a_heap_with_a_dangling_ref_fails_its_first_step():
         return 0
 
     def run(program, config):
-        return RunState(world=World(h0, lb.NO_LABELS), config=config).interpret(program)
+        return state_at(World(h0, lb.NO_LABELS), config).interpret(program)
 
     with pytest.raises(InvariantViolation, match="after step 1"):
         run(do(gen), PARANOID)
@@ -199,7 +199,7 @@ def _monitor_entries_per_write(cells: int, monkeypatch) -> int:
     p = fast.op_alloc(INT, TRIVIAL, VInt(0))
     for _ in range(cells - 1):
         fast.op_alloc(Ref(INT), TRIVIAL, VRef(p, INT))
-    state = RunState(world=fast.world, config=PARANOID)
+    state = state_at(fast.world, PARANOID)
     state.op_write(cells, VRef(p, INT))  # the run's base scan
 
     checked = [0]

@@ -1,7 +1,7 @@
 
 import pytest
 
-from stores import alloc_walked
+from stores import alloc_walked, state_at
 from secref import heap as hp
 from secref.errors import (
     DanglingInit,
@@ -63,7 +63,7 @@ def law_start():
 
 def observe_state(program, w, p):
     """Result, final world (cells and labels), witnessed names and steps."""
-    state = RunState(world=w, witnesses={p.name: p})
+    state = state_at(w, witnesses=[p])
     result = state.interpret(program)
     return result, state.world, frozenset(state.witnesses), state.trace.steps
 
@@ -136,7 +136,7 @@ def test_interpret_rejects_a_non_node():
         RunState().interpret(7)
     # a continuation that returns a non-node is refused after its step
     a, p, w = law_start()
-    state = RunState(world=w)
+    state = state_at(w)
     with pytest.raises(TypeError, match="not a program node"):
         state.interpret(Call("op_read", (a,), lambda v: v))
     assert state.trace.steps == 1
@@ -157,9 +157,9 @@ def test_run_config_refuses_an_unknown_check_level(level):
         RunConfig(check_level=level)
 
 
-def _from_heap(h, witnesses=None) -> RunState:
+def _from_heap(h, witnesses=()) -> RunState:
     """A run state on heap h, nothing labeled."""
-    return RunState(world=World(h, NO_LABELS), witnesses=witnesses)
+    return state_at(World(h, NO_LABELS), witnesses=witnesses)
 
 
 def test_run_return_leaves_heap_alone():
@@ -214,7 +214,7 @@ def test_witness_false_predicate():
 def test_recall_from_provided_witness_set():
     a, h = alloc(EMPTY_HEAP, INT, TRIVIAL, VInt(5))
     p = nonempty_pred()
-    assert _from_heap(h, {p.name: p}).interpret(bind(recall_op(p), lambda _: Return(2))) == 2
+    assert _from_heap(h, [p]).interpret(bind(recall_op(p), lambda _: Return(2))) == 2
 
 
 def test_unstable_predicate_is_caught_on_recall():

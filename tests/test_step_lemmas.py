@@ -160,7 +160,7 @@ def run_step(state, ops, w0, valid, run):
 def first_counterexample(config=FAST, worlds=WORLDS, steps=STEPS):
     """The first (world, step, lemma) in enumeration order where a step
     breaks a lemma."""
-    state = RunState(config=config, trace=TraceLog())
+    state = RunState(config=config)
     ops = CtxOps(state)
     for w0 in worlds:
         valid = lr_inv(w0)

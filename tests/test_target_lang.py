@@ -165,7 +165,7 @@ def test_terms_at_the_bound_parse_typecheck_and_compile_at_the_default_limit(
     def load():
         e = parse(text)
         types: dict = {}
-        typecheck(e, {}, types)
+        typecheck(e, types)
         value = compile_term(e, types)(CtxOps(RunState()))
         if isinstance(e, Fix):
             assert value(VInt(0)) == FIX_RETURNS[text]
